@@ -36,11 +36,13 @@ let first_iteration_env nest =
 
 let dots layout ~size nest =
   let env = first_iteration_env nest in
+  let bases = Layout.bases layout in
   Nest.refs nest
   |> List.mapi (fun i r -> (i, r))
   |> List.filter_map (fun (i, r) ->
          if Ref_.is_affine r then
-           let address = Layout.address_of_ref layout env r in
+           let offset = Layout.offset_of_ref layout env r in
+           let address = List.assoc r.Ref_.array bases + offset in
            Some { ref_index = i; ref_ = r; address; position = address mod size }
          else None)
 
@@ -73,7 +75,7 @@ let arcs layout ?(min_span = 1) nest =
 let circular_distance size a b =
   let d = (b - a) mod size in
   let d = if d < 0 then d + size else d in
-  min d (size - d)
+  Int.min d (size - d)
 
 let severe_conflicts layout ~size ~line ?(include_same_array = false) nest =
   let ds = dots layout ~size nest in
@@ -105,23 +107,23 @@ let severe_conflicts layout ~size ~line ?(include_same_array = false) nest =
   pairs ds;
   List.rev !conflicts
 
-(* A dot at position q lies strictly under the arc anchored at trailing
-   position p with the given span iff 0 < (q - p) mod size < span. *)
+let under_arc ~size ~trailing ~span q =
+  let rel = (q - trailing) mod size in
+  let rel = if rel < 0 then rel + size else rel in
+  rel > 0 && rel < span
+
 let arc_preserved ds ~size arc =
   if arc.span >= size then false
   else
     match List.find_opt (fun d -> d.ref_index = arc.trailing) ds with
     | None -> false
     | Some trailing_dot ->
-        let p = trailing_dot.position in
+        let trailing = trailing_dot.position in
         not
           (List.exists
              (fun d ->
                if d.ref_index = arc.trailing || d.ref_index = arc.leading then false
-               else
-                 let rel = (d.position - p) mod size in
-                 let rel = if rel < 0 then rel + size else rel in
-                 rel > 0 && rel < arc.span)
+               else under_arc ~size ~trailing ~span:arc.span d.position)
              ds)
 
 let preserved_arcs layout ~size nest =

@@ -50,7 +50,18 @@ val arcs : Layout.t -> ?min_span:int -> Nest.t -> arc list
 val severe_conflicts :
   Layout.t -> size:int -> line:int -> ?include_same_array:bool -> Nest.t -> conflict list
 
-(** [arc_preserved dots ~size arc] — the "no dots under the arc" test. *)
+(** Distance between two cache positions around a cache of [size]
+    bytes. *)
+val circular_distance : int -> int -> int -> int
+
+(** [under_arc ~size ~trailing ~span q]: a dot at cache position [q] lies
+    strictly under the arc whose trailing dot sits at position [trailing]
+    iff [0 < (q - trailing) mod size < span]. *)
+val under_arc : size:int -> trailing:int -> span:int -> int -> bool
+
+(** [arc_preserved dots ~size arc] — the "no dots under the arc" test:
+    the span fits in the cache and {!under_arc} holds for no dot other
+    than the arc's own two. *)
 val arc_preserved : dot list -> size:int -> arc -> bool
 
 (** Arcs of the nest that survive on a cache of [size] bytes. *)

@@ -113,8 +113,10 @@ let optimize_program ?(max_shift = 4) machine program =
   let log = ref [] in
   let say fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
   (* One pass left to right; stay on the same index after a successful
-     fusion so chains fuse greedily. *)
-  let rec pass program i =
+     fusion so chains fuse greedily.  [layout] is [grouppad program],
+     computed at most once per program state: an accepted fusion hands on
+     the layout its candidate was scored with. *)
+  let rec pass program layout i =
     let nests = program.Program.nests in
     if i + 1 >= List.length nests then program
     else begin
@@ -122,17 +124,17 @@ let optimize_program ?(max_shift = 4) machine program =
       match align_names n1 n2 with
       | exception Illegal _ ->
           say "nests %d,%d: shape mismatch, skipped" i (i + 1);
-          pass program (i + 1)
+          pass program layout (i + 1)
       | n2' -> (
           match An.Dependence.min_legal_shift ~max_shift n1 n2' with
           | None ->
               say "nests %d,%d: no legal shift, skipped" i (i + 1);
-              pass program (i + 1)
+              pass program layout (i + 1)
           | Some shift -> (
               match fuse ~shift n1 n2 with
               | exception Illegal m ->
                   say "nests %d,%d: %s" i (i + 1) m;
-                  pass program (i + 1)
+                  pass program layout (i + 1)
               | fused_nests ->
                   let core = core_of fused_nests in
                   let before = List.filteri (fun j _ -> j < i) nests in
@@ -141,23 +143,24 @@ let optimize_program ?(max_shift = 4) machine program =
                     { program with Program.nests = before @ fused_nests @ after }
                   in
                   let co =
-                    An.Fusion_model.count (grouppad program) ~l1_size [ n1; n2 ]
+                    An.Fusion_model.count (Lazy.force layout) ~l1_size [ n1; n2 ]
                   in
+                  let candidate_layout = grouppad candidate in
                   let cf =
-                    An.Fusion_model.count (grouppad candidate) ~l1_size [ core ]
+                    An.Fusion_model.count candidate_layout ~l1_size [ core ]
                   in
                   let cost = An.Fusion_model.miss_cost ~l2_cost ~memory_cost in
                   if cost cf < cost co then begin
                     say "nests %d,%d: fused (shift %d), model cost %.0f -> %.0f"
                       i (i + 1) shift (cost co) (cost cf);
-                    pass candidate i
+                    pass candidate (Lazy.from_val candidate_layout) i
                   end
                   else begin
                     say "nests %d,%d: legal but unprofitable (%.0f -> %.0f)" i
                       (i + 1) (cost co) (cost cf);
-                    pass program (i + 1)
+                    pass program layout (i + 1)
                   end))
     end
   in
-  let result = pass program 0 in
+  let result = pass program (lazy (grouppad program)) 0 in
   (result, List.rev !log)

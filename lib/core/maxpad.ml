@@ -5,11 +5,6 @@ let positions ~size layout =
     (fun v -> (v, Layout.base layout v mod size))
     (Layout.array_names layout)
 
-let circular_distance size a b =
-  let d = (b - a) mod size in
-  let d = if d < 0 then d + size else d in
-  min d (size - d)
-
 (* Spread variables toward targets k·size/n by choosing, for each variable
    in order, the pad increment from [increments] whose resulting position
    is closest to the target. *)
@@ -30,7 +25,7 @@ let spread ~size ~increments _program layout =
           (fun inc ->
             let candidate = Layout.add_pad_before layout v inc in
             let pos = Layout.base candidate v mod size in
-            let dist = circular_distance size pos target in
+            let dist = Mlc_analysis.Arcs.circular_distance size pos target in
             match !best with
             | Some (d, _) when d <= dist -> ()
             | _ -> best := Some (dist, candidate))

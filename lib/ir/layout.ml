@@ -103,7 +103,7 @@ let address_expr t r =
     (Expr.const (base t r.Ref_.array))
     r.Ref_.subs strides
 
-let address_of_ref t env r =
+let offset_of_ref t env r =
   let e = find t r.Ref_.array in
   let padded = padded_decl_of_entry e in
   let strides = Array_decl.dim_strides padded in
@@ -112,7 +112,11 @@ let address_of_ref t env r =
       (fun acc sub stride -> acc + (Subscript.eval env sub * stride))
       0 r.Ref_.subs strides
   in
-  base t r.Ref_.array + (offset * e.decl.Array_decl.elem_size)
+  offset * e.decl.Array_decl.elem_size
+
+let address_of_ref t env r =
+  let offset = offset_of_ref t env r in
+  base t r.Ref_.array + offset
 
 let pp ppf t =
   List.iter

@@ -34,6 +34,10 @@ val intra_pad : t -> string -> int
 (** Base address in bytes (aligned to the element size). *)
 val base : t -> string -> int
 
+(** Every array's base, in declaration order — one fold, for callers that
+    need many bases of the same layout. *)
+val bases : t -> (string * int) list
+
 (** Declaration with the intra-pad folded into the first dimension — what
     addressing actually uses. *)
 val padded_decl : t -> string -> Array_decl.t
@@ -53,5 +57,9 @@ val address_expr : t -> Ref_.t -> Expr.t
 
 (** For a reference with gather subscripts: byte address under [env]. *)
 val address_of_ref : t -> (string -> int) -> Ref_.t -> int
+
+(** [address_of_ref] less the array's base: the byte offset of the
+    element within its array, which no inter-variable pad changes. *)
+val offset_of_ref : t -> (string -> int) -> Ref_.t -> int
 
 val pp : Format.formatter -> t -> unit

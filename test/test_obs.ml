@@ -210,18 +210,46 @@ let sweep_specs ?backend () =
     [ "JACOBI512"; "EXPL512" ]
   |> Array.of_list
 
-let run_counters ~jobs specs =
+let run_obs ~jobs specs =
   let buf = Obs.Buf.create () in
   let (_ : E.Job.result array) = E.Engine.run ~obs:buf ~jobs specs in
-  Obs.Buf.counters buf
+  buf
+
+let run_counters ~jobs specs = Obs.Buf.counters (run_obs ~jobs specs)
+
+(* Decision instants with their args, less timestamps and tids. *)
+let decisions buf =
+  let arg = function
+    | `Int i -> string_of_int i
+    | `Float f -> string_of_float f
+    | `Str s -> s
+    | `Bool b -> string_of_bool b
+  in
+  List.filter_map
+    (fun (e : Obs.event) ->
+      if e.Obs.kind = Obs.Instant && e.Obs.cat = "decision" then
+        Some
+          (String.concat " "
+             (e.Obs.name :: List.map (fun (k, v) -> k ^ "=" ^ arg v) e.Obs.args))
+      else None)
+    (Obs.Buf.events buf)
 
 let test_counters_jobs_invariant () =
   (* No cache: cache-hit counters depend on cache state, everything else
      is a pure function of the specs. *)
-  let sequential = run_counters ~jobs:1 (sweep_specs ()) in
-  let parallel = run_counters ~jobs:4 (sweep_specs ()) in
+  let sequential_buf = run_obs ~jobs:1 (sweep_specs ()) in
+  let parallel_buf = run_obs ~jobs:4 (sweep_specs ()) in
+  let sequential = Obs.Buf.counters sequential_buf in
+  let parallel = Obs.Buf.counters parallel_buf in
   Alcotest.(check (list (pair string int)))
     "counters identical across --jobs 1 and --jobs 4" sequential parallel;
+  Alcotest.(check (list string))
+    "decision instants identical across --jobs 1 and --jobs 4"
+    (decisions sequential_buf) (decisions parallel_buf);
+  Alcotest.(check bool) "GROUPPAD explains its pads" true
+    (List.exists
+       (fun d -> String.length d > 15 && String.sub d 0 15 = "grouppad:score ")
+       (decisions parallel_buf));
   let lookup name = List.assoc_opt name parallel in
   Alcotest.(check (option int)) "one engine.jobs per spec" (Some 8)
     (lookup "engine.jobs");
