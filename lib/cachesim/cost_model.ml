@@ -40,21 +40,11 @@ let breakdown_of_stats t stats_list =
   per_level
   @ [ ("memory", float_of_int stats.(n - 1).Stats.misses *. t.memory_cycles) ]
 
-let level_stats_of hierarchy = List.map Level.stats (Hierarchy.levels hierarchy)
-
-let cycles t hierarchy = cycles_of_stats t (level_stats_of hierarchy)
-
-let breakdown t hierarchy = breakdown_of_stats t (level_stats_of hierarchy)
-
 let seconds_of_stats t stats_list = cycles_of_stats t stats_list /. t.clock_hz
-
-let seconds t hierarchy = seconds_of_stats t (level_stats_of hierarchy)
 
 let mflops_of_stats t ~flops stats_list =
   let s = seconds_of_stats t stats_list in
   if s <= 0.0 then 0.0 else float_of_int flops /. s /. 1.0e6
-
-let mflops t ~flops hierarchy = mflops_of_stats t ~flops (level_stats_of hierarchy)
 
 let improvement ~orig ~opt =
   if orig = 0.0 then 0.0 else 100.0 *. (orig -. opt) /. orig

@@ -21,35 +21,22 @@ val ultrasparc : t
 (** Alpha-21164-flavoured three-level defaults. *)
 val alpha21164 : t
 
-(** [cycles_of_stats t stats] prices per-level counters directly (L1
-    first): each access recorded at level [i] pays [hit_cycles.(i)], and
-    the last level's misses pay [memory_cycles].  The hierarchy variants
-    below delegate here, so a [Fast_sim] backend handing over its
-    {!Stats.t} list prices identically to the reference path. *)
+(** [cycles_of_stats t stats] prices per-level counters (L1 first): each
+    access recorded at level [i] pays [hit_cycles.(i)], and the last
+    level's misses pay [memory_cycles].  Both simulator backends hand over
+    the same {!Stats.t} list, so they price identically. *)
 val cycles_of_stats : t -> Stats.t list -> float
 
+(** [breakdown_of_stats t stats] splits {!cycles_of_stats} into its
+    additive terms: one [("L<i>", cycles)] pair per level plus a final
+    [("memory", cycles)] term. *)
 val breakdown_of_stats : t -> Stats.t list -> (string * float) list
 
+(** {!cycles_of_stats} over the clock. *)
 val seconds_of_stats : t -> Stats.t list -> float
 
+(** Simulated MFLOPS given a floating-point operation count. *)
 val mflops_of_stats : t -> flops:int -> Stats.t list -> float
-
-(** [cycles t h] prices every access recorded in hierarchy [h]:
-    each reference pays the L1 hit cost, each L1 miss additionally pays
-    the L2 cost, and so on; last-level misses pay [memory_cycles]. *)
-val cycles : t -> Hierarchy.t -> float
-
-(** [breakdown t h] splits {!cycles} into its additive terms: one
-    [("L<i>", cycles)] pair per level plus a final [("memory", cycles)]
-    term.  The pairs sum to [cycles t h]. *)
-val breakdown : t -> Hierarchy.t -> (string * float) list
-
-(** [seconds t h] is [cycles] over the clock. *)
-val seconds : t -> Hierarchy.t -> float
-
-(** [mflops t ~flops h] is simulated MFLOPS given a floating-point
-    operation count. *)
-val mflops : t -> flops:int -> Hierarchy.t -> float
 
 (** [improvement ~orig ~opt] is the paper's "execution time improvement":
     (orig − opt) / orig, in percent. *)

@@ -1,21 +1,13 @@
-(* Fast simulation backend.
-
-   Two pieces live here:
-
-   - an optimized replica of the reference cascade ([Hierarchy] over
-     [Level]): same filtered semantics (level i+1 only sees level i's
-     misses), same LRU tie-breaking, same write-allocate and dirty-line
-     accounting, so the per-level [Stats.t] match the reference path
-     exactly.  Speed comes from [block], which consumes a whole
-     innermost-loop iteration segment at once: as long as no reference
-     crosses an L1 line boundary and every referenced line is L1-resident,
-     the iterations are guaranteed hits that touch no lower level, so they
-     can be accounted in bulk with a single recency/dirty refresh.
-
-   - [Assoc_sweep], a single-pass per-set stack-distance analyzer: one
-     scan of a trace yields the LRU depth histogram for every set, from
-     which the full [Stats.t] of a w-way cache (same line size, same set
-     count) follows for every w at once.
+(* Fast simulation backend: an optimized replica of the reference
+   cascade ([Hierarchy] over [Level]).  Same filtered semantics (level
+   i+1 only sees level i's misses), same LRU tie-breaking, same
+   write-allocate and dirty-line accounting, so the per-level [Stats.t]
+   match the reference path exactly.  Speed comes from [block], which
+   consumes a whole innermost-loop iteration segment at once: as long as
+   no reference crosses an L1 line boundary and every referenced line is
+   L1-resident, the iterations are guaranteed hits that touch no lower
+   level, so they can be accounted in bulk with a single recency/dirty
+   refresh.
 
    Hardware prefetch is not modelled here; callers gate on it and fall
    back to the reference path. *)
@@ -33,7 +25,6 @@ type level = {
 }
 
 type t = {
-  geoms : Level.geometry array;
   write_allocate : bool;
   levels : level array;
   (* scratch for [block], grown on demand to the widest ref group seen *)
@@ -82,7 +73,6 @@ let make_level (geom : Level.geometry) =
 let create ?(write_allocate = true) geoms =
   if geoms = [] then invalid_arg "Fast_sim.create: no levels";
   {
-    geoms = Array.of_list geoms;
     write_allocate;
     levels = Array.of_list (List.map make_level geoms);
     cur = [||];
@@ -93,13 +83,7 @@ let create ?(write_allocate = true) geoms =
     seq_iterations = 0;
   }
 
-let n_levels t = Array.length t.levels
-
-let geometries t = Array.to_list t.geoms
-
 let level_stats t = Array.to_list (Array.map (fun l -> l.stats) t.levels)
-
-let total_refs t = t.levels.(0).stats.Stats.accesses
 
 let memory_accesses t = t.levels.(Array.length t.levels - 1).stats.Stats.misses
 
@@ -107,22 +91,9 @@ let writebacks t =
   Array.fold_left (fun acc l -> acc + l.stats.Stats.writebacks) 0 t.levels
 
 let miss_rates t =
-  let total = total_refs t in
+  let total = t.levels.(0).stats.Stats.accesses in
   Array.to_list
     (Array.map (fun l -> Stats.miss_rate_vs ~total_refs:total l.stats) t.levels)
-
-let clear t =
-  Array.iter
-    (fun l ->
-      Array.fill l.tags 0 (Array.length l.tags) (-1);
-      Array.fill l.last_use 0 (Array.length l.last_use) 0;
-      Array.fill l.dirty 0 (Array.length l.dirty) false;
-      l.clock <- 0;
-      Stats.reset l.stats)
-    t.levels;
-  t.bulk_segments <- 0;
-  t.bulk_iterations <- 0;
-  t.seq_iterations <- 0
 
 let metrics (t : t) : metrics =
   {
@@ -476,119 +447,3 @@ let block t ~bases ~strides ~writes ~count =
     if l1.assoc = 1 then block_dm t l1 ~bases ~strides ~writes ~count
     else block_assoc t l1 ~bases ~strides ~writes ~count
   end
-
-let replay t trace = Array.iter (fun addr -> ignore (access t addr)) trace
-
-let replay_compact t (runs : Trace.compact) =
-  let bases = [| 0 |] and strides = [| 0 |] and writes = [| false |] in
-  Array.iter
-    (fun (r : Trace.run) ->
-      bases.(0) <- r.Trace.base;
-      strides.(0) <- r.Trace.stride;
-      block t ~bases ~strides ~writes ~count:r.Trace.count)
-    runs
-
-(* --- single-pass per-set stack distances ------------------------------- *)
-
-module Assoc_sweep = struct
-  type sweep = {
-    line : int;
-    n_sets : int;
-    line_bits : int;
-    set_mask : int;
-    mutable total : int;
-    mutable write_total : int;
-    mutable cold : int;
-    (* per-set recency list, most recent first; scanning for a line's
-       position yields its per-set LRU stack distance.  Amortized cost is
-       bounded by the depth distribution, which caches of interest keep
-       shallow. *)
-    recency : int list array;
-    mutable hist : int array;
-  }
-
-  let create ~line ~n_sets =
-    if not (is_pow2 line) then invalid_arg "Assoc_sweep.create: line not a power of two";
-    if not (is_pow2 n_sets) then
-      invalid_arg "Assoc_sweep.create: set count not a power of two";
-    {
-      line;
-      n_sets;
-      line_bits = log2 line;
-      set_mask = n_sets - 1;
-      total = 0;
-      write_total = 0;
-      cold = 0;
-      recency = Array.make n_sets [];
-      hist = Array.make 16 0;
-    }
-
-  let grow_hist t depth =
-    if depth >= Array.length t.hist then begin
-      let bigger = Array.make (max (depth + 1) (2 * Array.length t.hist)) 0 in
-      Array.blit t.hist 0 bigger 0 (Array.length t.hist);
-      t.hist <- bigger
-    end
-
-  let touch ?(write = false) t addr =
-    let line_addr = addr lsr t.line_bits in
-    let set = line_addr land t.set_mask in
-    t.total <- t.total + 1;
-    if write then t.write_total <- t.write_total + 1;
-    let rec split acc depth = function
-      | [] -> None
-      | x :: rest when x = line_addr -> Some (depth, List.rev_append acc rest)
-      | x :: rest -> split (x :: acc) (depth + 1) rest
-    in
-    match split [] 0 t.recency.(set) with
-    | Some (depth, rest) ->
-        t.recency.(set) <- line_addr :: rest;
-        grow_hist t depth;
-        t.hist.(depth) <- t.hist.(depth) + 1
-    | None ->
-        t.cold <- t.cold + 1;
-        t.recency.(set) <- line_addr :: t.recency.(set)
-
-  let analyze ?writes ~line ~n_sets trace =
-    let t = create ~line ~n_sets in
-    (match writes with
-    | None -> Array.iter (fun addr -> touch t addr) trace
-    | Some w ->
-        if Array.length w <> Array.length trace then
-          invalid_arg "Assoc_sweep.analyze: writes length mismatch";
-        Array.iteri (fun i addr -> touch ~write:w.(i) t addr) trace);
-    t
-
-  let total t = t.total
-
-  let cold t = t.cold
-
-  let histogram t = Array.copy t.hist
-
-  let hits_at t ~assoc =
-    let n = min assoc (Array.length t.hist) in
-    let sum = ref 0 in
-    for d = 0 to n - 1 do
-      sum := !sum + t.hist.(d)
-    done;
-    !sum
-
-  let misses_at t ~assoc = t.total - hits_at t ~assoc
-
-  (* Stats of a write-allocate LRU cache with [assoc] ways over the same
-     line size and set count, fed the full stream: an access hits iff its
-     per-set depth is < assoc.  Writebacks are not derivable from depths
-     alone (they depend on which victim was dirty) and are reported as 0. *)
-  let stats_at t ~assoc : Stats.t =
-    let hits = hits_at t ~assoc in
-    {
-      Stats.accesses = t.total;
-      hits;
-      misses = t.total - hits;
-      writes = t.write_total;
-      writebacks = 0;
-    }
-
-  let geometry_at t ~assoc : Level.geometry =
-    { Level.size = t.line * t.n_sets * assoc; line = t.line; assoc }
-end

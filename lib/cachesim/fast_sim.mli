@@ -9,12 +9,6 @@
     instead of walking the cascade per access, and from a leaner per-access
     path (no prefetch bookkeeping).
 
-    {!Assoc_sweep} is the single-pass stack-distance half: one scan of a
-    trace yields per-set LRU depth histograms from which the stats of
-    {e every} associativity (at fixed line size and set count) can be read
-    off — the classic Mattson one-pass/many-configurations trick, applied
-    per set.
-
     Not modelled: next-line prefetching.  Callers must fall back to the
     reference path when [prefetch_levels] is non-empty (see
     [Machine.hierarchy]). *)
@@ -26,13 +20,9 @@ type t
     @raise Invalid_argument on an empty list or invalid geometry. *)
 val create : ?write_allocate:bool -> Level.geometry list -> t
 
-val n_levels : t -> int
-
-val geometries : t -> Level.geometry list
-
 (** [access t ?write addr] sends one reference down the cascade and
-    returns the index of the level that hit (0 = L1), or [n_levels t] for
-    a main-memory access — the same contract as [Hierarchy.access]. *)
+    returns the index of the level that hit (0 = L1), or the number of
+    levels for a main-memory access — the same contract as [Hierarchy.access]. *)
 val access : t -> ?write:bool -> int -> int
 
 (** [block t ~bases ~strides ~writes ~count] issues [count] iterations of
@@ -44,16 +34,8 @@ val access : t -> ?write:bool -> int -> int
 val block :
   t -> bases:int array -> strides:int array -> writes:bool array -> count:int -> unit
 
-(** Replay a full trace (reads). *)
-val replay : t -> Trace.t -> unit
-
-(** Replay a run-length trace (reads); each run is consumed via {!block}. *)
-val replay_compact : t -> Trace.compact -> unit
-
 (** Live per-level counters, L1 first (not copies). *)
 val level_stats : t -> Stats.t list
-
-val total_refs : t -> int
 
 val memory_accesses : t -> int
 
@@ -73,50 +55,3 @@ type metrics = {
 }
 
 val metrics : t -> metrics
-
-val clear : t -> unit
-
-(** Single-pass per-set stack-distance analysis.
-
-    For a write-allocate LRU cache the set holds, at any time, the [w]
-    most recently used lines mapping to it, so an access hits a [w]-way
-    cache iff its per-set recency depth is below [w].  One pass therefore
-    determines hit/miss counts for every associativity at once (line size
-    and set count fixed).  Writebacks depend on which victim was dirty and
-    are {e not} derivable from depths; {!stats_at} reports them as 0. *)
-module Assoc_sweep : sig
-  type sweep
-
-  (** @raise Invalid_argument unless [line] and [n_sets] are powers of two. *)
-  val create : line:int -> n_sets:int -> sweep
-
-  (** Feed one access. *)
-  val touch : ?write:bool -> sweep -> int -> unit
-
-  (** One-shot: feed a whole trace ([writes], when given, must have the
-      trace's length). *)
-  val analyze : ?writes:bool array -> line:int -> n_sets:int -> Trace.t -> sweep
-
-  (** Accesses fed so far. *)
-  val total : sweep -> int
-
-  (** Accesses whose line had never been seen in its set (compulsory
-      misses at any associativity). *)
-  val cold : sweep -> int
-
-  (** [histogram s].(d) counts accesses observed at per-set depth [d];
-      [cold] accesses appear in no bucket, so
-      [cold s + sum (histogram s) = total s]. *)
-  val histogram : sweep -> int array
-
-  val hits_at : sweep -> assoc:int -> int
-
-  val misses_at : sweep -> assoc:int -> int
-
-  (** Full-stream stats of a [assoc]-way write-allocate LRU cache with
-      this line size and set count (writebacks reported as 0). *)
-  val stats_at : sweep -> assoc:int -> Stats.t
-
-  (** The geometry [stats_at ~assoc] describes. *)
-  val geometry_at : sweep -> assoc:int -> Level.geometry
-end

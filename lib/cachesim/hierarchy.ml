@@ -20,14 +20,6 @@ let ultrasparc () =
       { Level.size = 512 * 1024; line = 64; assoc = 1 };
     ]
 
-let alpha21164 () =
-  create
-    [
-      { Level.size = 8 * 1024; line = 32; assoc = 1 };
-      { Level.size = 96 * 1024; line = 64; assoc = 1 };
-      { Level.size = 2 * 1024 * 1024; line = 64; assoc = 1 };
-    ]
-
 let levels t = Array.to_list t.levels
 
 let n_levels t = Array.length t.levels
@@ -53,11 +45,3 @@ let miss_rates t =
   let total = total_refs t in
   Array.to_list t.levels
   |> List.map (fun level -> Stats.miss_rate_vs ~total_refs:total (Level.stats level))
-
-let clear t = Array.iter Level.clear t.levels
-
-let pp ppf t =
-  Array.iteri
-    (fun i level ->
-      Format.fprintf ppf "L%d: %a@." (i + 1) Stats.pp (Level.stats level))
-    t.levels

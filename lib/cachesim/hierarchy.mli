@@ -21,10 +21,6 @@ val create :
     the Sun UltraSparc I configuration the paper times on). *)
 val ultrasparc : unit -> t
 
-(** A three-level configuration in the style of the DEC Alpha 21164
-    (8K L1 / 96K L2 / 2M L3), used by the extension benches. *)
-val alpha21164 : unit -> t
-
 val levels : t -> Level.t list
 
 val n_levels : t -> int
@@ -45,7 +41,3 @@ val memory_accesses : t -> int
 
 (** [miss_rates t] gives each level's misses / total refs, L1 first. *)
 val miss_rates : t -> float list
-
-val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -8,7 +8,6 @@ type t = {
   geom : geometry;
   write_allocate : bool;
   prefetch_next_line : bool;
-  n_sets : int;
   line_bits : int;
   set_mask : int;
   (* tags.(set * assoc + way) holds the line-granule address resident in
@@ -45,7 +44,6 @@ let create ?(write_allocate = true) ?(prefetch_next_line = false) geom =
     geom;
     write_allocate;
     prefetch_next_line;
-    n_sets;
     line_bits = log2 geom.line;
     set_mask = n_sets - 1;
     tags = Array.make n_lines (-1);
@@ -61,8 +59,6 @@ let geometry t = t.geom
 let stats t = t.stats
 
 let writebacks t = t.stats.Stats.writebacks
-
-let n_sets t = t.n_sets
 
 let install ?(prefetch = false) t slot line_addr ~write =
   if t.tags.(slot) >= 0 && t.dirty.(slot) then Stats.record_writeback t.stats;

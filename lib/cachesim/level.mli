@@ -43,6 +43,3 @@ val resident_lines : t -> int list
 
 (** Forget all contents and reset counters. *)
 val clear : t -> unit
-
-(** Number of sets ([size / (line * assoc)]). *)
-val n_sets : t -> int

@@ -18,89 +18,9 @@ let interleave traces =
   done;
   Array.of_list (List.rev !out)
 
-let concat traces = Array.concat traces
-
 let repeat n trace = Array.concat (List.init n (fun _ -> trace))
 
 let lines_touched ~line trace =
   let seen = Hashtbl.create 64 in
   Array.iter (fun addr -> Hashtbl.replace seen (addr / line) ()) trace;
   Hashtbl.length seen
-
-(* --- run-length representation ----------------------------------------- *)
-
-type run = { base : int; stride : int; count : int }
-
-type compact = run array
-
-let length runs = Array.fold_left (fun acc r -> acc + r.count) 0 runs
-
-let iter_compact f runs =
-  Array.iter
-    (fun r ->
-      let addr = ref r.base in
-      for _ = 1 to r.count do
-        f !addr;
-        addr := !addr + r.stride
-      done)
-    runs
-
-(* Streaming compressor: addresses are folded into the pending arithmetic
-   run and flushed when the progression breaks, so a strided loop of any
-   length costs one run.  Expansion reproduces the input exactly, in
-   order. *)
-type builder = {
-  mutable b_base : int;
-  mutable b_stride : int;
-  mutable b_count : int;  (* 0 = empty *)
-  mutable b_runs : run list;  (* reversed *)
-}
-
-let builder () = { b_base = 0; b_stride = 0; b_count = 0; b_runs = [] }
-
-let flush b =
-  if b.b_count > 0 then begin
-    b.b_runs <- { base = b.b_base; stride = b.b_stride; count = b.b_count } :: b.b_runs;
-    b.b_count <- 0
-  end
-
-let push b addr =
-  if b.b_count = 0 then begin
-    b.b_base <- addr;
-    b.b_stride <- 0;
-    b.b_count <- 1
-  end
-  else if b.b_count = 1 then begin
-    b.b_stride <- addr - b.b_base;
-    b.b_count <- 2
-  end
-  else if addr = b.b_base + (b.b_count * b.b_stride) then
-    b.b_count <- b.b_count + 1
-  else begin
-    flush b;
-    b.b_base <- addr;
-    b.b_stride <- 0;
-    b.b_count <- 1
-  end
-
-let finish b =
-  flush b;
-  Array.of_list (List.rev b.b_runs)
-
-let compress trace =
-  let b = builder () in
-  Array.iter (push b) trace;
-  finish b
-
-let expand runs =
-  let out = Array.make (length runs) 0 in
-  let i = ref 0 in
-  iter_compact
-    (fun addr ->
-      out.(!i) <- addr;
-      incr i)
-    runs;
-  out
-
-let replay_compact hierarchy runs =
-  iter_compact (fun addr -> ignore (Hierarchy.access hierarchy addr)) runs

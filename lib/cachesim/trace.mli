@@ -18,50 +18,8 @@ val strided : base:int -> stride:int -> count:int -> t
     access pattern of references progressing together in a loop body. *)
 val interleave : t list -> t
 
-(** [concat] glues traces back to back (loop nests in sequence). *)
-val concat : t list -> t
-
 (** [repeat n trace] repeats a trace [n] times (an outer loop). *)
 val repeat : int -> t -> t
 
 (** Distinct cache lines touched by the trace for a given line size. *)
 val lines_touched : line:int -> t -> int
-
-(** {1 Run-length representation}
-
-    Loop-generated traces are long arithmetic progressions; storing them
-    as [(base, stride, count)] runs makes them cheap to keep around and
-    lets simulators consume whole runs at a time.  Compression is exact:
-    [expand (compress t) = t] for every trace. *)
-
-type run = { base : int; stride : int; count : int }
-
-type compact = run array
-
-(** Total number of addresses the runs expand to. *)
-val length : compact -> int
-
-(** [iter_compact f runs] applies [f] to every address, in trace order,
-    without materialising the expansion. *)
-val iter_compact : (int -> unit) -> compact -> unit
-
-(** Greedy streaming compressor: consecutive addresses forming an
-    arithmetic progression fold into one run. *)
-val compress : t -> compact
-
-val expand : compact -> t
-
-(** Streaming interface to the compressor, for producers that generate
-    addresses one at a time: [push] addresses into a [builder], then
-    [finish] it (at most one partial run is buffered). *)
-type builder
-
-val builder : unit -> builder
-
-val push : builder -> int -> unit
-
-val finish : builder -> compact
-
-(** [replay_compact hierarchy runs] pushes every address through the
-    hierarchy, like {!replay} on the expansion. *)
-val replay_compact : Hierarchy.t -> compact -> unit

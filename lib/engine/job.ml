@@ -199,7 +199,7 @@ let execute spec =
      on the reference cascade (the two backends agree everywhere else, so
      this only costs time, never accuracy). *)
   let use_fast = spec.backend = `Fast && spec.machine.prefetch_levels = [] in
-  let interp, level_stats, cost_breakdown =
+  let interp, live =
     if use_fast then begin
       let sim =
         Cs.Fast_sim.create
@@ -207,10 +207,7 @@ let execute spec =
           machine_t.Cs.Machine.geometries
       in
       let interp = Interp.run_sim sim machine_t layout program in
-      let live = Cs.Fast_sim.level_stats sim in
-      ( interp,
-        List.map (fun s -> Cs.Stats.add (Cs.Stats.zero ()) s) live,
-        Cs.Cost_model.breakdown_of_stats machine_t.Cs.Machine.cost live )
+      (interp, Cs.Fast_sim.level_stats sim)
     end
     else begin
       let hierarchy =
@@ -220,13 +217,11 @@ let execute spec =
           machine_t.Cs.Machine.geometries
       in
       let interp = Interp.run_on hierarchy machine_t layout program in
-      ( interp,
-        List.map
-          (fun level -> Cs.Stats.add (Cs.Stats.zero ()) (Cs.Level.stats level))
-          (Cs.Hierarchy.levels hierarchy),
-        Cs.Cost_model.breakdown machine_t.Cs.Machine.cost hierarchy )
+      (interp, List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy))
     end
   in
+  let level_stats = List.map (fun s -> Cs.Stats.add (Cs.Stats.zero ()) s) live in
+  let cost_breakdown = Cs.Cost_model.breakdown_of_stats machine_t.Cs.Machine.cost live in
   let predicted =
     if spec.predict then
       Some (An.Miss_predict.program_misses layout machine_t program)

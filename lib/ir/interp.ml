@@ -13,51 +13,56 @@ type result = {
   mflops : float;
 }
 
-(* A compiled reference: either fully linear in the loop variables, or a
-   slow closure for gather subscripts. *)
-type cref =
-  | Linear of { base : int; strides : int array }
-  | Slow of Ref_.t
+(* Where the walker sends the reference stream.  [block] receives one
+   innermost-loop segment: iteration [j] issues, for each reference [r]
+   in order, [bases.(r) + j * strides.(r)]; it must behave exactly as
+   [count * nrefs] calls to [access] in that order would. *)
+type sink = {
+  access : write:bool -> int -> unit;
+  block :
+    bases:int array -> strides:int array -> writes:bool array -> count:int -> unit;
+}
 
-let compile_ref layout ~var_level ~depth r =
-  if Ref_.is_affine r then begin
-    let addr = Layout.address_expr layout r in
-    let strides = Array.make depth 0 in
-    List.iter
-      (fun v ->
-        match Hashtbl.find_opt var_level v with
-        | Some level -> strides.(level) <- Expr.coeff addr v
-        | None -> invalid_arg ("Interp: unbound loop variable " ^ v))
-      (Expr.vars addr);
-    Linear { base = Expr.const_part addr; strides }
-  end
-  else Slow r
+(* Compiles a nest once and returns its walker, which pushes one full
+   execution of the nest into [sink] and returns the flops executed.
 
-let feed_nest hierarchy layout nest =
+   An affine reference becomes a base constant plus one stride per loop
+   level; [partials.(l).(r)] holds the base plus the contribution of the
+   loop levels below [l], so each loop level costs one add per
+   reference.  When every reference is affine, each innermost loop
+   execution goes to [sink.block] as one segment; otherwise (gathers,
+   zero-depth bodies) every access goes to [sink.access] in program
+   order, gathers evaluated through their table. *)
+let compile_nest sink layout nest =
   let loops = Array.of_list nest.Nest.loops in
   let depth = Array.length loops in
   let var_level = Hashtbl.create 8 in
   Array.iteri (fun i l -> Hashtbl.replace var_level l.Loop.var i) loops;
-  let body_refs = List.concat_map (fun s -> s.Stmt.refs) nest.Nest.body in
-  let crefs =
-    body_refs
-    |> List.map (compile_ref layout ~var_level ~depth)
-    |> Array.of_list
-  in
-  let is_write = Array.of_list (List.map Ref_.is_write body_refs) in
-  let nrefs = Array.length crefs in
+  let refs = Array.of_list (List.concat_map (fun s -> s.Stmt.refs) nest.Nest.body) in
+  let nrefs = Array.length refs in
+  let writes = Array.map Ref_.is_write refs in
   let flops_per_iter =
     List.fold_left (fun acc s -> acc + s.Stmt.flops) 0 nest.Nest.body
   in
-  (* partials.(l).(r): address contribution of loop levels < l plus the
-     base constant; column 0 holds the bases. *)
   let partials = Array.make_matrix (depth + 1) nrefs 0 in
-  Array.iteri
-    (fun r cref ->
-      match cref with
-      | Linear { base; _ } -> partials.(0).(r) <- base
-      | Slow _ -> ())
-    crefs;
+  let strides = Array.make_matrix depth nrefs 0 in
+  let gathers =
+    Array.mapi
+      (fun r ref_ ->
+        if Ref_.is_affine ref_ then begin
+          let addr = Layout.address_expr layout ref_ in
+          List.iter
+            (fun v ->
+              match Hashtbl.find_opt var_level v with
+              | Some level -> strides.(level).(r) <- Expr.coeff addr v
+              | None -> invalid_arg ("Interp: unbound loop variable " ^ v))
+            (Expr.vars addr);
+          partials.(0).(r) <- Expr.const_part addr;
+          None
+        end
+        else Some ref_)
+      refs
+  in
   let ivs = Array.make depth 0 in
   let env v =
     match Hashtbl.find_opt var_level v with
@@ -65,283 +70,168 @@ let feed_nest hierarchy layout nest =
     | None -> invalid_arg ("Interp: unbound variable " ^ v)
   in
   let flops = ref 0 in
-  let rec go level =
-    if level = depth then begin
-      let leaf = partials.(depth) in
-      for r = 0 to nrefs - 1 do
-        let addr =
-          match crefs.(r) with
-          | Linear _ -> leaf.(r)
-          | Slow ref_ -> Layout.address_of_ref layout env ref_
-        in
-        ignore (Cs.Hierarchy.access hierarchy ~write:is_write.(r) addr)
-      done;
-      flops := !flops + flops_per_iter
-    end
+  let rec outer ~stop ~leaf level =
+    if level = stop then leaf ()
     else begin
-      let loop = loops.(level) in
-      let cur = partials.(level) in
-      let next = partials.(level + 1) in
-      Loop.iter env loop (fun iv ->
+      let cur = partials.(level) and next = partials.(level + 1) in
+      let s = strides.(level) in
+      Loop.iter env loops.(level) (fun iv ->
           ivs.(level) <- iv;
           for r = 0 to nrefs - 1 do
-            let stride =
-              match crefs.(r) with
-              | Linear { strides; _ } -> strides.(level)
-              | Slow _ -> 0
-            in
-            next.(r) <- cur.(r) + (stride * iv)
+            next.(r) <- cur.(r) + (s.(r) * iv)
           done;
-          go (level + 1))
+          outer ~stop ~leaf (level + 1))
     end
   in
-  go 0;
-  !flops
-
-let feed hierarchy layout program =
-  let flops = ref 0 in
-  for _step = 1 to program.Program.time_steps do
-    List.iter
-      (fun nest -> flops := !flops + feed_nest hierarchy layout nest)
-      program.Program.nests
-  done;
-  !flops
-
-(* Fast-backend twin of [feed_nest]: the outer levels walk the same
-   partial-address matrix, but the whole innermost loop is handed to
-   [Fast_sim.block] as (base, stride, count) per reference, letting the
-   simulator account steady runs of L1 hits in bulk.  Gather subscripts
-   (and zero-depth bodies) fall back to per-access feeding, which is
-   still exact — just not bulked. *)
-let feed_nest_fast sim layout nest =
-  let loops = Array.of_list nest.Nest.loops in
-  let depth = Array.length loops in
-  let var_level = Hashtbl.create 8 in
-  Array.iteri (fun i l -> Hashtbl.replace var_level l.Loop.var i) loops;
-  let body_refs = List.concat_map (fun s -> s.Stmt.refs) nest.Nest.body in
-  let crefs =
-    body_refs
-    |> List.map (compile_ref layout ~var_level ~depth)
-    |> Array.of_list
-  in
-  let is_write = Array.of_list (List.map Ref_.is_write body_refs) in
-  let nrefs = Array.length crefs in
-  let flops_per_iter =
-    List.fold_left (fun acc s -> acc + s.Stmt.flops) 0 nest.Nest.body
-  in
-  let partials = Array.make_matrix (depth + 1) nrefs 0 in
-  Array.iteri
-    (fun r cref ->
-      match cref with
-      | Linear { base; _ } -> partials.(0).(r) <- base
-      | Slow _ -> ())
-    crefs;
-  let ivs = Array.make depth 0 in
-  let env v =
-    match Hashtbl.find_opt var_level v with
-    | Some level -> ivs.(level)
-    | None -> invalid_arg ("Interp: unbound variable " ^ v)
-  in
-  let flops = ref 0 in
-  let all_linear =
-    Array.for_all (function Linear _ -> true | Slow _ -> false) crefs
-  in
-  let iter_outer ~leaf =
-    let rec go level =
-      if level = depth then leaf ()
-      else begin
-        let loop = loops.(level) in
-        let cur = partials.(level) in
-        let next = partials.(level + 1) in
-        Loop.iter env loop (fun iv ->
-            ivs.(level) <- iv;
-            for r = 0 to nrefs - 1 do
-              let stride =
-                match crefs.(r) with
-                | Linear { strides; _ } -> strides.(level)
-                | Slow _ -> 0
-              in
-              next.(r) <- cur.(r) + (stride * iv)
-            done;
-            go (level + 1))
-      end
-    in
-    go
-  in
-  if all_linear && depth >= 1 then begin
-    let inner = depth - 1 in
-    let inner_loop = loops.(inner) in
-    let strides_inner =
-      Array.map
-        (function Linear { strides; _ } -> strides.(inner) | Slow _ -> 0)
-        crefs
-    in
-    let block_strides =
-      Array.map (fun s -> s * inner_loop.Loop.step) strides_inner
-    in
-    let bases = Array.make nrefs 0 in
-    let rec go level =
-      if level = inner then begin
-        let count = Loop.trip_count env inner_loop in
+  let blocked = depth >= 1 && Array.for_all Option.is_none gathers in
+  let stop = if blocked then depth - 1 else depth in
+  let leaf =
+    if blocked then begin
+      let inner = stop in
+      let loop = loops.(inner) in
+      let cur = partials.(inner) and s = strides.(inner) in
+      let block_strides = Array.map (fun s -> s * loop.Loop.step) s in
+      let bases = Array.make nrefs 0 in
+      fun () ->
+        let count = Loop.trip_count env loop in
         if count > 0 then begin
-          let lo = Loop.effective_lo env inner_loop in
-          let cur = partials.(inner) in
+          let lo = Loop.effective_lo env loop in
           for r = 0 to nrefs - 1 do
-            bases.(r) <- cur.(r) + (strides_inner.(r) * lo)
+            bases.(r) <- cur.(r) + (s.(r) * lo)
           done;
-          Cs.Fast_sim.block sim ~bases ~strides:block_strides ~writes:is_write
-            ~count;
+          sink.block ~bases ~strides:block_strides ~writes ~count;
           flops := !flops + (flops_per_iter * count)
         end
-      end
-      else begin
-        let loop = loops.(level) in
-        let cur = partials.(level) in
-        let next = partials.(level + 1) in
-        Loop.iter env loop (fun iv ->
-            ivs.(level) <- iv;
-            for r = 0 to nrefs - 1 do
-              let stride =
-                match crefs.(r) with
-                | Linear { strides; _ } -> strides.(level)
-                | Slow _ -> 0
-              in
-              next.(r) <- cur.(r) + (stride * iv)
-            done;
-            go (level + 1))
-      end
-    in
-    go 0
-  end
-  else begin
-    let leaf () =
+    end
+    else begin
       let addrs = partials.(depth) in
-      for r = 0 to nrefs - 1 do
-        let addr =
-          match crefs.(r) with
-          | Linear _ -> addrs.(r)
-          | Slow ref_ -> Layout.address_of_ref layout env ref_
-        in
-        ignore (Cs.Fast_sim.access sim ~write:is_write.(r) addr)
-      done;
-      flops := !flops + flops_per_iter
-    in
-    iter_outer ~leaf 0
-  end;
-  !flops
+      fun () ->
+        for r = 0 to nrefs - 1 do
+          let addr =
+            match gathers.(r) with
+            | None -> addrs.(r)
+            | Some ref_ -> Layout.address_of_ref layout env ref_
+          in
+          sink.access ~write:writes.(r) addr
+        done;
+        flops := !flops + flops_per_iter
+    end
+  in
+  fun () ->
+    flops := 0;
+    outer ~stop ~leaf 0;
+    !flops
 
-let feed_fast sim layout program =
+(* Pushes the whole program (every time step, nests in order) into
+   [sink]; returns the flops executed. *)
+let walk sink layout program =
+  let nests = List.map (compile_nest sink layout) program.Program.nests in
   let flops = ref 0 in
   for _step = 1 to program.Program.time_steps do
-    List.iter
-      (fun nest -> flops := !flops + feed_nest_fast sim layout nest)
-      program.Program.nests
+    List.iter (fun nest -> flops := !flops + nest ()) nests
   done;
   !flops
 
-(* --- observability ------------------------------------------------------- *)
+(* --- sinks ------------------------------------------------------------- *)
 
-(* Per-level counters are recorded as deltas against a pre-run snapshot,
-   so reused (cleared or accumulating) hierarchies and simulators never
-   double-count.  Everything below is skipped when no buffer is
-   installed; the counters are per-run, never per-access, so the
-   instrumentation cost is independent of trace length. *)
-
-let obs_snapshot stats = List.map (fun s -> Cs.Stats.add s (Cs.Stats.zero ())) stats
-
-let obs_count name n = if n <> 0 then Obs.count ~n name
-
-let obs_record_levels ~before ~after =
-  List.iteri
-    (fun i (b, a) ->
-      let l = Printf.sprintf "sim.L%d." (i + 1) in
-      obs_count (l ^ "accesses") (a.Cs.Stats.accesses - b.Cs.Stats.accesses);
-      obs_count (l ^ "hits") (a.Cs.Stats.hits - b.Cs.Stats.hits);
-      obs_count (l ^ "misses") (a.Cs.Stats.misses - b.Cs.Stats.misses);
-      obs_count (l ^ "writes") (a.Cs.Stats.writes - b.Cs.Stats.writes);
-      obs_count (l ^ "writebacks") (a.Cs.Stats.writebacks - b.Cs.Stats.writebacks))
-    (List.combine before after);
-  match (before, after) with
-  | b1 :: _, a1 :: _ ->
-      obs_count "sim.refs" (a1.Cs.Stats.accesses - b1.Cs.Stats.accesses)
-  | _ -> ()
-
-let run_on hierarchy machine layout program =
-  let enabled = Obs.enabled () in
-  let stats_of () = List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy) in
-  let before = if enabled then obs_snapshot (stats_of ()) else [] in
-  let flops =
-    if not enabled then feed hierarchy layout program
-    else
-      Obs.with_span ~cat:"sim"
-        ~args:
-          [
-            ("backend", `Str "reference");
-            ("program", `Str program.Program.name);
-          ]
-        "sim:run"
-        (fun () -> feed hierarchy layout program)
-  in
-  if enabled then obs_record_levels ~before ~after:(obs_snapshot (stats_of ()));
-  let total_refs = Cs.Hierarchy.total_refs hierarchy in
-  let misses =
-    List.map
-      (fun level -> (Cs.Level.stats level).Cs.Stats.misses)
-      (Cs.Hierarchy.levels hierarchy)
-  in
-  let cycles = Cs.Cost_model.cycles machine.Cs.Machine.cost hierarchy in
-  let seconds = Cs.Cost_model.seconds machine.Cs.Machine.cost hierarchy in
+(* A sink that takes every segment access by access, in order. *)
+let per_access access =
   {
-    total_refs;
-    misses;
-    miss_rates = Cs.Hierarchy.miss_rates hierarchy;
-    memory_accesses = Cs.Hierarchy.memory_accesses hierarchy;
-    writebacks = Cs.Hierarchy.writebacks hierarchy;
-    flops;
-    cycles;
-    seconds;
-    mflops = Cs.Cost_model.mflops machine.Cs.Machine.cost ~flops hierarchy;
+    access;
+    block =
+      (fun ~bases ~strides ~writes ~count ->
+        for j = 0 to count - 1 do
+          for r = 0 to Array.length bases - 1 do
+            access ~write:writes.(r) (bases.(r) + (j * strides.(r)))
+          done
+        done);
   }
 
-let run_sim sim machine layout program =
-  let enabled = Obs.enabled () in
-  let before = if enabled then obs_snapshot (Cs.Fast_sim.level_stats sim) else [] in
-  let m0 = if enabled then Some (Cs.Fast_sim.metrics sim) else None in
+let hierarchy_sink hierarchy =
+  per_access (fun ~write addr -> ignore (Cs.Hierarchy.access hierarchy ~write addr))
+
+let fast_sink sim =
+  {
+    access = (fun ~write addr -> ignore (Cs.Fast_sim.access sim ~write addr));
+    block = Cs.Fast_sim.block sim;
+  }
+
+(* --- pricing and observability ----------------------------------------- *)
+
+(* The deterministic counters a run adds to the active [Obs] buffer:
+   per-level [sim.L<i>.*], [sim.refs], then the backend's own.  Recorded as deltas against a pre-run snapshot, so a
+   simulator that already holds counts never double-counts; skipped
+   entirely when no buffer is installed, and per-run rather than
+   per-access, so the cost is independent of trace length. *)
+let counters stats extra =
+  List.concat
+    (List.mapi
+       (fun i s ->
+         let l = Printf.sprintf "sim.L%d." (i + 1) in
+         [
+           (l ^ "accesses", s.Cs.Stats.accesses);
+           (l ^ "hits", s.Cs.Stats.hits);
+           (l ^ "misses", s.Cs.Stats.misses);
+           (l ^ "writes", s.Cs.Stats.writes);
+           (l ^ "writebacks", s.Cs.Stats.writebacks);
+         ])
+       stats)
+  @ (match stats with s :: _ -> [ ("sim.refs", s.Cs.Stats.accesses) ] | [] -> [])
+  @ extra ()
+
+(* The one run-and-price path: [stats ()] reads the simulator's live
+   per-level counters, L1 first; [extra ()] its own work counters. *)
+let simulate ~backend ~stats ~extra sink machine layout program =
+  let walk () = walk sink layout program in
   let flops =
-    if not enabled then feed_fast sim layout program
-    else
-      Obs.with_span ~cat:"sim"
-        ~args:
-          [ ("backend", `Str "fast"); ("program", `Str program.Program.name) ]
-        "sim:run"
-        (fun () -> feed_fast sim layout program)
+    if not (Obs.enabled ()) then walk ()
+    else begin
+      let before = counters (stats ()) extra in
+      let flops =
+        Obs.with_span ~cat:"sim"
+          ~args:[ ("backend", `Str backend); ("program", `Str program.Program.name) ]
+          "sim:run" walk
+      in
+      List.iter2
+        (fun (name, b) (_, a) -> if a <> b then Obs.count ~n:(a - b) name)
+        before
+        (counters (stats ()) extra);
+      flops
+    end
   in
-  if enabled then begin
-    obs_record_levels ~before ~after:(obs_snapshot (Cs.Fast_sim.level_stats sim));
-    match m0 with
-    | Some m0 ->
-        let m1 = Cs.Fast_sim.metrics sim in
-        obs_count "sim.fast.bulk_segments"
-          (m1.Cs.Fast_sim.bulk_segments - m0.Cs.Fast_sim.bulk_segments);
-        obs_count "sim.fast.bulk_iterations"
-          (m1.Cs.Fast_sim.bulk_iterations - m0.Cs.Fast_sim.bulk_iterations);
-        obs_count "sim.fast.seq_iterations"
-          (m1.Cs.Fast_sim.seq_iterations - m0.Cs.Fast_sim.seq_iterations)
-    | None -> ()
-  end;
-  let stats = Cs.Fast_sim.level_stats sim in
+  let stats = stats () in
+  let total_refs = (List.hd stats).Cs.Stats.accesses in
   let cost = machine.Cs.Machine.cost in
   {
-    total_refs = Cs.Fast_sim.total_refs sim;
+    total_refs;
     misses = List.map (fun s -> s.Cs.Stats.misses) stats;
-    miss_rates = Cs.Fast_sim.miss_rates sim;
-    memory_accesses = Cs.Fast_sim.memory_accesses sim;
-    writebacks = Cs.Fast_sim.writebacks sim;
+    miss_rates = List.map (Cs.Stats.miss_rate_vs ~total_refs) stats;
+    memory_accesses = (List.nth stats (List.length stats - 1)).Cs.Stats.misses;
+    writebacks = List.fold_left (fun acc s -> acc + s.Cs.Stats.writebacks) 0 stats;
     flops;
     cycles = Cs.Cost_model.cycles_of_stats cost stats;
     seconds = Cs.Cost_model.seconds_of_stats cost stats;
     mflops = Cs.Cost_model.mflops_of_stats cost ~flops stats;
   }
+
+let run_on hierarchy machine layout program =
+  simulate ~backend:"reference"
+    ~stats:(fun () -> List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy))
+    ~extra:(fun () -> [])
+    (hierarchy_sink hierarchy) machine layout program
+
+let run_sim sim machine layout program =
+  let extra () =
+    let m = Cs.Fast_sim.metrics sim in
+    [
+      ("sim.fast.bulk_segments", m.Cs.Fast_sim.bulk_segments);
+      ("sim.fast.bulk_iterations", m.Cs.Fast_sim.bulk_iterations);
+      ("sim.fast.seq_iterations", m.Cs.Fast_sim.seq_iterations);
+    ]
+  in
+  simulate ~backend:"fast"
+    ~stats:(fun () -> Cs.Fast_sim.level_stats sim)
+    ~extra (fast_sink sim) machine layout program
 
 type backend = [ `Reference | `Fast ]
 
@@ -360,33 +250,19 @@ let run ?(backend = `Reference) machine layout program =
         (Cs.Fast_sim.create machine.Cs.Machine.geometries)
         machine layout program
 
+(* --- trace sink -------------------------------------------------------- *)
+
 let trace layout program =
-  let out = ref [] in
-  let rec run_nest env loops body =
-    match loops with
-    | [] ->
-        List.iter
-          (fun s ->
-            List.iter
-              (fun r ->
-                let env_fn v =
-                  match List.assoc_opt v env with
-                  | Some value -> value
-                  | None -> invalid_arg ("Interp.trace: unbound " ^ v)
-                in
-                out := Layout.address_of_ref layout env_fn r :: !out)
-              s.Stmt.refs)
-          body
-    | loop :: rest ->
-        let env_fn v =
-          match List.assoc_opt v env with
-          | Some value -> value
-          | None -> invalid_arg ("Interp.trace: unbound " ^ v)
-        in
-        Loop.iter env_fn loop (fun iv ->
-            run_nest ((loop.Loop.var, iv) :: env) rest body)
+  let buf = ref (Array.make 4096 0) and len = ref 0 in
+  let push addr =
+    if !len = Array.length !buf then begin
+      let bigger = Array.make (2 * !len) 0 in
+      Array.blit !buf 0 bigger 0 !len;
+      buf := bigger
+    end;
+    !buf.(!len) <- addr;
+    incr len
   in
-  for _step = 1 to program.Program.time_steps do
-    List.iter (fun n -> run_nest [] n.Nest.loops n.Nest.body) program.Program.nests
-  done;
-  Array.of_list (List.rev !out)
+  let sink = per_access (fun ~write:_ addr -> push addr) in
+  ignore (walk sink layout program);
+  Array.sub !buf 0 !len

@@ -1,11 +1,15 @@
 (** Executes a program's memory-reference stream against a cache
     hierarchy.
 
-    References with affine subscripts are compiled to a base constant plus
-    one stride per loop level, so the inner loop only performs integer
-    adds; gather references take a slow path that evaluates the table
-    lookup.  [trace] is a deliberately naive evaluator used to cross-check
-    the fast path in tests. *)
+    One walker generates every stream: each nest is compiled once
+    (affine references become a base constant plus one stride per loop
+    level), the outer loops are walked with one add per reference and
+    level, and each innermost loop execution of an all-affine nest is
+    handed to the simulator as a single (bases, strides, count) segment.
+    Gather references and zero-depth bodies are issued access by access,
+    evaluating the gather table.  Whatever consumes the stream — the
+    reference cascade, {!Mlc_cachesim.Fast_sim}, or the address buffer
+    behind {!trace} — sees the same accesses in the same order. *)
 
 type result = {
   total_refs : int;
@@ -60,13 +64,7 @@ val run_sim :
   Program.t ->
   result
 
-(** [feed hierarchy layout program] pushes the reference stream through an
-    existing hierarchy (no cost model applied); returns flops executed. *)
-val feed : Mlc_cachesim.Hierarchy.t -> Layout.t -> Program.t -> int
-
-(** [`Fast] analogue of {!feed}. *)
-val feed_fast : Mlc_cachesim.Fast_sim.t -> Layout.t -> Program.t -> int
-
-(** Naive full address trace (byte addresses, program order).  Intended
-    for small programs in tests; allocates the whole trace. *)
+(** Full address trace (byte addresses, program order), produced by the
+    same walker as {!run}.  Allocates the whole trace: one int per
+    reference. *)
 val trace : Layout.t -> Program.t -> int array

@@ -127,61 +127,12 @@ let prop_block_equivalence =
       Cs.Fast_sim.block f ~bases ~strides ~writes ~count;
       stats_match h f && Cs.Hierarchy.writebacks h = Cs.Fast_sim.writebacks f)
 
-(* --- run-length replay -------------------------------------------------- *)
-
-let prop_compact_replay =
-  QCheck.Test.make
-    ~name:"compress/expand round-trips; compact replay = reference replay"
-    ~count:(qcheck_count 200)
-    (QCheck.make QCheck.Gen.(pair gen_hierarchy (list_size (int_range 1 300) (int_range 0 8191))))
-    (fun ((write_allocate, geoms), addrs) ->
-      let trace = Array.of_list addrs in
-      let compact = Cs.Trace.compress trace in
-      let h = Cs.Hierarchy.create ~write_allocate geoms in
-      let f = Cs.Fast_sim.create ~write_allocate geoms in
-      Cs.Trace.replay h trace;
-      Cs.Fast_sim.replay_compact f compact;
-      Cs.Trace.expand compact = trace
-      && Cs.Trace.length compact = Array.length trace
-      && stats_match h f)
-
-(* --- stack-distance sweep vs direct simulation -------------------------- *)
-
-let prop_sweep_matches_levels =
-  QCheck.Test.make
-    ~name:"Assoc_sweep.stats_at = full Level simulation (assoc 1,2,4,8)"
-    ~count:(qcheck_count 300)
-    (QCheck.make
-       QCheck.Gen.(
-         let* line_bits = int_range 4 6 in
-         let* sets_bits = int_range 0 3 in
-         let* trace = list_size (int_range 1 300) (pair (int_range 0 8191) bool) in
-         return (1 lsl line_bits, 1 lsl sets_bits, trace)))
-    (fun (line, n_sets, trace) ->
-      let sweep = Cs.Fast_sim.Assoc_sweep.create ~line ~n_sets in
-      List.iter (fun (addr, write) -> Cs.Fast_sim.Assoc_sweep.touch ~write sweep addr) trace;
-      List.for_all
-        (fun assoc ->
-          let level =
-            Cs.Level.create { Cs.Level.size = line * n_sets * assoc; line; assoc }
-          in
-          List.iter
-            (fun (addr, write) -> ignore (Cs.Level.access level ~write addr))
-            trace;
-          let ref_stats = Cs.Level.stats level in
-          let sweep_stats = Cs.Fast_sim.Assoc_sweep.stats_at sweep ~assoc in
-          ref_stats.Cs.Stats.accesses = sweep_stats.Cs.Stats.accesses
-          && ref_stats.Cs.Stats.hits = sweep_stats.Cs.Stats.hits
-          && ref_stats.Cs.Stats.misses = sweep_stats.Cs.Stats.misses
-          && ref_stats.Cs.Stats.writes = sweep_stats.Cs.Stats.writes)
-        [ 1; 2; 4; 8 ])
-
 (* --- whole-kernel equivalence ------------------------------------------- *)
 
 (* End-to-end: Interp with backend:`Fast must reproduce the reference
    result record exactly — counters and derived floats — on real kernels,
    on both machine presets, including a gather kernel (IRR) that takes
-   the per-access fallback inside feed_nest_fast. *)
+   the walker's per-access path. *)
 let test_kernel_equivalence () =
   let open Mlc_ir in
   let cases =
@@ -215,8 +166,6 @@ let () =
           [
             prop_trace_equivalence;
             prop_block_equivalence;
-            prop_compact_replay;
-            prop_sweep_matches_levels;
           ] );
       ( "kernels",
         [ Alcotest.test_case "Interp fast = reference" `Quick test_kernel_equivalence ] );

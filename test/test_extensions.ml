@@ -12,11 +12,6 @@ let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
-let sorted_trace layout p =
-  let t = Interp.trace layout p in
-  Array.sort compare t;
-  t
-
 (* --- Unimodular ---------------------------------------------------------- *)
 
 let test_matrix_algebra () =
@@ -46,7 +41,7 @@ let test_unimodular_permutation_matches_permute () =
   let layout = Layout.initial p in
   let p' = Program.set_nest p 0 transformed in
   Alcotest.(check (array int)) "same accesses"
-    (sorted_trace layout p) (sorted_trace layout p')
+    (Trace_oracle.sorted_trace layout p) (Trace_oracle.sorted_trace layout p')
 
 let test_unimodular_reversal () =
   let open Build in
@@ -61,7 +56,7 @@ let test_unimodular_reversal () =
   let layout = Layout.initial p in
   let p' = Program.set_nest p 0 transformed in
   Alcotest.(check (array int)) "same multiset"
-    (sorted_trace layout p) (sorted_trace layout p');
+    (Trace_oracle.sorted_trace layout p) (Trace_oracle.sorted_trace layout p');
   (* per outer iteration the inner sweep must run backwards *)
   let tr = Interp.trace layout p' in
   check_bool "first access is column end" true (tr.(0) > tr.(2))
@@ -92,7 +87,7 @@ let test_unimodular_skew_wavefront () =
   let transformed = L.Unimodular.apply n1 t in
   let p' = Program.set_nest p 0 transformed in
   Alcotest.(check (array int)) "wavefront preserves accesses"
-    (sorted_trace layout p) (sorted_trace layout p')
+    (Trace_oracle.sorted_trace layout p) (Trace_oracle.sorted_trace layout p')
 
 let test_unimodular_skew_only () =
   let open Build in
@@ -108,7 +103,7 @@ let test_unimodular_skew_only () =
   check_int "same iteration count" (Nest.iterations n1) (Nest.iterations transformed);
   let p' = Program.set_nest p 0 transformed in
   Alcotest.(check (array int)) "skew preserves accesses"
-    (sorted_trace layout p) (sorted_trace layout p')
+    (Trace_oracle.sorted_trace layout p) (Trace_oracle.sorted_trace layout p')
 
 (* --- Transpose ------------------------------------------------------------ *)
 
@@ -150,7 +145,7 @@ let test_distribution_roundtrip_with_fusion () =
   let p' = { fig6 with Program.nests = parts } in
   let layout = Layout.initial fig6 in
   Alcotest.(check (array int)) "same multiset of accesses"
-    (sorted_trace layout fig6) (sorted_trace layout p')
+    (Trace_oracle.sorted_trace layout fig6) (Trace_oracle.sorted_trace layout p')
 
 let test_distribution_rejects_backward_dep () =
   let open Build in

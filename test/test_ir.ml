@@ -4,6 +4,11 @@
 open Mlc_ir
 module Cs = Mlc_cachesim
 
+let qcheck_count default =
+  match Sys.getenv_opt "QCHECK_COUNT" with
+  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
+  | None -> default
+
 let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
@@ -233,6 +238,79 @@ let test_interp_gather () =
   let layout = Layout.initial p in
   Alcotest.(check (array int)) "gather trace" [| 24; 8; 24; 0 |] (Interp.trace layout p)
 
+(* --- Walker vs the naive evaluator ---------------------------------------- *)
+
+(* [Interp.trace] must equal the naive list-environment evaluator address
+   for address, in order. *)
+let check_walker name layout p =
+  let got = Interp.trace layout p and want = Trace_oracle.naive_trace layout p in
+  let n = min (Array.length got) (Array.length want) in
+  let rec first i = if i < n && got.(i) = want.(i) then first (i + 1) else i in
+  let i = first 0 in
+  if i < n then
+    Alcotest.failf "%s: address %d is %d, naive evaluator gives %d" name i got.(i)
+      want.(i);
+  check_int (name ^ ": trace length") (Array.length want) (Array.length got)
+
+let test_walker_registry () =
+  List.iter
+    (fun (e : Mlc_kernels.Registry.entry) ->
+      let p = Trace_oracle.small_build e in
+      check_walker e.Mlc_kernels.Registry.name (Layout.initial p) p)
+    Mlc_kernels.Registry.all
+
+let test_walker_tiled_matmul () =
+  (* tile loops clamp their upper bounds with min(KK+W-1, N) *)
+  let p = Locality.Tiling.tiled_matmul ~n:23 ~h:5 ~w:7 in
+  check_walker "tiled matmul" (Layout.initial p) p;
+  let p = Locality.Tiling.matmul 17 in
+  check_walker "matmul" (Layout.initial p) p
+
+let test_walker_downward_and_flat () =
+  let a = Array_decl.make "A" [ 12; 12 ] in
+  let i = Expr.var "i" and j = Expr.var "j" in
+  let body =
+    [
+      Stmt.make
+        [
+          Ref_.read_a "A" [ Expr.add i (Expr.const 1); j ];
+          Ref_.write_a "A" [ i; j ];
+        ];
+    ]
+  in
+  let down_inner =
+    Nest.make
+      [ Loop.range "j" 0 10; Loop.make ~step:(-2) "i" ~lo:(Expr.const 10) ~hi:j ]
+      body
+  in
+  let down_outer =
+    Nest.make
+      [
+        Loop.make ~step:(-1) "j" ~lo:(Expr.const 11) ~hi:(Expr.const 3);
+        Loop.range "i" 0 9;
+      ]
+      body
+  in
+  (* [Nest.make] insists on a loop; transforms can still leave a bare body *)
+  let flat =
+    {
+      Nest.loops = [];
+      body =
+        [
+          Stmt.make
+            [
+              Ref_.read_a "A" [ Expr.const 3; Expr.const 4 ];
+              Ref_.write_a "A" [ Expr.const 0; Expr.const 0 ];
+            ];
+        ];
+    }
+  in
+  let p = Program.make ~time_steps:2 "p" [ a ] [ down_inner; flat; down_outer ] in
+  let layout = Layout.initial p in
+  check_walker "downward and zero-depth" layout p;
+  check_int "zero-depth body issues each ref once" 2
+    (Array.length (Interp.trace layout (Program.make ~time_steps:1 "f" [ a ] [ flat ])))
+
 (* Property: the fast interpreter and the naive trace agree on miss counts
    for random small programs. *)
 let random_program =
@@ -255,18 +333,26 @@ let random_program =
   return (Program.make "rand" [ a; b ] [ nest ])
 
 let prop_fast_interp_matches_trace =
-  QCheck.Test.make ~name:"fast interp = naive trace (miss counts)" ~count:100
+  QCheck.Test.make ~name:"fast interp = naive trace (miss counts)"
+    ~count:(qcheck_count 100)
     (QCheck.make random_program)
     (fun p ->
       let layout = Layout.initial p in
       (* replay naive trace *)
-      let h1 = Cs.Machine.hierarchy small_machine in
-      Cs.Trace.replay h1 (Interp.trace layout p);
-      (* fast path *)
-      let h2 = Cs.Machine.hierarchy small_machine in
-      ignore (Interp.feed h2 layout p);
-      Cs.Hierarchy.miss_rates h1 = Cs.Hierarchy.miss_rates h2
-      && Cs.Hierarchy.total_refs h1 = Cs.Hierarchy.total_refs h2)
+      let h = Cs.Machine.hierarchy small_machine in
+      Cs.Trace.replay h (Trace_oracle.naive_trace layout p);
+      let naive_misses =
+        List.map (fun l -> (Cs.Level.stats l).Cs.Stats.misses) (Cs.Hierarchy.levels h)
+      in
+      (* the walker through the reference sink, then through Fast_sim *)
+      let on = Interp.run_on (Cs.Machine.hierarchy small_machine) small_machine layout p in
+      let fast = Interp.run ~backend:`Fast small_machine layout p in
+      List.for_all
+        (fun (r : Interp.result) ->
+          r.Interp.misses = naive_misses
+          && r.Interp.miss_rates = Cs.Hierarchy.miss_rates h
+          && r.Interp.total_refs = Cs.Hierarchy.total_refs h)
+        [ on; fast ])
 
 let prop_pad_shifts_addresses =
   QCheck.Test.make ~name:"pad_before shifts all later bases equally" ~count:100
@@ -319,6 +405,13 @@ let () =
           Alcotest.test_case "counts" `Quick test_interp_counts;
           Alcotest.test_case "trace order" `Quick test_interp_trace_order;
           Alcotest.test_case "gather" `Quick test_interp_gather;
+        ] );
+      ( "walker",
+        [
+          Alcotest.test_case "registry kernels = naive" `Quick test_walker_registry;
+          Alcotest.test_case "tiled matmul = naive" `Quick test_walker_tiled_matmul;
+          Alcotest.test_case "downward and zero-depth = naive" `Quick
+            test_walker_downward_and_flat;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

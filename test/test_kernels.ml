@@ -9,28 +9,10 @@ let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
-(* Validate every registry program at a reduced size (cheap but complete
-   structural checking). *)
-let small_build (e : K.Registry.entry) =
-  match e.K.Registry.build_sized with
-  | Some f ->
-      let size =
-        match e.K.Registry.name with
-        | "ADI32" | "ERLE64" | "EXPL512" | "JACOBI512" | "SHAL512" | "LINPACKD"
-        | "HYDRO2D" | "SWIM" | "TOMCATV" | "SU2COR" ->
-            32
-        | "APPBT" | "APPLU" | "APPSP" | "MGRID" | "TURB3D" | "APSI" -> 8
-        | "DOT256" | "IRR500K" | "BUK" | "CGM" | "EMBAR" | "WAVE5" | "FPPPP" -> 64
-        | "FFTPDE" -> 256
-        | _ -> 16
-      in
-      f size
-  | None -> e.K.Registry.build ()
-
 let test_all_validate () =
   List.iter
     (fun e ->
-      let p = small_build e in
+      let p = Trace_oracle.small_build e in
       match Validate.check p with
       | [] -> ()
       | issues ->

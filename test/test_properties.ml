@@ -237,8 +237,7 @@ let prop_fusion_preserves_multiset =
       match L.Fusion.fuse ~shift n1 n2 with
       | parts ->
           let p' = { p with Program.nests = parts } in
-          let s t = Array.sort compare t; t in
-          s (Interp.trace layout p) = s (Interp.trace layout p')
+          Trace_oracle.sorted_trace layout p = Trace_oracle.sorted_trace layout p'
       | exception L.Fusion.Illegal _ -> QCheck.assume_fail ())
 
 let prop_distribution_preserves_multiset =
@@ -250,8 +249,7 @@ let prop_distribution_preserves_multiset =
       let parts = L.Distribution.maximal nest in
       let p' = { fig6 with Program.nests = parts } in
       let layout = Layout.initial fig6 in
-      let s t = Array.sort compare t; t in
-      s (Interp.trace layout fig6) = s (Interp.trace layout p'))
+      Trace_oracle.sorted_trace layout fig6 = Trace_oracle.sorted_trace layout p')
 
 let prop_pad_never_creates_conflicts =
   QCheck.Test.make ~name:"PAD output has no severe conflicts (random sizes)"

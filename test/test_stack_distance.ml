@@ -112,47 +112,6 @@ let prop_histogram_accounts_every_access =
       Cs.Stack_distance.total sd = Array.length trace
       && Cs.Stack_distance.cold sd + hist_total = Array.length trace)
 
-let prop_sweep_histogram_accounts_every_access =
-  (* Same conservation law for the per-set sweep in the fast backend. *)
-  QCheck.Test.make
-    ~name:"Assoc_sweep: cold + histogram total = trace length"
-    ~count:(qcheck_count 100)
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 0 300) (int_range 0 10_000))
-        (int_range 0 4))
-    (fun (addrs, sets_bits) ->
-      let trace = Array.of_list addrs in
-      let sweep =
-        Cs.Fast_sim.Assoc_sweep.analyze ~line:32 ~n_sets:(1 lsl sets_bits) trace
-      in
-      let hist_total =
-        Array.fold_left ( + ) 0 (Cs.Fast_sim.Assoc_sweep.histogram sweep)
-      in
-      Cs.Fast_sim.Assoc_sweep.total sweep = Array.length trace
-      && Cs.Fast_sim.Assoc_sweep.cold sweep + hist_total = Array.length trace)
-
-let prop_sweep_hits_monotone_in_assoc =
-  (* More ways can only catch more reuse at fixed line/set count. *)
-  QCheck.Test.make
-    ~name:"Assoc_sweep: hits non-decreasing in associativity"
-    ~count:(qcheck_count 100)
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 1 300) (int_range 0 10_000))
-        (int_range 0 3))
-    (fun (addrs, sets_bits) ->
-      let trace = Array.of_list addrs in
-      let sweep =
-        Cs.Fast_sim.Assoc_sweep.analyze ~line:32 ~n_sets:(1 lsl sets_bits) trace
-      in
-      let hits = List.map (fun a -> Cs.Fast_sim.Assoc_sweep.hits_at sweep ~assoc:a) in
-      let rec mono = function
-        | h1 :: (h2 :: _ as rest) -> h1 <= h2 && mono rest
-        | _ -> true
-      in
-      mono (hits [ 1; 2; 4; 8; 16 ]))
-
 let test_kernel_curve_brackets_levels () =
   (* EXPL's reuse is bracketed by the two cache levels: a 16K-worth of
      lines holds much less of the reuse than a 512K-worth. *)
@@ -182,7 +141,5 @@ let () =
             prop_cold_equals_distinct_lines;
             prop_inclusion_monotone;
             prop_histogram_accounts_every_access;
-            prop_sweep_histogram_accounts_every_access;
-            prop_sweep_hits_monotone_in_assoc;
           ] );
     ]

@@ -10,11 +10,6 @@ let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
-let sorted_trace layout p =
-  let t = Interp.trace layout p in
-  Array.sort compare t;
-  t
-
 (* --- Permute ------------------------------------------------------------ *)
 
 let test_permute_figure1 () =
@@ -26,7 +21,7 @@ let test_permute_figure1 () =
   let layout = Layout.initial p in
   let p' = Program.set_nest p 0 permuted in
   Alcotest.(check (array int)) "same accesses"
-    (sorted_trace layout p) (sorted_trace layout p')
+    (Trace_oracle.sorted_trace layout p) (Trace_oracle.sorted_trace layout p')
 
 let test_permute_rejects_non_permutation () =
   let p = K.Paper_examples.figure1 ~n:8 ~m:8 in
@@ -110,7 +105,7 @@ let prop_tiling_preserves_accesses =
       let orig = L.Tiling.matmul n in
       let tiled = L.Tiling.tiled_matmul ~n ~h ~w in
       let layout = Layout.initial orig in
-      sorted_trace layout orig = sorted_trace layout tiled)
+      Trace_oracle.sorted_trace layout orig = Trace_oracle.sorted_trace layout tiled)
 
 let test_tiled_matmul_shape () =
   let tiled = L.Tiling.tiled_matmul ~n:16 ~h:4 ~w:2 in
@@ -247,7 +242,7 @@ let test_fuse_with_shift_peels () =
   let p' = { p with Program.nests = parts } in
   (* every original address count is preserved *)
   Alcotest.(check (array int)) "same multiset of accesses"
-    (sorted_trace layout p) (sorted_trace layout p');
+    (Trace_oracle.sorted_trace layout p) (Trace_oracle.sorted_trace layout p');
   (* and the write of W(i,j+1) now precedes its read in program order *)
   check_bool "fused program validates" true (Validate.check p' = [])
 
@@ -268,7 +263,7 @@ let test_fuse_program_auto_shift () =
   let fused = L.Fusion.fuse_program p 0 in
   let layout = Layout.initial p in
   Alcotest.(check (array int)) "accesses preserved"
-    (sorted_trace layout p) (sorted_trace layout fused)
+    (Trace_oracle.sorted_trace layout p) (Trace_oracle.sorted_trace layout fused)
 
 let test_fusion_auto_optimizer () =
   let machine = Mlc_cachesim.Machine.ultrasparc in
@@ -299,8 +294,8 @@ let test_fusion_auto_optimizer () =
   (* the fused figure 2 behaves identically to the hand-fused version *)
   let layout = Layout.initial fig2 in
   Alcotest.(check (array int)) "same accesses as figure 6"
-    (sorted_trace layout (K.Paper_examples.figure6_fused 960))
-    (sorted_trace layout fused)
+    (Trace_oracle.sorted_trace layout (K.Paper_examples.figure6_fused 960))
+    (Trace_oracle.sorted_trace layout fused)
 
 let test_fusion_rejects_impossible () =
   let open Build in
