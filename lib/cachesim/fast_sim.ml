@@ -102,78 +102,96 @@ let metrics (t : t) : metrics =
     seq_iterations = t.seq_iterations;
   }
 
-(* One access at one level; mirrors Level.access minus prefetch.
-   Returns whether it hit.  All indices below are masked (set <=
-   set_mask) or bounded by assoc, so unchecked array accesses are safe;
-   stats are bumped inline to keep this path allocation-free. *)
-let access_level ~write_allocate ~write l addr =
-  let line_addr = addr lsr l.line_bits in
-  let set = line_addr land l.set_mask in
+(* One access at one level, on the line address and set the caller
+   already computed; mirrors Level.access minus prefetch and returns
+   whether it hit.  [set <= set_mask] and ways are bounded by assoc, so
+   the unchecked array accesses are safe; stats are bumped inline to keep
+   these paths allocation-free.
+
+   [access_dm] is the one copy of the direct-mapped logic (no LRU state,
+   so no clock): [from_level] and [block_dm]'s own L1 misses both inline
+   it. *)
+let[@inline] access_dm ~write_allocate ~write l line_addr set =
   let st = l.stats in
   st.Stats.accesses <- st.Stats.accesses + 1;
   if write then st.Stats.writes <- st.Stats.writes + 1;
-  if l.assoc = 1 then begin
-    (* Direct-mapped: no LRU state, so the clock can be skipped. *)
-    if Array.unsafe_get l.tags set = line_addr then begin
-      if write then Array.unsafe_set l.dirty set true;
-      st.Stats.hits <- st.Stats.hits + 1;
-      true
-    end
-    else begin
-      if (not write) || write_allocate then begin
-        if Array.unsafe_get l.tags set >= 0 && Array.unsafe_get l.dirty set then
-          st.Stats.writebacks <- st.Stats.writebacks + 1;
-        Array.unsafe_set l.tags set line_addr;
-        Array.unsafe_set l.dirty set write
-      end;
-      st.Stats.misses <- st.Stats.misses + 1;
-      false
-    end
+  if Array.unsafe_get l.tags set = line_addr then begin
+    if write then Array.unsafe_set l.dirty set true;
+    st.Stats.hits <- st.Stats.hits + 1;
+    true
   end
   else begin
-    l.clock <- l.clock + 1;
-    let assoc = l.assoc in
-    let base = set * assoc in
-    let rec find way =
-      if way = assoc then -1
-      else if Array.unsafe_get l.tags (base + way) = line_addr then way
-      else find (way + 1)
-    in
-    let way = find 0 in
-    if way >= 0 then begin
-      Array.unsafe_set l.last_use (base + way) l.clock;
-      if write then Array.unsafe_set l.dirty (base + way) true;
-      st.Stats.hits <- st.Stats.hits + 1;
-      true
-    end
-    else begin
-      if (not write) || write_allocate then begin
-        let victim = ref 0 in
-        for w = 1 to assoc - 1 do
-          if Array.unsafe_get l.last_use (base + w)
-             < Array.unsafe_get l.last_use (base + !victim)
-          then victim := w
-        done;
-        let slot = base + !victim in
-        if Array.unsafe_get l.tags slot >= 0 && Array.unsafe_get l.dirty slot then
-          st.Stats.writebacks <- st.Stats.writebacks + 1;
-        Array.unsafe_set l.tags slot line_addr;
-        Array.unsafe_set l.dirty slot write;
-        Array.unsafe_set l.last_use slot l.clock
-      end;
-      st.Stats.misses <- st.Stats.misses + 1;
-      false
-    end
+    if (not write) || write_allocate then begin
+      if Array.unsafe_get l.tags set >= 0 && Array.unsafe_get l.dirty set then
+        st.Stats.writebacks <- st.Stats.writebacks + 1;
+      Array.unsafe_set l.tags set line_addr;
+      Array.unsafe_set l.dirty set write
+    end;
+    st.Stats.misses <- st.Stats.misses + 1;
+    false
   end
 
-(* Closure-free cascade: level [i] only sees the miss stream of [i-1]. *)
-let rec cascade t write i n addr =
-  if i = n then n
-  else if access_level ~write_allocate:t.write_allocate ~write t.levels.(i) addr
-  then i
-  else cascade t write (i + 1) n addr
+let access_assoc ~write_allocate ~write l line_addr set =
+  let st = l.stats in
+  st.Stats.accesses <- st.Stats.accesses + 1;
+  if write then st.Stats.writes <- st.Stats.writes + 1;
+  l.clock <- l.clock + 1;
+  let assoc = l.assoc in
+  let base = set * assoc in
+  let rec find way =
+    if way = assoc then -1
+    else if Array.unsafe_get l.tags (base + way) = line_addr then way
+    else find (way + 1)
+  in
+  let way = find 0 in
+  if way >= 0 then begin
+    Array.unsafe_set l.last_use (base + way) l.clock;
+    if write then Array.unsafe_set l.dirty (base + way) true;
+    st.Stats.hits <- st.Stats.hits + 1;
+    true
+  end
+  else begin
+    if (not write) || write_allocate then begin
+      let victim = ref 0 in
+      for w = 1 to assoc - 1 do
+        if Array.unsafe_get l.last_use (base + w)
+           < Array.unsafe_get l.last_use (base + !victim)
+        then victim := w
+      done;
+      let slot = base + !victim in
+      if Array.unsafe_get l.tags slot >= 0 && Array.unsafe_get l.dirty slot then
+        st.Stats.writebacks <- st.Stats.writebacks + 1;
+      Array.unsafe_set l.tags slot line_addr;
+      Array.unsafe_set l.dirty slot write;
+      Array.unsafe_set l.last_use slot l.clock
+    end;
+    st.Stats.misses <- st.Stats.misses + 1;
+    false
+  end
 
-let access t ?(write = false) addr = cascade t write 0 (Array.length t.levels) addr
+(* The cascade from level [i] down, as a loop: level [i+1] only sees
+   level [i]'s misses.  Returns the index of the level that hit, or the
+   number of levels for a main-memory access. *)
+let from_level t ~write i addr =
+  let levels = t.levels and write_allocate = t.write_allocate in
+  let n = Array.length levels in
+  let i = ref i in
+  while
+    !i < n
+    && begin
+         let l = Array.unsafe_get levels !i in
+         let line_addr = addr lsr l.line_bits in
+         let set = line_addr land l.set_mask in
+         not
+           (if l.assoc = 1 then access_dm ~write_allocate ~write l line_addr set
+            else access_assoc ~write_allocate ~write l line_addr set)
+       end
+  do
+    incr i
+  done;
+  !i
+
+let access t ?(write = false) addr = from_level t ~write 0 addr
 
 (* Slot of [addr]'s line at level [l], or -1 when not resident. *)
 let find_slot l addr =
@@ -217,10 +235,12 @@ let ensure_scratch t n =
    all, then update), so a miss exits the phase before any dirty bit of
    an unsimulated iteration is set.  Iterations with a missing line run
    sequentially in reference order with the L1 hit check inlined; only
-   actually-missing refs enter the cascade (whose installs can evict a
-   later ref's line, hence the per-ref re-check at its turn).  Inline
-   hits carry no per-access counter updates at all: they are recovered at
-   the end as (iterations * nrefs) - (cascaded accesses).
+   actually-missing refs go further (their installs can evict a later
+   ref's line, hence the per-ref re-check at its turn): [access_dm]
+   charges the miss to L1 on the line and set already computed, and
+   [from_level] walks the levels below.  Inline hits carry no per-access
+   counter updates at all: they are recovered at the end as
+   (iterations * nrefs) - (L1 misses charged here).
 
    Unchecked array accesses: sets are masked by [set_mask]; scratch
    indices are < nrefs, and [block] validated the input array lengths. *)
@@ -244,11 +264,11 @@ let block_dm t l1 ~bases ~strides ~writes ~count =
     if writes.(r) then incr nwrites
   done;
   let nwrites = !nwrites in
-  let n = Array.length t.levels in
+  let write_allocate = t.write_allocate in
   let bulk_iters = ref 0 in
   let seq_iters = ref 0 in
-  let ncasc = ref 0 in
-  let ncasc_w = ref 0 in
+  let nmiss = ref 0 in
+  let nmiss_w = ref 0 in
   let i = ref 0 in
   while !i < count do
     (* is iteration !i an all-hit iteration? *)
@@ -324,9 +344,10 @@ let block_dm t l1 ~bases ~strides ~writes ~count =
           end
           else begin
             had_miss := true;
-            incr ncasc;
-            if w then incr ncasc_w;
-            ignore (cascade t w 0 n a)
+            incr nmiss;
+            if w then incr nmiss_w;
+            ignore (access_dm ~write_allocate ~write:w l1 la set);
+            ignore (from_level t ~write:w 1 a)
           end;
           Array.unsafe_set cur r (a + Array.unsafe_get strides r)
         done;
@@ -336,8 +357,8 @@ let block_dm t l1 ~bases ~strides ~writes ~count =
     end
   done;
   let st = l1.stats in
-  let inline_hits = ((!bulk_iters + !seq_iters) * nrefs) - !ncasc in
-  let inline_writes = ((!bulk_iters + !seq_iters) * nwrites) - !ncasc_w in
+  let inline_hits = ((!bulk_iters + !seq_iters) * nrefs) - !nmiss in
+  let inline_writes = ((!bulk_iters + !seq_iters) * nwrites) - !nmiss_w in
   st.Stats.accesses <- st.Stats.accesses + inline_hits;
   st.Stats.hits <- st.Stats.hits + inline_hits;
   st.Stats.writes <- st.Stats.writes + inline_writes;
@@ -382,11 +403,10 @@ let block_assoc t l1 ~bases ~strides ~writes ~count =
       l1.last_use.(slot.(r)) <- l1.clock
     done
   in
-  let n = Array.length t.levels in
   let one_iteration () =
     t.seq_iterations <- t.seq_iterations + 1;
     for r = 0 to nrefs - 1 do
-      ignore (cascade t writes.(r) 0 n cur.(r))
+      ignore (from_level t ~write:writes.(r) 0 cur.(r))
     done
   in
   let advance k =

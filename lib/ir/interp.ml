@@ -26,13 +26,17 @@ type sink = {
 (* Compiles a nest once and returns its walker, which pushes one full
    execution of the nest into [sink] and returns the flops executed.
 
-   An affine reference becomes a base constant plus one stride per loop
-   level; [partials.(l).(r)] holds the base plus the contribution of the
-   loop levels below [l], so each loop level costs one add per
-   reference.  When every reference is affine, each innermost loop
-   execution goes to [sink.block] as one segment; otherwise (gathers,
+   Every address is affine in the loop variables except for its gather
+   terms, each [scale * table.(index)] with an affine [index].  So each
+   reference gets one column holding its affine part (base, pads and
+   affine dimensions folded in) and each gather term one more column
+   holding its index; a column is a constant plus one stride per loop
+   level, and [partials.(l).(c)] holds the constant plus the
+   contribution of the loop levels below [l], so each loop level costs
+   one add per column.  When no reference gathers, each innermost loop
+   execution goes to [sink.block] as one segment; otherwise (and for
    zero-depth bodies) every access goes to [sink.access] in program
-   order, gathers evaluated through their table. *)
+   order, its address the reference's column plus its gather terms. *)
 let compile_nest sink layout nest =
   let loops = Array.of_list nest.Nest.loops in
   let depth = Array.length loops in
@@ -44,25 +48,28 @@ let compile_nest sink layout nest =
   let flops_per_iter =
     List.fold_left (fun acc s -> acc + s.Stmt.flops) 0 nest.Nest.body
   in
-  let partials = Array.make_matrix (depth + 1) nrefs 0 in
-  let strides = Array.make_matrix depth nrefs 0 in
-  let gathers =
-    Array.mapi
-      (fun r ref_ ->
-        if Ref_.is_affine ref_ then begin
-          let addr = Layout.address_expr layout ref_ in
-          List.iter
-            (fun v ->
-              match Hashtbl.find_opt var_level v with
-              | Some level -> strides.(level).(r) <- Expr.coeff addr v
-              | None -> invalid_arg ("Interp: unbound loop variable " ^ v))
-            (Expr.vars addr);
-          partials.(0).(r) <- Expr.const_part addr;
-          None
-        end
-        else Some ref_)
-      refs
+  let parts = Array.map (Layout.address_parts layout) refs in
+  (* Gather term [g] is column [nrefs + g]; reference [r] owns the terms
+     [first.(r)] to [first.(r + 1) - 1]. *)
+  let terms = Array.of_list (List.concat_map snd (Array.to_list parts)) in
+  let first = Array.make (nrefs + 1) 0 in
+  Array.iteri (fun r (_, gs) -> first.(r + 1) <- first.(r) + List.length gs) parts;
+  let scales = Array.map (fun (scale, _, _) -> scale) terms in
+  let tables = Array.map (fun (_, table, _) -> table) terms in
+  let ncols = nrefs + Array.length terms in
+  let partials = Array.make_matrix (depth + 1) ncols 0 in
+  let strides = Array.make_matrix depth ncols 0 in
+  let column c e =
+    List.iter
+      (fun v ->
+        match Hashtbl.find_opt var_level v with
+        | Some level -> strides.(level).(c) <- Expr.coeff e v
+        | None -> invalid_arg ("Interp: unbound loop variable " ^ v))
+      (Expr.vars e);
+    partials.(0).(c) <- Expr.const_part e
   in
+  Array.iteri (fun r (affine, _) -> column r affine) parts;
+  Array.iteri (fun g (_, _, index) -> column (nrefs + g) index) terms;
   let ivs = Array.make depth 0 in
   let env v =
     match Hashtbl.find_opt var_level v with
@@ -77,13 +84,13 @@ let compile_nest sink layout nest =
       let s = strides.(level) in
       Loop.iter env loops.(level) (fun iv ->
           ivs.(level) <- iv;
-          for r = 0 to nrefs - 1 do
-            next.(r) <- cur.(r) + (s.(r) * iv)
+          for c = 0 to ncols - 1 do
+            next.(c) <- cur.(c) + (s.(c) * iv)
           done;
           outer ~stop ~leaf (level + 1))
     end
   in
-  let blocked = depth >= 1 && Array.for_all Option.is_none gathers in
+  let blocked = depth >= 1 && ncols = nrefs in
   let stop = if blocked then depth - 1 else depth in
   let leaf =
     if blocked then begin
@@ -104,15 +111,15 @@ let compile_nest sink layout nest =
         end
     end
     else begin
-      let addrs = partials.(depth) in
+      let cols = partials.(depth) in
       fun () ->
         for r = 0 to nrefs - 1 do
-          let addr =
-            match gathers.(r) with
-            | None -> addrs.(r)
-            | Some ref_ -> Layout.address_of_ref layout env ref_
-          in
-          sink.access ~write:writes.(r) addr
+          let addr = ref cols.(r) in
+          for g = first.(r) to first.(r + 1) - 1 do
+            addr :=
+              !addr + (scales.(g) * Subscript.lookup tables.(g) cols.(nrefs + g))
+          done;
+          sink.access ~write:writes.(r) !addr
         done;
         flops := !flops + flops_per_iter
     end

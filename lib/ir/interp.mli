@@ -1,15 +1,22 @@
 (** Executes a program's memory-reference stream against a cache
     hierarchy.
 
-    One walker generates every stream: each nest is compiled once
-    (affine references become a base constant plus one stride per loop
-    level), the outer loops are walked with one add per reference and
-    level, and each innermost loop execution of an all-affine nest is
-    handed to the simulator as a single (bases, strides, count) segment.
-    Gather references and zero-depth bodies are issued access by access,
-    evaluating the gather table.  Whatever consumes the stream — the
-    reference cascade, {!Mlc_cachesim.Fast_sim}, or the address buffer
-    behind {!trace} — sees the same accesses in the same order. *)
+    One walker generates every stream: each nest is compiled once into
+    columns, each a constant plus one stride per loop level — one per
+    reference for its affine part (base, pads and affine dimensions
+    folded in), one per gather subscript for its table index — and the
+    outer loops are walked with one add per column and level.  Each
+    innermost loop execution of an all-affine nest is handed to the
+    simulator as a single (bases, strides, count) segment.  Nests with a
+    gather, and zero-depth bodies, are issued access by access, a
+    gather's address being its column plus one table load per gather
+    subscript.  Whatever consumes the stream — the reference cascade,
+    {!Mlc_cachesim.Fast_sim}, or the address buffer behind {!trace} —
+    sees the same accesses in the same order.
+
+    A gather index outside its table raises [Invalid_argument] with
+    {!Subscript.eval}'s message, from {!run} on either backend and from
+    {!trace} alike. *)
 
 type result = {
   total_refs : int;

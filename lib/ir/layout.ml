@@ -90,18 +90,29 @@ let address t name indices =
   let offset = List.fold_left2 (fun acc i s -> acc + (i * s)) 0 indices strides in
   base t name + (offset * e.decl.Array_decl.elem_size)
 
-let address_expr t r =
+let address_parts t r =
   let e = find t r.Ref_.array in
   let padded = padded_decl_of_entry e in
   let strides = Array_decl.dim_strides padded in
   let elem = e.decl.Array_decl.elem_size in
   if List.length r.Ref_.subs <> List.length strides then
     invalid_arg ("Layout.address_expr: wrong arity for " ^ r.Ref_.array);
-  List.fold_left2
-    (fun acc sub stride ->
-      Expr.add acc (Expr.scale (stride * elem) (Subscript.expr sub)))
-    (Expr.const (base t r.Ref_.array))
-    r.Ref_.subs strides
+  let affine, gathers =
+    List.fold_left2
+      (fun (acc, gathers) sub stride ->
+        let scale = stride * elem in
+        match sub with
+        | Subscript.Affine x -> (Expr.add acc (Expr.scale scale x), gathers)
+        | Subscript.Gather { table; index } -> (acc, (scale, table, index) :: gathers))
+      (Expr.const (base t r.Ref_.array), [])
+      r.Ref_.subs strides
+  in
+  (affine, List.rev gathers)
+
+let address_expr t r =
+  match address_parts t r with
+  | addr, [] -> addr
+  | _ -> invalid_arg "Subscript.expr: gather subscript"
 
 let offset_of_ref t env r =
   let e = find t r.Ref_.array in

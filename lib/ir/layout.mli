@@ -55,7 +55,17 @@ val address : t -> string -> int list -> int
     @raise Invalid_argument on gather subscripts. *)
 val address_expr : t -> Ref_.t -> Expr.t
 
-(** For a reference with gather subscripts: byte address under [env]. *)
+(** Any reference's byte address, split for compilation:
+    [(affine, gathers)] with [address = affine + Σ scale · table.(index)]
+    over the [(scale, table, index)] terms of [gathers], one per gather
+    subscript in subscript order.  [affine] holds the base, the pads and
+    every affine dimension; [gathers] is empty exactly when {!address_expr}
+    is defined, and then [affine] is its result. *)
+val address_parts : t -> Ref_.t -> Expr.t * (int * int array * Expr.t) list
+
+(** Byte address of any reference under [env], evaluated subscript by
+    subscript: the oracle that {!address_parts} and {!address_expr} are
+    checked against. *)
 val address_of_ref : t -> (string -> int) -> Ref_.t -> int
 
 (** [address_of_ref] less the array's base: the byte offset of the

@@ -21,6 +21,12 @@ val is_affine : t -> bool
     @raise Invalid_argument if a gather index falls outside the table. *)
 val eval : (string -> int) -> t -> int
 
+(** [lookup table i] is [table.(i)], the element a gather index [i]
+    selects.
+    @raise Invalid_argument, with the same message as {!eval}, if [i]
+    falls outside the table. *)
+val lookup : int array -> int -> int
+
 (** Affine payload. @raise Invalid_argument on [Gather]. *)
 val expr : t -> Expr.t
 

@@ -238,6 +238,36 @@ let test_interp_gather () =
   let layout = Layout.initial p in
   Alcotest.(check (array int)) "gather trace" [| 24; 8; 24; 0 |] (Interp.trace layout p)
 
+(* A gather index that leaves its table only at a later iteration still
+   fails the whole run, on every sink, with [Subscript.eval]'s message. *)
+let test_interp_gather_out_of_table () =
+  let x = Array_decl.make "X" [ 8 ] and y = Array_decl.make "Y" [ 4; 3 ] in
+  let table = [| 7; 0; 5; 2 |] in
+  let i = Expr.var "i" and j = Expr.var "j" in
+  let p =
+    Program.make "p" [ x; y ]
+      [
+        Nest.make
+          [ Loop.range "j" 0 2; Loop.range "i" 0 2 ]
+          [
+            Stmt.make
+              [
+                Ref_.read_a "Y" [ i; j ];
+                Ref_.read "X" [ Subscript.gather ~table ~index:(Expr.add i j) ];
+              ];
+          ];
+      ]
+  in
+  let layout = Layout.initial p in
+  let expect what f =
+    Alcotest.check_raises what
+      (Invalid_argument "Subscript.eval: gather index 4 outside table of 4") (fun () ->
+        ignore (f ()))
+  in
+  expect "trace" (fun () -> Interp.trace layout p);
+  expect "reference" (fun () -> Interp.run ~backend:`Reference small_machine layout p);
+  expect "fast" (fun () -> Interp.run ~backend:`Fast small_machine layout p)
+
 (* --- Walker vs the naive evaluator ---------------------------------------- *)
 
 (* [Interp.trace] must equal the naive list-environment evaluator address
@@ -258,6 +288,51 @@ let test_walker_registry () =
       let p = Trace_oracle.small_build e in
       check_walker e.Mlc_kernels.Registry.name (Layout.initial p) p)
     Mlc_kernels.Registry.all
+
+(* The walker folds bases, inter-variable pads and intra-pad strides into
+   each reference's columns at compile time, gathers included; the naive
+   evaluator recomputes them per access.  So the registry check is
+   repeated under the layouts the padding strategies produce, and on an
+   intra-padded array whose gather subscripts sit in padded dimensions. *)
+let test_walker_padded_layouts () =
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun (e : Mlc_kernels.Registry.entry) ->
+          let p = Trace_oracle.small_build e in
+          let layout = Locality.Pipeline.layout_for Cs.Machine.ultrasparc strategy p in
+          check_walker
+            (Printf.sprintf "%s under %s" e.Mlc_kernels.Registry.name
+               (Locality.Pipeline.strategy_name strategy))
+            layout p)
+        Mlc_kernels.Registry.all)
+    [ Locality.Pipeline.Pad_l1; Locality.Pipeline.Pad_multilevel ];
+  let a = Array_decl.make "A" [ 7; 9; 3 ] and b = Array_decl.make "B" [ 9; 9 ] in
+  let i = Expr.var "i" and j = Expr.var "j" in
+  let rows = [| 6; 0; 3; 5; 1; 2; 4 |] and cols = [| 8; 2; 7; 0; 5; 1; 3; 6; 4 |] in
+  let row index = Subscript.gather ~table:rows ~index
+  and col index = Subscript.gather ~table:cols ~index in
+  let aff e = Subscript.affine e in
+  let p =
+    Program.make ~time_steps:2 "padded gathers" [ b; a ]
+      [
+        Nest.make
+          [ Loop.range "j" 0 3; Loop.range "i" 0 5 ]
+          [
+            Stmt.make
+              [
+                Ref_.read "A" [ aff (Expr.add i (Expr.const 1)); col j; aff (Expr.const 2) ];
+                Ref_.read "A" [ row i; col (Expr.add i j); aff (Expr.const 1) ];
+                Ref_.read_a "B" [ i; j ];
+                Ref_.write "A" [ row j; aff i; aff (Expr.const 0) ];
+              ];
+          ];
+      ]
+  in
+  let layout = Layout.set_intra_pad (Layout.initial p) "A" 3 in
+  let layout = Layout.set_pad_before layout "A" 40 in
+  let layout = Layout.set_intra_pad layout "B" 1 in
+  check_walker "intra-padded gathers" layout p
 
 let test_walker_tiled_matmul () =
   (* tile loops clamp their upper bounds with min(KK+W-1, N) *)
@@ -405,10 +480,14 @@ let () =
           Alcotest.test_case "counts" `Quick test_interp_counts;
           Alcotest.test_case "trace order" `Quick test_interp_trace_order;
           Alcotest.test_case "gather" `Quick test_interp_gather;
+          Alcotest.test_case "gather index outside its table" `Quick
+            test_interp_gather_out_of_table;
         ] );
       ( "walker",
         [
           Alcotest.test_case "registry kernels = naive" `Quick test_walker_registry;
+          Alcotest.test_case "registry kernels under PAD and MULTILVLPAD = naive" `Quick
+            test_walker_padded_layouts;
           Alcotest.test_case "tiled matmul = naive" `Quick test_walker_tiled_matmul;
           Alcotest.test_case "downward and zero-depth = naive" `Quick
             test_walker_downward_and_flat;
