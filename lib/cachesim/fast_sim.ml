@@ -3,11 +3,12 @@
    i+1 only sees level i's misses), same LRU tie-breaking, same
    write-allocate and dirty-line accounting, so the per-level [Stats.t]
    match the reference path exactly.  Speed comes from [block], which
-   consumes a whole innermost-loop iteration segment at once: as long as
-   no reference crosses an L1 line boundary and every referenced line is
+   consumes a whole two-loop segment at once: as long as no reference
+   crosses an L1 line boundary and every referenced line is
    L1-resident, the iterations are guaranteed hits that touch no lower
    level, so they can be accounted in bulk with a single recency/dirty
-   refresh.
+   refresh; and, on a direct-mapped L1, the segment's L1 misses reach
+   the lower levels as a batch, one level at a time.
 
    Hardware prefetch is not modelled here; callers gate on it and fall
    back to the reference path. *)
@@ -31,6 +32,9 @@ type t = {
   mutable cur : int array;
   mutable slot : int array;
   mutable rem : int array;
+  (* L1 misses of a direct-mapped [block] awaiting the levels below,
+     each [(addr lsl 1) lor write], in issue order *)
+  batch : int array;
   (* fast-path accounting: how [block] consumed its iterations *)
   mutable bulk_segments : int;
   mutable bulk_iterations : int;
@@ -70,6 +74,10 @@ let make_level (geom : Level.geometry) =
     stats = Stats.create ();
   }
 
+(* Entries of [batch]: enough to amortise the per-level loop setup,
+   small enough to stay in the host's L1 data cache. *)
+let batch_capacity = 1024
+
 let create ?(write_allocate = true) geoms =
   if geoms = [] then invalid_arg "Fast_sim.create: no levels";
   {
@@ -78,6 +86,7 @@ let create ?(write_allocate = true) geoms =
     cur = [||];
     slot = [||];
     rem = [||];
+    batch = Array.make batch_capacity 0;
     bulk_segments = 0;
     bulk_iterations = 0;
     seq_iterations = 0;
@@ -109,8 +118,8 @@ let metrics (t : t) : metrics =
    these paths allocation-free.
 
    [access_dm] is the one copy of the direct-mapped logic (no LRU state,
-   so no clock): [from_level] and [block_dm]'s own L1 misses both inline
-   it. *)
+   so no clock): [cascade], [flush] and [block_dm]'s own L1 misses all
+   inline it. *)
 let[@inline] access_dm ~write_allocate ~write l line_addr set =
   let st = l.stats in
   st.Stats.accesses <- st.Stats.accesses + 1;
@@ -169,13 +178,13 @@ let access_assoc ~write_allocate ~write l line_addr set =
     false
   end
 
-(* The cascade from level [i] down, as a loop: level [i+1] only sees
-   level [i]'s misses.  Returns the index of the level that hit, or the
-   number of levels for a main-memory access. *)
-let from_level t ~write i addr =
+(* One access down the cascade, as a loop: level [i+1] only sees level
+   [i]'s misses.  Returns the index of the level that hit, or the number
+   of levels for a main-memory access. *)
+let cascade t ~write addr =
   let levels = t.levels and write_allocate = t.write_allocate in
   let n = Array.length levels in
-  let i = ref i in
+  let i = ref 0 in
   while
     !i < n
     && begin
@@ -191,7 +200,38 @@ let from_level t ~write i addr =
   done;
   !i
 
-let access t ?(write = false) addr = from_level t ~write 0 addr
+let access t ?(write = false) addr = cascade t ~write addr
+
+(* Takes the [n] pending L1 misses in [t.batch] through levels 1.., one
+   level at a time: each level runs over the batch in order, through the
+   same per-access routines as [cascade], and compacts its own misses
+   to the front for the next level.  Exact: a level's state depends only
+   on the stream it is fed, and this feeds level i+1 exactly level i's
+   misses in their order, as [cascade] per miss would; nothing reads
+   a lower level while a batch is pending. *)
+let flush t n =
+  let levels = t.levels and batch = t.batch and write_allocate = t.write_allocate in
+  let n = ref n and i = ref 1 in
+  while !n > 0 && !i < Array.length levels do
+    let l = Array.unsafe_get levels !i in
+    let line_bits = l.line_bits and set_mask = l.set_mask and dm = l.assoc = 1 in
+    let kept = ref 0 in
+    for k = 0 to !n - 1 do
+      let e = Array.unsafe_get batch k in
+      let line_addr = (e asr 1) lsr line_bits in
+      let set = line_addr land set_mask and write = e land 1 = 1 in
+      if
+        not
+          (if dm then access_dm ~write_allocate ~write l line_addr set
+           else access_assoc ~write_allocate ~write l line_addr set)
+      then begin
+        Array.unsafe_set batch !kept e;
+        incr kept
+      end
+    done;
+    n := !kept;
+    incr i
+  done
 
 (* Slot of [addr]'s line at level [l], or -1 when not resident. *)
 let find_slot l addr =
@@ -215,9 +255,13 @@ let ensure_scratch t n =
     t.rem <- Array.make n 0
   end
 
-(* [block] pushes [count] iterations of an innermost loop through the
-   hierarchy: iteration j issues, for each ref r in order,
-   [bases.(r) + j * strides.(r)] (a write iff [writes.(r)]).
+(* [block] pushes a two-loop segment through the hierarchy: row o,
+   iteration j issues, for each ref r in order,
+   [bases.(r) + o * outer_strides.(r) + j * strides.(r)] (a write iff
+   [writes.(r)]); rows run in order, each [count] iterations.  Both
+   variants take the rows one by one, restarting their phase logic at
+   each row start, so their work counters are those of one call per
+   row.
 
    The exactness argument both variants rely on: while every reference
    hits L1, lower levels see nothing and no line is installed or evicted,
@@ -237,18 +281,18 @@ let ensure_scratch t n =
    sequentially in reference order with the L1 hit check inlined; only
    actually-missing refs go further (their installs can evict a later
    ref's line, hence the per-ref re-check at its turn): [access_dm]
-   charges the miss to L1 on the line and set already computed, and
-   [from_level] walks the levels below.  Inline hits carry no per-access
-   counter updates at all: they are recovered at the end as
-   (iterations * nrefs) - (L1 misses charged here).
+   charges the miss to L1 on the line and set already computed, and the
+   miss joins [t.batch] for the levels below ([flush]: when the batch is
+   full, and before returning, so no batch outlives the call).  Inline
+   hits carry no per-access counter updates at all: they are recovered
+   at the end as (iterations * nrefs) - (L1 misses charged here).
 
    Unchecked array accesses: sets are masked by [set_mask]; scratch
    indices are < nrefs, and [block] validated the input array lengths. *)
-let block_dm t l1 ~bases ~strides ~writes ~count =
+let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   let nrefs = Array.length bases in
   ensure_scratch t nrefs;
   let cur = t.cur and rem = t.rem and slot = t.slot in
-  Array.blit bases 0 cur 0 nrefs;
   let line_bits = l1.line_bits and set_mask = l1.set_mask in
   let tags = l1.tags and dirty = l1.dirty in
   let line_mask = (1 lsl line_bits) - 1 in
@@ -269,93 +313,106 @@ let block_dm t l1 ~bases ~strides ~writes ~count =
   let seq_iters = ref 0 in
   let nmiss = ref 0 in
   let nmiss_w = ref 0 in
-  let i = ref 0 in
-  while !i < count do
-    (* is iteration !i an all-hit iteration? *)
-    let all = ref true in
+  let batch = t.batch and pending = ref 0 in
+  for o = 0 to outer_count - 1 do
     for r = 0 to nrefs - 1 do
-      let la = Array.unsafe_get cur r lsr line_bits in
-      if Array.unsafe_get tags (la land set_mask) <> la then all := false
+      Array.unsafe_set cur r
+        (Array.unsafe_get bases r + (o * Array.unsafe_get outer_strides r))
     done;
-    if !all then begin
-      (* steady all-hit phase *)
+    let i = ref 0 in
+    while !i < count do
+      (* is iteration !i an all-hit iteration? *)
+      let all = ref true in
       for r = 0 to nrefs - 1 do
-        let a = Array.unsafe_get cur r in
-        if Array.unsafe_get writes r then begin
-          let la = a lsr line_bits in
-          Array.unsafe_set dirty (la land set_mask) true
-        end;
-        Array.unsafe_set rem r (cross_dist a (Array.unsafe_get strides r))
+        let la = Array.unsafe_get cur r lsr line_bits in
+        if Array.unsafe_get tags (la land set_mask) <> la then all := false
       done;
-      let steady = ref true in
-      while !steady && !i < count do
-        let k = ref (count - !i) in
-        for r = 0 to nrefs - 1 do
-          let rr = Array.unsafe_get rem r in
-          if rr < !k then k := rr
-        done;
-        let k = !k in
-        bulk_iters := !bulk_iters + k;
-        t.bulk_segments <- t.bulk_segments + 1;
-        i := !i + k;
-        for r = 0 to nrefs - 1 do
-          Array.unsafe_set rem r (Array.unsafe_get rem r - k);
-          Array.unsafe_set cur r
-            (Array.unsafe_get cur r + (k * Array.unsafe_get strides r))
-        done;
-        if !i < count then begin
-          (* crossed refs (rem = 0) moved onto unverified lines *)
-          let ok = ref true in
-          let nc = ref 0 in
-          for r = 0 to nrefs - 1 do
-            if Array.unsafe_get rem r = 0 then begin
-              let la = Array.unsafe_get cur r lsr line_bits in
-              if Array.unsafe_get tags (la land set_mask) <> la then ok := false;
-              Array.unsafe_set slot !nc r;
-              incr nc
-            end
-          done;
-          let ok = !ok in
-          for j = 0 to !nc - 1 do
-            let r = Array.unsafe_get slot j in
-            let a = Array.unsafe_get cur r in
-            if ok && Array.unsafe_get writes r then begin
-              let la = a lsr line_bits in
-              Array.unsafe_set dirty (la land set_mask) true
-            end;
-            Array.unsafe_set rem r (cross_dist a (Array.unsafe_get strides r))
-          done;
-          if not ok then steady := false
-        end
-      done
-    end
-    else begin
-      (* sequential phase: whole iterations until one is all-hit again *)
-      let had_miss = ref true in
-      while !had_miss && !i < count do
-        had_miss := false;
+      if !all then begin
+        (* steady all-hit phase *)
         for r = 0 to nrefs - 1 do
           let a = Array.unsafe_get cur r in
-          let la = a lsr line_bits in
-          let set = la land set_mask in
-          let w = Array.unsafe_get writes r in
-          if Array.unsafe_get tags set = la then begin
-            if w then Array.unsafe_set dirty set true
-          end
-          else begin
-            had_miss := true;
-            incr nmiss;
-            if w then incr nmiss_w;
-            ignore (access_dm ~write_allocate ~write:w l1 la set);
-            ignore (from_level t ~write:w 1 a)
+          if Array.unsafe_get writes r then begin
+            let la = a lsr line_bits in
+            Array.unsafe_set dirty (la land set_mask) true
           end;
-          Array.unsafe_set cur r (a + Array.unsafe_get strides r)
+          Array.unsafe_set rem r (cross_dist a (Array.unsafe_get strides r))
         done;
-        incr seq_iters;
-        incr i
-      done
-    end
+        let steady = ref true in
+        while !steady && !i < count do
+          let k = ref (count - !i) in
+          for r = 0 to nrefs - 1 do
+            let rr = Array.unsafe_get rem r in
+            if rr < !k then k := rr
+          done;
+          let k = !k in
+          bulk_iters := !bulk_iters + k;
+          t.bulk_segments <- t.bulk_segments + 1;
+          i := !i + k;
+          for r = 0 to nrefs - 1 do
+            Array.unsafe_set rem r (Array.unsafe_get rem r - k);
+            Array.unsafe_set cur r
+              (Array.unsafe_get cur r + (k * Array.unsafe_get strides r))
+          done;
+          if !i < count then begin
+            (* crossed refs (rem = 0) moved onto unverified lines *)
+            let ok = ref true in
+            let nc = ref 0 in
+            for r = 0 to nrefs - 1 do
+              if Array.unsafe_get rem r = 0 then begin
+                let la = Array.unsafe_get cur r lsr line_bits in
+                if Array.unsafe_get tags (la land set_mask) <> la then ok := false;
+                Array.unsafe_set slot !nc r;
+                incr nc
+              end
+            done;
+            let ok = !ok in
+            for j = 0 to !nc - 1 do
+              let r = Array.unsafe_get slot j in
+              let a = Array.unsafe_get cur r in
+              if ok && Array.unsafe_get writes r then begin
+                let la = a lsr line_bits in
+                Array.unsafe_set dirty (la land set_mask) true
+              end;
+              Array.unsafe_set rem r (cross_dist a (Array.unsafe_get strides r))
+            done;
+            if not ok then steady := false
+          end
+        done
+      end
+      else begin
+        (* sequential phase: whole iterations until one is all-hit again *)
+        let had_miss = ref true in
+        while !had_miss && !i < count do
+          had_miss := false;
+          for r = 0 to nrefs - 1 do
+            let a = Array.unsafe_get cur r in
+            let la = a lsr line_bits in
+            let set = la land set_mask in
+            let w = Array.unsafe_get writes r in
+            if Array.unsafe_get tags set = la then begin
+              if w then Array.unsafe_set dirty set true
+            end
+            else begin
+              had_miss := true;
+              incr nmiss;
+              if w then incr nmiss_w;
+              ignore (access_dm ~write_allocate ~write:w l1 la set);
+              Array.unsafe_set batch !pending (if w then (a lsl 1) lor 1 else a lsl 1);
+              incr pending;
+              if !pending = batch_capacity then begin
+                flush t batch_capacity;
+                pending := 0
+              end
+            end;
+            Array.unsafe_set cur r (a + Array.unsafe_get strides r)
+          done;
+          incr seq_iters;
+          incr i
+        done
+      end
+    done
   done;
+  flush t !pending;
   let st = l1.stats in
   let inline_hits = ((!bulk_iters + !seq_iters) * nrefs) - !nmiss in
   let inline_writes = ((!bulk_iters + !seq_iters) * nwrites) - !nmiss_w in
@@ -371,13 +428,12 @@ let block_dm t l1 ~bases ~strides ~writes ~count =
    ref's line once, in ref order, with fresh clock values reproduces the
    relative last-use order the per-access path would leave, and only the
    relative order feeds LRU victim selection. *)
-let block_assoc t l1 ~bases ~strides ~writes ~count =
+let block_assoc t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   let nrefs = Array.length bases in
   ensure_scratch t nrefs;
   let line_mask = (1 lsl l1.line_bits) - 1 in
   let line = line_mask + 1 in
   let cur = t.cur and slot = t.slot in
-  Array.blit bases 0 cur 0 nrefs;
   let probe () =
     let ok = ref true in
     let r = ref 0 in
@@ -406,7 +462,7 @@ let block_assoc t l1 ~bases ~strides ~writes ~count =
   let one_iteration () =
     t.seq_iterations <- t.seq_iterations + 1;
     for r = 0 to nrefs - 1 do
-      ignore (from_level t ~write:writes.(r) 0 cur.(r))
+      ignore (cascade t ~write:writes.(r) cur.(r))
     done
   in
   let advance k =
@@ -414,56 +470,65 @@ let block_assoc t l1 ~bases ~strides ~writes ~count =
       cur.(r) <- cur.(r) + (k * strides.(r))
     done
   in
-  let i = ref 0 in
-  while !i < count do
-    let left = count - !i in
-    (* iterations until some ref leaves its current L1 line *)
-    let k = ref left in
+  for o = 0 to outer_count - 1 do
     for r = 0 to nrefs - 1 do
-      let s = strides.(r) in
-      if s > 0 then begin
-        let c = (line - (cur.(r) land line_mask) + s - 1) / s in
-        if c < !k then k := c
-      end
-      else if s < 0 then begin
-        let c = ((cur.(r) land line_mask) / -s) + 1 in
-        if c < !k then k := c
-      end
+      cur.(r) <- bases.(r) + (o * outer_strides.(r))
     done;
-    let k = !k in
-    if probe () then begin
-      bulk k;
-      advance k;
-      i := !i + k
-    end
-    else begin
-      one_iteration ();
-      advance 1;
-      incr i;
-      if k > 1 then begin
-        if probe () then begin
-          bulk (k - 1);
-          advance (k - 1);
-          i := !i + (k - 1)
+    let i = ref 0 in
+    while !i < count do
+      let left = count - !i in
+      (* iterations until some ref leaves its current L1 line *)
+      let k = ref left in
+      for r = 0 to nrefs - 1 do
+        let s = strides.(r) in
+        if s > 0 then begin
+          let c = (line - (cur.(r) land line_mask) + s - 1) / s in
+          if c < !k then k := c
         end
-        else
-          (* conflicting or non-allocated lines: no steady state within
-             this segment, replay it access by access *)
-          for _ = 2 to k do
-            one_iteration ();
-            advance 1;
-            incr i
-          done
+        else if s < 0 then begin
+          let c = ((cur.(r) land line_mask) / -s) + 1 in
+          if c < !k then k := c
+        end
+      done;
+      let k = !k in
+      if probe () then begin
+        bulk k;
+        advance k;
+        i := !i + k
       end
-    end
+      else begin
+        one_iteration ();
+        advance 1;
+        incr i;
+        if k > 1 then begin
+          if probe () then begin
+            bulk (k - 1);
+            advance (k - 1);
+            i := !i + (k - 1)
+          end
+          else
+            (* conflicting or non-allocated lines: no steady state within
+               this segment, replay it access by access *)
+            for _ = 2 to k do
+              one_iteration ();
+              advance 1;
+              incr i
+            done
+        end
+      end
+    done
   done
 
-let block t ~bases ~strides ~writes ~count =
+let block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   let nrefs = Array.length bases in
-  if Array.length strides <> nrefs || Array.length writes <> nrefs then
-    invalid_arg "Fast_sim.block: bases/strides/writes length mismatch";
-  if nrefs > 0 && count > 0 then begin
+  if
+    Array.length strides <> nrefs
+    || Array.length writes <> nrefs
+    || Array.length outer_strides <> nrefs
+  then invalid_arg "Fast_sim.block: bases/strides/writes/outer_strides length mismatch";
+  if nrefs > 0 && count > 0 && outer_count > 0 then begin
     let l1 = t.levels.(0) in
-    if l1.assoc = 1 then block_dm t l1 ~bases ~strides ~writes ~count
-    else block_assoc t l1 ~bases ~strides ~writes ~count
+    if l1.assoc = 1 then
+      block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count
+    else block_assoc t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count
   end

@@ -5,9 +5,11 @@
     writebacks) for any hierarchy without hardware prefetch: same filtered
     semantics (a level only sees the misses of the level above), same LRU
     tie-breaking, same write-allocate behaviour.  The speed comes from
-    {!block}, which accounts whole runs of guaranteed L1 hits in bulk
-    instead of walking the cascade per access, and from a leaner per-access
-    path (no prefetch bookkeeping).
+    {!block}, which takes a two-loop segment per call, accounts whole runs
+    of guaranteed L1 hits in bulk instead of walking the cascade per
+    access and, on a direct-mapped L1, sends the segment's L1 misses to
+    the lower levels in batches, one level at a time; and from a leaner
+    per-access path (no prefetch bookkeeping).
 
     Not modelled: next-line prefetching.  Callers must fall back to the
     reference path when [prefetch_levels] is non-empty (see
@@ -25,14 +27,24 @@ val create : ?write_allocate:bool -> Level.geometry list -> t
     levels for a main-memory access — the same contract as [Hierarchy.access]. *)
 val access : t -> ?write:bool -> int -> int
 
-(** [block t ~bases ~strides ~writes ~count] issues [count] iterations of
-    an innermost loop body: iteration [j] accesses, for each reference
-    [r] in order, address [bases.(r) + j * strides.(r)], as a write iff
-    [writes.(r)].  Exactly equivalent to issuing every access through
-    {!access}, but segments in which every reference stays within an
-    L1-resident line are accounted in bulk. *)
+(** [block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count]
+    issues [outer_count] rows of [count] iterations of a loop body: row
+    [o], iteration [j] accesses, for each reference [r] in order, address
+    [bases.(r) + o * outer_strides.(r) + j * strides.(r)], as a write iff
+    [writes.(r)]; rows, then iterations, then references.  Exactly
+    equivalent to issuing every access through {!access}, but segments in
+    which every reference stays within an L1-resident line are accounted
+    in bulk.  Nothing is left pending when it returns.
+    @raise Invalid_argument when the four arrays differ in length. *)
 val block :
-  t -> bases:int array -> strides:int array -> writes:bool array -> count:int -> unit
+  t ->
+  bases:int array ->
+  strides:int array ->
+  writes:bool array ->
+  count:int ->
+  outer_strides:int array ->
+  outer_count:int ->
+  unit
 
 (** Live per-level counters, L1 first (not copies). *)
 val level_stats : t -> Stats.t list

@@ -14,13 +14,21 @@ type result = {
 }
 
 (* Where the walker sends the reference stream.  [block] receives one
-   innermost-loop segment: iteration [j] issues, for each reference [r]
-   in order, [bases.(r) + j * strides.(r)]; it must behave exactly as
-   [count * nrefs] calls to [access] in that order would. *)
+   two-loop segment: row [o], iteration [j] issues, for each reference
+   [r] in order, [bases.(r) + o * outer_strides.(r) + j * strides.(r)];
+   it must behave exactly as [outer_count * count * nrefs] calls to
+   [access] in that order (rows, then iterations, then references)
+   would. *)
 type sink = {
   access : write:bool -> int -> unit;
   block :
-    bases:int array -> strides:int array -> writes:bool array -> count:int -> unit;
+    bases:int array ->
+    strides:int array ->
+    writes:bool array ->
+    count:int ->
+    outer_strides:int array ->
+    outer_count:int ->
+    unit;
 }
 
 (* Compiles a nest once and returns its walker, which pushes one full
@@ -33,9 +41,12 @@ type sink = {
    holding its index; a column is a constant plus one stride per loop
    level, and [partials.(l).(c)] holds the constant plus the
    contribution of the loop levels below [l], so each loop level costs
-   one add per column.  When no reference gathers, each innermost loop
-   execution goes to [sink.block] as one segment; otherwise (and for
-   zero-depth bodies) every access goes to [sink.access] in program
+   one add per column.  When no reference gathers, the innermost loop
+   goes to [sink.block]: together with the loop around it as one
+   two-loop segment when its bounds do not mention that loop's variable
+   (so every row starts at the same iteration and has the same trip
+   count), else one execution per call as a single row.  Otherwise (and
+   for zero-depth bodies) every access goes to [sink.access] in program
    order, its address the reference's column plus its gather terms. *)
 let compile_nest sink layout nest =
   let loops = Array.of_list nest.Nest.loops in
@@ -91,23 +102,45 @@ let compile_nest sink layout nest =
     end
   in
   let blocked = depth >= 1 && ncols = nrefs in
-  let stop = if blocked then depth - 1 else depth in
+  let two_loop =
+    blocked && depth >= 2
+    && begin
+         let inner = loops.(depth - 1) and v = loops.(depth - 2).Loop.var in
+         List.for_all
+           (fun e -> not (List.mem v (Expr.vars e)))
+           ((inner.Loop.lo :: inner.Loop.hi :: Option.to_list inner.Loop.lo_max)
+           @ Option.to_list inner.Loop.hi_min)
+       end
+  in
+  let stop = if two_loop then depth - 2 else if blocked then depth - 1 else depth in
   let leaf =
     if blocked then begin
-      let inner = stop in
-      let loop = loops.(inner) in
-      let cur = partials.(inner) and s = strides.(inner) in
+      let loop = loops.(depth - 1) and s = strides.(depth - 1) in
+      let cur = partials.(stop) in
       let block_strides = Array.map (fun s -> s * loop.Loop.step) s in
+      (* the row loop, or one row with no stride *)
+      let row, so =
+        if two_loop then (Some loops.(stop), strides.(stop))
+        else (None, Array.make nrefs 0)
+      in
+      let outer_strides =
+        match row with
+        | Some l -> Array.map (fun s -> s * l.Loop.step) so
+        | None -> so
+      in
       let bases = Array.make nrefs 0 in
       fun () ->
-        let count = Loop.trip_count env loop in
+        let outer_count = Option.fold ~none:1 ~some:(Loop.trip_count env) row in
+        let count = if outer_count > 0 then Loop.trip_count env loop else 0 in
         if count > 0 then begin
           let lo = Loop.effective_lo env loop in
+          let olo = Option.fold ~none:0 ~some:(Loop.effective_lo env) row in
           for r = 0 to nrefs - 1 do
-            bases.(r) <- cur.(r) + (s.(r) * lo)
+            bases.(r) <- cur.(r) + (so.(r) * olo) + (s.(r) * lo)
           done;
-          sink.block ~bases ~strides:block_strides ~writes ~count;
-          flops := !flops + (flops_per_iter * count)
+          sink.block ~bases ~strides:block_strides ~writes ~count ~outer_strides
+            ~outer_count;
+          flops := !flops + (flops_per_iter * count * outer_count)
         end
     end
     else begin
@@ -146,10 +179,13 @@ let per_access access =
   {
     access;
     block =
-      (fun ~bases ~strides ~writes ~count ->
-        for j = 0 to count - 1 do
-          for r = 0 to Array.length bases - 1 do
-            access ~write:writes.(r) (bases.(r) + (j * strides.(r)))
+      (fun ~bases ~strides ~writes ~count ~outer_strides ~outer_count ->
+        for o = 0 to outer_count - 1 do
+          for j = 0 to count - 1 do
+            for r = 0 to Array.length bases - 1 do
+              access ~write:writes.(r)
+                (bases.(r) + (o * outer_strides.(r)) + (j * strides.(r)))
+            done
           done
         done);
   }

@@ -5,9 +5,12 @@
     columns, each a constant plus one stride per loop level — one per
     reference for its affine part (base, pads and affine dimensions
     folded in), one per gather subscript for its table index — and the
-    outer loops are walked with one add per column and level.  Each
-    innermost loop execution of an all-affine nest is handed to the
-    simulator as a single (bases, strides, count) segment.  Nests with a
+    outer loops are walked with one add per column and level.  The
+    innermost loop of an all-affine nest is handed to the simulator in
+    two-loop segments: rows of iterations, one row per iteration of the
+    next-outer loop, whenever the innermost bounds do not mention that
+    loop's variable, and otherwise one row per innermost execution.
+    Nests with a
     gather, and zero-depth bodies, are issued access by access, a
     gather's address being its column plus one table load per gather
     subscript.  Whatever consumes the stream — the reference cascade,

@@ -108,17 +108,29 @@ let print_block (h, (bases, strides, writes, count)) =
     (String.concat ";" (Array.to_list (Array.map string_of_bool writes)))
     count
 
-(* [block] against the per-access reference cascade: stats and writebacks *)
-let block_matches ((write_allocate, geoms), (bases, strides, writes, count)) =
+(* A two-loop [block] against the per-access reference cascade, rows
+   then iterations then references: stats and writebacks. *)
+let rows_match (write_allocate, geoms) ~bases ~strides ~writes ~count ~outer_strides
+    ~outer_count =
   let h = Cs.Hierarchy.create ~write_allocate geoms in
   let f = Cs.Fast_sim.create ~write_allocate geoms in
-  for j = 0 to count - 1 do
-    for r = 0 to Array.length bases - 1 do
-      ignore (Cs.Hierarchy.access h ~write:writes.(r) (bases.(r) + (j * strides.(r))))
+  for o = 0 to outer_count - 1 do
+    for j = 0 to count - 1 do
+      for r = 0 to Array.length bases - 1 do
+        ignore
+          (Cs.Hierarchy.access h ~write:writes.(r)
+             (bases.(r) + (o * outer_strides.(r)) + (j * strides.(r))))
+      done
     done
   done;
-  Cs.Fast_sim.block f ~bases ~strides ~writes ~count;
+  Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count;
   stats_match h f && Cs.Hierarchy.writebacks h = Cs.Fast_sim.writebacks f
+
+(* A one-row [block] *)
+let block_matches (h, (bases, strides, writes, count)) =
+  rows_match h ~bases ~strides ~writes ~count
+    ~outer_strides:(Array.make (Array.length bases) 0)
+    ~outer_count:1
 
 let prop_block_equivalence =
   QCheck.Test.make
@@ -177,6 +189,91 @@ let prop_ping_pong =
     (QCheck.make ~print:print_block gen_ping_pong)
     block_matches
 
+(* Two-loop segments: 1-6 rows whose outer strides are negative, zero,
+   or smaller than a row's span, so that rows revisit each other's
+   lines.  The L1 is direct-mapped or associative, over 0-2 lower levels;
+   the miss-heavy shape (line-sized strides, rows up to 300 iterations)
+   pushes more L1 misses through one call than [Fast_sim]'s batch of
+   pending misses holds. *)
+let gen_rows =
+  QCheck.Gen.(
+    let* nlevels = oneofl [ 1; 2; 2; 3; 3 ] in
+    let* geoms = list_repeat nlevels gen_geom in
+    let* write_allocate = bool in
+    let* nrefs = int_range 1 4 in
+    let* bases = list_repeat nrefs (int_range 0 4096) in
+    let* miss_heavy = bool in
+    let* strides =
+      list_repeat nrefs
+        (if miss_heavy then oneofl [ -64; 64; 96; 128 ]
+         else oneofl [ -32; -8; 0; 4; 8; 12; 16; 24; 64 ])
+    in
+    let* count = if miss_heavy then int_range 100 300 else int_range 1 60 in
+    let* outer_count = int_range 1 6 in
+    let outer s =
+      let span = max 1 (abs (count * s)) in
+      oneof [ return 0; int_range (-span) (-1); int_range 1 span; oneofl [ -512; 8; 256 ] ]
+    in
+    let* outer_strides = flatten_l (List.map outer strides) in
+    let* writes = list_repeat nrefs bool in
+    return
+      ( (write_allocate, geoms),
+        ( Array.of_list bases,
+          Array.of_list strides,
+          Array.of_list writes,
+          count,
+          Array.of_list outer_strides,
+          outer_count ) ))
+
+let print_rows (h, (bases, strides, writes, count, outer_strides, outer_count)) =
+  Printf.sprintf "%s outer_strides=[%s] outer_count=%d"
+    (print_block (h, (bases, strides, writes, count)))
+    (String.concat ";" (Array.to_list (Array.map string_of_int outer_strides)))
+    outer_count
+
+let prop_rows =
+  QCheck.Test.make
+    ~name:"random two-loop block: Fast_sim.block = per-access reference cascade"
+    ~count:(qcheck_count 400)
+    (QCheck.make ~print:print_rows gen_rows)
+    (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
+      rows_match h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
+
+(* One call whose L1 misses outnumber the pending-miss batch several
+   times over (every access misses a 256-byte direct-mapped L1), on 2-
+   and 3-level hierarchies, under both write policies. *)
+let test_rows_overflow_batch () =
+  let g size line assoc = { Cs.Level.size; line; assoc } in
+  let nrefs = 4 and count = 300 and outer_count = 6 in
+  let bases = Array.init nrefs (fun r -> r * 256) in
+  let strides = Array.make nrefs 32 and outer_strides = Array.make nrefs (-4096) in
+  let writes = Array.init nrefs (fun r -> r mod 2 = 1) in
+  List.iter
+    (fun lowers ->
+      List.iter
+        (fun write_allocate ->
+          let geoms = g 256 32 1 :: lowers in
+          let f = Cs.Fast_sim.create ~write_allocate geoms in
+          Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count;
+          let l1 = List.hd (Cs.Fast_sim.level_stats f) in
+          Alcotest.(check bool) "L1 misses exceed 4096" true (l1.Cs.Stats.misses > 4096);
+          Alcotest.(check bool)
+            (Printf.sprintf "%d levels, write_allocate=%b" (List.length geoms)
+               write_allocate)
+            true
+            (rows_match (write_allocate, geoms) ~bases ~strides ~writes ~count
+               ~outer_strides ~outer_count))
+        [ true; false ])
+    [ [ g 4096 64 1 ]; [ g 2048 32 2; g 16384 64 1 ]; [ g 4096 64 1; g 32768 64 4 ] ]
+
+let test_rows_length_mismatch () =
+  let f = Cs.Fast_sim.create [ { Cs.Level.size = 1024; line = 32; assoc = 1 } ] in
+  Alcotest.check_raises "outer_strides shorter than bases"
+    (Invalid_argument "Fast_sim.block: bases/strides/writes/outer_strides length mismatch")
+    (fun () ->
+      Cs.Fast_sim.block f ~bases:[| 0; 64 |] ~strides:[| 8; 8 |] ~writes:[| false; true |]
+        ~count:4 ~outer_strides:[| 512 |] ~outer_count:2)
+
 (* --- whole-kernel equivalence ------------------------------------------- *)
 
 (* End-to-end: Interp with backend:`Fast must reproduce the reference
@@ -185,7 +282,12 @@ let prop_ping_pong =
    take the walker's per-access path.  BUK and CGM also run under a
    layout that starts every array on a multiple of the L1 size, so that
    their streams ping-pong in L1, and CGM under MULTILVLPAD's (which
-   pads COLIDX at this size; it leaves BUK packed). *)
+   pads COLIDX at this size; it leaves BUK packed).  APPBT, APPLU and
+   APPSP (downward loops, 5-component leading dimensions) run packed,
+   under MULTILVLPAD (which intra-pads APPSP's U on the Alpha model at
+   this size) and, for APPBT, with every array intra-padded; they and a
+   4-row matmul tile go through the walker's two-loop segments at a high
+   L1 miss ratio. *)
 let l1_aligned machine layout =
   let l1 = (List.hd machine.Cs.Machine.geometries).Cs.Level.size in
   List.fold_left
@@ -202,6 +304,12 @@ let test_kernel_equivalence () =
     Locality.Pipeline.layout_for machine Locality.Pipeline.Pad_multilevel
   in
   let aligned machine program = l1_aligned machine (Layout.initial program) in
+  let intra_padded _ program =
+    List.fold_left
+      (fun layout name -> Layout.set_intra_pad layout name 3)
+      (Layout.initial program)
+      (Layout.array_names (Layout.initial program))
+  in
   let cases =
     [
       ("jacobi64", Mlc_kernels.Livermore.jacobi 64, initial);
@@ -213,6 +321,14 @@ let test_kernel_equivalence () =
       ("buk2048 L1-aligned", Mlc_kernels.Nas.buk 2048, aligned);
       ("cgm2048 multilvlpad", Mlc_kernels.Nas.cgm 2048, multilvlpad);
       ("cgm2048 L1-aligned", Mlc_kernels.Nas.cgm 2048, aligned);
+      ("appbt16", Mlc_kernels.Nas.bt 16, initial);
+      ("appbt16 multilvlpad", Mlc_kernels.Nas.bt 16, multilvlpad);
+      ("appbt12 intra-padded", Mlc_kernels.Nas.bt 12, intra_padded);
+      ("applu16", Mlc_kernels.Nas.lu 16, initial);
+      ("applu16 multilvlpad", Mlc_kernels.Nas.lu 16, multilvlpad);
+      ("appsp16", Mlc_kernels.Nas.sp 16, initial);
+      ("appsp16 multilvlpad", Mlc_kernels.Nas.sp 16, multilvlpad);
+      ("tiled matmul 4-row tile", Locality.Tiling.tiled_matmul ~n:48 ~h:4 ~w:40, initial);
     ]
   in
   List.iter
@@ -238,7 +354,15 @@ let () =
             prop_trace_equivalence;
             prop_block_equivalence;
             prop_ping_pong;
+            prop_rows;
           ] );
+      ( "rows",
+        [
+          Alcotest.test_case "more L1 misses than the batch holds" `Quick
+            test_rows_overflow_batch;
+          Alcotest.test_case "outer_strides length mismatch" `Quick
+            test_rows_length_mismatch;
+        ] );
       ( "kernels",
         [ Alcotest.test_case "Interp fast = reference" `Quick test_kernel_equivalence ] );
     ]

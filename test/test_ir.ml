@@ -386,6 +386,62 @@ let test_walker_downward_and_flat () =
   check_int "zero-depth body issues each ref once" 2
     (Array.length (Interp.trace layout (Program.make ~time_steps:1 "f" [ a ] [ flat ])))
 
+(* The walker hands the two innermost loops to the sink as one segment
+   when the innermost bounds leave the next-outer variable alone, and
+   falls back to one row per call when they mention it.  Both shapes are
+   checked against the naive evaluator, and both backends against each
+   other. *)
+let test_walker_two_loop () =
+  let a = Array_decl.make "A" [ 12; 12; 8 ] in
+  let i = Expr.var "i" and j = Expr.var "j" and k = Expr.var "k" in
+  let body =
+    [
+      Stmt.make
+        [
+          Ref_.read_a "A" [ Expr.add i (Expr.const 1); j; k ];
+          Ref_.read_a "A" [ j; i; k ];
+          Ref_.write_a "A" [ i; j; k ];
+        ];
+    ]
+  in
+  let c = Expr.const in
+  let check name loops =
+    let p = Program.make ~time_steps:2 name [ a ] [ Nest.make loops body ] in
+    let layout = Layout.set_intra_pad (Layout.initial p) "A" 1 in
+    check_walker name layout p;
+    List.iter
+      (fun machine ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: fast = reference on %s" name machine.Cs.Machine.name)
+          true
+          (Interp.run ~backend:`Reference machine layout p
+          = Interp.run ~backend:`Fast machine layout p))
+      [ Cs.Machine.ultrasparc; Cs.Machine.alpha21164 ]
+  in
+  (* innermost bounds mention k, the outermost variable: no trip while
+     k < 2, two-loop segments over (j, i) otherwise *)
+  check "innermost bound on the outermost variable"
+    [
+      Loop.range "k" 0 5;
+      Loop.range "j" 0 4;
+      Loop.make "i" ~lo:(c 0) ~hi:(Expr.sub k (c 2));
+    ];
+  (* the same with a downward row loop, an innermost step and a clamp on k *)
+  check "downward rows, clamped inner loop"
+    [
+      Loop.range "k" 0 5;
+      Loop.make ~step:(-2) "j" ~lo:(c 9) ~hi:(c 1);
+      Loop.make ~step:2 "i" ~lo:(c 0) ~lo_max:(Expr.sub k (c 1)) ~hi:(c 9)
+        ~hi_min:(Expr.add k k);
+    ];
+  (* a [hi_min] clamp on j, the next-outer variable: one row per call *)
+  check "innermost clamp on the next-outer variable"
+    [
+      Loop.range "k" 0 3;
+      Loop.range "j" 0 6;
+      Loop.make "i" ~lo:(c 0) ~hi:(c 9) ~hi_min:(Expr.add j (c 2));
+    ]
+
 (* Property: the fast interpreter and the naive trace agree on miss counts
    for random small programs. *)
 let random_program =
@@ -491,6 +547,8 @@ let () =
           Alcotest.test_case "tiled matmul = naive" `Quick test_walker_tiled_matmul;
           Alcotest.test_case "downward and zero-depth = naive" `Quick
             test_walker_downward_and_flat;
+          Alcotest.test_case "two-loop segments and one-row fallback = naive" `Quick
+            test_walker_two_loop;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
