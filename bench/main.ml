@@ -10,11 +10,8 @@
    content-addressed result cache, so re-runs are nearly free and
    `--jobs N` scales the sweep across cores.  Results are merged in
    submission order, so stdout is byte-identical for any job count; all
-   timing and progress output goes to stderr.
-
-     --jobs N     worker domains (default: the machine's core count)
-     --no-cache   bypass the on-disk result cache
-     --cache-dir D  cache directory (default _mlc_cache, or MLC_CACHE_DIR)
+   timing and progress output goes to stderr.  The options are the ones
+   `mlc` uses (lib/cli); `bench/main.exe --help` lists them.
 
    Sections:
      table1   - the program inventory (Table 1)
@@ -44,6 +41,7 @@ module K = Mlc_kernels
 module L = Locality
 module E = Mlc_engine
 module Obs = Mlc_obs.Obs
+module Cli = Mlc_cli.Cli
 
 let machine = Cs.Machine.ultrasparc
 
@@ -51,16 +49,13 @@ let fast = ref false
 
 (* --- engine context ----------------------------------------------------- *)
 
-let jobs = ref (E.Pool.default_jobs ())
+(* Set once from the command line before any section runs. *)
+let jobs = ref 1
 
 (* Simulator backend for every submitted job (--backend).  Fast is the
    default; the differential suite and the fastsim section hold the two
    backends to identical results. *)
 let backend = ref `Fast
-
-let use_cache = ref true
-
-let cache_dir = ref None
 
 (* Per-job retry budget (--retries); transient failures back off and
    retry, surfacing in the engine.retries counter. *)
@@ -74,25 +69,20 @@ let progress = ref None
    engine merges per-job buffers into it deterministically. *)
 let obs : Obs.Buf.t option ref = ref None
 
-let trace_path : string option ref = ref None
-
-let want_metrics = ref false
-
 let submit specs =
   E.Engine.run ?cache:!cache ?progress:!progress ?obs:!obs
     ~retry:(E.Fault.policy ~retries:!retries ()) ~jobs:!jobs
     (Array.of_list
        (List.map (fun spec -> { spec with E.Job.backend = !backend }) specs))
 
-(* Adapter: engine results into the reporting helpers' outcome type. *)
-let outcome label (r : E.Job.result) =
-  { L.Experiment.label; result = r.E.Job.interp }
-
+(* Per-level miss rate in percent (level 0 = L1). *)
 let mrate (r : E.Job.result) level =
-  L.Experiment.miss_rate_pct (outcome "" r) level
+  100.0 *. List.nth r.E.Job.interp.Interp.miss_rates level
 
-let dtime ~baseline r =
-  L.Experiment.time_improvement ~baseline:(outcome "" baseline) (outcome "" r)
+(* Model-time improvement (percent, positive = faster) over [baseline]. *)
+let dtime ~baseline (r : E.Job.result) =
+  Cs.Cost_model.improvement ~orig:baseline.E.Job.interp.Interp.cycles
+    ~opt:r.E.Job.interp.Interp.cycles
 
 let strategy s = E.Job.Strategy s
 
@@ -982,77 +972,6 @@ let default_sections =
     (fun (name, _) -> name <> "bechamel" && name <> "fastsim")
     sections
 
-let usage () =
-  Printf.eprintf
-    "usage: main.exe [fast] [--jobs N] [--retries N] [--no-cache] \
-     [--cache-dir DIR] [--backend fast|reference] [--trace FILE] \
-     [--metrics] [SECTION...]\n\
-     sections: %s\n"
-    (String.concat ", " (List.map fst sections))
-
-let parse_args args =
-  let wanted = ref [] in
-  let parse_jobs n =
-    match int_of_string_opt n with
-    | Some n -> max 1 n
-    | None ->
-        Printf.eprintf "--jobs expects a number, got %S\n" n;
-        usage ();
-        exit 2
-  in
-  let rec go = function
-    | [] -> ()
-    | "--" :: rest -> go rest
-    | "fast" :: rest ->
-        fast := true;
-        go rest
-    | "--jobs" :: n :: rest ->
-        jobs := parse_jobs n;
-        go rest
-    | "--retries" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some n when n >= 0 -> retries := n
-        | _ ->
-            Printf.eprintf "--retries expects a non-negative number, got %S\n" n;
-            usage ();
-            exit 2);
-        go rest
-    | "--no-cache" :: rest ->
-        use_cache := false;
-        go rest
-    | "--cache-dir" :: d :: rest ->
-        cache_dir := Some d;
-        go rest
-    | "--trace" :: f :: rest ->
-        trace_path := Some f;
-        go rest
-    | "--metrics" :: rest ->
-        want_metrics := true;
-        go rest
-    | "--backend" :: b :: rest ->
-        (match Mlc_ir.Interp.backend_of_string b with
-        | Some be -> backend := be
-        | None ->
-            Printf.eprintf "--backend expects fast or reference, got %S\n" b;
-            usage ();
-            exit 2);
-        go rest
-    | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-        jobs := parse_jobs (String.sub arg 7 (String.length arg - 7));
-        go rest
-    | arg :: rest ->
-        (match List.assoc_opt arg sections with
-        | Some f -> wanted := (arg, f) :: !wanted
-        | None ->
-            Printf.eprintf "unknown section %s (known: %s)\n" arg
-              (String.concat ", " (List.map fst sections));
-            usage ();
-            exit 2);
-        go rest
-  in
-  go args;
-  List.rev !wanted
-
 let json_path = "BENCH_engine.json"
 
 let dump_json section_times =
@@ -1091,7 +1010,7 @@ let dump_json section_times =
           ( "backend",
             Printf.sprintf "\"%s\"" (Mlc_ir.Interp.backend_name !backend) );
           ("jobs", string_of_int !jobs);
-          ("cache", string_of_bool !use_cache);
+          ("cache", string_of_bool (Option.is_some !cache));
           ( "models_version",
             Printf.sprintf "\"%s\""
               (E.Progress.json_escape
@@ -1105,15 +1024,21 @@ let dump_json section_times =
       output_string oc (E.Progress.to_json ~extra p);
       close_out oc
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let wanted = parse_args args in
-  fast := !fast || Sys.getenv_opt "MLC_FAST" <> None;
+let main words jobs' backend' retries' cache' obs_flags =
+  fast := List.mem "fast" words || Sys.getenv_opt "MLC_FAST" <> None;
+  let wanted =
+    List.filter_map
+      (fun w -> if w = "fast" then None else Some (w, List.assoc w sections))
+      words
+  in
   let to_run = if wanted = [] then default_sections else wanted in
-  if !use_cache then cache := Some (E.Cache.open_ ?dir:!cache_dir ());
+  jobs := jobs';
+  backend := backend';
+  retries := retries';
+  cache := cache';
   progress := Some (E.Progress.create ~jobs:!jobs ());
-  if !trace_path <> None || !want_metrics then
-    obs := Some (Obs.Buf.create ~tid:0 ());
+  Cli.with_obs ~span:"bench" obs_flags @@ fun buf ->
+  obs := buf;
   Printf.printf "mlcache bench harness — %s mode\n"
     (if !fast then "fast" else "full");
   Printf.eprintf "engine: %d worker domain%s, cache %s\n%!" !jobs
@@ -1122,21 +1047,14 @@ let () =
     | Some c ->
         Printf.sprintf "%s (models %s)" (E.Cache.dir c) (E.Cache.version c)
     | None -> "disabled");
-  let run_section name f =
-    (* With observability on, the section runs inside the shared buffer
-       under a "section:NAME" span; the engine's per-job buffers merge
-       into the same buffer, so one trace covers the whole run. *)
-    match !obs with
-    | None -> f ()
-    | Some buf ->
-        Obs.with_buf buf (fun () ->
-            Obs.with_span ~cat:"bench" ("section:" ^ name) f)
-  in
   let section_times =
     List.map
       (fun (name, f) ->
         let t0 = Unix.gettimeofday () in
-        run_section name f;
+        (* With observability on, the engine's per-job buffers merge into
+           the run's buffer under this span, so one trace covers the whole
+           run. *)
+        Obs.with_span ~cat:"bench" ("section:" ^ name) f;
         let wall = Unix.gettimeofday () -. t0 in
         Option.iter E.Progress.finish !progress;
         Printf.eprintf "[%s done in %.1fs]\n%!" name wall;
@@ -1154,21 +1072,31 @@ let () =
         (float_of_int (E.Progress.refs_streamed p))
         (E.Progress.jobs_per_sec p)
   | None -> ());
-  dump_json section_times;
-  match !obs with
-  | None -> ()
-  | Some buf ->
-      (match !trace_path with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          Obs.Sink.write (Obs.Sink.chrome oc) buf;
-          close_out oc;
-          Printf.eprintf "trace: %d events -> %s\n%!" (Obs.Buf.n_events buf)
-            path);
-      if !want_metrics then begin
-        print_string "metrics:\n";
-        List.iter
-          (fun (name, v) -> Printf.printf "  %-36s %d\n" name v)
-          (Obs.Buf.counters buf)
-      end
+  dump_json section_times
+
+let () =
+  let open Cmdliner in
+  let sections_arg =
+    let doc =
+      Printf.sprintf
+        "$(b,fast) (reduced sweeps; also set by MLC_FAST) and the sections \
+         to run, in order: %s.  Default: every section except bechamel and \
+         fastsim."
+        (String.concat ", " (List.map fst sections))
+    in
+    let words = List.map (fun w -> (w, w)) ("fast" :: List.map fst sections) in
+    Arg.(value & pos_all (enum words) [] & info [] ~docv:"SECTION" ~doc)
+  in
+  (* `main.exe -- fast ...`, the form `dune exec` documents, also works
+     when the binary is run directly. *)
+  let argv =
+    match Array.to_list Sys.argv with
+    | exe :: "--" :: rest -> Array.of_list (exe :: rest)
+    | _ -> Sys.argv
+  in
+  Cli.eval ~argv
+    (Cmd.v
+       (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures.")
+       Term.(
+         const main $ sections_arg $ Cli.jobs [ "jobs" ] $ Cli.backend
+         $ Cli.retries $ Cli.cache $ Cli.obs))

@@ -15,33 +15,10 @@ module Cs = Mlc_cachesim
 module An = Mlc_analysis
 module K = Mlc_kernels
 module L = Locality
-module Obs = Mlc_obs.Obs
+module E = Mlc_engine
+module Cli = Mlc_cli.Cli
 
 (* --- shared args -------------------------------------------------------- *)
-
-let machine_of = function
-  | "ultrasparc" -> Cs.Machine.ultrasparc
-  | "alpha" -> Cs.Machine.alpha21164
-  | other -> failwith (Printf.sprintf "unknown machine %s (ultrasparc|alpha)" other)
-
-let machine_arg =
-  let doc = "Cache machine: ultrasparc (16K/512K) or alpha (8K/128K/2M)." in
-  Arg.(value & opt string "ultrasparc" & info [ "machine" ] ~docv:"M" ~doc)
-
-let strategy_of = function
-  | "orig" -> L.Pipeline.Original
-  | "pad" -> L.Pipeline.Pad_l1
-  | "multilvlpad" -> L.Pipeline.Pad_multilevel
-  | "grouppad" -> L.Pipeline.Grouppad_l1
-  | "l2maxpad" -> L.Pipeline.Grouppad_l1_l2
-  | other ->
-      failwith
-        (Printf.sprintf
-           "unknown strategy %s (orig|pad|multilvlpad|grouppad|l2maxpad)" other)
-
-let strategy_arg =
-  let doc = "Layout strategy: orig, pad, multilvlpad, grouppad, l2maxpad." in
-  Arg.(value & opt string "pad" & info [ "strategy"; "s" ] ~docv:"S" ~doc)
 
 let prog_arg =
   let doc = "Benchmark program name from Table 1 (see `mlc list`)." in
@@ -49,57 +26,31 @@ let prog_arg =
 
 let size_arg =
   let doc = "Override the problem size." in
-  Arg.(value & opt (some int) None & info [ "n"; "size" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some Cli.pos_int) None & info [ "n"; "size" ] ~docv:"N" ~doc)
 
-let build_program name size =
-  let entry = K.Registry.find name in
-  match (size, entry.K.Registry.build_sized) with
-  | Some n, Some f -> f n
-  | Some _, None ->
-      failwith (Printf.sprintf "%s has no size parameter" entry.K.Registry.name)
-  | None, _ -> entry.K.Registry.build ()
+let build_program name n = E.Job.build_program (E.Job.Registry { name; n })
 
-(* --- observability flags -------------------------------------------------- *)
+(* --- simulation rows (simulate, run, fuse) --------------------------------- *)
 
-let trace_arg =
-  let doc =
-    "Write a Chrome trace_event JSON file of the run (spans, decision \
-     events, counters); load it in perfetto or chrome://tracing, or \
-     validate it with $(b,mlc trace-check)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+let simulate machine strategy p =
+  Interp.run machine (L.Pipeline.layout_for machine strategy p) p
 
-let metrics_arg =
-  let doc = "Print the observability counters after the run." in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
+let pp_row label ppf (r : Interp.result) =
+  Format.fprintf ppf "%-28s refs=%-10d" label r.Interp.total_refs;
+  List.iteri
+    (fun i rate -> Format.fprintf ppf " L%d=%5.2f%%" (i + 1) (100.0 *. rate))
+    r.Interp.miss_rates;
+  Format.fprintf ppf " cycles=%.3e mflops=%.1f" r.Interp.cycles r.Interp.mflops
 
-(* Run [body] with an observability buffer installed when --trace or
-   --metrics asked for one, then write the trace file and/or print the
-   counters.  The metrics block goes to stdout (it is part of the
-   command's result); everything incidental stays on stderr. *)
-let with_obs ~span ~trace ~metrics body =
-  if trace = None && not metrics then body None
-  else begin
-    let buf = Obs.Buf.create ~tid:0 () in
-    let result =
-      Obs.with_buf buf (fun () ->
-          Obs.with_span ~cat:"cli" span (fun () -> body (Some buf)))
-    in
-    (match trace with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        Obs.Sink.write (Obs.Sink.chrome oc) buf;
-        close_out oc;
-        Printf.eprintf "trace: %d events -> %s\n%!" (Obs.Buf.n_events buf) path);
-    if metrics then begin
-      print_string "metrics:\n";
-      List.iter
-        (fun (name, v) -> Printf.printf "  %-36s %d\n" name v)
-        (Obs.Buf.counters buf)
-    end;
-    result
-  end
+(* The original layout against [strategy], on the reference backend. *)
+let compare_to_original machine strategy p =
+  let orig = simulate machine L.Pipeline.Original p in
+  let opt = simulate machine strategy p in
+  Format.printf "%s on %s@." p.Program.name machine.Cs.Machine.name;
+  Format.printf "  %a@." (pp_row (L.Pipeline.strategy_name L.Pipeline.Original)) orig;
+  Format.printf "  %a@." (pp_row (L.Pipeline.strategy_name strategy)) opt;
+  Format.printf "  model-time improvement: %.2f%%@."
+    (Cs.Cost_model.improvement ~orig:orig.Interp.cycles ~opt:opt.Interp.cycles)
 
 (* --- list ---------------------------------------------------------------- *)
 
@@ -118,23 +69,14 @@ let list_cmd =
 (* --- simulate ------------------------------------------------------------- *)
 
 let simulate_cmd =
-  let run prog size strategy machine_name trace metrics =
-    with_obs ~span:("mlc:simulate " ^ prog) ~trace ~metrics @@ fun _obs ->
-    let machine = machine_of machine_name in
+  let run prog size strategy machine obs =
+    Cli.with_obs ~span:("mlc:simulate " ^ prog) obs @@ fun _obs ->
     let p = build_program prog size in
     Validate.check_exn p;
-    let orig = L.Experiment.run_strategy machine L.Pipeline.Original p in
-    let opt = L.Experiment.run_strategy machine (strategy_of strategy) p in
-    Format.printf "%s on %s@." p.Program.name machine.Cs.Machine.name;
-    Format.printf "  %a@." L.Experiment.pp_outcome orig;
-    Format.printf "  %a@." L.Experiment.pp_outcome opt;
-    Format.printf "  model-time improvement: %.2f%%@."
-      (L.Experiment.time_improvement ~baseline:orig opt)
+    compare_to_original machine strategy p
   in
   let term =
-    Term.(
-      const run $ prog_arg $ size_arg $ strategy_arg $ machine_arg $ trace_arg
-      $ metrics_arg)
+    Term.(const run $ prog_arg $ size_arg $ Cli.strategy $ Cli.machine $ Cli.obs)
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -144,12 +86,11 @@ let simulate_cmd =
 (* --- sweep ----------------------------------------------------------------- *)
 
 let sweep_cmd =
-  let module E = Mlc_engine in
   let lo_arg =
-    Arg.(value & opt int 250 & info [ "lo" ] ~docv:"N" ~doc:"Smallest size.")
+    Arg.(value & opt Cli.pos_int 250 & info [ "lo" ] ~docv:"N" ~doc:"Smallest size.")
   in
   let hi_arg =
-    Arg.(value & opt int 520 & info [ "hi" ] ~docv:"N" ~doc:"Largest size.")
+    Arg.(value & opt Cli.pos_int 520 & info [ "hi" ] ~docv:"N" ~doc:"Largest size.")
   in
   let step_arg =
     Arg.(value & opt int 10 & info [ "step" ] ~docv:"S" ~doc:"Size step.")
@@ -158,30 +99,13 @@ let sweep_cmd =
     let doc =
       "Comma-separated strategies (orig,pad,multilvlpad,grouppad,l2maxpad)."
     in
-    Arg.(value & opt string "grouppad,l2maxpad"
+    Arg.(value
+         & opt (list (enum E.Job.strategies))
+             [ L.Pipeline.Grouppad_l1; L.Pipeline.Grouppad_l1_l2 ]
          & info [ "strategies" ] ~docv:"S,S" ~doc)
   in
-  let jobs_arg =
-    let doc = "Worker domains (default: the machine's core count)." in
-    Arg.(value & opt int (E.Pool.default_jobs ()) & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
-  let no_cache_arg =
-    Arg.(value & flag & info [ "no-cache" ] ~doc:"Bypass the on-disk result cache.")
-  in
-  let cache_dir_arg =
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Cache directory (default _mlc_cache, or MLC_CACHE_DIR).")
-  in
-  let backend_arg =
-    Arg.(value & opt string "fast"
-         & info [ "backend" ] ~docv:"B"
-             ~doc:"Simulator backend: $(b,fast) (default) or $(b,reference). \
-                   Both produce identical results; fast bulk-accounts \
-                   steady runs of L1 hits.")
-  in
   let error_policy_arg =
-    Arg.(value & opt string "fail-fast"
+    Arg.(value & opt (enum [ ("fail-fast", true); ("collect", false) ]) true
          & info [ "error-policy" ] ~docv:"P"
              ~doc:"$(b,fail-fast) (default): the first failing cell aborts \
                    the sweep.  $(b,collect): every cell runs, failed cells \
@@ -193,12 +117,6 @@ let sweep_cmd =
              ~doc:"Resume an interrupted sweep: re-run only the cells the \
                    result cache does not already hold (requires the cache).")
   in
-  let retries_arg =
-    Arg.(value & opt int 0
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Retry a failing cell up to N times with exponential \
-                   backoff before recording it as failed.")
-  in
   let deadline_arg =
     Arg.(value & opt (some float) None
          & info [ "deadline" ] ~docv:"SECONDS"
@@ -206,56 +124,26 @@ let sweep_cmd =
                    timeout and fails (detected after the attempt, not \
                    preempted).")
   in
-  let run prog lo hi step strategies machine_name jobs no_cache cache_dir
-      backend_name error_policy resume retries deadline trace metrics =
-    with_obs
-      ~span:(Printf.sprintf "mlc:sweep %s %d..%d" prog lo hi)
-      ~trace ~metrics
+  let run prog lo hi step strategies machine_spec jobs cache backend fail_fast
+      resume retries deadline obs =
+    Cli.with_obs ~span:(Printf.sprintf "mlc:sweep %s %d..%d" prog lo hi) obs
     @@ fun obs ->
-    let machine = machine_of machine_name in
-    let strategies =
-      String.split_on_char ',' strategies
-      |> List.filter (fun s -> s <> "")
-      |> List.map E.Job.strategy_of_tag
-    in
-    if strategies = [] then failwith "sweep: no strategies given";
-    let fail_fast =
-      match error_policy with
-      | "fail-fast" -> true
-      | "collect" -> false
-      | other ->
-          failwith
-            (Printf.sprintf "unknown error policy %s (fail-fast|collect)" other)
-    in
-    if resume && no_cache then
-      failwith "sweep: --resume needs the result cache (drop --no-cache)";
+    let machine = E.Job.build_machine machine_spec in
+    if strategies = [] then raise (E.Job.Spec_error "sweep: no strategies given");
+    if resume && Option.is_none cache then
+      raise (E.Job.Spec_error "sweep: --resume needs the result cache (drop --no-cache)");
     let rec sizes n = if n > hi then [] else n :: sizes (n + max 1 step) in
     let sizes = sizes lo in
-    let entry =
-      match K.Registry.find_opt prog with
-      | Some e -> e
-      | None ->
-          failwith (Printf.sprintf "unknown program %s (see `mlc list`)" prog)
-    in
-    if entry.K.Registry.build_sized = None then
-      failwith (Printf.sprintf "%s has no size parameter" entry.K.Registry.name);
-    let backend =
-      match Mlc_ir.Interp.backend_of_string backend_name with
-      | Some b -> b
-      | None ->
-          failwith
-            (Printf.sprintf "unknown backend %s (fast|reference)" backend_name)
-    in
-    let cache = if no_cache then None else Some (E.Cache.open_ ?dir:cache_dir ()) in
+    (* an unknown or unsized program fails here, before any cell runs *)
+    ignore (build_program prog (Some lo));
+    let entry = K.Registry.find prog in
     let progress = E.Progress.create ~jobs () in
     let specs =
       List.concat_map
         (fun n ->
           List.map
             (fun s ->
-              E.Job.simulate
-                ~machine:(E.Job.machine machine_name)
-                ~backend
+              E.Job.simulate ~machine:machine_spec ~backend
                 ~layout:(E.Job.Strategy s)
                 (E.Job.Registry { name = entry.K.Registry.name; n = Some n }))
             strategies)
@@ -397,9 +285,8 @@ let sweep_cmd =
   let term =
     Term.(
       const run $ prog_arg $ lo_arg $ hi_arg $ step_arg $ strategies_arg
-      $ machine_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg $ backend_arg
-      $ error_policy_arg $ resume_arg $ retries_arg $ deadline_arg
-      $ trace_arg $ metrics_arg)
+      $ Cli.machine_spec $ Cli.jobs [ "jobs"; "j" ] $ Cli.cache $ Cli.backend
+      $ error_policy_arg $ resume_arg $ Cli.retries $ deadline_arg $ Cli.obs)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -412,18 +299,18 @@ let sweep_cmd =
 (* --- layout ---------------------------------------------------------------- *)
 
 let layout_cmd =
-  let run prog size strategy machine_name =
-    let machine = machine_of machine_name in
+  let run prog size strategy machine =
     let p = build_program prog size in
-    let layout = L.Pipeline.layout_for machine (strategy_of strategy) p in
-    Format.printf "%s, strategy %s:@.%a" p.Program.name strategy Layout.pp layout;
+    let layout = L.Pipeline.layout_for machine strategy p in
+    Format.printf "%s, strategy %s:@.%a" p.Program.name (E.Job.strategy_tag strategy)
+      Layout.pp layout;
     let s1 = Cs.Machine.s1 machine in
     Format.printf "bases mod S1 (%d):@." s1;
     List.iter
       (fun v -> Format.printf "  %-10s %d@." v (Layout.base layout v mod s1))
       (Layout.array_names layout)
   in
-  let term = Term.(const run $ prog_arg $ size_arg $ strategy_arg $ machine_arg) in
+  let term = Term.(const run $ prog_arg $ size_arg $ Cli.strategy $ Cli.machine) in
   Cmd.v
     (Cmd.info "layout" ~doc:"Print the memory layout a strategy produces.")
     term
@@ -434,10 +321,9 @@ let arcs_cmd =
   let diagram_arg =
     Arg.(value & flag & info [ "diagram" ] ~doc:"Render ASCII layout diagrams.")
   in
-  let run prog size strategy machine_name diagram =
-    let machine = machine_of machine_name in
+  let run prog size strategy machine diagram =
     let p = build_program prog size in
-    let layout = L.Pipeline.layout_for machine (strategy_of strategy) p in
+    let layout = L.Pipeline.layout_for machine strategy p in
     let s1 = Cs.Machine.s1 machine in
     let line = Cs.Machine.level_line machine 0 in
     if diagram then
@@ -465,7 +351,7 @@ let arcs_cmd =
       p.Program.nests
   in
   let term =
-    Term.(const run $ prog_arg $ size_arg $ strategy_arg $ machine_arg $ diagram_arg)
+    Term.(const run $ prog_arg $ size_arg $ Cli.strategy $ Cli.machine $ diagram_arg)
   in
   Cmd.v
     (Cmd.info "arcs"
@@ -480,9 +366,14 @@ let fuse_cmd =
   let nest_arg =
     Arg.(value & opt int 0 & info [ "nest" ] ~docv:"I" ~doc:"Fuse nests I and I+1.")
   in
-  let run prog size nest_idx machine_name =
-    let machine = machine_of machine_name in
+  let run prog size nest_idx machine =
     let p = build_program prog size in
+    let n_nests = List.length p.Program.nests in
+    if nest_idx < 0 || nest_idx + 1 >= n_nests then
+      raise
+        (E.Job.Spec_error
+           (Printf.sprintf "invalid --nest %d: %s has %d nests (valid: 0..%d)"
+              nest_idx p.Program.name n_nests (n_nests - 2)));
     let fused = L.Fusion.fuse_program p nest_idx in
     let s1 = Cs.Machine.s1 machine in
     let layout_o = L.Pipeline.layout_for machine L.Pipeline.Grouppad_l1 p in
@@ -502,14 +393,12 @@ let fuse_cmd =
     Format.printf "original nests %d,%d: %a@." nest_idx (nest_idx + 1)
       An.Fusion_model.pp_counts co;
     Format.printf "fused:              %a@." An.Fusion_model.pp_counts cf;
-    let ro = L.Experiment.run_strategy machine L.Pipeline.Grouppad_l1_l2 p in
-    let rf = L.Experiment.run_strategy machine L.Pipeline.Grouppad_l1_l2 fused in
-    Format.printf "simulated: %a@.           %a@." L.Experiment.pp_outcome
-      { ro with L.Experiment.label = "original" }
-      L.Experiment.pp_outcome
-      { rf with L.Experiment.label = "fused" }
+    let ro = simulate machine L.Pipeline.Grouppad_l1_l2 p in
+    let rf = simulate machine L.Pipeline.Grouppad_l1_l2 fused in
+    Format.printf "simulated: %a@.           %a@." (pp_row "original") ro
+      (pp_row "fused") rf
   in
-  let term = Term.(const run $ prog_arg $ size_arg $ nest_arg $ machine_arg) in
+  let term = Term.(const run $ prog_arg $ size_arg $ nest_arg $ Cli.machine) in
   Cmd.v
     (Cmd.info "fuse"
        ~doc:"Fuse two adjacent nests and print the Section 4 accounting.")
@@ -519,10 +408,9 @@ let fuse_cmd =
 
 let tile_cmd =
   let n_arg =
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Matrix size.")
+    Arg.(required & pos 0 (some Cli.pos_int) None & info [] ~docv:"N" ~doc:"Matrix size.")
   in
-  let run n machine_name =
-    let machine = machine_of machine_name in
+  let run n machine =
     let elem = 8 in
     let l1 = Cs.Machine.s1 machine in
     let l2 = try Cs.Machine.level_size machine 1 with _ -> l1 in
@@ -553,7 +441,7 @@ let tile_cmd =
           t.L.Tile_size.height t.L.Tile_size.width r.Interp.mflops)
       policies
   in
-  let term = Term.(const run $ n_arg $ machine_arg) in
+  let term = Term.(const run $ n_arg $ Cli.machine) in
   Cmd.v
     (Cmd.info "tile"
        ~doc:"Compare tile-size policies on NxN matrix multiplication.")
@@ -566,19 +454,19 @@ let compile_cmd =
     Arg.(value & flag & info [ "scalar-replace" ]
            ~doc:"Also remove register-carried loads from the stream.")
   in
-  let run prog size machine_name scalar trace metrics =
-    with_obs ~span:("mlc:compile " ^ prog) ~trace ~metrics @@ fun _obs ->
-    let machine = machine_of machine_name in
+  let run prog size machine scalar obs =
+    Cli.with_obs ~span:("mlc:compile " ^ prog) obs @@ fun _obs ->
     let p = build_program prog size in
-    let options =
-      { L.Compiler.default_options with L.Compiler.scalar_replace = scalar }
+    let passes =
+      if scalar then
+        [ L.Pass.permute; L.Pass.fusion; L.Pass.scalar_replace ]
+        @ L.Pipeline.passes L.Pipeline.Grouppad_l1_l2
+      else L.Compiler.default_passes
     in
-    print_string (L.Compiler.report ~options machine p)
+    print_string (L.Compiler.report ~passes machine p)
   in
   let term =
-    Term.(
-      const run $ prog_arg $ size_arg $ machine_arg $ scalar_arg $ trace_arg
-      $ metrics_arg)
+    Term.(const run $ prog_arg $ size_arg $ Cli.machine $ scalar_arg $ Cli.obs)
   in
   Cmd.v
     (Cmd.info "compile"
@@ -595,26 +483,22 @@ let emit_cmd =
       "Output language: c (standalone C program), f77 (Fortran with the \
        layout realized in a COMMON block) or mlc (kernel language)."
     in
-    Arg.(value & opt string "c" & info [ "lang" ] ~docv:"L" ~doc)
+    Arg.(value & opt (enum [ ("c", `C); ("f77", `F77); ("mlc", `Mlc) ]) `C
+         & info [ "lang" ] ~docv:"L" ~doc)
   in
   let repeat_arg =
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R" ~doc:"Repetitions in the emitted main.")
   in
-  let run prog size strategy machine_name lang repeat =
-    let machine = machine_of machine_name in
+  let run prog size strategy machine lang repeat =
     let p = build_program prog size in
+    let layout () = L.Pipeline.layout_for machine strategy p in
     match lang with
-    | "mlc" -> print_string (Pretty.program p)
-    | "c" ->
-        let layout = L.Pipeline.layout_for machine (strategy_of strategy) p in
-        print_string (Mlc_codegen.Codegen_c.emit ~repeat layout p)
-    | "f77" ->
-        let layout = L.Pipeline.layout_for machine (strategy_of strategy) p in
-        print_string (Mlc_codegen.Codegen_f77.emit layout p)
-    | other -> failwith (Printf.sprintf "unknown language %s (c|f77|mlc)" other)
+    | `Mlc -> print_string (Pretty.program p)
+    | `C -> print_string (Mlc_codegen.Codegen_c.emit ~repeat (layout ()) p)
+    | `F77 -> print_string (Mlc_codegen.Codegen_f77.emit (layout ()) p)
   in
   let term =
-    Term.(const run $ prog_arg $ size_arg $ strategy_arg $ machine_arg $ lang_arg
+    Term.(const run $ prog_arg $ size_arg $ Cli.strategy $ Cli.machine $ lang_arg
           $ repeat_arg)
   in
   Cmd.v
@@ -667,22 +551,14 @@ let run_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"Kernel-language source file.")
   in
-  let run file strategy machine_name =
-    let machine = machine_of machine_name in
+  let run file strategy machine =
     match Mlc_frontend.Parser.parse_file file with
     | exception Mlc_frontend.Parser.Error (msg, line, col) ->
         Printf.eprintf "%s:%d:%d: %s\n" file line col msg;
         exit 1
-    | p ->
-        let orig = L.Experiment.run_strategy machine L.Pipeline.Original p in
-        let opt = L.Experiment.run_strategy machine (strategy_of strategy) p in
-        Format.printf "%s on %s@." p.Program.name machine.Cs.Machine.name;
-        Format.printf "  %a@." L.Experiment.pp_outcome orig;
-        Format.printf "  %a@." L.Experiment.pp_outcome opt;
-        Format.printf "  model-time improvement: %.2f%%@."
-          (L.Experiment.time_improvement ~baseline:orig opt)
+    | p -> compare_to_original machine strategy p
   in
-  let term = Term.(const run $ file_arg $ strategy_arg $ machine_arg) in
+  let term = Term.(const run $ file_arg $ Cli.strategy $ Cli.machine) in
   Cmd.v
     (Cmd.info "run"
        ~doc:
@@ -723,12 +599,6 @@ let trace_check_cmd =
 (* --- cache (maintenance) ------------------------------------------------------ *)
 
 let cache_cmd =
-  let module E = Mlc_engine in
-  let cache_dir_arg =
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Cache directory (default _mlc_cache, or MLC_CACHE_DIR).")
-  in
   let stats_cmd =
     let run dir =
       let c = E.Cache.open_ ?dir () in
@@ -743,7 +613,7 @@ let cache_cmd =
     Cmd.v
       (Cmd.info "stats"
          ~doc:"Entry, quarantine and stale-temp-file counts for the cache.")
-      Term.(const run $ cache_dir_arg)
+      Term.(const run $ Cli.cache_dir)
   in
   let verify_cmd =
     let run dir =
@@ -759,7 +629,7 @@ let cache_cmd =
          ~doc:
            "Read every cache entry and quarantine the damaged ones; exits \
             non-zero when any entry was damaged.")
-      Term.(const run $ cache_dir_arg)
+      Term.(const run $ Cli.cache_dir)
   in
   let gc_cmd =
     let all_arg =
@@ -779,7 +649,7 @@ let cache_cmd =
          ~doc:
            "Remove stale temp files and quarantined entries; with $(b,--all), \
             empty the cache.")
-      Term.(const run $ cache_dir_arg $ all_arg)
+      Term.(const run $ Cli.cache_dir $ all_arg)
   in
   Cmd.group
     (Cmd.info "cache"
@@ -797,4 +667,4 @@ let () =
     Cmd.group info
       [ list_cmd; simulate_cmd; sweep_cmd; layout_cmd; arcs_cmd; fuse_cmd; tile_cmd; run_cmd; curve_cmd; emit_cmd; compile_cmd; trace_check_cmd; cache_cmd ]
   in
-  exit (Cmd.eval group)
+  Cli.eval group

@@ -65,8 +65,9 @@ let () =
   Printf.printf
     "\nEXPL: fused nests 76+77 with an alignment shift; program now has %d nests\n"
     (List.length fused_expl.Program.nests);
-  let ro = L.Experiment.run_strategy machine L.Pipeline.Grouppad_l1_l2 expl in
-  let rf = L.Experiment.run_strategy machine L.Pipeline.Grouppad_l1_l2 fused_expl in
-  Printf.printf "EXPL memory accesses: %d -> %d\n"
-    ro.L.Experiment.result.Interp.memory_accesses
-    rf.L.Experiment.result.Interp.memory_accesses
+  let run_l2maxpad p =
+    run p (L.Pipeline.layout_for machine L.Pipeline.Grouppad_l1_l2 p)
+  in
+  let ro = run_l2maxpad expl and rf = run_l2maxpad fused_expl in
+  Printf.printf "EXPL memory accesses: %d -> %d\n" ro.Interp.memory_accesses
+    rf.Interp.memory_accesses

@@ -7,72 +7,29 @@ type result = {
   log : string list;
 }
 
-type options = {
-  permute : bool;
-  fuse : bool;
-  pad_strategy : Pipeline.strategy;
-  scalar_replace : bool;
-}
+let default_passes =
+  [ Pass.permute; Pass.fusion ] @ Pipeline.passes Pipeline.Grouppad_l1_l2
 
-let default_options =
-  {
-    permute = true;
-    fuse = true;
-    pad_strategy = Pipeline.Grouppad_l1_l2;
-    scalar_replace = false;
-  }
-
-let program_passes_of_options o =
-  (if o.permute then [ Pass.permute ] else [])
-  @ (if o.fuse then [ Pass.fusion ] else [])
-  @ if o.scalar_replace then [ Pass.scalar_replace ] else []
-
-let passes_of_options o =
-  program_passes_of_options o @ Pipeline.passes o.pad_strategy
-
-let default_passes = passes_of_options default_options
-
-let optimize ?(options = default_options) ?passes machine program =
+let optimize ?(passes = default_passes) machine program =
   let log = ref [] in
   let say fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
-  let layout_summary layout =
-    List.iter
-      (fun v ->
-        let pad = Layout.pad_before layout v in
-        let intra = Layout.intra_pad layout v in
-        if pad > 0 || intra > 0 then
-          say "  %s: pad_before %dB%s" v pad
-            (if intra > 0 then Printf.sprintf ", column +%d elems" intra else ""))
-      (Layout.array_names layout)
+  let program, layout, events =
+    Pass.run_all machine passes (program, Layout.initial program)
   in
-  match passes with
-  | Some ps ->
-      (* Explicit pipeline: one threaded (program, layout) fold. *)
-      let program, layout, events =
-        Pass.run_all machine ps (program, Layout.initial program)
-      in
-      say "passes: %s"
-        (String.concat " -> " (List.map (fun p -> p.Pass.name) ps));
-      List.iter (fun e -> log := e.Pass.detail :: !log) events;
-      layout_summary layout;
-      { program; layout; log = List.rev !log }
-  | None ->
-      (* Legacy options shim: program passes, then the strategy's layout
-         passes via Pipeline.layout_for, logged in the historical
-         format. *)
-      let program, _, events =
-        Pass.run_all machine
-          (program_passes_of_options options)
-          (program, Layout.initial program)
-      in
-      List.iter (fun e -> log := e.Pass.detail :: !log) events;
-      let layout = Pipeline.layout_for machine options.pad_strategy program in
-      say "layout: %s" (Pipeline.strategy_name options.pad_strategy);
-      layout_summary layout;
-      { program; layout; log = List.rev !log }
+  say "passes: %s" (String.concat " -> " (List.map (fun p -> p.Pass.name) passes));
+  List.iter (fun e -> log := e.Pass.detail :: !log) events;
+  List.iter
+    (fun v ->
+      let pad = Layout.pad_before layout v in
+      let intra = Layout.intra_pad layout v in
+      if pad > 0 || intra > 0 then
+        say "  %s: pad_before %dB%s" v pad
+          (if intra > 0 then Printf.sprintf ", column +%d elems" intra else ""))
+    (Layout.array_names layout);
+  { program; layout; log = List.rev !log }
 
-let report ?options ?passes machine program =
-  let optimized = optimize ?options ?passes machine program in
+let report ?passes machine program =
+  let optimized = optimize ?passes machine program in
   let orig_layout = Layout.initial program in
   let r0 = Interp.run machine orig_layout program in
   let r1 = Interp.run machine optimized.layout optimized.program in

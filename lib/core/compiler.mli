@@ -10,12 +10,10 @@
     + optionally scalar replacement of register-carried loads.
 
     The pipeline is a composition of {!Pass.t} values: pass
-    [~passes:[...]] to run an arbitrary sequence, or use the legacy
-    {!options} record, which is translated to the equivalent pass list
-    ({!passes_of_options}).  Tiling is not applied blindly — it is
-    profitable for reduction-style nests like matrix multiplication, not
-    for the stencils that dominate the suite — so it stays an explicit
-    tool ({!Tiling}).
+    [~passes:[...]] to run an arbitrary sequence.  Tiling is not applied
+    blindly — it is profitable for reduction-style nests like matrix
+    multiplication, not for the stencils that dominate the suite — so it
+    stays an explicit tool ({!Tiling}).
 
     Every decision is logged; [optimize] never changes what the program
     computes (each pass is legality-checked). *)
@@ -28,40 +26,18 @@ type result = {
   log : string list;
 }
 
-(** Deprecated in favour of [~passes]; kept so existing callers
-    compile.  [optimize ~options] behaves exactly as it always did. *)
-type options = {
-  permute : bool;
-  fuse : bool;
-  pad_strategy : Pipeline.strategy;
-  scalar_replace : bool;
-}
-
-val default_options : options
-
-(** The {!Pass.t} list an {!options} record denotes: enabled program
-    passes in paper order, then [Pipeline.passes options.pad_strategy]. *)
-val passes_of_options : options -> Pass.t list
-
-(** [passes_of_options default_options] — the paper's default pipeline:
-    permute, fusion, intra-pad, GROUPPAD, L2MAXPAD. *)
+(** The paper's default pipeline: permute, fusion, then
+    [Pipeline.passes Grouppad_l1_l2] (intra-pad, GROUPPAD, L2MAXPAD). *)
 val default_passes : Pass.t list
 
-(** [optimize ?options ?passes machine program].  When [passes] is given
-    it wins over [options]: the list is folded over
-    [(program, Layout.initial program)] via {!Pass.run_all}. *)
+(** [optimize ?passes machine program] folds [passes] (default
+    {!default_passes}) over [(program, Layout.initial program)] via
+    {!Pass.run_all}.  The log lists the passes, every pass's decision,
+    then each padded array's [pad_before]. *)
 val optimize :
-  ?options:options ->
-  ?passes:Pass.t list ->
-  Mlc_cachesim.Machine.t ->
-  Program.t ->
-  result
+  ?passes:Pass.t list -> Mlc_cachesim.Machine.t -> Program.t -> result
 
 (** Convenience: simulate original vs optimized and report the paper's
     metrics (per-level miss rates and model-time improvement). *)
 val report :
-  ?options:options ->
-  ?passes:Pass.t list ->
-  Mlc_cachesim.Machine.t ->
-  Program.t ->
-  string
+  ?passes:Pass.t list -> Mlc_cachesim.Machine.t -> Program.t -> string

@@ -54,20 +54,16 @@ let simulate ?(machine = machine "ultrasparc") ?(predict = false) ?count
 (* Canonical serialization (the cache-key input)                      *)
 (* ----------------------------------------------------------------- *)
 
-let strategy_tag = function
-  | L.Pipeline.Original -> "orig"
-  | L.Pipeline.Pad_l1 -> "pad"
-  | L.Pipeline.Pad_multilevel -> "multilvlpad"
-  | L.Pipeline.Grouppad_l1 -> "grouppad"
-  | L.Pipeline.Grouppad_l1_l2 -> "l2maxpad"
+let strategies =
+  [
+    ("orig", L.Pipeline.Original);
+    ("pad", L.Pipeline.Pad_l1);
+    ("multilvlpad", L.Pipeline.Pad_multilevel);
+    ("grouppad", L.Pipeline.Grouppad_l1);
+    ("l2maxpad", L.Pipeline.Grouppad_l1_l2);
+  ]
 
-let strategy_of_tag = function
-  | "orig" -> L.Pipeline.Original
-  | "pad" -> L.Pipeline.Pad_l1
-  | "multilvlpad" -> L.Pipeline.Pad_multilevel
-  | "grouppad" -> L.Pipeline.Grouppad_l1
-  | "l2maxpad" -> L.Pipeline.Grouppad_l1_l2
-  | other -> spec_error "unknown strategy %S (orig|pad|multilvlpad|grouppad|l2maxpad)" other
+let strategy_tag s = fst (List.find (fun (_, s') -> s' = s) strategies)
 
 let rec program_string = function
   | Registry { name; n } ->
@@ -130,13 +126,17 @@ type result = {
 (* Execution                                                          *)
 (* ----------------------------------------------------------------- *)
 
-let base_machine = function
-  | "ultrasparc" -> Cs.Machine.ultrasparc
-  | "alpha" -> Cs.Machine.alpha21164
-  | other -> spec_error "unknown machine %S (ultrasparc|alpha)" other
+let machines =
+  [ ("ultrasparc", Cs.Machine.ultrasparc); ("alpha", Cs.Machine.alpha21164) ]
 
 let build_machine m =
-  let base = base_machine m.base in
+  let base =
+    match List.assoc_opt m.base machines with
+    | Some machine -> machine
+    | None ->
+        spec_error "unknown machine %S (%s)" m.base
+          (String.concat "|" (List.map fst machines))
+  in
   match m.assoc with
   | None | Some 1 -> base
   | Some k -> Cs.Machine.with_associativity k base

@@ -14,8 +14,8 @@ module Cs = Mlc_cachesim
 module An = Mlc_analysis
 module L = Locality
 
-(** Raised by {!execute} on an unresolvable spec (unknown benchmark,
-    machine or strategy name, bad nest index). *)
+(** Raised by {!execute} on an unresolvable spec (unknown benchmark or
+    machine name, bad nest index). *)
 exception Spec_error of string
 
 (** How to (re)build the program under test. *)
@@ -88,10 +88,27 @@ val canonical : spec -> string
 (** Short label for progress lines. *)
 val describe : spec -> string
 
+(** {2 Name tables}
+
+    The one mapping between command-line names and values; the CLI's
+    [--machine], [--strategy] and [--strategies] parse against these. *)
+
+(** Machine names ([machine_spec.base]) in presentation order. *)
+val machines : (string * Cs.Machine.t) list
+
+(** Strategy tags in presentation order ([orig], [pad], ...). *)
+val strategies : (string * L.Pipeline.strategy) list
+
 val strategy_tag : L.Pipeline.strategy -> string
 
-(** @raise Spec_error on an unknown tag. *)
-val strategy_of_tag : string -> L.Pipeline.strategy
+(** The machine a spec denotes.
+    @raise Spec_error on an unknown [base] *)
+val build_machine : machine_spec -> Cs.Machine.t
+
+(** The program a spec denotes.
+    @raise Spec_error on an unknown name or a size the program does not take
+    @raise Locality.Fusion.Illegal when a [Fused] spec has no legal shift *)
+val build_program : program_spec -> Program.t
 
 (** Everything a job produces, as plain data (safe to [Marshal]). *)
 type result = {

@@ -71,10 +71,9 @@ let test_accesses_preserved_without_scalar_replacement () =
 
 let test_options_disable_passes () =
   let p = K.Paper_examples.figure1 ~n:64 ~m:64 in
-  let options =
-    { L.Compiler.default_options with L.Compiler.permute = false; fuse = false }
-  in
-  let r = L.Compiler.optimize ~options machine p in
+  (* layout passes only: no permute, no fusion *)
+  let passes = L.Pipeline.passes L.Pipeline.Grouppad_l1_l2 in
+  let r = L.Compiler.optimize ~passes machine p in
   let nest = List.hd r.L.Compiler.program.Program.nests in
   Alcotest.(check (list string)) "loop order untouched" [ "j"; "i" ] (Nest.vars nest)
 

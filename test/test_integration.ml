@@ -14,13 +14,17 @@ let machine = Cs.Machine.ultrasparc
 
 let check_bool = Alcotest.(check bool)
 
-let miss_rate o level = L.Experiment.miss_rate_pct o level
+(* Simulate [p] under a layout strategy on the reference backend. *)
+let simulate strategy p =
+  Interp.run machine (L.Pipeline.layout_for machine strategy p) p
+
+let miss_rate (r : Interp.result) level = 100.0 *. List.nth r.Interp.miss_rates level
 
 let test_pad_improves_colliding_program () =
   (* Figure 2 program at the collision size: packed layout ping-pongs. *)
   let p = K.Paper_examples.figure2 256 in
-  let orig = L.Experiment.run_strategy machine L.Pipeline.Original p in
-  let pad = L.Experiment.run_strategy machine L.Pipeline.Pad_l1 p in
+  let orig = simulate L.Pipeline.Original p in
+  let pad = simulate L.Pipeline.Pad_l1 p in
   check_bool
     (Printf.sprintf "L1 misses drop (%.1f%% -> %.1f%%)" (miss_rate orig 0)
        (miss_rate pad 0))
@@ -31,9 +35,9 @@ let test_pad_improves_colliding_program () =
 
 let test_l1_opt_captures_most_l2_benefit () =
   let p = K.Paper_examples.figure2 256 in
-  let orig = L.Experiment.run_strategy machine L.Pipeline.Original p in
-  let l1 = L.Experiment.run_strategy machine L.Pipeline.Pad_l1 p in
-  let both = L.Experiment.run_strategy machine L.Pipeline.Pad_multilevel p in
+  let orig = simulate L.Pipeline.Original p in
+  let l1 = simulate L.Pipeline.Pad_l1 p in
+  let both = simulate L.Pipeline.Pad_multilevel p in
   (* the multi-level version must not hurt L1 *)
   check_bool "multi-level does not hurt L1" true
     (miss_rate both 0 <= miss_rate l1 0 +. 1.0);
@@ -50,10 +54,10 @@ let test_jacobi_simulation_sane () =
      packed layout ping-pongs (that is the paper's starting point).  After
      PAD the stencil should enjoy its unit-stride locality. *)
   let p = K.Livermore.jacobi 256 in
-  let orig = L.Experiment.run_strategy machine L.Pipeline.Original p in
+  let orig = simulate L.Pipeline.Original p in
   check_bool "refs counted" true
-    (orig.L.Experiment.result.Interp.total_refs = Program.ref_count p);
-  let pad = L.Experiment.run_strategy machine L.Pipeline.Pad_l1 p in
+    (orig.Interp.total_refs = Program.ref_count p);
+  let pad = simulate L.Pipeline.Pad_l1 p in
   check_bool
     (Printf.sprintf "packed ping-pongs (%.1f%%), PAD restores locality (%.1f%%)"
        (miss_rate orig 0) (miss_rate pad 0))
@@ -105,8 +109,8 @@ let test_grouppad_l2maxpad_on_expl () =
   (* A reduced EXPL still shows: GROUPPAD+L2MAXPAD never hurts L1 and
      does not increase L2 misses. *)
   let p = K.Livermore.expl 256 in
-  let l1 = L.Experiment.run_strategy machine L.Pipeline.Grouppad_l1 p in
-  let both = L.Experiment.run_strategy machine L.Pipeline.Grouppad_l1_l2 p in
+  let l1 = simulate L.Pipeline.Grouppad_l1 p in
+  let both = simulate L.Pipeline.Grouppad_l1_l2 p in
   check_bool "L1 unchanged by L2MAXPAD" true
     (abs_float (miss_rate both 0 -. miss_rate l1 0) < 0.5);
   check_bool "L2 not worse" true (miss_rate both 1 <= miss_rate l1 1 +. 0.25)
@@ -117,15 +121,12 @@ let test_fusion_model_directionally_confirmed () =
   let n = 960 in
   let fig2 = K.Paper_examples.figure2 n in
   let fig6 = K.Paper_examples.figure6_fused n in
-  let run p strategy =
-    L.Experiment.run_strategy machine strategy p
-  in
-  let o2 = run fig2 L.Pipeline.Grouppad_l1_l2 in
-  let o6 = run fig6 L.Pipeline.Grouppad_l1_l2 in
+  let o2 = simulate L.Pipeline.Grouppad_l1_l2 fig2 in
+  let o6 = simulate L.Pipeline.Grouppad_l1_l2 fig6 in
   (* memory accesses per reference should drop after fusion *)
   let mem_per_ref o =
-    float_of_int o.L.Experiment.result.Interp.memory_accesses
-    /. float_of_int o.L.Experiment.result.Interp.total_refs
+    float_of_int o.Interp.memory_accesses
+    /. float_of_int o.Interp.total_refs
   in
   check_bool
     (Printf.sprintf "memory/ref falls with fusion (%.4f -> %.4f)" (mem_per_ref o2)

@@ -408,25 +408,25 @@ let mlc_exe =
   List.find_opt Sys.file_exists
     [ "../bin/mlc.exe"; "_build/default/bin/mlc.exe" ]
 
+let mlc args =
+  match mlc_exe with
+  | Some exe -> exe ^ " " ^ args
+  | None -> Alcotest.fail "mlc.exe not built (missing test dependency)"
+
+(* The command's exit status and whatever it wrote to [stream]. *)
+let capture ~stream cmd =
+  let redirect = if stream = `Stdout then " 2>/dev/null" else " 2>&1 >/dev/null" in
+  let ic = Unix.open_process_in (cmd ^ redirect) in
+  let out = In_channel.input_all ic in
+  (Unix.close_process_in ic, out)
+
 let capture_stdout cmd =
-  let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  match Unix.close_process_in ic with
-  | Unix.WEXITED 0 -> Buffer.contents buf
+  match capture ~stream:`Stdout cmd with
+  | Unix.WEXITED 0, out -> out
   | _ -> Alcotest.fail (Printf.sprintf "command failed: %s" cmd)
 
 let test_golden_simulate_metrics () =
-  let mlc_exe =
-    match mlc_exe with
-    | Some exe -> exe
-    | None -> Alcotest.fail "mlc.exe not built (missing test dependency)"
-  in
-  let base = mlc_exe ^ " simulate JACOBI512 -n 64" in
+  let base = mlc "simulate JACOBI512 -n 64" in
   let plain = capture_stdout base in
   let with_metrics = capture_stdout (base ^ " --metrics") in
   (* --metrics appends to stdout; it may not perturb the simulation
@@ -464,6 +464,119 @@ let test_golden_simulate_metrics () =
   in
   Alcotest.(check string) "golden metrics section" expected
     (String.sub with_metrics split (String.length with_metrics - split))
+
+(* --- golden: stdout of the simulating commands ------------------------------ *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let heat2d =
+  List.find_opt Sys.file_exists
+    [ "../examples/kernels/heat2d.mlc"; "examples/kernels/heat2d.mlc" ]
+
+(* Recorded before simulate/run/fuse moved onto one local helper and the
+   compile log onto the pass pipeline. *)
+let golden_outputs =
+  [
+    ( "simulate JACOBI512 -n 64",
+      None,
+      [
+        "jacobi64 on UltraSparc I (16K/32B L1, 512K/64B L2, direct-mapped)";
+        "  Orig                         refs=30752      L1=53.33% L2= 3.28% cycles=1.795e+05 mflops=15.3";
+        "  L1 Opt (PAD)                 refs=30752      L1=16.14% L2= 3.28% cycles=1.109e+05 mflops=24.8";
+        "  model-time improvement: 38.22%";
+      ] );
+    ( "run " ^ Option.value heat2d ~default:"heat2d.mlc",
+      None,
+      [
+        "heat2d on UltraSparc I (16K/32B L1, 512K/64B L2, direct-mapped)";
+        "  Orig                         refs=3552160    L1=15.11% L2= 6.30% cycles=1.796e+07 mflops=19.8";
+        "  L1 Opt (PAD)                 refs=3552160    L1=15.11% L2= 6.30% cycles=1.796e+07 mflops=19.8";
+        "  model-time improvement: 0.00%";
+      ] );
+    ( "fuse EXPL512 -n 64",
+      None,
+      [
+        "original nests 0,1: register=10 l1_hits=18 l2_refs=0 memory_refs=12";
+        "fused:              register=13 l1_hits=18 l2_refs=0 memory_refs=9";
+        "simulated: original                     refs=176824     L1= 9.06% L2= 2.56% cycles=4.993e+05 mflops=50.6";
+        "           fused                        refs=176824     L1= 7.37% L2= 2.56% cycles=4.814e+05 mflops=52.5";
+      ] );
+    ( "tile 64",
+      None,
+      [
+        "matmul 64x64:";
+        "  orig                    40.22 MFLOPS (model)";
+        "  L1     tile   64x32      49.76 MFLOPS (model)";
+        "  2xL1   tile   64x64      40.22 MFLOPS (model)";
+        "  4xL1   tile   64x128     40.22 MFLOPS (model)";
+        "  L2     tile   64x1024    40.22 MFLOPS (model)";
+      ] );
+    (* only the metrics and layout lines: the decision log lists passes *)
+    ( "compile EXPL512 -n 128",
+      Some
+        (fun line ->
+          List.exists
+            (fun prefix -> String.starts_with ~prefix line)
+            [ "program "; "  original "; "  optimized "; "  model-time" ]
+          || contains line "pad_before"),
+      [
+        "program expl128 on UltraSparc I (16K/32B L1, 512K/64B L2, direct-mapped)";
+        "    ZB: pad_before 444544B";
+        "    ZM: pad_before 460928B";
+        "    ZP: pad_before 445568B";
+        "    ZQ: pad_before 461952B";
+        "    ZR: pad_before 445568B";
+        "    ZU: pad_before 449280B";
+        "    ZV: pad_before 444416B";
+        "    ZZ: pad_before 459904B";
+        "  original   L1 91.82% L2 29.13%  cycles 1.539e+07";
+        "  optimized  L1  8.31% L2  3.46%  cycles 2.359e+06";
+        "  model-time improvement: 84.67%";
+      ] );
+  ]
+
+let test_golden_outputs () =
+  if heat2d = None then Alcotest.fail "heat2d.mlc not found (missing test dependency)";
+  List.iter
+    (fun (args, keep, expected) ->
+      let lines = String.split_on_char '\n' (capture_stdout (mlc args)) in
+      let lines = List.filter (Option.value keep ~default:(fun l -> l <> "")) lines in
+      Alcotest.(check (list string)) ("mlc " ^ args) expected lines)
+    golden_outputs
+
+(* --- bad input: one line naming the value, non-zero, never a crash -------- *)
+
+let bad_inputs =
+  [
+    ("simulate FOO", [ "FOO"; "mlc list" ]);
+    ("simulate JACOBI512 --machine foo", [ "'foo'"; "'ultrasparc'"; "'alpha'" ]);
+    ("simulate JACOBI512 -s bogus", [ "'bogus'"; "'orig'"; "'l2maxpad'" ]);
+    ("sweep JACOBI512 --strategies zz --no-cache", [ "'zz'"; "'grouppad'" ]);
+    ("sweep JACOBI512 --error-policy zz --no-cache", [ "'zz'"; "'fail-fast'"; "'collect'" ]);
+    ("sweep JACOBI512 --backend zz --no-cache", [ "'zz'"; "'fast'"; "'reference'" ]);
+    ("fuse EXPL512 -n 64 --nest 9", [ "--nest 9"; "0..1" ]);
+    ("simulate JACOBI512 -n 0", [ "'0'"; "positive integer" ]);
+    ("tile 0", [ "'0'"; "positive integer" ]);
+    ("emit JACOBI512 --lang zz", [ "'zz'"; "'c'"; "'f77'"; "'mlc'" ]);
+  ]
+
+let test_bad_input () =
+  List.iter
+    (fun (args, needles) ->
+      let status, err = capture ~stream:`Stderr (mlc args) in
+      let code = match status with Unix.WEXITED c -> c | _ -> -1 in
+      if code = 0 || code = 125 || code < 0 then
+        Alcotest.failf "mlc %s: exit status %d" args code;
+      let first = List.hd (String.split_on_char '\n' err) in
+      List.iter
+        (fun needle ->
+          if not (contains first needle) then
+            Alcotest.failf "mlc %s: %S does not mention %s" args first needle)
+        needles)
+    bad_inputs
 
 let () =
   Alcotest.run "obs"
@@ -507,5 +620,8 @@ let () =
         [
           Alcotest.test_case "simulate --metrics" `Slow
             test_golden_simulate_metrics;
+          Alcotest.test_case "simulate/run/fuse/tile/compile" `Slow
+            test_golden_outputs;
+          Alcotest.test_case "bad input fails cleanly" `Quick test_bad_input;
         ] );
     ]
