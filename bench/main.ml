@@ -984,7 +984,7 @@ let dump_json section_times =
              (List.map
                 (fun (name, wall) ->
                   Printf.sprintf "{\"name\": \"%s\", \"wall_s\": %.3f}"
-                    (E.Progress.json_escape name)
+                    (Obs.json_escape name)
                     wall)
                 section_times))
       in
@@ -998,7 +998,7 @@ let dump_json section_times =
                   (String.concat ", "
                      (List.map
                         (fun (k, v) ->
-                          Printf.sprintf "\"%s\": %d" (E.Progress.json_escape k)
+                          Printf.sprintf "\"%s\": %d" (Obs.json_escape k)
                             v)
                         (Obs.Buf.counters buf))) );
             ]
@@ -1013,7 +1013,7 @@ let dump_json section_times =
           ("cache", string_of_bool (Option.is_some !cache));
           ( "models_version",
             Printf.sprintf "\"%s\""
-              (E.Progress.json_escape
+              (Obs.json_escape
                  (match !cache with
                  | Some c -> E.Cache.version c
                  | None -> E.Cache.git_describe ())) );

@@ -93,7 +93,7 @@ let sweep_cmd =
     Arg.(value & opt Cli.pos_int 520 & info [ "hi" ] ~docv:"N" ~doc:"Largest size.")
   in
   let step_arg =
-    Arg.(value & opt int 10 & info [ "step" ] ~docv:"S" ~doc:"Size step.")
+    Arg.(value & opt Cli.pos_int 10 & info [ "step" ] ~docv:"S" ~doc:"Size step.")
   in
   let strategies_arg =
     let doc =
@@ -130,9 +130,11 @@ let sweep_cmd =
     @@ fun obs ->
     let machine = E.Job.build_machine machine_spec in
     if strategies = [] then raise (E.Job.Spec_error "sweep: no strategies given");
+    if lo > hi then
+      raise (E.Job.Spec_error (Printf.sprintf "sweep: --lo %d is above --hi %d" lo hi));
     if resume && Option.is_none cache then
       raise (E.Job.Spec_error "sweep: --resume needs the result cache (drop --no-cache)");
-    let rec sizes n = if n > hi then [] else n :: sizes (n + max 1 step) in
+    let rec sizes n = if n > hi then [] else n :: sizes (n + step) in
     let sizes = sizes lo in
     (* an unknown or unsized program fails here, before any cell runs *)
     ignore (build_program prog (Some lo));
@@ -516,22 +518,25 @@ let curve_cmd =
     let layout = Layout.initial p in
     let trace = Interp.trace layout p in
     let sd = Cs.Stack_distance.analyze ~line:32 trace in
-    let total = float_of_int (Cs.Stack_distance.total sd) in
+    let total = Cs.Stack_distance.total sd in
     Format.printf
-      "%s: %d references, %d distinct lines (cold)@." p.Program.name
-      (Cs.Stack_distance.total sd) (Cs.Stack_distance.cold sd);
-    Format.printf "fully-associative LRU miss rates by capacity:@.";
-    List.iter
-      (fun kb ->
-        let lines = kb * 1024 / 32 in
-        let misses = Cs.Stack_distance.misses_at sd ~lines in
-        Format.printf "  %5dK (%6d lines): %6.2f%%%s@." kb lines
-          (100.0 *. float_of_int misses /. total)
-          (match kb with
-          | 16 -> "   <- L1 capacity"
-          | 512 -> "   <- L2 capacity"
-          | _ -> ""))
-      [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 ]
+      "%s: %d references, %d distinct lines (cold)@." p.Program.name total
+      (Cs.Stack_distance.cold sd);
+    if total = 0 then Format.printf "no references to rate@."
+    else begin
+      Format.printf "fully-associative LRU miss rates by capacity:@.";
+      List.iter
+        (fun kb ->
+          let lines = kb * 1024 / 32 in
+          let misses = Cs.Stack_distance.misses_at sd ~lines in
+          Format.printf "  %5dK (%6d lines): %6.2f%%%s@." kb lines
+            (100.0 *. float_of_int misses /. float_of_int total)
+            (match kb with
+            | 16 -> "   <- L1 capacity"
+            | 512 -> "   <- L2 capacity"
+            | _ -> ""))
+        [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 ]
+    end
   in
   let term = Term.(const run $ prog_arg $ size_arg) in
   Cmd.v

@@ -71,11 +71,6 @@ let miss_cost ~l2_cost ~memory_cost counts =
   (float_of_int counts.l2_refs *. l2_cost)
   +. (float_of_int counts.memory_refs *. memory_cost)
 
-let fusion_profitable layout ~l1_size ?l2_size ~l2_cost ~memory_cost ~original ~fused () =
-  let before = count layout ~l1_size ?l2_size original in
-  let after = count layout ~l1_size ?l2_size [ fused ] in
-  miss_cost ~l2_cost ~memory_cost after < miss_cost ~l2_cost ~memory_cost before
-
 let pp_counts ppf c =
   Format.fprintf ppf "register=%d l1_hits=%d l2_refs=%d memory_refs=%d"
     c.register c.l1_hits c.l2_refs c.memory_refs

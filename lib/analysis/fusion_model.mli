@@ -44,17 +44,4 @@ val count :
     a miss to memory. *)
 val miss_cost : l2_cost:float -> memory_cost:float -> counts -> float
 
-(** [fusion_profitable] compares original nests against the fused nest
-    under the cost weights. *)
-val fusion_profitable :
-  Layout.t ->
-  l1_size:int ->
-  ?l2_size:int ->
-  l2_cost:float ->
-  memory_cost:float ->
-  original:Nest.t list ->
-  fused:Nest.t ->
-  unit ->
-  bool
-
 val pp_counts : Format.formatter -> counts -> unit

@@ -1,7 +1,9 @@
 open Mlc_ir
 module Cs = Mlc_cachesim
 
-(* Trip counts at maximal extents, as in Miss_model. *)
+(* Maximum trip count of each loop, evaluating bounds at enclosing-loop
+   extremes (good enough for cost ranking; triangular bounds use their
+   maximum extents). *)
 let trip_counts nest =
   let bounds = Hashtbl.create 8 in
   List.iter
@@ -26,16 +28,21 @@ let trip_counts nest =
       (loop.Loop.var, max 1 (((hi - lo) / abs loop.Loop.step) + 1)))
     nest.Nest.loops
 
-(* Lines a single reference streams through the whole nest, with spatial
-   reuse on the innermost loop.  With [distinct_only], loops the
-   reference is invariant to contribute no multiplicity — that turns
-   traffic into a footprint (distinct lines) estimate. *)
-let ref_line_traffic ?(distinct_only = false) layout ~line nest trips r =
-  match List.rev (Nest.vars nest) with
+let stride_bytes layout r var = Expr.coeff (Layout.address_expr layout r) var
+
+(* Lines a single reference streams through the nest run in [order]
+   (outermost first), with spatial reuse on the innermost loop: 1 line if
+   the reference is invariant to it, [trip * stride / line] if it strides
+   by less than a line, [trip] otherwise -- times the trips of the outer
+   loops.  With [distinct_only], loops the reference is invariant to
+   contribute no multiplicity -- that turns traffic into a footprint
+   (distinct lines) estimate. *)
+let ref_line_traffic ?(distinct_only = false) layout ~line ~order trips r =
+  match List.rev order with
   | [] -> 0.0
   | inner :: outers ->
       let trip v = try List.assoc v trips with Not_found -> 1 in
-      let stride_of v = abs (Reuse.stride_bytes layout r v) in
+      let stride_of v = abs (stride_bytes layout r v) in
       let stride = stride_of inner in
       let inner_trip = float_of_int (trip inner) in
       let lines =
@@ -49,18 +56,37 @@ let ref_line_traffic ?(distinct_only = false) layout ~line nest trips r =
           else acc *. float_of_int (trip v))
         lines outers
 
-(* Footprint in lines: distinct data each group leader spans. *)
-let footprint_lines layout ~line nest trips =
-  let groups = Ref_group.of_nest layout nest in
+(* Summed over one leader per uniformly generated group: group members
+   share lines. *)
+let leaders_traffic ?distinct_only layout ~line ~order trips groups =
   List.fold_left
     (fun acc g ->
       let leader = (List.hd g.Ref_group.members).Ref_group.ref_ in
-      acc +. ref_line_traffic ~distinct_only:true layout ~line nest trips leader)
+      acc +. ref_line_traffic ?distinct_only layout ~line ~order trips leader)
     0.0 groups
+
+let rank_permutations layout ~line nest =
+  let trips = trip_counts nest in
+  let groups = Ref_group.of_nest layout nest in
+  let rec permutations = function
+    | [] -> [ [] ]
+    | xs ->
+        List.concat_map
+          (fun x ->
+            let rest = List.filter (fun y -> y <> x) xs in
+            List.map (fun p -> x :: p) (permutations rest))
+          xs
+  in
+  permutations (Nest.vars nest)
+  |> List.filter (Dependence.permutation_legal nest)
+  |> List.map (fun order -> (order, leaders_traffic layout ~line ~order trips groups))
+  |> List.sort (fun (_, a) (_, b) -> compare a b)
 
 let nest_misses layout ~size ~line nest =
   let trips = trip_counts nest in
-  let footprint = footprint_lines layout ~line nest trips in
+  let order = Nest.vars nest in
+  let groups = Ref_group.of_nest layout nest in
+  let footprint = leaders_traffic ~distinct_only:true layout ~line ~order trips groups in
   if footprint *. float_of_int line <= float_of_int size then
     (* everything fits: cold misses only *)
     footprint
@@ -77,17 +103,10 @@ let nest_misses layout ~size ~line nest =
             let trailing_ref =
               List.nth (Nest.refs nest) arc.Arcs.trailing
             in
-            acc +. ref_line_traffic layout ~line nest trips trailing_ref)
+            acc +. ref_line_traffic layout ~line ~order trips trailing_ref)
         0.0 arcs
     in
-    let groups = Ref_group.of_nest layout nest in
-    let leaders_traffic =
-      List.fold_left
-        (fun acc g ->
-          let leader = (List.hd g.Ref_group.members).Ref_group.ref_ in
-          acc +. ref_line_traffic layout ~line nest trips leader)
-        0.0 groups
-    in
+    let leaders_traffic = leaders_traffic layout ~line ~order trips groups in
     (* ping-pong conflicts: each severely conflicting pair misses on
        every iteration (two misses per iteration), bounded later *)
     let iterations =
@@ -110,8 +129,3 @@ let program_misses layout machine program =
            (fun acc nest -> acc +. nest_misses layout ~size ~line nest)
            0.0 program.Program.nests)
     machine.Cs.Machine.geometries
-
-let l1_miss_ratio layout machine program =
-  match program_misses layout machine program with
-  | l1 :: _ -> l1 /. float_of_int (Program.ref_count program)
-  | [] -> 0.0

@@ -17,6 +17,18 @@
 
 open Mlc_ir
 
+(** All legal loop orders (outermost first) of a nest, ranked by the
+    Carr–McKinley–Tseng loop cost, cheapest first.  The cost is the
+    cache lines each uniformly generated group leader streams with the
+    order's innermost loop: 1 line if the reference is invariant to it,
+    [trip · stride / line] lines if it strides by less than a line,
+    [trip] lines otherwise — times the trips of all other loops.  This
+    is what makes permutation benefit every cache level at once
+    (Section 2's argument).  Triangular bounds use their maximum
+    extents. *)
+val rank_permutations :
+  Layout.t -> line:int -> Nest.t -> (string list * float) list
+
 (** Estimated misses of one nest execution on a direct-mapped cache. *)
 val nest_misses : Layout.t -> size:int -> line:int -> Nest.t -> float
 
@@ -24,6 +36,3 @@ val nest_misses : Layout.t -> size:int -> line:int -> Nest.t -> float
     the machine's geometry; each level estimated independently). *)
 val program_misses :
   Layout.t -> Mlc_cachesim.Machine.t -> Program.t -> float list
-
-(** Convenience: predicted L1 miss ratio (misses / references). *)
-val l1_miss_ratio : Layout.t -> Mlc_cachesim.Machine.t -> Program.t -> float

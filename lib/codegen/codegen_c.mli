@@ -21,6 +21,3 @@ open Mlc_ir
 
 (** [emit ?repeat layout program] — the complete C translation unit. *)
 val emit : ?repeat:int -> Layout.t -> Program.t -> string
-
-(** [write_file ?repeat layout program path]. *)
-val write_file : ?repeat:int -> Layout.t -> Program.t -> string -> unit

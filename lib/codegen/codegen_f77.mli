@@ -21,5 +21,3 @@ exception Unsupported of string
     @raise Unsupported on gather tables above [max_table] (default
     4096). *)
 val emit : ?max_table:int -> Layout.t -> Program.t -> string
-
-val write_file : ?max_table:int -> Layout.t -> Program.t -> string -> unit

@@ -1,7 +1,7 @@
 (** The full optimization pipeline, combining every pass in the order the
     paper's infrastructure applies them:
 
-    + loop permutation per nest toward memory order (miss-model ranked,
+    + loop permutation per nest toward memory order (loop-cost ranked,
       dependence-checked);
     + profitable loop fusion of adjacent nests (two-level model);
     + intra-variable padding where a variable conflicts with itself;

@@ -91,10 +91,6 @@ let fuse_program ?(max_shift = 4) program i =
       let after = List.filteri (fun j _ -> j > i + 1) nests in
       { program with Program.nests = before @ fused @ after }
 
-let evaluate layout ~l1_size ?l2_size ~original ~fused () =
-  ( An.Fusion_model.count layout ~l1_size ?l2_size original,
-    An.Fusion_model.count layout ~l1_size ?l2_size fused )
-
 (* The fused "core" among the nests fuse produced: the one with the
    biggest body (peels restrict the same bodies to few iterations). *)
 let core_of nests =

@@ -36,15 +36,3 @@ val fuse_program : ?max_shift:int -> Program.t -> int -> Program.t
 val optimize_program :
   ?max_shift:int -> Mlc_cachesim.Machine.t -> Mlc_ir.Program.t ->
   Mlc_ir.Program.t * string list
-
-(** Profitability per the paper: compare the two-level reference counts
-    (Section 4 model) of original vs fused, weighted by miss costs.  The
-    returned counts let callers print the accounting. *)
-val evaluate :
-  Layout.t ->
-  l1_size:int ->
-  ?l2_size:int ->
-  original:Nest.t list ->
-  fused:Nest.t list ->
-  unit ->
-  Mlc_analysis.Fusion_model.counts * Mlc_analysis.Fusion_model.counts

@@ -39,7 +39,7 @@ val make :
 
 (** {2 The pass library} *)
 
-(** Loop permutation toward memory order (miss-model ranked,
+(** Loop permutation toward memory order (loop-cost ranked,
     dependence-checked), per nest. *)
 val permute : t
 

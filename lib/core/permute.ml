@@ -42,7 +42,7 @@ let innermost nest var =
   apply nest (others @ [ var ])
 
 let optimize layout ~line nest =
-  match An.Miss_model.rank_permutations layout ~line nest with
+  match An.Miss_predict.rank_permutations layout ~line nest with
   | (order, _) :: _ when order <> Nest.vars nest -> (
       try apply nest order with Illegal _ -> nest)
   | _ -> nest

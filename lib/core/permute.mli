@@ -25,6 +25,6 @@ val apply_unchecked : Nest.t -> string list -> Nest.t
     improving spatial locality). *)
 val innermost : Nest.t -> string -> Nest.t
 
-(** Memory-order driven permutation: pick the legal order the miss model
-    ranks cheapest. *)
+(** Memory-order driven permutation: pick the legal order
+    {!Mlc_analysis.Miss_predict.rank_permutations} ranks cheapest. *)
 val optimize : Layout.t -> line:int -> Nest.t -> Nest.t

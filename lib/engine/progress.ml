@@ -94,26 +94,13 @@ let finish t =
     prerr_newline ()
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?(extra = []) t =
   let b = Buffer.create 512 in
   Buffer.add_string b "{\n";
   List.iter
     (fun (k, v) ->
-      Buffer.add_string b (Printf.sprintf "  \"%s\": %s,\n" (json_escape k) v))
+      Buffer.add_string b
+        (Printf.sprintf "  \"%s\": %s,\n" (Mlc_obs.Obs.json_escape k) v))
     extra;
   Buffer.add_string b
     (Printf.sprintf "  \"jobs_done\": %d,\n  \"cache_hits\": %d,\n"

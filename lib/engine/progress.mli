@@ -40,5 +40,3 @@ val hit_rate : t -> float
 (** JSON object with the totals and the per-worker counters.  [extra]
     key/value pairs (values are raw JSON) are emitted first. *)
 val to_json : ?extra:(string * string) list -> t -> string
-
-val json_escape : string -> string

@@ -280,11 +280,6 @@ type backend = [ `Reference | `Fast ]
 
 let backend_name = function `Reference -> "reference" | `Fast -> "fast"
 
-let backend_of_string = function
-  | "reference" -> Some `Reference
-  | "fast" -> Some `Fast
-  | _ -> None
-
 let run ?(backend = `Reference) machine layout program =
   match backend with
   | `Reference -> run_on (Cs.Machine.hierarchy machine) machine layout program

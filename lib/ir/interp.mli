@@ -44,8 +44,6 @@ type backend = [ `Reference | `Fast ]
 
 val backend_name : backend -> string
 
-val backend_of_string : string -> backend option
-
 (** [run ?backend machine layout program] simulates one full execution on
     a fresh simulator ([backend] defaults to [`Reference]). *)
 val run :

@@ -1,7 +1,9 @@
 (** The worked examples from the paper's text, used by unit tests and the
     fusion experiment (Figure 12).
 
-    {!figure1} is the loop-permutation example of Section 1/2.
+    {!figure1} is the loop-permutation example of Section 1/2; with
+    {!figure1_permuted} and {!figure1_transposed} it pins Section 2's
+    claim that either fix helps every cache level at once.
     {!figure2} is the two-nest program of Section 3/4; {!figure6_fused}
     its fused form (Figure 6).  The statements' left-hand sides are
     elided in the paper, so the bodies here contain exactly the array

@@ -190,30 +190,24 @@ let count ?(n = 1) name =
 
 (* --- sinks --------------------------------------------------------------- *)
 
+let json_escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 module Sink = struct
-  type t = Null | Pretty of out_channel | Jsonl of out_channel | Chrome of out_channel
+  type t = out_channel
 
-  let null = Null
-
-  let pretty oc = Pretty oc
-
-  let jsonl oc = Jsonl oc
-
-  let chrome oc = Chrome oc
-
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+  let chrome oc = oc
 
   let arg_json : arg -> string = function
     | `Int i -> string_of_int i
@@ -262,7 +256,7 @@ module Sink = struct
   let chrome_events buf =
     List.stable_sort (fun a b -> compare a.ts b.ts) (Buf.events buf)
 
-  let write_chrome oc buf =
+  let write oc buf =
     output_string oc "{\"traceEvents\": [\n";
     let events = chrome_events buf in
     List.iteri
@@ -271,84 +265,4 @@ module Sink = struct
         output_string oc (chrome_event e))
       events;
     output_string oc "\n]}\n"
-
-  let jsonl_event e =
-    let fields =
-      [
-        ("ph", Printf.sprintf "\"%s\"" (ph e.kind));
-        ("name", Printf.sprintf "\"%s\"" (json_escape e.name));
-        ("cat", Printf.sprintf "\"%s\"" (json_escape e.cat));
-        ("ts", string_of_int e.ts);
-        ("tid", string_of_int e.tid);
-      ]
-      @ (if e.kind = Sample then [ ("value", string_of_int e.value) ] else [])
-      @ if e.args <> [] then [ ("args", args_json e.args) ] else []
-    in
-    Printf.sprintf "{%s}"
-      (String.concat ", "
-         (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) fields))
-
-  let write_jsonl oc buf =
-    List.iter
-      (fun e ->
-        output_string oc (jsonl_event e);
-        output_char oc '\n')
-      (Buf.events buf)
-
-  let write_pretty oc buf =
-    let events = Buf.events buf in
-    let tids =
-      List.sort_uniq compare (List.map (fun e -> e.tid) events)
-    in
-    List.iter
-      (fun tid ->
-        Printf.fprintf oc "worker %d:\n" tid;
-        let depth = ref 0 in
-        (* stack of span begin timestamps for duration reporting *)
-        let starts = ref [] in
-        List.iter
-          (fun e ->
-            if e.tid = tid then
-              match e.kind with
-              | Span_begin ->
-                  Printf.fprintf oc "  %s> %s%s\n"
-                    (String.make (2 * !depth) ' ')
-                    e.name
-                    (if e.cat = "" then "" else Printf.sprintf " [%s]" e.cat);
-                  starts := e.ts :: !starts;
-                  incr depth
-              | Span_end ->
-                  decr depth;
-                  let t0 =
-                    match !starts with
-                    | t :: rest ->
-                        starts := rest;
-                        t
-                    | [] -> e.ts
-                  in
-                  Printf.fprintf oc "  %s< %s (%.3f ms)\n"
-                    (String.make (2 * !depth) ' ')
-                    e.name
-                    (float_of_int (e.ts - t0) /. 1000.0)
-              | Instant ->
-                  Printf.fprintf oc "  %s. %s\n"
-                    (String.make (2 * !depth) ' ')
-                    e.name
-              | Sample -> ())
-          events)
-      tids;
-    (match Buf.counters buf with
-    | [] -> ()
-    | counters ->
-        Printf.fprintf oc "counters:\n";
-        List.iter
-          (fun (name, v) -> Printf.fprintf oc "  %-40s %d\n" name v)
-          counters)
-
-  let write t buf =
-    match t with
-    | Null -> ()
-    | Pretty oc -> write_pretty oc buf
-    | Jsonl oc -> write_jsonl oc buf
-    | Chrome oc -> write_chrome oc buf
 end

@@ -1,6 +1,5 @@
 (** Structured observability: nestable timed spans, monotonic counters,
-    and pluggable sinks (human pretty-print, JSON-lines, and Chrome
-    [trace_event] JSON loadable in perfetto).
+    and a sink writing Chrome [trace_event] JSON loadable in perfetto.
 
     Recording is explicit and domain-local: nothing is recorded unless a
     {!Buf.t} is installed in the current domain with {!with_buf}.  With no
@@ -98,17 +97,12 @@ val count : ?n:int -> string -> unit
 
 (** {2 Sinks} *)
 
+(** Escape a string for a JSON string literal (quotes, backslashes and
+    control characters). *)
+val json_escape : string -> string
+
 module Sink : sig
   type t
-
-  (** Discards everything. *)
-  val null : t
-
-  (** Human-readable span tree (per worker) + counter table. *)
-  val pretty : out_channel -> t
-
-  (** One JSON object per event, one per line. *)
-  val jsonl : out_channel -> t
 
   (** Chrome [trace_event] JSON ([{"traceEvents": [...]}]), sorted by
       timestamp, B/E pairs per tid — load in [ui.perfetto.dev] or

@@ -1,6 +1,6 @@
-(* Tests for reuse analysis, the arc (layout-diagram) model, dependences,
-   and the Section 4 fusion accounting — including the paper's own
-   worked numbers. *)
+(* Tests for group analysis, the arc (layout-diagram) model, dependences,
+   the Section 4 fusion accounting — including the paper's own worked
+   numbers — and the loop cost that ranks permutations. *)
 
 open Mlc_ir
 module An = Mlc_analysis
@@ -54,47 +54,6 @@ let test_group_not_uniform () =
   in
   let groups = An.Ref_group.of_refs layout refs in
   check_int "transposed refs split" 2 (List.length groups)
-
-(* --- Reuse -------------------------------------------------------------- *)
-
-let test_reuse_figure1 () =
-  let p = K.Paper_examples.figure1 ~n:64 ~m:64 in
-  let layout = Layout.initial p in
-  let nest = List.hd p.Program.nests in
-  let reuses = An.Reuse.of_nest layout ~line:32 nest in
-  (* B(j) is self-temporal on i (invariant) and self-spatial on j;
-     A(j,i) is self-spatial on j. *)
-  let has ref_index var kind_match =
-    List.exists
-      (fun r ->
-        r.An.Reuse.ref_index = ref_index && r.An.Reuse.loop_var = var
-        && kind_match r.An.Reuse.kind)
-      reuses
-  in
-  (* body order: read A, write B *)
-  check_bool "A self-spatial on j" true
-    (has 0 "j" (function An.Reuse.Self_spatial -> true | _ -> false));
-  check_bool "B self-temporal on i" true
-    (has 1 "i" (function An.Reuse.Self_temporal -> true | _ -> false));
-  check_bool "B self-spatial on j" true
-    (has 1 "j" (function An.Reuse.Self_spatial -> true | _ -> false));
-  check_bool "A no temporal on i" false
-    (has 0 "i" (function An.Reuse.Self_temporal -> true | _ -> false))
-
-let test_group_temporal_detected () =
-  let layout = Layout.initial fig2 in
-  let nest1 = List.hd fig2.Program.nests in
-  let reuses = An.Reuse.of_nest layout ~line:32 nest1 in
-  (* A(i,j) reuses A(i,j+1)'s data one j-iteration later *)
-  check_bool "group-temporal A on j" true
-    (List.exists
-       (fun r ->
-         r.An.Reuse.ref_index = 0 && r.An.Reuse.loop_var = "j"
-         &&
-         match r.An.Reuse.kind with
-         | An.Reuse.Group_temporal { iterations_apart = 1; _ } -> true
-         | _ -> false)
-       reuses)
 
 (* --- Arcs: severe conflicts and the Figure 3/4 story -------------------- *)
 
@@ -340,17 +299,17 @@ let test_diagram_renders () =
   let all = An.Diagram.render_program layout ~size:l1_size ~line:l1_line fig2 in
   check_bool "two nests rendered" true (contains all "nest 1:")
 
-(* --- Miss model --------------------------------------------------------- *)
+(* --- Loop cost (Miss_predict.rank_permutations) ------------------------ *)
 
-let test_miss_model_prefers_unit_stride () =
+let test_loop_cost_prefers_unit_stride () =
   let p = K.Paper_examples.figure1 ~n:256 ~m:256 in
   let layout = Layout.initial p in
   let nest = List.hd p.Program.nests in
-  let cost_orig = An.Miss_model.nest_cost layout ~line:32 nest ~order:[ "j"; "i" ] in
-  let cost_perm = An.Miss_model.nest_cost layout ~line:32 nest ~order:[ "i"; "j" ] in
+  let ranked = An.Miss_predict.rank_permutations layout ~line:32 nest in
+  let cost_orig = List.assoc [ "j"; "i" ] ranked in
+  let cost_perm = List.assoc [ "i"; "j" ] ranked in
   check_bool "permuted (j innermost) cheaper" true (cost_perm < cost_orig);
-  Alcotest.(check (list string)) "best order" [ "i"; "j" ]
-    (An.Miss_model.best_permutation layout ~line:32 nest)
+  Alcotest.(check (list string)) "best order" [ "i"; "j" ] (fst (List.hd ranked))
 
 let () =
   Alcotest.run "analysis"
@@ -359,11 +318,6 @@ let () =
         [
           Alcotest.test_case "figure 2 groups" `Quick test_groups_fig2;
           Alcotest.test_case "non-uniform split" `Quick test_group_not_uniform;
-        ] );
-      ( "reuse",
-        [
-          Alcotest.test_case "figure 1 classification" `Quick test_reuse_figure1;
-          Alcotest.test_case "group-temporal" `Quick test_group_temporal_detected;
         ] );
       ( "arcs",
         [
@@ -389,5 +343,5 @@ let () =
       ( "diagram",
         [ Alcotest.test_case "renders" `Quick test_diagram_renders ] );
       ( "miss_model",
-        [ Alcotest.test_case "prefers unit stride" `Quick test_miss_model_prefers_unit_stride ] );
+        [ Alcotest.test_case "prefers unit stride" `Quick test_loop_cost_prefers_unit_stride ] );
     ]

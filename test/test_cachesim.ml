@@ -206,17 +206,6 @@ let test_improvement () =
   Alcotest.(check (float 1e-9)) "degradation" (-10.0)
     (Cs.Cost_model.improvement ~orig:100.0 ~opt:110.0)
 
-(* --- Trace ------------------------------------------------------------- *)
-
-let test_trace_combinators () =
-  let a = Cs.Trace.strided ~base:0 ~stride:8 ~count:3 in
-  Alcotest.(check (array int)) "strided" [| 0; 8; 16 |] a;
-  let b = Cs.Trace.strided ~base:100 ~stride:1 ~count:2 in
-  Alcotest.(check (array int)) "interleave" [| 0; 100; 8; 101; 16 |]
-    (Cs.Trace.interleave [ a; b ]);
-  Alcotest.(check (array int)) "repeat" [| 0; 8; 16; 0; 8; 16 |] (Cs.Trace.repeat 2 a);
-  Alcotest.(check int) "lines" 2 (Cs.Trace.lines_touched ~line:16 a)
-
 (* --- Properties -------------------------------------------------------- *)
 
 (* Random traces: miss count of an assoc cache never exceeds the number of
@@ -298,7 +287,6 @@ let () =
           Alcotest.test_case "cost model" `Quick test_cost_model;
           Alcotest.test_case "improvement" `Quick test_improvement;
         ] );
-      ("trace", [ Alcotest.test_case "combinators" `Quick test_trace_combinators ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

@@ -471,7 +471,7 @@ let prop_fast_interp_matches_trace =
       let layout = Layout.initial p in
       (* replay naive trace *)
       let h = Cs.Machine.hierarchy small_machine in
-      Cs.Trace.replay h (Trace_oracle.naive_trace layout p);
+      Trace_oracle.replay h (Trace_oracle.naive_trace layout p);
       let naive_misses =
         List.map (fun l -> (Cs.Level.stats l).Cs.Stats.misses) (Cs.Hierarchy.levels h)
       in

@@ -240,17 +240,6 @@ let prop_fusion_preserves_multiset =
           Trace_oracle.sorted_trace layout p = Trace_oracle.sorted_trace layout p'
       | exception L.Fusion.Illegal _ -> QCheck.assume_fail ())
 
-let prop_distribution_preserves_multiset =
-  QCheck.Test.make ~name:"distribution preserves the access multiset" ~count:40
-    QCheck.(int_range 8 64)
-    (fun n ->
-      let fig6 = K.Paper_examples.figure6_fused n in
-      let nest = List.hd fig6.Program.nests in
-      let parts = L.Distribution.maximal nest in
-      let p' = { fig6 with Program.nests = parts } in
-      let layout = Layout.initial fig6 in
-      Trace_oracle.sorted_trace layout fig6 = Trace_oracle.sorted_trace layout p')
-
 let prop_pad_never_creates_conflicts =
   QCheck.Test.make ~name:"PAD output has no severe conflicts (random sizes)"
     ~count:25
@@ -293,7 +282,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_fusion_preserves_multiset;
-            prop_distribution_preserves_multiset;
             prop_pad_never_creates_conflicts;
             prop_interp_refs_match_static_count;
           ] );

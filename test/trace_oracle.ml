@@ -36,6 +36,11 @@ let naive_trace layout program =
   done;
   Array.of_list (List.rev !out)
 
+(* Push every address of a trace through a hierarchy, one access at a
+   time: the simulator side of the naive oracle. *)
+let replay hierarchy trace =
+  Array.iter (fun addr -> ignore (Mlc_cachesim.Hierarchy.access hierarchy addr)) trace
+
 (* The program's accesses as a sorted multiset, for checking that a
    transformation reorders accesses without adding or dropping any. *)
 let sorted_trace layout program =
