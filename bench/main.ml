@@ -57,10 +57,6 @@ let jobs = ref 1
    backends to identical results. *)
 let backend = ref `Fast
 
-(* Per-job retry budget (--retries); transient failures back off and
-   retry, surfacing in the engine.retries counter. *)
-let retries = ref 0
-
 let cache = ref None
 
 let progress = ref None
@@ -70,8 +66,7 @@ let progress = ref None
 let obs : Obs.Buf.t option ref = ref None
 
 let submit specs =
-  E.Engine.run ?cache:!cache ?progress:!progress ?obs:!obs
-    ~retry:(E.Fault.policy ~retries:!retries ()) ~jobs:!jobs
+  E.Engine.run ?cache:!cache ?progress:!progress ?obs:!obs ~jobs:!jobs
     (Array.of_list
        (List.map (fun spec -> { spec with E.Job.backend = !backend }) specs))
 
@@ -1024,8 +1019,8 @@ let dump_json section_times =
       output_string oc (E.Progress.to_json ~extra p);
       close_out oc
 
-let main words jobs' backend' retries' cache' obs_flags =
-  fast := List.mem "fast" words || Sys.getenv_opt "MLC_FAST" <> None;
+let main words jobs' backend' cache' obs_flags =
+  fast := List.mem "fast" words;
   let wanted =
     List.filter_map
       (fun w -> if w = "fast" then None else Some (w, List.assoc w sections))
@@ -1034,7 +1029,6 @@ let main words jobs' backend' retries' cache' obs_flags =
   let to_run = if wanted = [] then default_sections else wanted in
   jobs := jobs';
   backend := backend';
-  retries := retries';
   cache := cache';
   progress := Some (E.Progress.create ~jobs:!jobs ());
   Cli.with_obs ~span:"bench" obs_flags @@ fun buf ->
@@ -1079,7 +1073,7 @@ let () =
   let sections_arg =
     let doc =
       Printf.sprintf
-        "$(b,fast) (reduced sweeps; also set by MLC_FAST) and the sections \
+        "$(b,fast) (reduced sweeps) and the sections \
          to run, in order: %s.  Default: every section except bechamel and \
          fastsim."
         (String.concat ", " (List.map fst sections))
@@ -1099,4 +1093,4 @@ let () =
        (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures.")
        Term.(
          const main $ sections_arg $ Cli.jobs [ "jobs" ] $ Cli.backend
-         $ Cli.retries $ Cli.cache $ Cli.obs))
+         $ Cli.cache $ Cli.obs))

@@ -111,29 +111,14 @@ let sweep_cmd =
                    the sweep.  $(b,collect): every cell runs, failed cells \
                    are reported at the end and the exit status is non-zero.")
   in
-  let resume_arg =
-    Arg.(value & flag
-         & info [ "resume" ]
-             ~doc:"Resume an interrupted sweep: re-run only the cells the \
-                   result cache does not already hold (requires the cache).")
-  in
-  let deadline_arg =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS"
-             ~doc:"Per-cell wall-clock budget; an overrunning cell counts a \
-                   timeout and fails (detected after the attempt, not \
-                   preempted).")
-  in
   let run prog lo hi step strategies machine_spec jobs cache backend fail_fast
-      resume retries deadline obs =
+      obs =
     Cli.with_obs ~span:(Printf.sprintf "mlc:sweep %s %d..%d" prog lo hi) obs
     @@ fun obs ->
     let machine = E.Job.build_machine machine_spec in
     if strategies = [] then raise (E.Job.Spec_error "sweep: no strategies given");
     if lo > hi then
       raise (E.Job.Spec_error (Printf.sprintf "sweep: --lo %d is above --hi %d" lo hi));
-    if resume && Option.is_none cache then
-      raise (E.Job.Spec_error "sweep: --resume needs the result cache (drop --no-cache)");
     let rec sizes n = if n > hi then [] else n :: sizes (n + step) in
     let sizes = sizes lo in
     (* an unknown or unsized program fails here, before any cell runs *)
@@ -152,25 +137,10 @@ let sweep_cmd =
         sizes
       |> Array.of_list
     in
-    (* The journal next to the cache is what --resume verifies against;
-       the results themselves resume from the content-addressed cache. *)
-    let manifest =
-      Option.map (fun c -> E.Manifest.create ~cache:c ~resume specs) cache
-    in
-    (match manifest with
-    | Some m when resume ->
-        if E.Manifest.completed m > 0 then
-          Format.eprintf "resume: %d/%d cells recorded done by a previous run@."
-            (E.Manifest.completed m) (E.Manifest.cells m)
-        else
-          Format.eprintf
-            "resume: no matching sweep journal; cached cells still replay@."
-    | _ -> ());
-    let retry = E.Fault.policy ~retries ?deadline () in
     let cancel = Atomic.make false in
     let previous_sigint =
-      (* First Ctrl-C checkpoints at the next job boundary; a second one
-         gives up immediately. *)
+      (* First Ctrl-C stops at the next job boundary; a second one gives
+         up immediately. *)
       try
         Some
           (Sys.signal Sys.sigint
@@ -180,13 +150,14 @@ let sweep_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let slots =
-      E.Engine.run_collect ?cache ~progress ?obs ~retry ~cancel
+      E.Engine.run_collect ?cache ~progress ?obs ~cancel
         ~stop_on_failure:fail_fast ~jobs specs
     in
     Option.iter (fun h -> try Sys.set_signal Sys.sigint h with _ -> ()) previous_sigint;
     E.Progress.finish progress;
-    let done_ = Array.map (function Some (Ok _) -> true | _ -> false) slots in
-    let completed = Array.fold_left (fun n d -> if d then n + 1 else n) 0 done_ in
+    let completed =
+      Array.fold_left (fun n -> function Some (Ok _) -> n + 1 | _ -> n) 0 slots
+    in
     let failures =
       Array.to_list
         (Array.mapi (fun i slot -> (i, slot)) slots)
@@ -195,17 +166,14 @@ let sweep_cmd =
            | _ -> None)
     in
     if Atomic.get cancel then begin
-      Option.iter (fun m -> E.Manifest.checkpoint m ~done_) manifest;
       Format.eprintf "interrupted: %d/%d cells completed%s@." completed
         (Array.length specs)
-        (if cache = None then ""
-         else "; finish with `mlc sweep ... --resume`");
+        (if cache = None then "" else "; re-run the same command to finish");
       exit 130
     end;
     if fail_fast && failures <> [] then begin
-      (* Preserve the historical fail-fast contract: checkpoint, then
-         re-raise the first failure as if Engine.run had thrown it. *)
-      Option.iter (fun m -> E.Manifest.checkpoint m ~done_) manifest;
+      (* Preserve the historical fail-fast contract: re-raise the first
+         failure as if Engine.run had thrown it. *)
       let _, f = List.hd failures in
       Printexc.raise_with_backtrace f.E.Fault.exn f.E.Fault.backtrace
     end;
@@ -267,9 +235,7 @@ let sweep_cmd =
       (Unix.gettimeofday () -. t0)
       (E.Progress.jobs_per_sec progress)
       (E.Progress.refs_streamed progress);
-    if failures = [] then Option.iter E.Manifest.finish manifest
-    else begin
-      Option.iter (fun m -> E.Manifest.checkpoint m ~done_) manifest;
+    if failures <> [] then begin
       List.iter
         (fun (i, f) ->
           Format.eprintf "failed: %s: %a@."
@@ -279,7 +245,7 @@ let sweep_cmd =
       Format.eprintf "%d/%d cells failed%s@." (List.length failures)
         (Array.length specs)
         (if cache = None then ""
-         else "; re-run (or --resume) to retry just those cells");
+         else "; re-run to retry just those cells");
       Format.pp_print_flush Format.std_formatter ();
       exit 1
     end
@@ -288,7 +254,7 @@ let sweep_cmd =
     Term.(
       const run $ prog_arg $ lo_arg $ hi_arg $ step_arg $ strategies_arg
       $ Cli.machine_spec $ Cli.jobs [ "jobs"; "j" ] $ Cli.cache $ Cli.backend
-      $ error_policy_arg $ resume_arg $ Cli.retries $ deadline_arg $ Cli.obs)
+      $ error_policy_arg $ Cli.obs)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -489,7 +455,7 @@ let emit_cmd =
          & info [ "lang" ] ~docv:"L" ~doc)
   in
   let repeat_arg =
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R" ~doc:"Repetitions in the emitted main.")
+    Arg.(value & opt Cli.pos_int 1 & info [ "repeat" ] ~docv:"R" ~doc:"Repetitions in the emitted main.")
   in
   let run prog size strategy machine lang repeat =
     let p = build_program prog size in

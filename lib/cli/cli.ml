@@ -2,15 +2,14 @@ open Cmdliner
 module E = Mlc_engine
 module Obs = Mlc_obs.Obs
 
-let int_at_least lo what =
+let pos_int =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= lo -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
   in
   Arg.conv (parse, Format.pp_print_int)
-
-let pos_int = int_at_least 1 "a positive integer"
 
 let machine_spec =
   let doc = "Cache machine: ultrasparc (16K/512K) or alpha (8K/128K/2M)." in
@@ -27,8 +26,7 @@ let strategy =
 
 let jobs names =
   let doc = "Worker domains (default: the machine's core count)." in
-  Term.(const (max 1)
-        $ Arg.(value & opt int (E.Pool.default_jobs ()) & info names ~docv:"N" ~doc))
+  Arg.(value & opt pos_int (E.Pool.default_jobs ()) & info names ~docv:"N" ~doc)
 
 let cache_dir =
   Arg.(value & opt (some string) None
@@ -49,12 +47,6 @@ let backend =
            ~doc:"Simulator backend: $(b,fast) (default) or $(b,reference). \
                  Both produce identical results; fast bulk-accounts steady \
                  runs of L1 hits.")
-
-let retries =
-  Arg.(value & opt (int_at_least 0 "a non-negative integer") 0
-       & info [ "retries" ] ~docv:"N"
-           ~doc:"Retry a failing job up to N times with exponential backoff \
-                 before recording it as failed.")
 
 type obs = { trace : string option; metrics : bool }
 

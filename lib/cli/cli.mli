@@ -18,8 +18,8 @@ val machine : Mlc_cachesim.Machine.t Term.t
     pad). *)
 val strategy : Locality.Pipeline.strategy Term.t
 
-(** [jobs names]: worker domains under the option [names] (default: the
-    machine's core count; at least 1). *)
+(** [jobs names]: worker domains under the option [names], a positive
+    integer (default: the machine's core count). *)
 val jobs : string list -> int Term.t
 
 (** [--cache-dir DIR]. *)
@@ -31,9 +31,6 @@ val cache : Mlc_engine.Cache.t option Term.t
 
 (** [--backend B]: fast (default) or reference. *)
 val backend : Mlc_ir.Interp.backend Term.t
-
-(** [--retries N], a non-negative per-job retry budget (default 0). *)
-val retries : int Term.t
 
 (** What [--trace FILE] and [--metrics] asked for. *)
 type obs

@@ -1,13 +1,6 @@
 module Obs = Mlc_obs.Obs
 
-type t = {
-  dir : string;
-  version : string;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  stores : int Atomic.t;
-  quarantined : int Atomic.t;
-}
+type t = { dir : string; version : string }
 
 let default_dir () =
   match Sys.getenv_opt "MLC_CACHE_DIR" with
@@ -73,24 +66,11 @@ let open_ ?dir ?version () =
   let dir = match dir with Some d -> d | None -> default_dir () in
   let version = match version with Some v -> v | None -> git_describe () in
   create_dir_p dir;
-  {
-    dir;
-    version;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    stores = Atomic.make 0;
-    quarantined = Atomic.make 0;
-  }
+  { dir; version }
 
 let dir t = t.dir
 
 let version t = t.version
-
-let hits t = Atomic.get t.hits
-
-let misses t = Atomic.get t.misses
-
-let quarantined t = Atomic.get t.quarantined
 
 let key t spec =
   Digest.to_hex (Digest.string (t.version ^ "\x00" ^ Job.canonical spec))
@@ -116,7 +96,6 @@ let quarantine t path =
    with Sys_error _ | Unix.Unix_error _ -> (
      (* Fall back to deleting: the entry must not stay addressable. *)
      try Sys.remove path with Sys_error _ -> ()));
-  Atomic.incr t.quarantined;
   Obs.count "engine.cache.quarantined"
 
 (* Entries carry the canonical spec string so a (vanishingly unlikely)
@@ -145,15 +124,10 @@ let find t spec =
   let canon = Job.canonical spec in
   let path = path_of_key t (key t spec) in
   match read_entry path canon with
-  | Entry r ->
-      Atomic.incr t.hits;
-      Some r
-  | Absent ->
-      Atomic.incr t.misses;
-      None
+  | Entry r -> Some r
+  | Absent -> None
   | Damaged ->
       quarantine t path;
-      Atomic.incr t.misses;
       None
 
 let store t spec (result : Job.result) =
@@ -167,24 +141,22 @@ let store t spec (result : Job.result) =
       (Domain.self () :> int)
   in
   let remove_tmp () = try Sys.remove tmp with Sys_error _ -> () in
-  (try
-     let oc = open_out_bin tmp in
-     (* Always close the channel and reclaim the temp file, whatever
-        Marshal or the filesystem throws mid-write — IO errors degrade
-        to "not cached" below, anything else propagates cleaned-up. *)
-     (try
-        Marshal.to_channel oc (Job.canonical spec, result) [];
-        close_out oc
-      with e ->
-        close_out_noerr oc;
-        remove_tmp ();
-        raise e);
-     Sys.rename tmp path;
-     Atomic.incr t.stores
-   with Sys_error _ | Unix.Unix_error _ ->
-     (* A read-only or vanished cache directory degrades to no caching. *)
-     remove_tmp ());
-  ()
+  try
+    let oc = open_out_bin tmp in
+    (* Always close the channel and reclaim the temp file, whatever
+       Marshal or the filesystem throws mid-write — IO errors degrade
+       to "not cached" below, anything else propagates cleaned-up. *)
+    (try
+       Marshal.to_channel oc (Job.canonical spec, result) [];
+       close_out oc
+     with e ->
+       close_out_noerr oc;
+       remove_tmp ();
+       raise e);
+    Sys.rename tmp path
+  with Sys_error _ | Unix.Unix_error _ ->
+    (* A read-only or vanished cache directory degrades to no caching. *)
+    remove_tmp ()
 
 (* Deterministic damage for the fault-injection tests: truncate the entry
    mid-payload so the next lookup must quarantine and recompute it. *)
@@ -194,11 +166,6 @@ let corrupt t spec =
     let len = (Unix.stat path).Unix.st_size in
     Unix.truncate path (max 1 (len / 2))
   with Unix.Unix_error _ | Sys_error _ -> ()
-
-let invalidate t spec =
-  match Sys.remove (path_of_key t (key t spec)) with
-  | () -> ()
-  | exception Sys_error _ -> ()
 
 (* ----------------------------------------------------------------- *)
 (* Maintenance: stats / verify / gc                                   *)
@@ -223,8 +190,7 @@ let is_tmp name =
 
 let file_size path = try (Unix.stat path).Unix.st_size with _ -> 0
 
-(* The cache's two-hex-digit shard directories, excluding quarantine/ and
-   any sweep manifests living next to them. *)
+(* The cache's two-hex-digit shard directories, excluding quarantine/. *)
 let shard_dirs t =
   match Sys.readdir t.dir with
   | exception Sys_error _ -> []

@@ -45,7 +45,7 @@ val key : t -> Job.spec -> string
 (** Where damaged entries are moved: [<dir>/quarantine]. *)
 val quarantine_dir : t -> string
 
-(** Lookup; counts a hit or a miss.  A damaged or key-mismatched entry
+(** Lookup.  A damaged or key-mismatched entry
     is quarantined and reads as a miss, so the caller recomputes. *)
 val find : t -> Job.spec -> Job.result option
 
@@ -57,17 +57,6 @@ val store : t -> Job.spec -> Job.result -> unit
 (** Truncate a stored entry in place (deterministic damage for the
     fault-injection tests; see {!Fault.kind}). *)
 val corrupt : t -> Job.spec -> unit
-
-(** Drop one key's entry, if present. *)
-val invalidate : t -> Job.spec -> unit
-
-(** Lifetime lookup counters for this handle. *)
-val hits : t -> int
-
-val misses : t -> int
-
-(** Entries quarantined through this handle. *)
-val quarantined : t -> int
 
 (** {2 Maintenance (the [mlc cache] subcommand)} *)
 

@@ -1,30 +1,32 @@
 module Cs = Mlc_cachesim
 module Obs = Mlc_obs.Obs
 
-(* The shared per-job body: resolve against the cache, execute misses,
-   store them back — all under Fault supervision so transient failures
-   retry and ultimate failures come back as data, never as an exception
-   escaping a worker domain. *)
-let one ?cache ?progress ?retry ~worker spec =
+(* The shared per-job body: resolve against the cache, execute a miss,
+   store it back.  A job is a pure function of its spec, so it runs once:
+   a failure comes back as data, never as an exception escaping a worker
+   domain. *)
+let one ?cache ?progress ~worker spec =
   let canon = Job.canonical spec in
-  let supervised =
-    Fault.supervise ?policy:retry ~name:(Job.describe spec) (fun () ->
-        Fault.inject canon;
-        let cached = Option.bind cache (fun c -> Cache.find c spec) in
-        match cached with
-        | Some r -> (r, true)
-        | None ->
-            let r = Job.execute spec in
-            Option.iter
-              (fun c ->
-                Cache.store c spec r;
-                if Fault.wants_corrupt canon then Cache.corrupt c spec)
-              cache;
-            (r, false))
+  let body () =
+    Fault.inject canon;
+    let cached = Option.bind cache (fun c -> Cache.find c spec) in
+    match cached with
+    | Some r -> (r, true)
+    | None ->
+        let r = Job.execute spec in
+        Option.iter
+          (fun c ->
+            Cache.store c spec r;
+            if Fault.wants_corrupt canon then Cache.corrupt c spec)
+          cache;
+        (r, false)
   in
-  match supervised with
-  | Error _ as e -> e
-  | Ok (result, cache_hit) ->
+  match body () with
+  | exception exn ->
+      let backtrace = Printexc.get_raw_backtrace () in
+      Obs.count "engine.failures";
+      Error { Fault.exn; backtrace; attempts = 1 }
+  | result, cache_hit ->
       Obs.count "engine.jobs";
       Obs.count (if cache_hit then "engine.cache.hits" else "engine.cache.misses");
       Option.iter
@@ -34,10 +36,10 @@ let one ?cache ?progress ?retry ~worker spec =
         progress;
       Ok result
 
-let run_collect ?cache ?progress ?obs ?retry ?cancel ?(stop_on_failure = false)
+let run_collect ?cache ?progress ?obs ?cancel ?(stop_on_failure = false)
     ?jobs specs =
   Option.iter (fun p -> Progress.expect p (Array.length specs)) progress;
-  let one = one ?cache ?progress ?retry in
+  let one = one ?cache ?progress in
   match obs with
   | None ->
       let stop = if stop_on_failure then Some Result.is_error else None in
@@ -70,9 +72,9 @@ let run_collect ?cache ?progress ?obs ?retry ?cancel ?(stop_on_failure = false)
         pairs;
       Array.map (Option.map fst) pairs
 
-let run ?cache ?progress ?obs ?retry ?jobs specs =
+let run ?cache ?progress ?obs ?jobs specs =
   let slots =
-    run_collect ?cache ?progress ?obs ?retry ~stop_on_failure:true ?jobs specs
+    run_collect ?cache ?progress ?obs ~stop_on_failure:true ?jobs specs
   in
   (* Fail fast, but only after the merge above: completed jobs' buffers
      are already in [obs], so a failing cell no longer truncates the

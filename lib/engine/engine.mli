@@ -13,12 +13,11 @@
     is byte-for-byte independent of [jobs], of scheduling, and of which
     entries were cache hits.
 
-    Every job runs under {!Fault.supervise}: pass [?retry] to retry
-    transient failures with exponential backoff and to impose per-job
-    deadlines.  The default policy (no retries) with no injected faults
-    leaves behavior and output unchanged. *)
+    Because a job is pure, a failed job would fail the same way again:
+    every job runs once, and a re-run of the same specs resumes from the
+    cache, recomputing only the cells it does not hold. *)
 
-(** [run ?cache ?progress ?obs ?retry ?jobs specs].  [jobs] defaults to
+(** [run ?cache ?progress ?obs ?jobs specs].  [jobs] defaults to
     {!Pool.default_jobs}.  Fail-fast error policy: on a job failure the
     pool drains, completed jobs' Obs buffers are still merged into
     [obs], and the first (lowest-index) failure's exception is re-raised
@@ -35,14 +34,13 @@ val run :
   ?cache:Cache.t ->
   ?progress:Progress.t ->
   ?obs:Mlc_obs.Obs.Buf.t ->
-  ?retry:Fault.policy ->
   ?jobs:int ->
   Job.spec array ->
   Job.result array
 
 (** [run_collect] — the error-isolating variant: each cell comes back as
-    [Some (Ok result)], [Some (Error failure)] (the cell failed after
-    its retries; see {!Fault.failure}), or [None] (the cell never ran
+    [Some (Ok result)], [Some (Error failure)] (the cell failed; see
+    {!Fault.failure}), or [None] (the cell never ran
     because the pool drained first).  With [~stop_on_failure:true] the
     first failure drains the pool ([`Fail_fast] with failures as data);
     with the default [false] ([`Collect]) every cell runs regardless —
@@ -58,7 +56,6 @@ val run_collect :
   ?cache:Cache.t ->
   ?progress:Progress.t ->
   ?obs:Mlc_obs.Obs.Buf.t ->
-  ?retry:Fault.policy ->
   ?cancel:bool Atomic.t ->
   ?stop_on_failure:bool ->
   ?jobs:int ->

@@ -1,17 +1,12 @@
-module Obs = Mlc_obs.Obs
-
-type kind = Crash | Flaky of int | Slow of float | Corrupt
+type kind = Crash | Slow of float | Corrupt
 
 type rule = { pattern : string; kind : kind }
 
 exception Injected of string
 
-exception Timeout of string
-
 let () =
   Printexc.register_printer (function
     | Injected what -> Some (Printf.sprintf "Fault.Injected(%s)" what)
-    | Timeout name -> Some (Printf.sprintf "Fault.Timeout(%s)" name)
     | _ -> None)
 
 (* ----------------------------------------------------------------- *)
@@ -27,15 +22,11 @@ let parse s =
          match String.split_on_char ':' r with
          | [ "crash"; pattern ] when pattern <> "" -> { pattern; kind = Crash }
          | [ "corrupt"; pattern ] when pattern <> "" -> { pattern; kind = Corrupt }
-         | [ "flaky"; pattern; k ] when pattern <> "" -> (
-             match int_of_string_opt k with
-             | Some k when k >= 0 -> { pattern; kind = Flaky k }
-             | _ -> bad "flaky wants a count, got %S" k)
          | [ "slow"; pattern; ms ] when pattern <> "" -> (
              match float_of_string_opt ms with
              | Some ms when ms >= 0.0 -> { pattern; kind = Slow (ms /. 1000.0) }
              | _ -> bad "slow wants milliseconds, got %S" ms)
-         | _ -> bad "unknown rule %S (crash:PAT | flaky:PAT:K | slow:PAT:MS | corrupt:PAT)" r)
+         | _ -> bad "unknown rule %S (crash:PAT | slow:PAT:MS | corrupt:PAT)" r)
 
 (* The installed rules.  None = not yet initialized from MLC_FAULTS.
    Multi-domain safe: the ref is written before any pool spawns (either
@@ -43,16 +34,7 @@ let parse s =
    and a racy double-parse of the same env var is idempotent. *)
 let installed : rule list option ref = ref None
 
-(* Flaky rules count attempts per canonical spec, across domains. *)
-let attempts_mu = Mutex.create ()
-
-let attempts : (string, int) Hashtbl.t = Hashtbl.create 16
-
-let set_rules rs =
-  Mutex.lock attempts_mu;
-  Hashtbl.reset attempts;
-  Mutex.unlock attempts_mu;
-  installed := Some rs
+let set_rules rs = installed := Some rs
 
 let rules () =
   match !installed with
@@ -92,83 +74,20 @@ let inject canonical =
           match r.kind with
           | Corrupt -> ()
           | Slow s -> sleep s
-          | Crash -> raise (Injected canonical)
-          | Flaky k ->
-              let n =
-                Mutex.lock attempts_mu;
-                let n = (try Hashtbl.find attempts canonical with Not_found -> 0) + 1 in
-                Hashtbl.replace attempts canonical n;
-                Mutex.unlock attempts_mu;
-                n
-              in
-              if n <= k then raise (Injected canonical))
+          | Crash -> raise (Injected canonical))
         (matching canonical)
 
 let wants_corrupt canonical =
   List.exists (fun r -> r.kind = Corrupt) (matching canonical)
 
 (* ----------------------------------------------------------------- *)
-(* Supervision                                                        *)
+(* Failures                                                           *)
 (* ----------------------------------------------------------------- *)
-
-type policy = { retries : int; backoff : float; deadline : float option }
-
-let default_policy = { retries = 0; backoff = 0.05; deadline = None }
-
-let policy ?(retries = default_policy.retries) ?(backoff = default_policy.backoff)
-    ?deadline () =
-  { retries; backoff; deadline }
 
 type failure = {
   exn : exn;
   backtrace : Printexc.raw_backtrace;
   attempts : int;
-  timed_out : bool;
 }
 
-let pp_failure ppf f =
-  Format.fprintf ppf "%s (attempt%s: %d%s)"
-    (Printexc.to_string f.exn)
-    (if f.attempts = 1 then "" else "s")
-    f.attempts
-    (if f.timed_out then ", timed out" else "")
-
-let default_permanent = function Job.Spec_error _ -> true | _ -> false
-
-let supervise ?(policy = default_policy) ?(is_permanent = default_permanent)
-    ~name f =
-  let deadline_guard t0 v =
-    match policy.deadline with
-    | Some d when Unix.gettimeofday () -. t0 > d ->
-        Obs.count "engine.timeouts";
-        raise (Timeout name)
-    | _ -> v
-  in
-  let attempt n =
-    let body () =
-      let t0 = Unix.gettimeofday () in
-      deadline_guard t0 (f ())
-    in
-    if n = 1 then body ()
-    else begin
-      Obs.count "engine.retries";
-      Obs.with_span ~cat:"retry" ~args:[ ("attempt", `Int n) ] ("retry:" ^ name)
-        body
-    end
-  in
-  let rec go n =
-    match attempt n with
-    | v -> Ok v
-    | exception exn ->
-        let backtrace = Printexc.get_raw_backtrace () in
-        let timed_out = match exn with Timeout _ -> true | _ -> false in
-        if n <= policy.retries && not (is_permanent exn) then begin
-          sleep (min 30.0 (policy.backoff *. (2.0 ** float_of_int (n - 1))));
-          go (n + 1)
-        end
-        else begin
-          Obs.count "engine.failures";
-          Error { exn; backtrace; attempts = n; timed_out }
-        end
-  in
-  go 1
+let pp_failure ppf f = Format.pp_print_string ppf (Printexc.to_string f.exn)

@@ -1,10 +1,11 @@
-(** Per-job supervision: bounded retries with exponential backoff,
-    optional per-job deadlines, and a deterministic fault-injection hook
-    for testing crashes, slow jobs, and corrupt cache entries.
+(** Job failures as data, and a deterministic fault-injection hook for
+    testing crashes, slow jobs, and corrupt cache entries.
 
-    The engine wraps every job in {!supervise}.  With the default policy
-    (no retries, no deadline) and no injected faults the wrapper is a
-    single function call — default behavior, and default output, is
+    Every job is a pure function of its spec, so a failed job would fail
+    the same way again: the engine runs each job once and records a
+    failure as a {!failure}.  A re-run of the same sweep resumes from the
+    result cache.  With no injected faults the hook is one memoized
+    empty-list check — default behavior, and default output, is
     unchanged.
 
     Injection is driven by rules, installed either programmatically
@@ -16,10 +17,7 @@
 
 (** What an injected fault does when its pattern matches. *)
 type kind =
-  | Crash  (** raise {!Injected} on every attempt *)
-  | Flaky of int
-      (** raise {!Injected} on the first [k] attempts for that spec
-          (process-wide count), then succeed — exercises retry paths *)
+  | Crash  (** raise {!Injected} *)
   | Slow of float  (** sleep this many seconds before the job body runs *)
   | Corrupt
       (** mark the spec so the engine truncates its cache entry right
@@ -27,78 +25,38 @@ type kind =
 
 type rule = { pattern : string; kind : kind }
 
-(** Raised by {!inject} when a [Crash] or still-failing [Flaky] rule
-    matches.  Treated as transient by {!supervise} (retries apply). *)
+(** Raised by {!inject} when a [Crash] rule matches. *)
 exception Injected of string
 
-(** Raised (synthetically) by {!supervise} when an attempt overruns the
-    policy's deadline.  Deadlines are detected, not preempted: the
-    attempt runs to completion and its result is then discarded. *)
-exception Timeout of string
-
 (** [parse s] — rules are separated by [';']; each rule is
-    [crash:PATTERN], [flaky:PATTERN:K], [slow:PATTERN:MS] or
-    [corrupt:PATTERN].  @raise Invalid_argument on a malformed rule. *)
+    [crash:PATTERN], [slow:PATTERN:MS] or [corrupt:PATTERN].
+    @raise Invalid_argument on a malformed rule. *)
 val parse : string -> rule list
 
-(** Install rules programmatically (tests); resets [Flaky] attempt
-    counts.  [set_rules []] disables injection. *)
+(** Install rules programmatically (tests).  [set_rules []] disables
+    injection. *)
 val set_rules : rule list -> unit
 
-(** Current rules: installed ones, else parsed from [MLC_FAULTS] on
-    first use (malformed [MLC_FAULTS] is reported once on stderr and
-    ignored). *)
-val rules : unit -> rule list
-
-(** The injection hook.  [inject canonical] applies every matching rule:
-    sleeps for [Slow], raises {!Injected} for [Crash] / failing [Flaky].
-    Called by the engine at the start of every job attempt; no-op when no
-    rule matches (the common case is one memoized empty-list check). *)
+(** The injection hook.  [inject canonical] applies every rule matching
+    [canonical] — the installed ones, else those parsed from [MLC_FAULTS]
+    on first use (a malformed [MLC_FAULTS] is reported once on stderr and
+    ignored): it sleeps for [Slow] and raises {!Injected} for [Crash].
+    Called by the engine at the start of every job; no-op when no rule
+    matches. *)
 val inject : string -> unit
 
 (** True when a [Corrupt] rule matches [canonical] — consulted by the
     engine after a cache store. *)
 val wants_corrupt : string -> bool
 
-(** Retry policy for one job. *)
-type policy = {
-  retries : int;  (** extra attempts after the first (0 = fail fast) *)
-  backoff : float;
-      (** seconds before the first retry; doubles on each further
-          retry.  Sleeps are capped at 30 s. *)
-  deadline : float option;
-      (** per-attempt wall-clock budget in seconds; an attempt that
-          overruns counts an [engine.timeouts] and fails with
-          {!Timeout} (retryable like any transient failure) *)
-}
-
-(** No retries, 50 ms initial backoff, no deadline. *)
-val default_policy : policy
-
-(** [policy ()] with overrides. *)
-val policy : ?retries:int -> ?backoff:float -> ?deadline:float -> unit -> policy
-
-(** Everything known about a job that ultimately failed. *)
+(** Everything known about a job that failed. *)
 type failure = {
-  exn : exn;  (** the last attempt's exception *)
+  exn : exn;
   backtrace : Printexc.raw_backtrace;
-  attempts : int;  (** how many attempts ran (>= 1) *)
-  timed_out : bool;  (** the last failure was a {!Timeout} *)
+  attempts : int;
+      (** always 1: a job runs once.  Kept because the perfbench harness
+          reads it. *)
 }
 
+(** Prints the exception. *)
 val pp_failure : Format.formatter -> failure -> unit
-
-(** [supervise ~policy ~name f] runs [f] under the policy: transient
-    failures are retried with exponential backoff up to
-    [policy.retries] times, each retry inside a ["retry:"name] span and
-    counted in [engine.retries]; deadline overruns count
-    [engine.timeouts].  Permanent failures ({!Job.Spec_error} — the spec
-    itself is wrong, no retry can help) and exhausted retries return
-    [Error failure] and count [engine.failures].  [is_permanent]
-    overrides the permanent-failure test. *)
-val supervise :
-  ?policy:policy ->
-  ?is_permanent:(exn -> bool) ->
-  name:string ->
-  (unit -> 'a) ->
-  ('a, failure) result

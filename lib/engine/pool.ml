@@ -5,12 +5,11 @@ let default_jobs () = Domain.recommended_domain_count ()
    caller observes results only after every domain is joined, which
    publishes the writes.
 
-   [map_opt] is the general core: workers stop claiming indices when the
-   [cancel] flag is set, when [stop] returned true on any produced
-   result, or when any call raised; unclaimed slots come back [None].
-   The first exception (if any) is re-raised after every domain is
-   joined — callers that want failures as data make [f] total and use
-   [stop] instead. *)
+   Workers stop claiming indices when the [cancel] flag is set, when
+   [stop] returned true on any produced result, or when any call raised;
+   unclaimed slots come back [None].  The first exception (if any) is
+   re-raised after every domain is joined — callers that want failures
+   as data make [f] total and use [stop] instead. *)
 let map_opt ?(jobs = default_jobs ()) ?cancel ?stop f items =
   let n = Array.length items in
   let jobs = max 1 (min jobs n) in
@@ -65,12 +64,3 @@ let map_opt ?(jobs = default_jobs ()) ?cancel ?stop f items =
     | None -> ());
     results
   end
-
-let map ?jobs f items =
-  Array.map
-    (function
-      | Some y -> y
-      (* Reachable only if no failure, no stop and no cancel, in which
-         case every index was claimed and filled. *)
-      | None -> assert false)
-    (map_opt ?jobs f items)

@@ -546,6 +546,9 @@ let bad_inputs =
     ("sweep JACOBI512 --lo 300 --hi 200 --no-cache", [ "--lo 300"; "--hi 200" ]);
     ("sweep JACOBI512 --step 0 --no-cache", [ "'0'"; "positive integer" ]);
     ("sweep JACOBI512 --step=-5 --no-cache", [ "'-5'"; "positive integer" ]);
+    ("sweep JACOBI512 --jobs 0 --no-cache", [ "'0'"; "positive integer" ]);
+    ("sweep JACOBI512 --jobs=-3 --no-cache", [ "'-3'"; "positive integer" ]);
+    ("emit JACOBI512 --repeat 0", [ "'0'"; "positive integer" ]);
   ]
 
 let test_bad_input () =
