@@ -17,10 +17,11 @@ type level = {
   line_bits : int;
   set_mask : int;
   assoc : int;
-  (* tags.(set * assoc + way), -1 = empty; mirrors Level. *)
+  (* tags.(set * assoc + way) = (line_addr lsl 1) lor dirty, -1 = empty.
+     Lines are >= 4 bytes and line addresses come from [lsr], so they are
+     below 2^61: the word never overflows, and a resident line's is >= 0. *)
   tags : int array;
   last_use : int array;
-  dirty : bool array;
   mutable clock : int;
   stats : Stats.t;
 }
@@ -32,8 +33,9 @@ type t = {
   mutable cur : int array;
   mutable slot : int array;
   mutable rem : int array;
-  (* L1 misses of a direct-mapped [block] awaiting the levels below,
-     each [(addr lsl 1) lor write], in issue order *)
+  mutable shift : int array;
+  (* L1 misses of a direct-mapped [block] awaiting the levels below, in
+     order, each [(addr land lnot 1) lor write] (lines are >= 4 bytes) *)
   batch : int array;
   (* fast-path accounting: how [block] consumed its iterations *)
   mutable bulk_segments : int;
@@ -56,6 +58,7 @@ let log2 n =
 let make_level (geom : Level.geometry) =
   if not (is_pow2 geom.size) then invalid_arg "Fast_sim.create: size not a power of two";
   if not (is_pow2 geom.line) then invalid_arg "Fast_sim.create: line not a power of two";
+  if geom.line < 4 then invalid_arg "Fast_sim.create: line smaller than 4 bytes";
   if geom.line > geom.size then invalid_arg "Fast_sim.create: line larger than cache";
   if geom.assoc < 1 then invalid_arg "Fast_sim.create: associativity < 1";
   let n_lines = geom.size / geom.line in
@@ -69,7 +72,6 @@ let make_level (geom : Level.geometry) =
     assoc = geom.assoc;
     tags = Array.make n_lines (-1);
     last_use = Array.make n_lines 0;
-    dirty = Array.make n_lines false;
     clock = 0;
     stats = Stats.create ();
   }
@@ -86,6 +88,7 @@ let create ?(write_allocate = true) geoms =
     cur = [||];
     slot = [||];
     rem = [||];
+    shift = [||];
     batch = Array.make batch_capacity 0;
     bulk_segments = 0;
     bulk_iterations = 0;
@@ -111,71 +114,64 @@ let metrics (t : t) : metrics =
     seq_iterations = t.seq_iterations;
   }
 
-(* One access at one level, on the line address and set the caller
-   already computed; mirrors Level.access minus prefetch and returns
-   whether it hit.  [set <= set_mask] and ways are bounded by assoc, so
-   the unchecked array accesses are safe; stats are bumped inline to keep
-   these paths allocation-free.
+(* The access routines leave [Stats.t] alone; callers count in locals. *)
+let[@inline] charge (st : Stats.t) ~accesses ~misses ~writes ~writebacks =
+  st.accesses <- st.accesses + accesses;
+  st.hits <- st.hits + accesses - misses;
+  st.misses <- st.misses + misses;
+  st.writes <- st.writes + writes;
+  st.writebacks <- st.writebacks + writebacks
 
+(* One access at one level, on the line address and set the caller
+   already computed; mirrors Level.access minus prefetch.  The outcome
+   is 0 for a hit, 2 for a miss, 3 for a miss whose fill evicted a dirty
+   line: [o lsr 1] counts the miss, [o land 1] the writeback.  Sets and
+   ways are in bounds, so the unchecked array accesses are safe.
    [access_dm] is the one copy of the direct-mapped logic (no LRU state,
-   so no clock): [cascade], [flush] and [block_dm]'s own L1 misses all
-   inline it. *)
-let[@inline] access_dm ~write_allocate ~write l line_addr set =
-  let st = l.stats in
-  st.Stats.accesses <- st.Stats.accesses + 1;
-  if write then st.Stats.writes <- st.Stats.writes + 1;
-  if Array.unsafe_get l.tags set = line_addr then begin
-    if write then Array.unsafe_set l.dirty set true;
-    st.Stats.hits <- st.Stats.hits + 1;
-    true
+   so no clock); [miss_dm] is its miss half, which [block_dm] calls after
+   its own tag test. *)
+let[@inline] fill tags slot line_addr ~write =
+  let e = Array.unsafe_get tags slot in
+  Array.unsafe_set tags slot ((line_addr lsl 1) lor Bool.to_int write);
+  if e >= 0 && e land 1 = 1 then 3 else 2
+
+let[@inline] miss_dm ~write_allocate ~write tags line_addr set =
+  if write && not write_allocate then 2 else fill tags set line_addr ~write
+
+let[@inline] access_dm ~write_allocate ~write tags line_addr set =
+  let e = Array.unsafe_get tags set in
+  if e lsr 1 = line_addr then begin
+    if write then Array.unsafe_set tags set (e lor 1);
+    0
   end
-  else begin
-    if (not write) || write_allocate then begin
-      if Array.unsafe_get l.tags set >= 0 && Array.unsafe_get l.dirty set then
-        st.Stats.writebacks <- st.Stats.writebacks + 1;
-      Array.unsafe_set l.tags set line_addr;
-      Array.unsafe_set l.dirty set write
-    end;
-    st.Stats.misses <- st.Stats.misses + 1;
-    false
-  end
+  else miss_dm ~write_allocate ~write tags line_addr set
 
 let access_assoc ~write_allocate ~write l line_addr set =
-  let st = l.stats in
-  st.Stats.accesses <- st.Stats.accesses + 1;
-  if write then st.Stats.writes <- st.Stats.writes + 1;
   l.clock <- l.clock + 1;
   let assoc = l.assoc in
   let base = set * assoc in
   let rec find way =
     if way = assoc then -1
-    else if Array.unsafe_get l.tags (base + way) = line_addr then way
+    else if Array.unsafe_get l.tags (base + way) lsr 1 = line_addr then way
     else find (way + 1)
   in
   let way = find 0 in
   if way >= 0 then begin
-    Array.unsafe_set l.last_use (base + way) l.clock;
-    if write then Array.unsafe_set l.dirty (base + way) true;
-    st.Stats.hits <- st.Stats.hits + 1;
-    true
+    let slot = base + way in
+    Array.unsafe_set l.last_use slot l.clock;
+    if write then Array.unsafe_set l.tags slot (Array.unsafe_get l.tags slot lor 1);
+    0
   end
+  else if write && not write_allocate then 2
   else begin
-    if (not write) || write_allocate then begin
-      let victim = ref 0 in
-      for w = 1 to assoc - 1 do
-        if Array.unsafe_get l.last_use (base + w)
-           < Array.unsafe_get l.last_use (base + !victim)
-        then victim := w
-      done;
-      let slot = base + !victim in
-      if Array.unsafe_get l.tags slot >= 0 && Array.unsafe_get l.dirty slot then
-        st.Stats.writebacks <- st.Stats.writebacks + 1;
-      Array.unsafe_set l.tags slot line_addr;
-      Array.unsafe_set l.dirty slot write;
-      Array.unsafe_set l.last_use slot l.clock
-    end;
-    st.Stats.misses <- st.Stats.misses + 1;
-    false
+    let victim = ref 0 in
+    for w = 1 to assoc - 1 do
+      if Array.unsafe_get l.last_use (base + w) < Array.unsafe_get l.last_use (base + !victim)
+      then victim := w
+    done;
+    let slot = base + !victim in
+    Array.unsafe_set l.last_use slot l.clock;
+    fill l.tags slot line_addr ~write
   end
 
 (* One access down the cascade, as a loop: level [i+1] only sees level
@@ -191,9 +187,16 @@ let cascade t ~write addr =
          let l = Array.unsafe_get levels !i in
          let line_addr = addr lsr l.line_bits in
          let set = line_addr land l.set_mask in
-         not
-           (if l.assoc = 1 then access_dm ~write_allocate ~write l line_addr set
-            else access_assoc ~write_allocate ~write l line_addr set)
+         let o =
+           if l.assoc = 1 then access_dm ~write_allocate ~write l.tags line_addr set
+           else access_assoc ~write_allocate ~write l line_addr set
+         in
+         let st = l.stats in
+         st.accesses <- st.accesses + 1;
+         if write then st.writes <- st.writes + 1;
+         if o = 0 then st.hits <- st.hits + 1
+         else (st.misses <- st.misses + 1; st.writebacks <- st.writebacks + (o land 1));
+         o <> 0
        end
   do
     incr i
@@ -215,53 +218,82 @@ let flush t n =
   while !n > 0 && !i < Array.length levels do
     let l = Array.unsafe_get levels !i in
     let line_bits = l.line_bits and set_mask = l.set_mask and dm = l.assoc = 1 in
-    let kept = ref 0 in
+    let tags = l.tags in
+    let kept = ref 0 and writes = ref 0 and writebacks = ref 0 in
     for k = 0 to !n - 1 do
       let e = Array.unsafe_get batch k in
-      let line_addr = (e asr 1) lsr line_bits in
+      let line_addr = e lsr line_bits in
       let set = line_addr land set_mask and write = e land 1 = 1 in
-      if
-        not
-          (if dm then access_dm ~write_allocate ~write l line_addr set
-           else access_assoc ~write_allocate ~write l line_addr set)
-      then begin
+      writes := !writes + (e land 1);
+      let o =
+        if dm then access_dm ~write_allocate ~write tags line_addr set
+        else access_assoc ~write_allocate ~write l line_addr set
+      in
+      if o <> 0 then begin
+        writebacks := !writebacks + (o land 1);
         Array.unsafe_set batch !kept e;
         incr kept
       end
     done;
+    charge l.stats ~accesses:!n ~misses:!kept ~writes:!writes ~writebacks:!writebacks;
     n := !kept;
     incr i
   done
+
+(* Appends an L1 miss to the batch at [pending] and returns the new
+   pending count, sending a full batch down first. *)
+let[@inline] push t pending addr ~write =
+  Array.unsafe_set t.batch pending ((addr land lnot 1) lor Bool.to_int write);
+  if pending + 1 = batch_capacity then begin
+    flush t batch_capacity;
+    0
+  end
+  else pending + 1
 
 (* Slot of [addr]'s line at level [l], or -1 when not resident. *)
 let find_slot l addr =
   let line_addr = addr lsr l.line_bits in
   let set = line_addr land l.set_mask in
-  if l.assoc = 1 then (if l.tags.(set) = line_addr then set else -1)
+  if l.assoc = 1 then (if l.tags.(set) lsr 1 = line_addr then set else -1)
   else begin
     let base = set * l.assoc in
     let rec go way =
       if way = l.assoc then -1
-      else if l.tags.(base + way) = line_addr then base + way
+      else if l.tags.(base + way) lsr 1 = line_addr then base + way
       else go (way + 1)
     in
     go 0
   end
 
+(* Iterations, the current one included, that a reference at [a] with
+   stride [s] stays on its line; [sh] is log2 |s| for a power-of-two
+   stride below a line, else -1. *)
+let[@inline] cross_dist ~line_mask a s sh =
+  let line = line_mask + 1 in
+  if s = 0 then max_int
+  else if s >= line || -s >= line then 1
+  else if s > 0 then
+    let d = line - (a land line_mask) + s - 1 in
+    if sh >= 0 then d lsr sh else d / s
+  else
+    let d = a land line_mask in
+    (if sh >= 0 then d lsr sh else d / -s) + 1
+
 let ensure_scratch t n =
   if Array.length t.cur < n then begin
     t.cur <- Array.make n 0;
     t.slot <- Array.make n 0;
-    t.rem <- Array.make n 0
+    t.rem <- Array.make n 0;
+    t.shift <- Array.make n 0
   end
 
 (* [block] pushes a two-loop segment through the hierarchy: row o,
    iteration j issues, for each ref r in order,
    [bases.(r) + o * outer_strides.(r) + j * strides.(r)] (a write iff
-   [writes.(r)]); rows run in order, each [count] iterations.  Both
-   variants take the rows one by one, restarting their phase logic at
-   each row start, so their work counters are those of one call per
-   row.
+   [writes.(r)]); rows run in order, each [count] iterations.  Rows
+   that continue one another are joined into one; both variants then
+   take the rows one by one, restarting their phase logic at each row
+   start, so their work counters are those of one call per row.
 
    The exactness argument both variants rely on: while every reference
    hits L1, lower levels see nothing and no line is installed or evicted,
@@ -276,44 +308,37 @@ let ensure_scratch t n =
    minimum and re-probes only the references that crossed a line
    boundary, since nothing was installed, so the others cannot have been
    evicted.  Crossed refs are committed in two phases (check residency of
-   all, then update), so a miss exits the phase before any dirty bit of
-   an unsimulated iteration is set.  Iterations with a missing line run
-   sequentially in reference order with the L1 hit check inlined; only
-   actually-missing refs go further (their installs can evict a later
-   ref's line, hence the per-ref re-check at its turn): [access_dm]
-   charges the miss to L1 on the line and set already computed, and the
-   miss joins [t.batch] for the levels below ([flush]: when the batch is
-   full, and before returning, so no batch outlives the call).  Inline
-   hits carry no per-access counter updates at all: they are recovered
-   at the end as (iterations * nrefs) - (L1 misses charged here).
+   all, then update), so a miss never sets a dirty bit of an unsimulated
+   iteration.  When a crossed ref's new line is not resident, that one
+   iteration runs in place, keeping [rem] current; the phase goes on if
+   every ref that stays on its line still holds it, dirty if the ref
+   writes (a later fill may have evicted it, or a read filled it clean).
+   Otherwise iterations run sequentially, with no [rem] upkeep, until one
+   is all-hit again.  A sequential iteration tests each ref's tag at its
+   turn (an install can evict a later ref's line) and sends a miss
+   through [miss_dm] into [t.batch] ([flush]ed when full and before
+   returning).  L1 is charged once, with the misses counted here.
 
    Unchecked array accesses: sets are masked by [set_mask]; scratch
    indices are < nrefs, and [block] validated the input array lengths. *)
 let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   let nrefs = Array.length bases in
   ensure_scratch t nrefs;
-  let cur = t.cur and rem = t.rem and slot = t.slot in
+  let cur = t.cur and rem = t.rem and slot = t.slot and shift = t.shift in
   let line_bits = l1.line_bits and set_mask = l1.set_mask in
-  let tags = l1.tags and dirty = l1.dirty in
+  let tags = l1.tags in
   let line_mask = (1 lsl line_bits) - 1 in
-  let line = line_mask + 1 in
-  let cross_dist a s =
-    if s = 0 then max_int
-    else if s >= line || -s >= line then 1
-    else if s > 0 then (line - (a land line_mask) + s - 1) / s
-    else ((a land line_mask) / -s) + 1
-  in
   let nwrites = ref 0 in
   for r = 0 to nrefs - 1 do
+    let s = abs strides.(r) in
+    shift.(r) <- (if s <= line_mask && is_pow2 s then log2 s else -1);
     if writes.(r) then incr nwrites
   done;
   let nwrites = !nwrites in
   let write_allocate = t.write_allocate in
-  let bulk_iters = ref 0 in
-  let seq_iters = ref 0 in
-  let nmiss = ref 0 in
-  let nmiss_w = ref 0 in
-  let batch = t.batch and pending = ref 0 in
+  let bulk_segs = ref 0 and bulk_iters = ref 0 and seq_iters = ref 0 in
+  let nmiss = ref 0 and nwb = ref 0 in
+  let pending = ref 0 in
   for o = 0 to outer_count - 1 do
     for r = 0 to nrefs - 1 do
       Array.unsafe_set cur r
@@ -325,17 +350,18 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
       let all = ref true in
       for r = 0 to nrefs - 1 do
         let la = Array.unsafe_get cur r lsr line_bits in
-        if Array.unsafe_get tags (la land set_mask) <> la then all := false
+        if Array.unsafe_get tags (la land set_mask) lsr 1 <> la then all := false
       done;
       if !all then begin
         (* steady all-hit phase *)
         for r = 0 to nrefs - 1 do
           let a = Array.unsafe_get cur r in
           if Array.unsafe_get writes r then begin
-            let la = a lsr line_bits in
-            Array.unsafe_set dirty (la land set_mask) true
+            let set = (a lsr line_bits) land set_mask in
+            Array.unsafe_set tags set (Array.unsafe_get tags set lor 1)
           end;
-          Array.unsafe_set rem r (cross_dist a (Array.unsafe_get strides r))
+          Array.unsafe_set rem r
+            (cross_dist ~line_mask a (Array.unsafe_get strides r) (Array.unsafe_get shift r))
         done;
         let steady = ref true in
         while !steady && !i < count do
@@ -346,37 +372,76 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
           done;
           let k = !k in
           bulk_iters := !bulk_iters + k;
-          t.bulk_segments <- t.bulk_segments + 1;
+          incr bulk_segs;
           i := !i + k;
           for r = 0 to nrefs - 1 do
             Array.unsafe_set rem r (Array.unsafe_get rem r - k);
             Array.unsafe_set cur r
               (Array.unsafe_get cur r + (k * Array.unsafe_get strides r))
           done;
-          if !i < count then begin
+          let crossing = ref (!i < count) in
+          while !crossing do
             (* crossed refs (rem = 0) moved onto unverified lines *)
             let ok = ref true in
             let nc = ref 0 in
             for r = 0 to nrefs - 1 do
               if Array.unsafe_get rem r = 0 then begin
                 let la = Array.unsafe_get cur r lsr line_bits in
-                if Array.unsafe_get tags (la land set_mask) <> la then ok := false;
+                if Array.unsafe_get tags (la land set_mask) lsr 1 <> la then ok := false;
                 Array.unsafe_set slot !nc r;
                 incr nc
               end
             done;
-            let ok = !ok in
-            for j = 0 to !nc - 1 do
-              let r = Array.unsafe_get slot j in
-              let a = Array.unsafe_get cur r in
-              if ok && Array.unsafe_get writes r then begin
-                let la = a lsr line_bits in
-                Array.unsafe_set dirty (la land set_mask) true
-              end;
-              Array.unsafe_set rem r (cross_dist a (Array.unsafe_get strides r))
-            done;
-            if not ok then steady := false
-          end
+            if !ok then begin
+              for j = 0 to !nc - 1 do
+                let r = Array.unsafe_get slot j in
+                let a = Array.unsafe_get cur r in
+                if Array.unsafe_get writes r then begin
+                  let set = (a lsr line_bits) land set_mask in
+                  Array.unsafe_set tags set (Array.unsafe_get tags set lor 1)
+                end;
+                Array.unsafe_set rem r
+                  (cross_dist ~line_mask a (Array.unsafe_get strides r) (Array.unsafe_get shift r))
+              done;
+              crossing := false
+            end
+            else begin
+              (* iteration !i in place *)
+              for r = 0 to nrefs - 1 do
+                let a = Array.unsafe_get cur r and s = Array.unsafe_get strides r in
+                if Array.unsafe_get rem r = 0 then
+                  Array.unsafe_set rem r (cross_dist ~line_mask a s (Array.unsafe_get shift r));
+                let la = a lsr line_bits and w = Array.unsafe_get writes r in
+                let set = la land set_mask in
+                let e = Array.unsafe_get tags set in
+                if e lsr 1 = la then begin
+                  if w then Array.unsafe_set tags set (e lor 1)
+                end
+                else begin
+                  let o = miss_dm ~write_allocate ~write:w tags la set in
+                  incr nmiss;
+                  nwb := !nwb + (o land 1);
+                  pending := push t !pending a ~write:w
+                end;
+                Array.unsafe_set cur r (a + s);
+                Array.unsafe_set rem r (Array.unsafe_get rem r - 1)
+              done;
+              incr seq_iters;
+              incr i;
+              if !i < count then
+                for r = 0 to nrefs - 1 do
+                  if Array.unsafe_get rem r > 0 then begin
+                    let la = Array.unsafe_get cur r lsr line_bits in
+                    let e = Array.unsafe_get tags (la land set_mask) in
+                    if
+                      if Array.unsafe_get writes r then e <> (la lsl 1) lor 1
+                      else e lsr 1 <> la
+                    then steady := false
+                  end
+                done;
+              crossing := !steady && !i < count
+            end
+          done
         done
       end
       else begin
@@ -386,23 +451,18 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
           had_miss := false;
           for r = 0 to nrefs - 1 do
             let a = Array.unsafe_get cur r in
-            let la = a lsr line_bits in
+            let la = a lsr line_bits and w = Array.unsafe_get writes r in
             let set = la land set_mask in
-            let w = Array.unsafe_get writes r in
-            if Array.unsafe_get tags set = la then begin
-              if w then Array.unsafe_set dirty set true
+            let e = Array.unsafe_get tags set in
+            if e lsr 1 = la then begin
+              if w then Array.unsafe_set tags set (e lor 1)
             end
             else begin
+              let o = miss_dm ~write_allocate ~write:w tags la set in
               had_miss := true;
               incr nmiss;
-              if w then incr nmiss_w;
-              ignore (access_dm ~write_allocate ~write:w l1 la set);
-              Array.unsafe_set batch !pending (if w then (a lsl 1) lor 1 else a lsl 1);
-              incr pending;
-              if !pending = batch_capacity then begin
-                flush t batch_capacity;
-                pending := 0
-              end
+              nwb := !nwb + (o land 1);
+              pending := push t !pending a ~write:w
             end;
             Array.unsafe_set cur r (a + Array.unsafe_get strides r)
           done;
@@ -413,12 +473,10 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
     done
   done;
   flush t !pending;
-  let st = l1.stats in
-  let inline_hits = ((!bulk_iters + !seq_iters) * nrefs) - !nmiss in
-  let inline_writes = ((!bulk_iters + !seq_iters) * nwrites) - !nmiss_w in
-  st.Stats.accesses <- st.Stats.accesses + inline_hits;
-  st.Stats.hits <- st.Stats.hits + inline_hits;
-  st.Stats.writes <- st.Stats.writes + inline_writes;
+  let iters = !bulk_iters + !seq_iters in
+  charge l1.stats ~accesses:(iters * nrefs) ~misses:!nmiss ~writes:(iters * nwrites)
+    ~writebacks:!nwb;
+  t.bulk_segments <- t.bulk_segments + !bulk_segs;
   t.bulk_iterations <- t.bulk_iterations + !bulk_iters;
   t.seq_iterations <- t.seq_iterations + !seq_iters
 
@@ -434,6 +492,7 @@ let block_assoc t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count 
   let line_mask = (1 lsl l1.line_bits) - 1 in
   let line = line_mask + 1 in
   let cur = t.cur and slot = t.slot in
+  let nwrites = Array.fold_left (fun n w -> if w then n + 1 else n) 0 writes in
   let probe () =
     let ok = ref true in
     let r = ref 0 in
@@ -447,14 +506,9 @@ let block_assoc t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count 
   let bulk k =
     t.bulk_segments <- t.bulk_segments + 1;
     t.bulk_iterations <- t.bulk_iterations + k;
-    let st = l1.stats in
-    st.Stats.accesses <- st.Stats.accesses + (k * nrefs);
-    st.Stats.hits <- st.Stats.hits + (k * nrefs);
+    charge l1.stats ~accesses:(k * nrefs) ~misses:0 ~writes:(k * nwrites) ~writebacks:0;
     for r = 0 to nrefs - 1 do
-      if writes.(r) then begin
-        st.Stats.writes <- st.Stats.writes + k;
-        l1.dirty.(slot.(r)) <- true
-      end;
+      if writes.(r) then l1.tags.(slot.(r)) <- l1.tags.(slot.(r)) lor 1;
       l1.clock <- l1.clock + 1;
       l1.last_use.(slot.(r)) <- l1.clock
     done
@@ -527,6 +581,10 @@ let block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
     || Array.length outer_strides <> nrefs
   then invalid_arg "Fast_sim.block: bases/strides/writes/outer_strides length mismatch";
   if nrefs > 0 && count > 0 && outer_count > 0 then begin
+    (* rows that continue one another are one row *)
+    let joined = ref (outer_count > 1) in
+    Array.iteri (fun r o -> if o <> count * strides.(r) then joined := false) outer_strides;
+    let count, outer_count = if !joined then (count * outer_count, 1) else (count, outer_count) in
     let l1 = t.levels.(0) in
     if l1.assoc = 1 then
       block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count

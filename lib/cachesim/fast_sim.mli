@@ -18,7 +18,9 @@
 type t
 
 (** [create ?write_allocate geoms] builds a simulator for the given levels,
-    L1 first, with the same geometry validation as {!Level.create}.
+    L1 first, with the same geometry validation as {!Level.create}, and
+    lines of at least 4 bytes (each line's address and dirty bit share
+    one word).
     @raise Invalid_argument on an empty list or invalid geometry. *)
 val create : ?write_allocate:bool -> Level.geometry list -> t
 
@@ -57,13 +59,19 @@ val writebacks : t -> int
 (** Per-level misses / total refs, the paper's reporting convention. *)
 val miss_rates : t -> float list
 
-(** Fast-path accounting: how {!block} consumed its iterations.
+(** Fast-path accounting: how {!block} consumed its iterations, counted
+    per row (rows that continue one another count as one).
     [bulk_iterations + seq_iterations] is the total iteration count seen;
     a high bulk share is what makes this backend fast. *)
 type metrics = {
-  bulk_segments : int;  (** all-hit segments accounted in bulk *)
+  bulk_segments : int;
+      (** all-hit segments accounted in bulk: on a direct-mapped L1, one
+          per advance of the steady phase to the next line crossing *)
   bulk_iterations : int;  (** iterations covered by those segments *)
-  seq_iterations : int;  (** iterations replayed access by access *)
+  seq_iterations : int;
+      (** iterations replayed access by access: conflict iterations, and
+          on a direct-mapped L1 each crossing iteration that missed and
+          ran in place inside the steady phase *)
 }
 
 val metrics : t -> metrics

@@ -3,6 +3,7 @@ module Cs = Mlc_cachesim
 module An = Mlc_analysis
 module K = Mlc_kernels
 module L = Locality
+module Obs = Mlc_obs.Obs
 
 exception Spec_error of string
 
@@ -195,10 +196,11 @@ let execute spec =
   let machine_t = build_machine spec.machine in
   let program = build_program spec.program in
   let layout = build_layout machine_t spec.layout program in
-  (* Fast_sim does not model next-line prefetch; such specs silently run
-     on the reference cascade (the two backends agree everywhere else, so
-     this only costs time, never accuracy). *)
+  (* Fast_sim does not model next-line prefetch; such specs run on the
+     reference cascade (the two backends agree everywhere else, so this
+     only costs time, never accuracy), counted as [sim.fast.fallbacks]. *)
   let use_fast = spec.backend = `Fast && spec.machine.prefetch_levels = [] in
+  if spec.backend = `Fast && not use_fast then Obs.count "sim.fast.fallbacks";
   let interp, live =
     if use_fast then begin
       let sim =

@@ -67,7 +67,8 @@ type spec = {
       (** which simulator runs the job.  Part of the cache key, so warm
           results never cross backends.  [`Fast] specs with
           [prefetch_levels] fall back to the reference cascade at
-          execution time (Fast_sim does not model prefetch). *)
+          execution time (Fast_sim does not model prefetch), and count
+          one [sim.fast.fallbacks] each. *)
 }
 
 (** Spec constructor with the common defaults (ultrasparc, fast backend,

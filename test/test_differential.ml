@@ -35,9 +35,24 @@ let gen_hierarchy =
     let* write_allocate = bool in
     return (write_allocate, geoms))
 
-let gen_trace =
+(* Addresses near 0, below 0 and at or above 2^40, with the same low
+   bits in each region so that lines of different regions share sets:
+   the fast backend packs a line address and a dirty bit into one word,
+   which must hold over the whole address range.  Out-of-bounds
+   programs issue such addresses. *)
+let gen_addr =
   QCheck.Gen.(
-    list_size (int_range 1 400) (pair (int_range 0 8191) bool))
+    let* low = int_range 0 8191 in
+    frequency
+      [
+        (6, return low);
+        (2, return (low - 8192));
+        (2, return ((1 lsl 40) + low));
+        (1, oneofl [ min_int + low; max_int - low ]);
+      ])
+
+let gen_trace =
+  QCheck.Gen.(list_size (int_range 1 400) (pair gen_addr bool))
 
 let print_geom (g : Cs.Level.geometry) =
   Printf.sprintf "{size=%d;line=%d;assoc=%d}" g.Cs.Level.size g.Cs.Level.line
@@ -274,6 +289,180 @@ let test_rows_length_mismatch () =
       Cs.Fast_sim.block f ~bases:[| 0; 64 |] ~strides:[| 8; 8 |] ~writes:[| false; true |]
         ~count:4 ~outer_strides:[| 512 |] ~outer_count:2)
 
+(* Crossing streams: 3-8 references with sub-line strides (12 and 24
+   among them, a downward one and one of stride 0) that cross L1 lines
+   at different iterations, over a direct-mapped L1 and 1-2 lower levels.
+   Every base is placed so that its reference lands in one common L1 set
+   at a chosen iteration in the middle of the first row, a multiple of
+   the L1 size away from the others (give or take a few bytes), so that
+   a crossing fills a line another reference is still on.  Some
+   references repeat an earlier one (as C(i,j) is read and then
+   written), so that a line can be written, evicted and refilled clean
+   by another reference within one iteration; some blocks' rows continue
+   one another, which [block] joins into one row. *)
+let gen_crossing =
+  QCheck.Gen.(
+    let* line_bits = int_range 5 6 in
+    let* sets_bits = int_range 2 5 in
+    let line = 1 lsl line_bits in
+    let l1_size = line * (1 lsl sets_bits) in
+    let lower =
+      let* lbits = int_range line_bits 6 in
+      let* sbits = int_range sets_bits 7 in
+      let* assoc = oneofl [ 1; 1; 2; 4 ] in
+      return { Cs.Level.size = (1 lsl (lbits + sbits)) * assoc; line = 1 lsl lbits; assoc }
+    in
+    let* lowers = list_size (int_range 1 2) lower in
+    let* write_allocate = bool in
+    let* nrefs = int_range 3 8 in
+    let* count = int_range 50 400 in
+    let* meet = int_range (count / 4) (3 * count / 4) in
+    let* target = int_range 0 (16 * l1_size) in
+    (* (stride, base) per reference; the stride-0 one first, then moved *)
+    let shape s =
+      let* k = int_range 0 3 and* jitter = oneofl [ 0; 0; 4; 8; -8 ] in
+      return (s, target + (k * l1_size) + jitter - (meet * s))
+    in
+    let* first = shape 0 in
+    let rec more n acc =
+      if n = 0 then return (List.rev acc)
+      else
+        let* repeat = oneofl [ false; false; false; true ] in
+        let* next =
+          if repeat then oneofl acc
+          else oneofl [ 4; 8; 8; 12; 16; 24; -8; -8; -12 ] >>= shape
+        in
+        more (n - 1) (next :: acc)
+    in
+    let* shapes = more (nrefs - 1) [ first ] in
+    let* zero_at = int_range 0 (nrefs - 1) in
+    let shapes =
+      (* move the stride-0 reference to [zero_at] *)
+      List.filteri (fun i _ -> i > 0 && i <= zero_at) shapes
+      @ [ first ]
+      @ List.filteri (fun i _ -> i > zero_at) shapes
+    in
+    let strides = List.map fst shapes and bases = List.map snd shapes in
+    let* outer_count = int_range 1 4 in
+    let* continued = oneofl [ false; false; false; true ] in
+    let* outer_strides =
+      (* rows that continue one another, or rows apart *)
+      if continued then return (List.map (fun s -> count * s) strides)
+      else
+        flatten_l
+          (List.map
+             (fun s -> oneofl [ 0; count * s; line; -l1_size; l1_size + 8 ])
+             strides)
+    in
+    let* writes = list_repeat nrefs bool in
+    return
+      ( (write_allocate, { Cs.Level.size = l1_size; line; assoc = 1 } :: lowers),
+        ( Array.of_list bases,
+          Array.of_list strides,
+          Array.of_list writes,
+          count,
+          Array.of_list outer_strides,
+          outer_count ) ))
+
+let prop_crossing =
+  QCheck.Test.make
+    ~name:"crossing streams: Fast_sim.block = per-access reference cascade"
+    ~count:(qcheck_count 400)
+    (QCheck.make ~print:print_rows gen_crossing)
+    (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
+      rows_match h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
+
+(* Found by the crossing-streams property.  After an iteration run in
+   place, a writing reference can stay on a line that is resident but
+   clean: here, under no-write-allocate, its write misses and a later
+   read in the same iteration fills the line clean.  The bulk phase must
+   not resume then, or that line's next eviction loses its writeback. *)
+let test_refilled_clean () =
+  let g size line assoc = { Cs.Level.size; line; assoc } in
+  Alcotest.(check bool) "stats = reference cascade" true
+    (rows_match
+       (false, [ g 256 32 1; g 2048 64 1; g 2048 64 2 ])
+       ~bases:[| 2262; 4538; 754; 742; 754; 3018 |]
+       ~strides:[| 4; -8; 12; 12; 12; 0 |]
+       ~writes:[| true; false; true; false; false; false |]
+       ~count:350 ~outer_strides:[| 32; 0; 4200; -256; 0; 0 |] ~outer_count:4)
+
+(* The matmul cells' shape (loops J, K, I): C(i,j) read and written and
+   A(i,k) at stride 8, B(k,j) at stride 0, the K x I rows of a few
+   columns j as one two-loop segment each, on the UltraSPARC geometry.
+   C and A each cross an L1 line every fourth iteration, A two
+   iterations after C; a crossing that misses runs in place, so every
+   sequential iteration has a miss and the rest of each row is bulk. *)
+let test_matmul_rows () =
+  let n = 96 and elem = 8 in
+  let col = n * elem in
+  let a = (n * col) + 16 and b = 2 * n * col in
+  let geoms = Cs.Machine.ultrasparc.Cs.Machine.geometries in
+  let f = Cs.Fast_sim.create geoms and h = Cs.Hierarchy.create geoms in
+  let writes = [| false; false; false; true |] in
+  let strides = [| elem; elem; 0; elem |] in
+  let outer_strides = [| 0; col; elem; 0 |] in
+  for j = 0 to 3 do
+    let bases = [| j * col; a; b + (j * col); j * col |] in
+    for k = 0 to n - 1 do
+      for i = 0 to n - 1 do
+        for r = 0 to 3 do
+          ignore
+            (Cs.Hierarchy.access h ~write:writes.(r)
+               (bases.(r) + (k * outer_strides.(r)) + (i * strides.(r))))
+        done
+      done
+    done;
+    Cs.Fast_sim.block f ~bases ~strides ~writes ~count:n ~outer_strides ~outer_count:n
+  done;
+  Alcotest.(check bool) "stats = reference cascade" true (stats_match h f);
+  let m = Cs.Fast_sim.metrics f in
+  let l1_misses = (List.hd (Cs.Fast_sim.level_stats f)).Cs.Stats.misses in
+  Alcotest.(check int) "every iteration accounted" (4 * n * n)
+    (m.Cs.Fast_sim.bulk_iterations + m.Cs.Fast_sim.seq_iterations);
+  Alcotest.(check bool) "bulk segments" true (m.Cs.Fast_sim.bulk_segments > 0);
+  Alcotest.(check bool) "sequential iterations" true (m.Cs.Fast_sim.seq_iterations > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "no more sequential iterations (%d) than L1 misses (%d)"
+       m.Cs.Fast_sim.seq_iterations l1_misses)
+    true
+    (m.Cs.Fast_sim.seq_iterations <= l1_misses)
+
+(* The packed tag word at the ends of the address range, against the
+   reference on every level: -1, min_int and max_int (and their
+   neighbours, which share lines with them), read and written, on the
+   UltraSPARC and Alpha geometries and an associative L1, then as
+   blocks around the same addresses. *)
+let test_extreme_addresses () =
+  let addrs = [ -1; min_int; max_int; 0; -1; max_int - 8; min_int + 8; -4096; 1 lsl 40 ] in
+  let trace = List.concat_map (fun a -> [ (a, false); (a, true); (a, false) ]) addrs in
+  List.iter
+    (fun geoms ->
+      List.iter
+        (fun write_allocate ->
+          let h = Cs.Hierarchy.create ~write_allocate geoms in
+          let f = Cs.Fast_sim.create ~write_allocate geoms in
+          List.iter
+            (fun (addr, write) ->
+              Alcotest.(check int)
+                (Printf.sprintf "hit level of %d" addr)
+                (Cs.Hierarchy.access h ~write addr)
+                (Cs.Fast_sim.access f ~write addr))
+            trace;
+          Alcotest.(check bool) "stats after the trace" true (stats_match h f);
+          Alcotest.(check bool) "blocks at the range ends" true
+            (rows_match (write_allocate, geoms)
+               ~bases:[| -1; min_int; max_int; -64 |]
+               ~strides:[| 8; 8; -8; 0 |]
+               ~writes:[| true; false; true; false |]
+               ~count:40 ~outer_strides:[| -8192; 16384; 0; 8 |] ~outer_count:3))
+        [ true; false ])
+    [
+      Cs.Machine.ultrasparc.Cs.Machine.geometries;
+      Cs.Machine.alpha21164.Cs.Machine.geometries;
+      [ { Cs.Level.size = 4096; line = 32; assoc = 2 }; { Cs.Level.size = 65536; line = 64; assoc = 1 } ];
+    ]
+
 (* --- whole-kernel equivalence ------------------------------------------- *)
 
 (* End-to-end: Interp with backend:`Fast must reproduce the reference
@@ -355,6 +544,7 @@ let () =
             prop_block_equivalence;
             prop_ping_pong;
             prop_rows;
+            prop_crossing;
           ] );
       ( "rows",
         [
@@ -362,6 +552,12 @@ let () =
             test_rows_overflow_batch;
           Alcotest.test_case "outer_strides length mismatch" `Quick
             test_rows_length_mismatch;
+          Alcotest.test_case "matmul rows: crossings run in place" `Quick
+            test_matmul_rows;
+          Alcotest.test_case "in place: a writer's line filled clean" `Quick
+            test_refilled_clean;
+          Alcotest.test_case "packed tags at -1, min_int, max_int" `Quick
+            test_extreme_addresses;
         ] );
       ( "kernels",
         [ Alcotest.test_case "Interp fast = reference" `Quick test_kernel_equivalence ] );

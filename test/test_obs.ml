@@ -255,6 +255,26 @@ let test_counters_backend_invariant () =
   Alcotest.(check bool) "fast backend reports bulk segments" true
     (List.mem_assoc "sim.fast.bulk_segments" fast)
 
+(* A [Fast] spec with prefetch runs on the reference cascade (Fast_sim
+   does not model prefetch) and says so: one [sim.fast.fallbacks] per
+   such job, none for the jobs that run where they ask. *)
+let test_prefetch_fallback_counted () =
+  let spec backend prefetch_levels =
+    E.Job.simulate ~backend
+      ~machine:{ (E.Job.machine "ultrasparc") with E.Job.prefetch_levels }
+      ~layout:E.Job.Initial
+      (E.Job.Registry { name = "DOT256"; n = Some 4096 })
+  in
+  let fallbacks s =
+    let buf = Obs.Buf.create () in
+    Obs.with_buf buf (fun () -> ignore (E.Job.execute s));
+    Obs.Buf.counter buf "sim.fast.fallbacks"
+  in
+  Alcotest.(check int) "fast spec with L2 prefetch" 1 (fallbacks (spec `Fast [ 1 ]));
+  Alcotest.(check int) "fast spec without prefetch" 0 (fallbacks (spec `Fast []));
+  Alcotest.(check int) "reference spec with prefetch" 0
+    (fallbacks (spec `Reference [ 1 ]))
+
 (* --- conservation --------------------------------------------------------- *)
 
 let test_counter_conservation () =
@@ -597,6 +617,8 @@ let () =
         [
           Alcotest.test_case "per-level counter laws" `Slow
             test_counter_conservation;
+          Alcotest.test_case "prefetch fallback counted" `Quick
+            test_prefetch_fallback_counted;
         ] );
       ( "passes",
         [
