@@ -1,28 +1,25 @@
 (* Fast simulation backend: an optimized replica of the reference
-   cascade ([Hierarchy] over [Level]).  Same filtered semantics (level
-   i+1 only sees level i's misses), same LRU tie-breaking, same
+   cascade ([Hierarchy] over [Level]) for direct-mapped levels.  Same
+   filtered semantics (level i+1 only sees level i's misses), same
    write-allocate and dirty-line accounting, so the per-level [Stats.t]
    match the reference path exactly.  Speed comes from [block], which
    consumes a whole two-loop segment at once: as long as no reference
    crosses an L1 line boundary and every referenced line is
    L1-resident, the iterations are guaranteed hits that touch no lower
-   level, so they can be accounted in bulk with a single recency/dirty
-   refresh; and, on a direct-mapped L1, the segment's L1 misses reach
-   the lower levels as a batch, one level at a time.
+   level, so they can be accounted in bulk; and the segment's L1 misses
+   reach the lower levels as a batch, one level at a time.
 
-   Hardware prefetch is not modelled here; callers gate on it and fall
-   back to the reference path. *)
+   Associative levels and hardware prefetch are not modelled here;
+   [create] rejects the former, and callers gate on both and fall back
+   to the reference path. *)
 
 type level = {
   line_bits : int;
   set_mask : int;
-  assoc : int;
-  (* tags.(set * assoc + way) = (line_addr lsl 1) lor dirty, -1 = empty.
-     Lines are >= 4 bytes and line addresses come from [lsr], so they are
-     below 2^61: the word never overflows, and a resident line's is >= 0. *)
+  (* tags.(set) = (line_addr lsl 1) lor dirty, -1 = empty.  Lines are
+     >= 4 bytes and line addresses come from [lsr], so they are below
+     2^61: the word never overflows, and a resident line's is >= 0. *)
   tags : int array;
-  last_use : int array;
-  mutable clock : int;
   stats : Stats.t;
 }
 
@@ -34,7 +31,7 @@ type t = {
   mutable slot : int array;
   mutable rem : int array;
   mutable shift : int array;
-  (* L1 misses of a direct-mapped [block] awaiting the levels below, in
+  (* L1 misses of a [block] awaiting the levels below, in
      order, each [(addr land lnot 1) lor write] (lines are >= 4 bytes) *)
   batch : int array;
   (* fast-path accounting: how [block] consumed its iterations *)
@@ -55,24 +52,20 @@ let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
-let make_level (geom : Level.geometry) =
+let make_level i (geom : Level.geometry) =
+  if geom.assoc <> 1 then
+    invalid_arg
+      (Printf.sprintf "Fast_sim.create: L%d is %d-way, only direct-mapped levels are simulated"
+         (i + 1) geom.assoc);
   if not (is_pow2 geom.size) then invalid_arg "Fast_sim.create: size not a power of two";
   if not (is_pow2 geom.line) then invalid_arg "Fast_sim.create: line not a power of two";
   if geom.line < 4 then invalid_arg "Fast_sim.create: line smaller than 4 bytes";
   if geom.line > geom.size then invalid_arg "Fast_sim.create: line larger than cache";
-  if geom.assoc < 1 then invalid_arg "Fast_sim.create: associativity < 1";
   let n_lines = geom.size / geom.line in
-  if n_lines mod geom.assoc <> 0 then
-    invalid_arg "Fast_sim.create: associativity does not divide line count";
-  let n_sets = n_lines / geom.assoc in
-  if not (is_pow2 n_sets) then invalid_arg "Fast_sim.create: set count not a power of two";
   {
     line_bits = log2 geom.line;
-    set_mask = n_sets - 1;
-    assoc = geom.assoc;
+    set_mask = n_lines - 1;
     tags = Array.make n_lines (-1);
-    last_use = Array.make n_lines 0;
-    clock = 0;
     stats = Stats.create ();
   }
 
@@ -84,7 +77,7 @@ let create ?(write_allocate = true) geoms =
   if geoms = [] then invalid_arg "Fast_sim.create: no levels";
   {
     write_allocate;
-    levels = Array.of_list (List.map make_level geoms);
+    levels = Array.of_list (List.mapi make_level geoms);
     cur = [||];
     slot = [||];
     rem = [||];
@@ -96,16 +89,6 @@ let create ?(write_allocate = true) geoms =
   }
 
 let level_stats t = Array.to_list (Array.map (fun l -> l.stats) t.levels)
-
-let memory_accesses t = t.levels.(Array.length t.levels - 1).stats.Stats.misses
-
-let writebacks t =
-  Array.fold_left (fun acc l -> acc + l.stats.Stats.writebacks) 0 t.levels
-
-let miss_rates t =
-  let total = t.levels.(0).stats.Stats.accesses in
-  Array.to_list
-    (Array.map (fun l -> Stats.miss_rate_vs ~total_refs:total l.stats) t.levels)
 
 let metrics (t : t) : metrics =
   {
@@ -125,18 +108,17 @@ let[@inline] charge (st : Stats.t) ~accesses ~misses ~writes ~writebacks =
 (* One access at one level, on the line address and set the caller
    already computed; mirrors Level.access minus prefetch.  The outcome
    is 0 for a hit, 2 for a miss, 3 for a miss whose fill evicted a dirty
-   line: [o lsr 1] counts the miss, [o land 1] the writeback.  Sets and
-   ways are in bounds, so the unchecked array accesses are safe.
-   [access_dm] is the one copy of the direct-mapped logic (no LRU state,
-   so no clock); [miss_dm] is its miss half, which [block_dm] calls after
-   its own tag test. *)
-let[@inline] fill tags slot line_addr ~write =
-  let e = Array.unsafe_get tags slot in
-  Array.unsafe_set tags slot ((line_addr lsl 1) lor Bool.to_int write);
-  if e >= 0 && e land 1 = 1 then 3 else 2
-
+   line: [o lsr 1] counts the miss, [o land 1] the writeback.  Sets are
+   in bounds, so the unchecked array accesses are safe.  [access_dm] is
+   the one copy of the access logic; [miss_dm] is its miss half, which
+   [block_dm] calls after its own tag test. *)
 let[@inline] miss_dm ~write_allocate ~write tags line_addr set =
-  if write && not write_allocate then 2 else fill tags set line_addr ~write
+  if write && not write_allocate then 2
+  else begin
+    let e = Array.unsafe_get tags set in
+    Array.unsafe_set tags set ((line_addr lsl 1) lor Bool.to_int write);
+    if e >= 0 && e land 1 = 1 then 3 else 2
+  end
 
 let[@inline] access_dm ~write_allocate ~write tags line_addr set =
   let e = Array.unsafe_get tags set in
@@ -145,34 +127,6 @@ let[@inline] access_dm ~write_allocate ~write tags line_addr set =
     0
   end
   else miss_dm ~write_allocate ~write tags line_addr set
-
-let access_assoc ~write_allocate ~write l line_addr set =
-  l.clock <- l.clock + 1;
-  let assoc = l.assoc in
-  let base = set * assoc in
-  let rec find way =
-    if way = assoc then -1
-    else if Array.unsafe_get l.tags (base + way) lsr 1 = line_addr then way
-    else find (way + 1)
-  in
-  let way = find 0 in
-  if way >= 0 then begin
-    let slot = base + way in
-    Array.unsafe_set l.last_use slot l.clock;
-    if write then Array.unsafe_set l.tags slot (Array.unsafe_get l.tags slot lor 1);
-    0
-  end
-  else if write && not write_allocate then 2
-  else begin
-    let victim = ref 0 in
-    for w = 1 to assoc - 1 do
-      if Array.unsafe_get l.last_use (base + w) < Array.unsafe_get l.last_use (base + !victim)
-      then victim := w
-    done;
-    let slot = base + !victim in
-    Array.unsafe_set l.last_use slot l.clock;
-    fill l.tags slot line_addr ~write
-  end
 
 (* One access down the cascade, as a loop: level [i+1] only sees level
    [i]'s misses.  Returns the index of the level that hit, or the number
@@ -187,10 +141,7 @@ let cascade t ~write addr =
          let l = Array.unsafe_get levels !i in
          let line_addr = addr lsr l.line_bits in
          let set = line_addr land l.set_mask in
-         let o =
-           if l.assoc = 1 then access_dm ~write_allocate ~write l.tags line_addr set
-           else access_assoc ~write_allocate ~write l line_addr set
-         in
+         let o = access_dm ~write_allocate ~write l.tags line_addr set in
          let st = l.stats in
          st.accesses <- st.accesses + 1;
          if write then st.writes <- st.writes + 1;
@@ -217,18 +168,14 @@ let flush t n =
   let n = ref n and i = ref 1 in
   while !n > 0 && !i < Array.length levels do
     let l = Array.unsafe_get levels !i in
-    let line_bits = l.line_bits and set_mask = l.set_mask and dm = l.assoc = 1 in
-    let tags = l.tags in
+    let line_bits = l.line_bits and set_mask = l.set_mask and tags = l.tags in
     let kept = ref 0 and writes = ref 0 and writebacks = ref 0 in
     for k = 0 to !n - 1 do
       let e = Array.unsafe_get batch k in
       let line_addr = e lsr line_bits in
       let set = line_addr land set_mask and write = e land 1 = 1 in
       writes := !writes + (e land 1);
-      let o =
-        if dm then access_dm ~write_allocate ~write tags line_addr set
-        else access_assoc ~write_allocate ~write l line_addr set
-      in
+      let o = access_dm ~write_allocate ~write tags line_addr set in
       if o <> 0 then begin
         writebacks := !writebacks + (o land 1);
         Array.unsafe_set batch !kept e;
@@ -249,21 +196,6 @@ let[@inline] push t pending addr ~write =
     0
   end
   else pending + 1
-
-(* Slot of [addr]'s line at level [l], or -1 when not resident. *)
-let find_slot l addr =
-  let line_addr = addr lsr l.line_bits in
-  let set = line_addr land l.set_mask in
-  if l.assoc = 1 then (if l.tags.(set) lsr 1 = line_addr then set else -1)
-  else begin
-    let base = set * l.assoc in
-    let rec go way =
-      if way = l.assoc then -1
-      else if l.tags.(base + way) lsr 1 = line_addr then base + way
-      else go (way + 1)
-    in
-    go 0
-  end
 
 (* Iterations, the current one included, that a reference at [a] with
    stride [s] stays on its line; [sh] is log2 |s| for a power-of-two
@@ -291,30 +223,28 @@ let ensure_scratch t n =
    iteration j issues, for each ref r in order,
    [bases.(r) + o * outer_strides.(r) + j * strides.(r)] (a write iff
    [writes.(r)]); rows run in order, each [count] iterations.  Rows
-   that continue one another are joined into one; both variants then
-   take the rows one by one, restarting their phase logic at each row
-   start, so their work counters are those of one call per row.
+   that continue one another are joined into one; [block_dm] then takes
+   the rows one by one, restarting its phase logic at each row start,
+   so its work counters are those of one call per row.
 
-   The exactness argument both variants rely on: while every reference
-   hits L1, lower levels see nothing and no line is installed or evicted,
-   so such iterations change no tag state — only counters, dirty bits
-   (idempotent: any write during the run leaves the line dirty before the
-   next possible eviction) and, for associative L1s, LRU recency. *)
-
-(* Direct-mapped L1 (the paper's machines): no recency state at all, so a
-   steady all-hit phase needs nothing but counting.  Per reference we
-   track [rem], the number of iterations (current included) it stays on
-   its current line — pure address geometry; the phase advances by the
-   minimum and re-probes only the references that crossed a line
-   boundary, since nothing was installed, so the others cannot have been
-   evicted.  Crossed refs are committed in two phases (check residency of
-   all, then update), so a miss never sets a dirty bit of an unsimulated
-   iteration.  When a crossed ref's new line is not resident, that one
-   iteration runs in place, keeping [rem] current; the phase goes on if
-   every ref that stays on its line still holds it, dirty if the ref
-   writes (a later fill may have evicted it, or a read filled it clean).
-   Otherwise iterations run sequentially, with no [rem] upkeep, until one
-   is all-hit again.  A sequential iteration tests each ref's tag at its
+   Exactness: while every reference hits L1, lower levels see nothing
+   and no line is installed or evicted, so such iterations change no
+   tag state, only counters and dirty bits (idempotent: any write during
+   the run leaves the line dirty before the next possible eviction).  A
+   direct-mapped L1 has no recency state, so a steady all-hit phase
+   needs nothing but counting.  Per reference we track [rem], the number
+   of iterations (current included) it stays on its current line — pure
+   address geometry; the phase advances by the minimum and re-probes
+   only the references that crossed a line boundary, since nothing was
+   installed, so the others cannot have been evicted.  Crossed refs are
+   committed in two phases (check residency of all, then update), so a
+   miss never sets a dirty bit of an unsimulated iteration.  When a
+   crossed ref's new line is not resident, that one iteration runs in
+   place, keeping [rem] current; the phase goes on if every ref that
+   stays on its line still holds it, dirty if the ref writes (a later
+   fill may have evicted it, or a read filled it clean).  Otherwise
+   iterations run sequentially, with no [rem] upkeep, until one is
+   all-hit again.  A sequential iteration tests each ref's tag at its
    turn (an install can evict a later ref's line) and sends a miss
    through [miss_dm] into [t.batch] ([flush]ed when full and before
    returning).  L1 is charged once, with the misses counted here.
@@ -480,99 +410,6 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   t.bulk_iterations <- t.bulk_iterations + !bulk_iters;
   t.seq_iterations <- t.seq_iterations + !seq_iters
 
-(* Associative L1: segments bounded by the next line crossing of any ref.
-   If every ref's line is resident the whole segment is hits and is
-   accounted in bulk; recency then needs one refresh — touching each
-   ref's line once, in ref order, with fresh clock values reproduces the
-   relative last-use order the per-access path would leave, and only the
-   relative order feeds LRU victim selection. *)
-let block_assoc t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
-  let nrefs = Array.length bases in
-  ensure_scratch t nrefs;
-  let line_mask = (1 lsl l1.line_bits) - 1 in
-  let line = line_mask + 1 in
-  let cur = t.cur and slot = t.slot in
-  let nwrites = Array.fold_left (fun n w -> if w then n + 1 else n) 0 writes in
-  let probe () =
-    let ok = ref true in
-    let r = ref 0 in
-    while !ok && !r < nrefs do
-      let s = find_slot l1 cur.(!r) in
-      slot.(!r) <- s;
-      if s < 0 then ok := false else incr r
-    done;
-    !ok
-  in
-  let bulk k =
-    t.bulk_segments <- t.bulk_segments + 1;
-    t.bulk_iterations <- t.bulk_iterations + k;
-    charge l1.stats ~accesses:(k * nrefs) ~misses:0 ~writes:(k * nwrites) ~writebacks:0;
-    for r = 0 to nrefs - 1 do
-      if writes.(r) then l1.tags.(slot.(r)) <- l1.tags.(slot.(r)) lor 1;
-      l1.clock <- l1.clock + 1;
-      l1.last_use.(slot.(r)) <- l1.clock
-    done
-  in
-  let one_iteration () =
-    t.seq_iterations <- t.seq_iterations + 1;
-    for r = 0 to nrefs - 1 do
-      ignore (cascade t ~write:writes.(r) cur.(r))
-    done
-  in
-  let advance k =
-    for r = 0 to nrefs - 1 do
-      cur.(r) <- cur.(r) + (k * strides.(r))
-    done
-  in
-  for o = 0 to outer_count - 1 do
-    for r = 0 to nrefs - 1 do
-      cur.(r) <- bases.(r) + (o * outer_strides.(r))
-    done;
-    let i = ref 0 in
-    while !i < count do
-      let left = count - !i in
-      (* iterations until some ref leaves its current L1 line *)
-      let k = ref left in
-      for r = 0 to nrefs - 1 do
-        let s = strides.(r) in
-        if s > 0 then begin
-          let c = (line - (cur.(r) land line_mask) + s - 1) / s in
-          if c < !k then k := c
-        end
-        else if s < 0 then begin
-          let c = ((cur.(r) land line_mask) / -s) + 1 in
-          if c < !k then k := c
-        end
-      done;
-      let k = !k in
-      if probe () then begin
-        bulk k;
-        advance k;
-        i := !i + k
-      end
-      else begin
-        one_iteration ();
-        advance 1;
-        incr i;
-        if k > 1 then begin
-          if probe () then begin
-            bulk (k - 1);
-            advance (k - 1);
-            i := !i + (k - 1)
-          end
-          else
-            (* conflicting or non-allocated lines: no steady state within
-               this segment, replay it access by access *)
-            for _ = 2 to k do
-              one_iteration ();
-              advance 1;
-              incr i
-            done
-        end
-      end
-    done
-  done
-
 let block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   let nrefs = Array.length bases in
   if
@@ -585,8 +422,5 @@ let block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
     let joined = ref (outer_count > 1) in
     Array.iteri (fun r o -> if o <> count * strides.(r) then joined := false) outer_strides;
     let count, outer_count = if !joined then (count * outer_count, 1) else (count, outer_count) in
-    let l1 = t.levels.(0) in
-    if l1.assoc = 1 then
-      block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count
-    else block_assoc t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count
+    block_dm t t.levels.(0) ~bases ~strides ~writes ~count ~outer_strides ~outer_count
   end

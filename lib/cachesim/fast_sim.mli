@@ -1,19 +1,19 @@
-(** Fast simulation backend.
+(** Fast simulation backend for direct-mapped hierarchies.
 
     A drop-in replacement for the reference {!Hierarchy}/{!Level} cascade
     that produces {e identical} per-level {!Stats.t} (including writes and
-    writebacks) for any hierarchy without hardware prefetch: same filtered
-    semantics (a level only sees the misses of the level above), same LRU
-    tie-breaking, same write-allocate behaviour.  The speed comes from
-    {!block}, which takes a two-loop segment per call, accounts whole runs
-    of guaranteed L1 hits in bulk instead of walking the cascade per
-    access and, on a direct-mapped L1, sends the segment's L1 misses to
-    the lower levels in batches, one level at a time; and from a leaner
-    per-access path (no prefetch bookkeeping).
+    writebacks) for any hierarchy of direct-mapped levels without
+    hardware prefetch: same filtered semantics (a level only sees the
+    misses of the level above), same write-allocate behaviour.  The speed
+    comes from {!block}, which takes a two-loop segment per call,
+    accounts whole runs of guaranteed L1 hits in bulk instead of walking
+    the cascade per access, and sends the segment's L1 misses to the
+    lower levels in batches, one level at a time; and from a leaner
+    per-access path (no LRU or prefetch bookkeeping).
 
-    Not modelled: next-line prefetching.  Callers must fall back to the
-    reference path when [prefetch_levels] is non-empty (see
-    [Machine.hierarchy]). *)
+    Not modelled: associative levels and next-line prefetching.  Callers
+    must fall back to the reference path for either (as [Job.execute]
+    does). *)
 
 type t
 
@@ -21,7 +21,9 @@ type t
     L1 first, with the same geometry validation as {!Level.create}, and
     lines of at least 4 bytes (each line's address and dirty bit share
     one word).
-    @raise Invalid_argument on an empty list or invalid geometry. *)
+    @raise Invalid_argument on an empty list, invalid geometry, or a
+    level whose [assoc] is not 1 (the message names the level, [L1]
+    first). *)
 val create : ?write_allocate:bool -> Level.geometry list -> t
 
 (** [access t ?write addr] sends one reference down the cascade and
@@ -51,27 +53,19 @@ val block :
 (** Live per-level counters, L1 first (not copies). *)
 val level_stats : t -> Stats.t list
 
-val memory_accesses : t -> int
-
-(** Total dirty-line evictions across all levels. *)
-val writebacks : t -> int
-
-(** Per-level misses / total refs, the paper's reporting convention. *)
-val miss_rates : t -> float list
-
 (** Fast-path accounting: how {!block} consumed its iterations, counted
     per row (rows that continue one another count as one).
     [bulk_iterations + seq_iterations] is the total iteration count seen;
     a high bulk share is what makes this backend fast. *)
 type metrics = {
   bulk_segments : int;
-      (** all-hit segments accounted in bulk: on a direct-mapped L1, one
-          per advance of the steady phase to the next line crossing *)
+      (** all-hit segments accounted in bulk: one per advance of the
+          steady phase to the next line crossing *)
   bulk_iterations : int;  (** iterations covered by those segments *)
   seq_iterations : int;
       (** iterations replayed access by access: conflict iterations, and
-          on a direct-mapped L1 each crossing iteration that missed and
-          ran in place inside the steady phase *)
+          each crossing iteration that missed and ran in place inside the
+          steady phase *)
 }
 
 val metrics : t -> metrics

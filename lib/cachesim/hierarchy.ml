@@ -33,13 +33,7 @@ let access t ?(write = false) addr =
   in
   go 0
 
-let writebacks t =
-  Array.fold_left (fun acc level -> acc + Level.writebacks level) 0 t.levels
-
 let total_refs t = (Level.stats t.levels.(0)).Stats.accesses
-
-let memory_accesses t =
-  (Level.stats t.levels.(Array.length t.levels - 1)).Stats.misses
 
 let miss_rates t =
   let total = total_refs t in

@@ -30,14 +30,8 @@ val n_levels : t -> int
     when the access went to main memory. *)
 val access : t -> ?write:bool -> int -> int
 
-(** Total write-backs across all levels (dirty evictions). *)
-val writebacks : t -> int
-
 (** Total references issued so far (i.e. L1 accesses). *)
 val total_refs : t -> int
-
-(** Main-memory accesses (misses at the last level). *)
-val memory_accesses : t -> int
 
 (** [miss_rates t] gives each level's misses / total refs, L1 first. *)
 val miss_rates : t -> float list

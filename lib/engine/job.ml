@@ -196,10 +196,15 @@ let execute spec =
   let machine_t = build_machine spec.machine in
   let program = build_program spec.program in
   let layout = build_layout machine_t spec.layout program in
-  (* Fast_sim does not model next-line prefetch; such specs run on the
-     reference cascade (the two backends agree everywhere else, so this
-     only costs time, never accuracy), counted as [sim.fast.fallbacks]. *)
-  let use_fast = spec.backend = `Fast && spec.machine.prefetch_levels = [] in
+  (* Fast_sim simulates only direct-mapped levels without next-line
+     prefetch; other specs run on the reference cascade (the two backends
+     agree everywhere else, so this only costs time, never accuracy),
+     counted as [sim.fast.fallbacks]. *)
+  let use_fast =
+    spec.backend = `Fast
+    && spec.machine.prefetch_levels = []
+    && List.for_all (fun g -> g.Cs.Level.assoc = 1) machine_t.Cs.Machine.geometries
+  in
   if spec.backend = `Fast && not use_fast then Obs.count "sim.fast.fallbacks";
   let interp, live =
     if use_fast then begin

@@ -66,9 +66,10 @@ type spec = {
   backend : Interp.backend;
       (** which simulator runs the job.  Part of the cache key, so warm
           results never cross backends.  [`Fast] specs with
-          [prefetch_levels] fall back to the reference cascade at
-          execution time (Fast_sim does not model prefetch), and count
-          one [sim.fast.fallbacks] each. *)
+          [prefetch_levels] or an associative level fall back to the
+          reference cascade at execution time (Fast_sim simulates only
+          direct-mapped levels without prefetch), and count one
+          [sim.fast.fallbacks] each. *)
 }
 
 (** Spec constructor with the common defaults (ultrasparc, fast backend,

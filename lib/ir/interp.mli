@@ -36,10 +36,11 @@ type result = {
 (** Which simulator executes the reference stream.  [`Reference] walks
     the {!Mlc_cachesim.Hierarchy} cascade access by access; [`Fast] uses
     {!Mlc_cachesim.Fast_sim}, which bulk-accounts steady runs of L1 hits.
-    The two produce identical results for any machine without hardware
-    prefetching (the differential test suite enforces this); [`Fast] does
-    not model prefetch, so callers with [prefetch_levels] must use
-    [`Reference]. *)
+    The two produce identical results for any direct-mapped machine
+    without hardware prefetching (the differential test suite enforces
+    this); [`Fast] models neither associative levels nor prefetch, so
+    callers with either must use [`Reference] ({!run} raises
+    [Invalid_argument] for [`Fast] on an associative machine). *)
 type backend = [ `Reference | `Fast ]
 
 val backend_name : backend -> string

@@ -1,10 +1,11 @@
 (* Differential oracle: the fast backend against the reference cascade.
 
    Fast_sim claims bit-identical per-level stats (hits, misses, writes,
-   writebacks) for arbitrary hierarchies without prefetch.  These tests
-   hold it to that over random traces, random block-shaped access
-   patterns, and random power-of-two geometries, and check the
-   stack-distance sweep against full per-associativity simulations.
+   writebacks) for any direct-mapped hierarchy without prefetch.  These
+   tests hold it to that over random traces, random block-shaped access
+   patterns, and random power-of-two direct-mapped geometries.  The
+   reference cascade's k-way LRU has its own oracle in
+   test_properties.ml.
 
    Case counts scale with the QCHECK_COUNT environment variable (the
    nightly CI job sets it to 2000); the defaults already exceed 1000
@@ -24,10 +25,8 @@ let gen_geom =
   QCheck.Gen.(
     let* line_bits = int_range 4 6 in
     let* sets_bits = int_range 0 4 in
-    let* assoc = oneofl [ 1; 2; 4 ] in
     let line = 1 lsl line_bits in
-    let n_sets = 1 lsl sets_bits in
-    return { Cs.Level.size = line * n_sets * assoc; line; assoc })
+    return { Cs.Level.size = line lsl sets_bits; line; assoc = 1 })
 
 let gen_hierarchy =
   QCheck.Gen.(
@@ -91,10 +90,7 @@ let prop_trace_equivalence =
           let lf = Cs.Fast_sim.access f ~write addr in
           if lh <> lf then levels_agree := false)
         trace;
-      !levels_agree && stats_match h f
-      && Cs.Hierarchy.writebacks h = Cs.Fast_sim.writebacks f
-      && Cs.Hierarchy.miss_rates h = Cs.Fast_sim.miss_rates f
-      && Cs.Hierarchy.memory_accesses h = Cs.Fast_sim.memory_accesses f)
+      !levels_agree && stats_match h f)
 
 (* --- block-level equivalence ------------------------------------------- *)
 
@@ -124,7 +120,7 @@ let print_block (h, (bases, strides, writes, count)) =
     count
 
 (* A two-loop [block] against the per-access reference cascade, rows
-   then iterations then references: stats and writebacks. *)
+   then iterations then references: per-level stats. *)
 let rows_match (write_allocate, geoms) ~bases ~strides ~writes ~count ~outer_strides
     ~outer_count =
   let h = Cs.Hierarchy.create ~write_allocate geoms in
@@ -139,7 +135,7 @@ let rows_match (write_allocate, geoms) ~bases ~strides ~writes ~count ~outer_str
     done
   done;
   Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count;
-  stats_match h f && Cs.Hierarchy.writebacks h = Cs.Fast_sim.writebacks f
+  stats_match h f
 
 (* A one-row [block] *)
 let block_matches (h, (bases, strides, writes, count)) =
@@ -157,31 +153,20 @@ let prop_block_equivalence =
 (* Miss-heavy blocks: references whose bases differ by multiples of the
    L1 size ping-pong in one L1 set, and strides of at least a line move
    every reference onto a new line each iteration, so almost every
-   access misses L1 and walks the lower levels.  Below a mostly
-   direct-mapped L1 sit one or two levels; two always mix a
-   direct-mapped and an associative level, in either order. *)
+   access misses L1 and walks the lower levels.  Below the L1 sit one or
+   two levels, each with its own line and set count. *)
 let gen_ping_pong =
   QCheck.Gen.(
     let* line_bits = int_range 4 5 in
     let* sets_bits = int_range 1 4 in
-    let* l1_assoc = oneofl [ 1; 1; 1; 2 ] in
     let line = 1 lsl line_bits in
-    let l1_size = line * (1 lsl sets_bits) * l1_assoc in
-    let lower assoc =
+    let l1_size = line lsl sets_bits in
+    let lower =
       let* lbits = int_range line_bits 6 in
       let* sbits = int_range sets_bits 6 in
-      return { Cs.Level.size = (1 lsl (lbits + sbits)) * assoc; line = 1 lsl lbits; assoc }
+      return { Cs.Level.size = 1 lsl (lbits + sbits); line = 1 lsl lbits; assoc = 1 }
     in
-    let* lowers =
-      oneof
-        [
-          (let* assoc = oneofl [ 1; 2; 4 ] in
-           map (fun g -> [ g ]) (lower assoc));
-          (let* assoc = oneofl [ 2; 4 ] in
-           let* dm = lower 1 and* sa = lower assoc in
-           oneofl [ [ dm; sa ]; [ sa; dm ] ]);
-        ]
-    in
+    let* lowers = list_size (int_range 1 2) lower in
     let* write_allocate = bool in
     let* nrefs = int_range 2 4 in
     let* start = int_range 0 (l1_size - 1) in
@@ -194,7 +179,7 @@ let gen_ping_pong =
     let* writes = list_repeat nrefs bool in
     let* count = int_range 1 200 in
     return
-      ( (write_allocate, { Cs.Level.size = l1_size; line; assoc = l1_assoc } :: lowers),
+      ( (write_allocate, { Cs.Level.size = l1_size; line; assoc = 1 } :: lowers),
         (Array.of_list bases, Array.of_list strides, Array.of_list writes, count) ))
 
 let prop_ping_pong =
@@ -206,7 +191,7 @@ let prop_ping_pong =
 
 (* Two-loop segments: 1-6 rows whose outer strides are negative, zero,
    or smaller than a row's span, so that rows revisit each other's
-   lines.  The L1 is direct-mapped or associative, over 0-2 lower levels;
+   lines.  The L1 sits over 0-2 lower levels;
    the miss-heavy shape (line-sized strides, rows up to 300 iterations)
    pushes more L1 misses through one call than [Fast_sim]'s batch of
    pending misses holds. *)
@@ -279,7 +264,7 @@ let test_rows_overflow_batch () =
             (rows_match (write_allocate, geoms) ~bases ~strides ~writes ~count
                ~outer_strides ~outer_count))
         [ true; false ])
-    [ [ g 4096 64 1 ]; [ g 2048 32 2; g 16384 64 1 ]; [ g 4096 64 1; g 32768 64 4 ] ]
+    [ [ g 4096 64 1 ]; [ g 1024 32 1; g 16384 64 1 ]; [ g 4096 64 1; g 8192 64 1 ] ]
 
 let test_rows_length_mismatch () =
   let f = Cs.Fast_sim.create [ { Cs.Level.size = 1024; line = 32; assoc = 1 } ] in
@@ -291,7 +276,7 @@ let test_rows_length_mismatch () =
 
 (* Crossing streams: 3-8 references with sub-line strides (12 and 24
    among them, a downward one and one of stride 0) that cross L1 lines
-   at different iterations, over a direct-mapped L1 and 1-2 lower levels.
+   at different iterations, over an L1 and 1-2 lower levels.
    Every base is placed so that its reference lands in one common L1 set
    at a chosen iteration in the middle of the first row, a multiple of
    the L1 size away from the others (give or take a few bytes), so that
@@ -309,8 +294,7 @@ let gen_crossing =
     let lower =
       let* lbits = int_range line_bits 6 in
       let* sbits = int_range sets_bits 7 in
-      let* assoc = oneofl [ 1; 1; 2; 4 ] in
-      return { Cs.Level.size = (1 lsl (lbits + sbits)) * assoc; line = 1 lsl lbits; assoc }
+      return { Cs.Level.size = 1 lsl (lbits + sbits); line = 1 lsl lbits; assoc = 1 }
     in
     let* lowers = list_size (int_range 1 2) lower in
     let* write_allocate = bool in
@@ -381,7 +365,7 @@ let test_refilled_clean () =
   let g size line assoc = { Cs.Level.size; line; assoc } in
   Alcotest.(check bool) "stats = reference cascade" true
     (rows_match
-       (false, [ g 256 32 1; g 2048 64 1; g 2048 64 2 ])
+       (false, [ g 256 32 1; g 2048 64 1; g 1024 64 1 ])
        ~bases:[| 2262; 4538; 754; 742; 754; 3018 |]
        ~strides:[| 4; -8; 12; 12; 12; 0 |]
        ~writes:[| true; false; true; false; false; false |]
@@ -431,7 +415,7 @@ let test_matmul_rows () =
 (* The packed tag word at the ends of the address range, against the
    reference on every level: -1, min_int and max_int (and their
    neighbours, which share lines with them), read and written, on the
-   UltraSPARC and Alpha geometries and an associative L1, then as
+   UltraSPARC and Alpha geometries and a smaller two-level one, then as
    blocks around the same addresses. *)
 let test_extreme_addresses () =
   let addrs = [ -1; min_int; max_int; 0; -1; max_int - 8; min_int + 8; -4096; 1 lsl 40 ] in
@@ -460,8 +444,20 @@ let test_extreme_addresses () =
     [
       Cs.Machine.ultrasparc.Cs.Machine.geometries;
       Cs.Machine.alpha21164.Cs.Machine.geometries;
-      [ { Cs.Level.size = 4096; line = 32; assoc = 2 }; { Cs.Level.size = 65536; line = 64; assoc = 1 } ];
+      [ { Cs.Level.size = 2048; line = 32; assoc = 1 }; { Cs.Level.size = 65536; line = 64; assoc = 1 } ];
     ]
+
+(* Associative levels are the reference cascade's alone: [create]
+   rejects them, naming the level. *)
+let test_create_rejects_assoc () =
+  Alcotest.check_raises "2-way L2"
+    (Invalid_argument
+       "Fast_sim.create: L2 is 2-way, only direct-mapped levels are simulated")
+    (fun () ->
+      ignore
+        (Cs.Fast_sim.create
+           [ { Cs.Level.size = 1024; line = 32; assoc = 1 };
+             { Cs.Level.size = 8192; line = 64; assoc = 2 } ]))
 
 (* --- whole-kernel equivalence ------------------------------------------- *)
 
@@ -559,6 +555,8 @@ let () =
           Alcotest.test_case "packed tags at -1, min_int, max_int" `Quick
             test_extreme_addresses;
         ] );
+      ( "create",
+        [ Alcotest.test_case "a 2-way level is rejected" `Quick test_create_rejects_assoc ] );
       ( "kernels",
         [ Alcotest.test_case "Interp fast = reference" `Quick test_kernel_equivalence ] );
     ]

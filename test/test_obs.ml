@@ -255,25 +255,34 @@ let test_counters_backend_invariant () =
   Alcotest.(check bool) "fast backend reports bulk segments" true
     (List.mem_assoc "sim.fast.bulk_segments" fast)
 
-(* A [Fast] spec with prefetch runs on the reference cascade (Fast_sim
-   does not model prefetch) and says so: one [sim.fast.fallbacks] per
-   such job, none for the jobs that run where they ask. *)
+(* A [Fast] spec with prefetch or an associative level runs on the
+   reference cascade (Fast_sim simulates neither) and says so: one
+   [sim.fast.fallbacks] per such job, none for the jobs that run where
+   they ask.  A fallen-back job's results are the reference job's. *)
 let test_prefetch_fallback_counted () =
-  let spec backend prefetch_levels =
+  let spec ?assoc backend prefetch_levels =
     E.Job.simulate ~backend
-      ~machine:{ (E.Job.machine "ultrasparc") with E.Job.prefetch_levels }
+      ~machine:{ (E.Job.machine "ultrasparc") with E.Job.prefetch_levels; assoc }
       ~layout:E.Job.Initial
       (E.Job.Registry { name = "DOT256"; n = Some 4096 })
   in
-  let fallbacks s =
+  let run s =
     let buf = Obs.Buf.create () in
-    Obs.with_buf buf (fun () -> ignore (E.Job.execute s));
-    Obs.Buf.counter buf "sim.fast.fallbacks"
+    let r = Obs.with_buf buf (fun () -> E.Job.execute s) in
+    (r, Obs.Buf.counter buf "sim.fast.fallbacks")
   in
+  let fallbacks s = snd (run s) in
   Alcotest.(check int) "fast spec with L2 prefetch" 1 (fallbacks (spec `Fast [ 1 ]));
   Alcotest.(check int) "fast spec without prefetch" 0 (fallbacks (spec `Fast []));
   Alcotest.(check int) "reference spec with prefetch" 0
-    (fallbacks (spec `Reference [ 1 ]))
+    (fallbacks (spec `Reference [ 1 ]));
+  let fast, n = run (spec ~assoc:2 `Fast []) in
+  let reference, _ = run (spec ~assoc:2 `Reference []) in
+  Alcotest.(check int) "fast spec with 2-way levels" 1 n;
+  Alcotest.(check bool) "2-way: interp = reference" true
+    (fast.E.Job.interp = reference.E.Job.interp);
+  Alcotest.(check bool) "2-way: level_stats = reference" true
+    (List.for_all2 Cs.Stats.equal fast.E.Job.level_stats reference.E.Job.level_stats)
 
 (* --- conservation --------------------------------------------------------- *)
 
