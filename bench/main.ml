@@ -357,25 +357,30 @@ let figure12 () =
 (* Figure 13: tiled matrix multiplication                             *)
 (* ----------------------------------------------------------------- *)
 
-let tile_variants n =
-  let elem = 8 in
+(* Figure 13's tile policies: (label, conflict cache, capacity) in bytes. *)
+let tile_policies =
   let l1 = 16 * 1024 and l2 = 512 * 1024 in
-  let sel ~cache ~cap =
-    L.Tile_size.select ~capacity_bytes:cap ~cache_bytes:cache ~elem ~col_elems:n
-      ~rows:n ()
-  in
   [
-    ("L1", sel ~cache:l1 ~cap:l1);
-    ("2xL1", sel ~cache:l2 ~cap:(2 * l1));
-    ("4xL1", sel ~cache:l2 ~cap:(4 * l1));
-    ("L2", sel ~cache:l2 ~cap:l2);
+    ("L1", l1, l1);
+    ("2xL1", l2, 2 * l1);
+    ("4xL1", l2, 4 * l1);
+    ("L2", l2, l2);
   ]
+
+let tile_variants n =
+  List.map
+    (fun (label, cache, cap) ->
+      ( label,
+        L.Tile_size.select ~capacity_bytes:cap ~cache_bytes:cache ~elem:8
+          ~col_elems:n ~rows:n () ))
+    tile_policies
 
 let figure13 () =
   let step = if !fast then 72 else 18 in
   let rec sizes n = if n > 400 then [] else n :: sizes (n + step) in
   let sizes = sizes 100 in
-  let variants_per_size = 1 + List.length (tile_variants 100) in
+  let policy_labels = List.map (fun (label, _, _) -> label) tile_policies in
+  let variants_per_size = 1 + List.length policy_labels in
   let results =
     submit
       (List.concat_map
@@ -402,7 +407,7 @@ let figure13 () =
     ~title:
       "Figure 13: simulated MFLOPS of matrix multiply under tile-size policies"
     ~x_label:"N"
-    ~labels:[ "Orig"; "L1"; "2xL1"; "4xL1"; "L2" ]
+    ~labels:("Orig" :: policy_labels)
     points;
   (* also print the chosen tiles for reference *)
   let tiles_at = [ 100; 200; 300; 400 ] in
@@ -417,7 +422,7 @@ let figure13 () =
       tiles_at
   in
   L.Report.table ~title:"Figure 13 (tiles chosen by eucPad-style selection)"
-    ~columns:[ "N"; "L1"; "2xL1"; "4xL1"; "L2" ]
+    ~columns:("N" :: policy_labels)
     rows;
   print_endline
     "\nExpected shape (paper): L1-sized tiles give the best and steadiest\n\

@@ -16,22 +16,9 @@ type t
 val create :
   ?write_allocate:bool -> ?prefetch_levels:int list -> Level.geometry list -> t
 
-(** One hierarchy per the paper's simulation setup: 16K direct-mapped L1
-    with 32-byte lines and 512K direct-mapped L2 with 64-byte lines (also
-    the Sun UltraSparc I configuration the paper times on). *)
-val ultrasparc : unit -> t
-
 val levels : t -> Level.t list
 
-val n_levels : t -> int
-
 (** [access t ?write addr] sends one reference down the hierarchy.
-    Returns the index of the level that hit (0 = L1), or [n_levels t]
-    when the access went to main memory. *)
+    Returns the index of the level that hit (0 = L1), or the number of
+    levels when the access went to main memory. *)
 val access : t -> ?write:bool -> int -> int
-
-(** Total references issued so far (i.e. L1 accesses). *)
-val total_refs : t -> int
-
-(** [miss_rates t] gives each level's misses / total refs, L1 first. *)
-val miss_rates : t -> float list

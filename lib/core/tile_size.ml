@@ -1,3 +1,5 @@
+module Obs = Mlc_obs.Obs
+
 type tile = { height : int; width : int }
 
 let euclid_chain ~cache_elems ~col_elems =
@@ -8,52 +10,29 @@ let euclid_chain ~cache_elems ~col_elems =
   if start = 0 then [ cache_elems ]
   else go cache_elems start [ cache_elems ]
 
-(* Circular gap check: columns k = 0..w-1 sit at positions
-   (k * col) mod cache; a tile of height h is conflict-free iff every
-   pair of positions keeps a circular distance >= h (or exactly 0 is
-   impossible for distinct k unless col*k wraps onto itself, which is a
-   conflict whenever h > 0). *)
-let conflict_free ~cache_elems ~col_elems ~height w =
-  if height > cache_elems then false
-  else begin
-    let positions = Array.init w (fun k -> k * col_elems mod cache_elems) in
-    Array.sort compare positions;
-    let ok = ref true in
-    for i = 0 to w - 2 do
-      if positions.(i + 1) - positions.(i) < height then ok := false
-    done;
-    (* wrap-around gap *)
-    if w >= 2 && cache_elems - positions.(w - 1) + positions.(0) < height then
-      ok := false;
-    (* duplicated positions always conflict *)
-    for i = 0 to w - 2 do
-      if positions.(i + 1) = positions.(i) then ok := false
-    done;
-    !ok
-  end
-
-(* Adding a column can only shrink the minimum circular gap, so
-   [conflict_free] is monotone (true up to some width, false beyond):
-   binary search applies. *)
+(* Column d sits at x = d * col mod cache; stop at the first d whose
+   circular distance from column 0 is below [height] (or zero). *)
 let max_conflict_free_width ~cache_elems ~col_elems ~height ~max_width =
-  if not (conflict_free ~cache_elems ~col_elems ~height 1) then 0
+  if height > cache_elems then 0
   else begin
-    let ok w = conflict_free ~cache_elems ~col_elems ~height w in
-    let lo = ref 1 and hi = ref max_width in
-    if ok max_width then max_width
-    else begin
-      (* invariant: ok lo, not (ok hi) *)
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        if ok mid then lo := mid else hi := mid
-      done;
-      !lo
-    end
+    let step = col_elems mod cache_elems in
+    let rec scan d x =
+      if d >= max_width then max_width
+      else if x = 0 || min x (cache_elems - x) < height then d
+      else
+        let x = x + step in
+        scan (d + 1) (if x >= cache_elems then x - cache_elems else x)
+    in
+    scan 1 step
   end
 
 let footprint_bytes ~elem t = t.height * t.width * elem
 
+(* [select], [lrw] and [tss] all time under this one span name. *)
+let selection f = Obs.with_span ~cat:"tile" "tile_size:select" f
+
 let select ?capacity_bytes ~cache_bytes ~elem ~col_elems ~rows () =
+  selection @@ fun () ->
   let capacity = match capacity_bytes with Some c -> c | None -> cache_bytes in
   let cache_elems = cache_bytes / elem in
   let capacity_elems = capacity / elem in
@@ -97,22 +76,23 @@ let candidates_for ~cache_elems ~col_elems ~rows =
   |> List.sort_uniq compare
 
 let lrw ~cache_bytes ~elem ~col_elems ~rows =
+  selection @@ fun () ->
   let cache_elems = cache_bytes / elem in
   let best = ref { height = 1; width = 1 } in
   List.iter
     (fun h ->
-      (* square tile: width = height, conflict-checked *)
-      let w =
-        min h (max_conflict_free_width ~cache_elems ~col_elems ~height:h ~max_width:h)
+      (* square tile: w columns are conflict-free at height h >= w, so
+         the w x w square is too *)
+      let side =
+        max_conflict_free_width ~cache_elems ~col_elems ~height:h ~max_width:h
       in
-      let side = min h w in
-      if side >= 1 && conflict_free ~cache_elems ~col_elems ~height:side side
-         && side * side > !best.height * !best.width
-      then best := { height = side; width = side })
+      if side >= 1 && side * side > !best.height * !best.width then
+        best := { height = side; width = side })
     (candidates_for ~cache_elems ~col_elems ~rows);
   !best
 
 let tss ~cache_bytes ~elem ~col_elems ~rows =
+  selection @@ fun () ->
   let cache_elems = cache_bytes / elem in
   let best = ref { height = 1; width = 1 } in
   List.iter
@@ -127,7 +107,8 @@ let tss ~cache_bytes ~elem ~col_elems ~rows =
   !best
 
 let no_l2_interference ~s1_elems ~k ~col_elems tile =
-  conflict_free ~cache_elems:(k * s1_elems) ~col_elems ~height:tile.height
-    tile.width
+  max_conflict_free_width ~cache_elems:(k * s1_elems) ~col_elems
+    ~height:tile.height ~max_width:tile.width
+  = tile.width
 
 let pp ppf t = Format.fprintf ppf "%dx%d (HxW)" t.height t.width

@@ -11,7 +11,10 @@
     The paper's multi-level observation, which {!no_l2_interference}
     checks, is that a tile with no L1 self-interference has none on any
     larger level either (modular arithmetic: positions mod [k·S1] differ
-    at least as much as positions mod [S1]). *)
+    at least as much as positions mod [S1]).
+
+    {!select}, {!lrw} and {!tss} each run inside an [Obs] span named
+    [tile_size:select]. *)
 
 type tile = { height : int; width : int }
 
@@ -22,7 +25,16 @@ val euclid_chain : cache_elems:int -> col_elems:int -> int list
 
 (** Largest width such that [w] columns of height [h] (spacing
     [col_elems]) have no self-interference on the cache, capped at
-    [max_width]. *)
+    [max_width].
+
+    Column [k] starts at [k·col mod C] ([C] = [cache_elems]), and the
+    circular gap between columns [i] and [j] is [‖(j−i)·col‖_C], where
+    [‖x‖_C = min (x mod C) (C − x mod C)].  It depends only on [j − i], so
+    the minimum gap of [w] columns is [min over 1 ≤ d < w of ‖d·col‖_C],
+    and the answer is the first [d] with [‖d·col‖_C < h], or [max_width]
+    if none comes first.  A repeated position ([d·col ≡ 0 mod C])
+    conflicts at every height, and [h > C] gives 0.  One incremental scan
+    over [d]: time proportional to the answer, no allocation. *)
 val max_conflict_free_width :
   cache_elems:int -> col_elems:int -> height:int -> max_width:int -> int
 

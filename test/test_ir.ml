@@ -472,8 +472,11 @@ let prop_fast_interp_matches_trace =
       (* replay naive trace *)
       let h = Cs.Machine.hierarchy small_machine in
       Trace_oracle.replay h (Trace_oracle.naive_trace layout p);
-      let naive_misses =
-        List.map (fun l -> (Cs.Level.stats l).Cs.Stats.misses) (Cs.Hierarchy.levels h)
+      let naive_stats = List.map Cs.Level.stats (Cs.Hierarchy.levels h) in
+      let naive_misses = List.map (fun s -> s.Cs.Stats.misses) naive_stats in
+      let naive_refs = (List.hd naive_stats).Cs.Stats.accesses in
+      let naive_rates =
+        List.map (Cs.Stats.miss_rate_vs ~total_refs:naive_refs) naive_stats
       in
       (* the walker through the reference sink, then through Fast_sim *)
       let on = Interp.run_on (Cs.Machine.hierarchy small_machine) small_machine layout p in
@@ -481,8 +484,8 @@ let prop_fast_interp_matches_trace =
       List.for_all
         (fun (r : Interp.result) ->
           r.Interp.misses = naive_misses
-          && r.Interp.miss_rates = Cs.Hierarchy.miss_rates h
-          && r.Interp.total_refs = Cs.Hierarchy.total_refs h)
+          && r.Interp.miss_rates = naive_rates
+          && r.Interp.total_refs = naive_refs)
         [ on; fast ])
 
 let prop_pad_shifts_addresses =

@@ -11,6 +11,11 @@ let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
+let qcheck_count default =
+  match Sys.getenv_opt "QCHECK_COUNT" with
+  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
+  | None -> default
+
 (* --- Permute ------------------------------------------------------------ *)
 
 let test_permute_figure1 () =
@@ -151,6 +156,82 @@ let test_conflict_free_width () =
   check_int "width at h=17" 1
     (L.Tile_size.max_conflict_free_width ~cache_elems:64 ~col_elems:48 ~height:17
        ~max_width:8)
+
+let test_gap_scan_rules () =
+  (* a column that is a multiple of the cache repeats position 0 at d = 1:
+     a conflict at every height, even 0, so one column is the widest *)
+  List.iter
+    (fun height ->
+      check_int
+        (Printf.sprintf "repeated position, height %d" height)
+        1
+        (L.Tile_size.max_conflict_free_width ~cache_elems:64 ~col_elems:128 ~height
+           ~max_width:8))
+    [ 0; 1; 64 ];
+  check_int "taller than the cache" 0
+    (L.Tile_size.max_conflict_free_width ~cache_elems:64 ~col_elems:48 ~height:65
+       ~max_width:8);
+  check_int "capped at max_width" 3
+    (L.Tile_size.max_conflict_free_width ~cache_elems:64 ~col_elems:48 ~height:16
+       ~max_width:3)
+
+let prop_gap_scan_matches_oracle =
+  QCheck.Test.make ~name:"gap scan = sorted-gap oracle" ~count:(qcheck_count 300)
+    QCheck.(
+      make
+        ~print:(fun (c, col, h, w) ->
+          Printf.sprintf "cache=%d col=%d height=%d max_width=%d" c col h w)
+        Gen.(
+          oneofl [ 256; 2048; 16384; 65536 ] >>= fun cache ->
+          int_range 1 2000 >>= fun col ->
+          (* small heights admit wide tiles, where the scan runs longest *)
+          oneof [ int_range 1 cache; int_range 1 (cache / 64) ] >>= fun height ->
+          int_range 0 4096 >|= fun max_width -> (cache, col, height, max_width)))
+    (fun (cache_elems, col_elems, height, max_width) ->
+      L.Tile_size.max_conflict_free_width ~cache_elems ~col_elems ~height ~max_width
+      = Tile_oracle.max_conflict_free_width ~cache_elems ~col_elems ~height
+          ~max_width)
+
+(* The tiles the bench harness's fast figure13 and tiles sections select,
+   recorded from the sort-and-bisect selection: the four Figure 13
+   policies (L1, 2xL1, 4xL1, L2) and euc/LRW/TSS on the L1, as
+   (height, width). *)
+let pinned_tiles =
+  [
+    (100, [ (48, 41); (50, 81); (100, 81); (100, 655); (48, 41); (41, 41); (4, 512) ]);
+    (172, [ (16, 119); (86, 47); (86, 95); (172, 381); (16, 119); (16, 16); (4, 512) ]);
+    (200, [ (48, 41); (64, 64); (100, 81); (200, 327); (48, 41); (41, 41); (8, 256) ]);
+    (244, [ (44, 42); (72, 56); (100, 81); (244, 268); (44, 42); (42, 42); (4, 512) ]);
+    (300, [ (52, 34); (68, 60); (68, 120); (300, 218); (52, 34); (40, 40); (4, 512) ]);
+    (316, [ (152, 13); (62, 66); (68, 120); (316, 207); (152, 13); (13, 13); (4, 512) ]);
+    (388, [ (44, 37); (36, 113); (176, 46); (388, 168); (44, 37); (37, 37); (4, 512) ]);
+    (400, [ (48, 41); (64, 64); (64, 128); (400, 163); (48, 41); (41, 41); (16, 128) ]);
+  ]
+
+let test_pinned_tiles () =
+  let elem = 8 and l1 = 16 * 1024 and l2 = 512 * 1024 in
+  List.iter
+    (fun (n, expected) ->
+      let sel ~cache ~cap =
+        L.Tile_size.select ~capacity_bytes:cap ~cache_bytes:cache ~elem ~col_elems:n
+          ~rows:n ()
+      in
+      let got =
+        [
+          sel ~cache:l1 ~cap:l1;
+          sel ~cache:l2 ~cap:(2 * l1);
+          sel ~cache:l2 ~cap:(4 * l1);
+          sel ~cache:l2 ~cap:l2;
+          L.Tile_size.select ~cache_bytes:l1 ~elem ~col_elems:n ~rows:n ();
+          L.Tile_size.lrw ~cache_bytes:l1 ~elem ~col_elems:n ~rows:n;
+          L.Tile_size.tss ~cache_bytes:l1 ~elem ~col_elems:n ~rows:n;
+        ]
+      in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "tiles at n=%d" n)
+        expected
+        (List.map (fun (t : L.Tile_size.tile) -> (t.height, t.width)) got))
+    pinned_tiles
 
 let prop_selected_tiles_conflict_free =
   QCheck.Test.make ~name:"selected tiles have no self-interference" ~count:200
@@ -354,6 +435,9 @@ let () =
         [
           Alcotest.test_case "euclid chain" `Quick test_euclid_chain;
           Alcotest.test_case "conflict-free width" `Quick test_conflict_free_width;
+          Alcotest.test_case "gap scan rules" `Quick test_gap_scan_rules;
+          Alcotest.test_case "pinned figure13 and tiles" `Quick test_pinned_tiles;
+          QCheck_alcotest.to_alcotest prop_gap_scan_matches_oracle;
           Alcotest.test_case "LRW and TSS" `Quick test_alternative_tile_algorithms;
           Alcotest.test_case "assoc-aware PAD" `Quick test_assoc_aware_pad;
           QCheck_alcotest.to_alcotest prop_selected_tiles_conflict_free;
