@@ -357,15 +357,9 @@ let figure12 () =
 (* Figure 13: tiled matrix multiplication                             *)
 (* ----------------------------------------------------------------- *)
 
-(* Figure 13's tile policies: (label, conflict cache, capacity) in bytes. *)
 let tile_policies =
-  let l1 = 16 * 1024 and l2 = 512 * 1024 in
-  [
-    ("L1", l1, l1);
-    ("2xL1", l2, 2 * l1);
-    ("4xL1", l2, 4 * l1);
-    ("L2", l2, l2);
-  ]
+  L.Tile_size.policies ~l1:(Cs.Machine.s1 machine)
+    ~l2:(Cs.Machine.level_size machine 1)
 
 let tile_variants n =
   List.map

@@ -32,9 +32,6 @@ let build_program name n = E.Job.build_program (E.Job.Registry { name; n })
 
 (* --- simulation rows (simulate, run, fuse) --------------------------------- *)
 
-let simulate machine strategy p =
-  Interp.run machine (L.Pipeline.layout_for machine strategy p) p
-
 let pp_row label ppf (r : Interp.result) =
   Format.fprintf ppf "%-28s refs=%-10d" label r.Interp.total_refs;
   List.iteri
@@ -42,10 +39,10 @@ let pp_row label ppf (r : Interp.result) =
     r.Interp.miss_rates;
   Format.fprintf ppf " cycles=%.3e mflops=%.1f" r.Interp.cycles r.Interp.mflops
 
-(* The original layout against [strategy], on the reference backend. *)
+(* The original layout against [strategy]. *)
 let compare_to_original machine strategy p =
-  let orig = simulate machine L.Pipeline.Original p in
-  let opt = simulate machine strategy p in
+  let simulate s = Interp.run machine (L.Pipeline.layout_for machine s p) p in
+  let orig = simulate L.Pipeline.Original and opt = simulate strategy in
   Format.printf "%s on %s@." p.Program.name machine.Cs.Machine.name;
   Format.printf "  %a@." (pp_row (L.Pipeline.strategy_name L.Pipeline.Original)) orig;
   Format.printf "  %a@." (pp_row (L.Pipeline.strategy_name strategy)) opt;
@@ -342,31 +339,28 @@ let fuse_cmd =
         (E.Job.Spec_error
            (Printf.sprintf "invalid --nest %d: %s has %d nests (valid: 0..%d)"
               nest_idx p.Program.name n_nests (n_nests - 2)));
-    let fused = L.Fusion.fuse_program p nest_idx in
-    let s1 = Cs.Machine.s1 machine in
-    let layout_o = L.Pipeline.layout_for machine L.Pipeline.Grouppad_l1 p in
-    let layout_f = L.Pipeline.layout_for machine L.Pipeline.Grouppad_l1 fused in
-    let n1 = List.nth p.Program.nests nest_idx in
-    let n2 = List.nth p.Program.nests (nest_idx + 1) in
-    let core =
-      List.fold_left
-        (fun best nest ->
-          if List.length (Nest.refs nest) > List.length (Nest.refs best) then nest
-          else best)
-        (List.hd fused.Program.nests)
-        fused.Program.nests
+    (* Figure 12's pair of jobs: the accounting under GROUPPAD, the
+       simulation under L2MAXPAD. *)
+    let base = E.Job.Registry { name = prog; n = size } in
+    let job count program =
+      E.Job.execute
+        (E.Job.simulate ~machine
+           ~count:(E.Job.Strategy L.Pipeline.Grouppad_l1, count)
+           ~layout:(E.Job.Strategy L.Pipeline.Grouppad_l1_l2) program)
     in
-    let co = An.Fusion_model.count layout_o ~l1_size:s1 [ n1; n2 ] in
-    let cf = An.Fusion_model.count layout_f ~l1_size:s1 [ core ] in
+    (* the fused job first: an illegal fusion fails before any simulation *)
+    let rf =
+      job E.Job.Largest_body (E.Job.Fused { base; at = nest_idx; max_shift = 4 })
+    in
+    let ro = job (E.Job.Nests [ nest_idx; nest_idx + 1 ]) base in
     Format.printf "original nests %d,%d: %a@." nest_idx (nest_idx + 1)
-      An.Fusion_model.pp_counts co;
-    Format.printf "fused:              %a@." An.Fusion_model.pp_counts cf;
-    let ro = simulate machine L.Pipeline.Grouppad_l1_l2 p in
-    let rf = simulate machine L.Pipeline.Grouppad_l1_l2 fused in
-    Format.printf "simulated: %a@.           %a@." (pp_row "original") ro
-      (pp_row "fused") rf
+      An.Fusion_model.pp_counts (Option.get ro.E.Job.counts);
+    Format.printf "fused:              %a@." An.Fusion_model.pp_counts
+      (Option.get rf.E.Job.counts);
+    Format.printf "simulated: %a@.           %a@." (pp_row "original") ro.E.Job.interp
+      (pp_row "fused") rf.E.Job.interp
   in
-  let term = Term.(const run $ prog_arg $ size_arg $ nest_arg $ Cli.machine) in
+  let term = Term.(const run $ prog_arg $ size_arg $ nest_arg $ Cli.machine_spec) in
   Cmd.v
     (Cmd.info "fuse"
        ~doc:"Fuse two adjacent nests and print the Section 4 accounting.")
@@ -382,14 +376,6 @@ let tile_cmd =
     let elem = 8 in
     let l1 = Cs.Machine.s1 machine in
     let l2 = try Cs.Machine.level_size machine 1 with _ -> l1 in
-    let policies =
-      [
-        ("L1", l1, l1);
-        ("2xL1", l2, 2 * l1);
-        ("4xL1", l2, 4 * l1);
-        ("L2", l2, l2);
-      ]
-    in
     Format.printf "matmul %dx%d:@." n n;
     let orig = L.Tiling.matmul n in
     let r = Interp.run machine (Layout.initial orig) orig in
@@ -407,7 +393,7 @@ let tile_cmd =
         let r = Interp.run machine (Layout.initial p) p in
         Format.printf "  %-6s tile %4dx%-4d %8.2f MFLOPS (model)@." label
           t.L.Tile_size.height t.L.Tile_size.width r.Interp.mflops)
-      policies
+      (L.Tile_size.policies ~l1 ~l2)
   in
   let term = Term.(const run $ n_arg $ Cli.machine) in
   Cmd.v
@@ -431,7 +417,11 @@ let compile_cmd =
         @ L.Pipeline.passes L.Pipeline.Grouppad_l1_l2
       else L.Compiler.default_passes
     in
-    print_string (L.Compiler.report ~passes machine p)
+    let optimized = L.Compiler.optimize ~passes machine p in
+    List.iter
+      (Format.eprintf "warning: %s: %a@." p.Program.name Validate.pp_issue)
+      (Validate.check optimized.L.Compiler.program);
+    print_string (L.Compiler.report machine p optimized)
   in
   let term =
     Term.(const run $ prog_arg $ size_arg $ Cli.machine $ scalar_arg $ Cli.obs)

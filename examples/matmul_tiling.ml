@@ -23,11 +23,6 @@ let () =
     (l1 / 1024) (l2 / 1024);
 
   (* 1. Tile selection per policy. *)
-  let policies =
-    [
-      ("L1", l1, l1); ("2xL1", l2, 2 * l1); ("4xL1", l2, 4 * l1); ("L2", l2, l2);
-    ]
-  in
   let tiles =
     List.map
       (fun (label, cache, cap) ->
@@ -44,7 +39,7 @@ let () =
            then "  [no L2 self-interference]"
            else "");
         (label, t))
-      policies
+      (L.Tile_size.policies ~l1 ~l2)
   in
 
   (* 2. Simulated MFLOPS (the Figure 13 series at one size). *)

@@ -64,9 +64,6 @@ val under_arc : size:int -> trailing:int -> span:int -> int -> bool
     than the arc's own two. *)
 val arc_preserved : dot list -> size:int -> arc -> bool
 
-(** Arcs of the nest that survive on a cache of [size] bytes. *)
-val preserved_arcs : Layout.t -> size:int -> Nest.t -> arc list
-
 (** Count of references exploiting group reuse on this cache — the value
     GROUPPAD maximizes. *)
 val preserved_count : Layout.t -> size:int -> Nest.t -> int

@@ -18,11 +18,6 @@ type distance =
     different arrays. *)
 val between : Ref_.t -> Ref_.t -> distance
 
-(** Pairs of references that may touch the same location, where at least
-    one is a write, between the bodies of two nests (body order indices
-    returned as [(i1, i2, distance)]). *)
-val cross_nest : Nest.t -> Nest.t -> (int * int * distance) list
-
 (** [fusion_legal ?shift n1 n2] — can the bodies be fused iteration-wise
     with the second body executing [shift] iterations of the outermost
     loop behind the first?  True when every cross-nest dependence keeps

@@ -20,18 +20,12 @@
 
 open Mlc_ir
 
-type cls = Register | L1_hit | L2_ref | Memory
-
 type counts = {
   register : int;
   l1_hits : int;
   l2_refs : int;
   memory_refs : int;
 }
-
-(** Classification of each reference (body order) of one nest. *)
-val classify_nest :
-  Layout.t -> l1_size:int -> ?l2_size:int -> Nest.t -> (int * Ref_.t * cls) list
 
 (** Aggregate over a list of nests (a program version). *)
 val count :

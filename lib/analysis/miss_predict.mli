@@ -29,9 +29,6 @@ open Mlc_ir
 val rank_permutations :
   Layout.t -> line:int -> Nest.t -> (string list * float) list
 
-(** Estimated misses of one nest execution on a direct-mapped cache. *)
-val nest_misses : Layout.t -> size:int -> line:int -> Nest.t -> float
-
 (** Per-level estimates for a whole program on a machine (levels as in
     the machine's geometry; each level estimated independently). *)
 val program_misses :

@@ -12,7 +12,7 @@
     per-access path (no LRU or prefetch bookkeeping).
 
     Not modelled: associative levels and next-line prefetching.  Callers
-    must fall back to the reference path for either (as [Job.execute]
+    must fall back to the reference path for either (as [Interp.run]
     does). *)
 
 type t

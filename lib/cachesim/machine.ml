@@ -37,8 +37,6 @@ let with_associativity k t =
     geometries = List.map (fun g -> { g with Level.assoc = k }) t.geometries;
   }
 
-let hierarchy t = Hierarchy.create t.geometries
-
 let s1 t =
   match t.geometries with
   | g :: _ -> g.Level.size

@@ -20,9 +20,6 @@ val alpha21164 : t
     direct-mapped captures nearly all the benefit. *)
 val with_associativity : int -> t -> t
 
-(** Fresh hierarchy for simulation. *)
-val hierarchy : t -> Hierarchy.t
-
 (** L1 capacity in bytes ([S1] in the paper). *)
 val s1 : t -> int
 

@@ -28,10 +28,8 @@ let optimize ?(passes = default_passes) machine program =
     (Layout.array_names layout);
   { program; layout; log = List.rev !log }
 
-let report ?passes machine program =
-  let optimized = optimize ?passes machine program in
-  let orig_layout = Layout.initial program in
-  let r0 = Interp.run machine orig_layout program in
+let report machine program optimized =
+  let r0 = Interp.run machine (Layout.initial program) program in
   let r1 = Interp.run machine optimized.layout optimized.program in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "program %s on %s\n" program.Program.name

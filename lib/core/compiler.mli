@@ -37,7 +37,8 @@ val default_passes : Pass.t list
 val optimize :
   ?passes:Pass.t list -> Mlc_cachesim.Machine.t -> Program.t -> result
 
-(** Convenience: simulate original vs optimized and report the paper's
-    metrics (per-level miss rates and model-time improvement). *)
-val report :
-  ?passes:Pass.t list -> Mlc_cachesim.Machine.t -> Program.t -> string
+(** [report machine program optimized] simulates [program] on its
+    initial layout and [optimized] (what {!optimize} made of [program]),
+    and renders the log and the paper's metrics (per-level miss rates and
+    model-time improvement). *)
+val report : Mlc_cachesim.Machine.t -> Program.t -> result -> string

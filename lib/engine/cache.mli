@@ -21,9 +21,6 @@
 
 type t
 
-(** [MLC_CACHE_DIR] or ["_mlc_cache"]. *)
-val default_dir : unit -> string
-
 (** The models version used by default keys (memoized per process):
     [MLC_MODELS_VERSION] if set, else [git describe] of the source tree
     containing the running executable, else a digest of the executable
@@ -31,7 +28,8 @@ val default_dir : unit -> string
     started from. *)
 val git_describe : unit -> string
 
-(** [open_ ?dir ?version ()] creates the directory if needed.
+(** [open_ ?dir ?version ()] creates the directory if needed.  [dir]
+    defaults to [MLC_CACHE_DIR], else ["_mlc_cache"].
     [version] defaults to {!git_describe}. *)
 val open_ : ?dir:string -> ?version:string -> unit -> t
 

@@ -3,7 +3,6 @@ module Cs = Mlc_cachesim
 module An = Mlc_analysis
 module K = Mlc_kernels
 module L = Locality
-module Obs = Mlc_obs.Obs
 
 exception Spec_error of string
 
@@ -196,39 +195,15 @@ let execute spec =
   let machine_t = build_machine spec.machine in
   let program = build_program spec.program in
   let layout = build_layout machine_t spec.layout program in
-  (* Fast_sim simulates only direct-mapped levels without next-line
-     prefetch; other specs run on the reference cascade (the two backends
-     agree everywhere else, so this only costs time, never accuracy),
-     counted as [sim.fast.fallbacks]. *)
-  let use_fast =
-    spec.backend = `Fast
-    && spec.machine.prefetch_levels = []
-    && List.for_all (fun g -> g.Cs.Level.assoc = 1) machine_t.Cs.Machine.geometries
+  let interp =
+    Interp.run ~backend:spec.backend
+      ?write_allocate:spec.machine.write_allocate
+      ~prefetch_levels:spec.machine.prefetch_levels machine_t layout program
   in
-  if spec.backend = `Fast && not use_fast then Obs.count "sim.fast.fallbacks";
-  let interp, live =
-    if use_fast then begin
-      let sim =
-        Cs.Fast_sim.create
-          ?write_allocate:spec.machine.write_allocate
-          machine_t.Cs.Machine.geometries
-      in
-      let interp = Interp.run_sim sim machine_t layout program in
-      (interp, Cs.Fast_sim.level_stats sim)
-    end
-    else begin
-      let hierarchy =
-        Cs.Hierarchy.create
-          ?write_allocate:spec.machine.write_allocate
-          ~prefetch_levels:spec.machine.prefetch_levels
-          machine_t.Cs.Machine.geometries
-      in
-      let interp = Interp.run_on hierarchy machine_t layout program in
-      (interp, List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy))
-    end
+  let level_stats = interp.Interp.levels in
+  let cost_breakdown =
+    Cs.Cost_model.breakdown_of_stats machine_t.Cs.Machine.cost level_stats
   in
-  let level_stats = List.map (fun s -> Cs.Stats.add (Cs.Stats.zero ()) s) live in
-  let cost_breakdown = Cs.Cost_model.breakdown_of_stats machine_t.Cs.Machine.cost live in
   let predicted =
     if spec.predict then
       Some (An.Miss_predict.program_misses layout machine_t program)

@@ -64,12 +64,12 @@ type spec = {
       (** also run [Fusion_model.count] — under its own layout, as
           Figure 12 counts under GROUPPAD while simulating L2MAXPAD *)
   backend : Interp.backend;
-      (** which simulator runs the job.  Part of the cache key, so warm
-          results never cross backends.  [`Fast] specs with
-          [prefetch_levels] or an associative level fall back to the
-          reference cascade at execution time (Fast_sim simulates only
-          direct-mapped levels without prefetch), and count one
-          [sim.fast.fallbacks] each. *)
+      (** which simulator to ask {!Interp.run} for.  Part of the cache
+          key, so warm results never cross backends.  [Interp.run] serves
+          [`Fast] specs with [prefetch_levels] or an associative level on
+          the reference cascade (Fast_sim simulates only direct-mapped
+          levels without prefetch) and counts one [sim.fast.fallbacks]
+          each. *)
 }
 
 (** Spec constructor with the common defaults (ultrasparc, fast backend,
@@ -116,7 +116,7 @@ val build_program : program_spec -> Program.t
 type result = {
   key : string;                        (** [canonical] of the spec *)
   interp : Interp.result;
-  level_stats : Cs.Stats.t list;       (** per-level counter snapshots *)
+  level_stats : Cs.Stats.t list;       (** [interp.levels] *)
   cost_breakdown : (string * float) list;  (** additive cycle terms *)
   predicted : float list option;       (** analytical per-level misses *)
   counts : An.Fusion_model.counts option;  (** Section 4 accounting *)

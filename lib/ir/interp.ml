@@ -11,6 +11,7 @@ type result = {
   cycles : float;
   seconds : float;
   mflops : float;
+  levels : Cs.Stats.t list;
 }
 
 (* Where the walker sends the reference stream.  [block] receives one
@@ -255,13 +256,8 @@ let simulate ~backend ~stats ~extra sink machine layout program =
     cycles = Cs.Cost_model.cycles_of_stats cost stats;
     seconds = Cs.Cost_model.seconds_of_stats cost stats;
     mflops = Cs.Cost_model.mflops_of_stats cost ~flops stats;
+    levels = List.map (Cs.Stats.add (Cs.Stats.zero ())) stats;
   }
-
-let run_on hierarchy machine layout program =
-  simulate ~backend:"reference"
-    ~stats:(fun () -> List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy))
-    ~extra:(fun () -> [])
-    (hierarchy_sink hierarchy) machine layout program
 
 let run_sim sim machine layout program =
   let extra () =
@@ -280,13 +276,26 @@ type backend = [ `Reference | `Fast ]
 
 let backend_name = function `Reference -> "reference" | `Fast -> "fast"
 
-let run ?(backend = `Reference) machine layout program =
-  match backend with
-  | `Reference -> run_on (Cs.Machine.hierarchy machine) machine layout program
-  | `Fast ->
-      run_sim
-        (Cs.Fast_sim.create machine.Cs.Machine.geometries)
-        machine layout program
+(* The one place a simulator is chosen and built.  Fast_sim simulates
+   only direct-mapped levels without next-line prefetch; anything else
+   runs on the reference cascade (the two agree everywhere else, so this
+   costs time, never accuracy), counted as [sim.fast.fallbacks] when
+   [`Fast] was asked for. *)
+let run ?(backend = `Fast) ?write_allocate ?(prefetch_levels = []) machine
+    layout program =
+  let geoms = machine.Cs.Machine.geometries in
+  if
+    backend = `Fast && prefetch_levels = []
+    && List.for_all (fun g -> g.Cs.Level.assoc = 1) geoms
+  then run_sim (Cs.Fast_sim.create ?write_allocate geoms) machine layout program
+  else begin
+    if backend = `Fast then Obs.count "sim.fast.fallbacks";
+    let hierarchy = Cs.Hierarchy.create ?write_allocate ~prefetch_levels geoms in
+    simulate ~backend:"reference"
+      ~stats:(fun () -> List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy))
+      ~extra:(fun () -> [])
+      (hierarchy_sink hierarchy) machine layout program
+  end
 
 (* --- trace sink -------------------------------------------------------- *)
 

@@ -31,41 +31,42 @@ type result = {
   cycles : float;
   seconds : float;
   mflops : float;
+  levels : Mlc_cachesim.Stats.t list;
+      (** per-level counter snapshots, L1 first *)
 }
 
-(** Which simulator executes the reference stream.  [`Reference] walks
-    the {!Mlc_cachesim.Hierarchy} cascade access by access; [`Fast] uses
+(** Which simulator to ask for.  [`Reference] walks the
+    {!Mlc_cachesim.Hierarchy} cascade access by access; [`Fast] uses
     {!Mlc_cachesim.Fast_sim}, which bulk-accounts steady runs of L1 hits.
     The two produce identical results for any direct-mapped machine
     without hardware prefetching (the differential test suite enforces
-    this); [`Fast] models neither associative levels nor prefetch, so
-    callers with either must use [`Reference] ({!run} raises
-    [Invalid_argument] for [`Fast] on an associative machine). *)
+    this).  [`Fast] models neither associative levels nor prefetch, so
+    {!run} serves such a request on the reference cascade. *)
 type backend = [ `Reference | `Fast ]
 
 val backend_name : backend -> string
 
-(** [run ?backend machine layout program] simulates one full execution on
-    a fresh simulator ([backend] defaults to [`Reference]). *)
+(** [run ?backend ?write_allocate ?prefetch_levels machine layout program]
+    simulates one full execution on a fresh simulator.  It is the one
+    function that chooses and builds a simulator.  [backend] defaults to
+    [`Fast], which runs {!Mlc_cachesim.Fast_sim} when every level of
+    [machine] is direct-mapped and [prefetch_levels] is empty; otherwise
+    the run goes to the reference cascade and, when [`Fast] was asked for,
+    counts one [sim.fast.fallbacks].  [write_allocate] (default true) and
+    [prefetch_levels] (0-based levels with a next-line prefetcher, default
+    none) are {!Mlc_cachesim.Hierarchy.create}'s. *)
 val run :
-  ?backend:backend -> Mlc_cachesim.Machine.t -> Layout.t -> Program.t -> result
-
-(** [run_on hierarchy machine layout program] is {!run} against a
-    caller-created hierarchy — pass one built with non-default options
-    (write policy, prefetching, associativity overrides).  The hierarchy
-    must be fresh: its counters become the result.  The cost model still
-    comes from [machine]. *)
-val run_on :
-  Mlc_cachesim.Hierarchy.t ->
+  ?backend:backend ->
+  ?write_allocate:bool ->
+  ?prefetch_levels:int list ->
   Mlc_cachesim.Machine.t ->
   Layout.t ->
   Program.t ->
   result
 
-(** [run_sim sim machine layout program] is the [`Fast] analogue of
-    {!run_on}: runs against a caller-created {!Mlc_cachesim.Fast_sim}
-    (which must be fresh) so the caller can inspect its per-level stats
-    afterwards. *)
+(** [run_sim sim machine layout program] runs against a caller-created
+    {!Mlc_cachesim.Fast_sim}, which must be fresh: its counters become the
+    result. *)
 val run_sim :
   Mlc_cachesim.Fast_sim.t ->
   Mlc_cachesim.Machine.t ->

@@ -28,9 +28,6 @@ val range : string -> int -> int -> t
 (** Effective lower bound under [env] (applies the [lo_max] clamp). *)
 val effective_lo : (string -> int) -> t -> int
 
-(** Effective upper bound under [env] (applies the [hi_min] clamp). *)
-val effective_hi : (string -> int) -> t -> int
-
 (** Number of iterations executed under [env] (0 when empty). *)
 val trip_count : (string -> int) -> t -> int
 

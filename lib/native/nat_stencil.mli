@@ -13,9 +13,6 @@ val random_fill : seed:int -> grid -> unit
 
 val get : grid -> int -> int -> float
 
-(** One Jacobi sweep from [src] into [dst] (interior points). *)
-val jacobi_sweep : src:grid -> dst:grid -> unit
-
 (** Jacobi with copy-back, [steps] times. *)
 val jacobi : steps:int -> a:grid -> b:grid -> unit
 

@@ -31,9 +31,6 @@ type event = {
   value : int;  (** meaningful for [Sample] only *)
 }
 
-(** Current wall clock in integer microseconds. *)
-val now_us : unit -> int
-
 (** Event buffers. *)
 module Buf : sig
   type t
@@ -75,14 +72,6 @@ val enabled : unit -> bool
 val current : unit -> Buf.t option
 
 (** {2 Spans} *)
-
-type span
-
-(** [begin_span name] opens a span; a no-op returning a dummy token when
-    disabled.  Prefer {!with_span}. *)
-val begin_span : ?cat:string -> ?args:(string * arg) list -> string -> span
-
-val end_span : span -> unit
 
 (** [with_span name f] times [f] inside a nestable span (exception-safe). *)
 val with_span : ?cat:string -> ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a

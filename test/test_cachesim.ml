@@ -180,7 +180,7 @@ let test_hierarchy_miss_rates () =
   | _ -> Alcotest.fail "two levels expected"
 
 let test_ultrasparc_preset () =
-  let h = Cs.Machine.hierarchy Cs.Machine.ultrasparc in
+  let h = Cs.Hierarchy.create Cs.Machine.ultrasparc.Cs.Machine.geometries in
   check_int "levels" 2 (List.length (Cs.Hierarchy.levels h));
   match Cs.Hierarchy.levels h with
   | [ l1; l2 ] ->

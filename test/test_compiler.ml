@@ -78,7 +78,8 @@ let test_options_disable_passes () =
   Alcotest.(check (list string)) "loop order untouched" [ "j"; "i" ] (Nest.vars nest)
 
 let test_report_renders () =
-  let out = L.Compiler.report machine (K.Livermore.jacobi 128) in
+  let p = K.Livermore.jacobi 128 in
+  let out = L.Compiler.report machine p (L.Compiler.optimize machine p) in
   check_bool "mentions improvement" true
     (let needle = "model-time improvement" in
      let n = String.length out and m = String.length needle in

@@ -14,7 +14,7 @@ let machine = Cs.Machine.ultrasparc
 
 let check_bool = Alcotest.(check bool)
 
-(* Simulate [p] under a layout strategy on the reference backend. *)
+(* Simulate [p] under a layout strategy. *)
 let simulate strategy p =
   Interp.run machine (L.Pipeline.layout_for machine strategy p) p
 

@@ -470,7 +470,7 @@ let prop_fast_interp_matches_trace =
     (fun p ->
       let layout = Layout.initial p in
       (* replay naive trace *)
-      let h = Cs.Machine.hierarchy small_machine in
+      let h = Cs.Hierarchy.create small_machine.Cs.Machine.geometries in
       Trace_oracle.replay h (Trace_oracle.naive_trace layout p);
       let naive_stats = List.map Cs.Level.stats (Cs.Hierarchy.levels h) in
       let naive_misses = List.map (fun s -> s.Cs.Stats.misses) naive_stats in
@@ -479,14 +479,14 @@ let prop_fast_interp_matches_trace =
         List.map (Cs.Stats.miss_rate_vs ~total_refs:naive_refs) naive_stats
       in
       (* the walker through the reference sink, then through Fast_sim *)
-      let on = Interp.run_on (Cs.Machine.hierarchy small_machine) small_machine layout p in
+      let reference = Interp.run ~backend:`Reference small_machine layout p in
       let fast = Interp.run ~backend:`Fast small_machine layout p in
       List.for_all
         (fun (r : Interp.result) ->
           r.Interp.misses = naive_misses
           && r.Interp.miss_rates = naive_rates
           && r.Interp.total_refs = naive_refs)
-        [ on; fast ])
+        [ reference; fast ])
 
 let prop_pad_shifts_addresses =
   QCheck.Test.make ~name:"pad_before shifts all later bases equally" ~count:100

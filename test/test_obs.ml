@@ -258,7 +258,8 @@ let test_counters_backend_invariant () =
 (* A [Fast] spec with prefetch or an associative level runs on the
    reference cascade (Fast_sim simulates neither) and says so: one
    [sim.fast.fallbacks] per such job, none for the jobs that run where
-   they ask.  A fallen-back job's results are the reference job's. *)
+   they ask.  A fallen-back job's results are the reference job's.  The
+   same holds one level down, for [Interp.run] called without a backend. *)
 let test_prefetch_fallback_counted () =
   let spec ?assoc backend prefetch_levels =
     E.Job.simulate ~backend
@@ -282,7 +283,33 @@ let test_prefetch_fallback_counted () =
   Alcotest.(check bool) "2-way: interp = reference" true
     (fast.E.Job.interp = reference.E.Job.interp);
   Alcotest.(check bool) "2-way: level_stats = reference" true
-    (List.for_all2 Cs.Stats.equal fast.E.Job.level_stats reference.E.Job.level_stats)
+    (List.for_all2 Cs.Stats.equal fast.E.Job.level_stats reference.E.Job.level_stats);
+  (* [Interp.run] makes the choice, and asks for [`Fast] by default *)
+  let program =
+    E.Job.build_program (E.Job.Registry { name = "DOT256"; n = Some 4096 })
+  in
+  let layout = Layout.initial program in
+  let interp ?backend ?prefetch_levels machine =
+    let buf = Obs.Buf.create () in
+    let r =
+      Obs.with_buf buf (fun () ->
+          Interp.run ?backend ?prefetch_levels machine layout program)
+    in
+    (r, Obs.Buf.counter buf "sim.fast.fallbacks")
+  in
+  List.iter
+    (fun (what, machine, prefetch_levels) ->
+      let default, n = interp ?prefetch_levels machine in
+      let reference, _ = interp ~backend:`Reference ?prefetch_levels machine in
+      Alcotest.(check int) ("Interp.run default, " ^ what) 1 n;
+      Alcotest.(check bool) ("Interp.run default = reference, " ^ what) true
+        (default = reference))
+    [
+      ("2-way", Cs.Machine.with_associativity 2 Cs.Machine.ultrasparc, None);
+      ("L2 prefetch", Cs.Machine.ultrasparc, Some [ 1 ]);
+    ];
+  Alcotest.(check int) "Interp.run default, ultrasparc" 0
+    (snd (interp Cs.Machine.ultrasparc))
 
 (* --- conservation --------------------------------------------------------- *)
 
@@ -466,6 +493,9 @@ let test_golden_simulate_metrics () =
              ("sim.L2.hits", 19345);
              ("sim.L2.misses", 2016);
              ("sim.L2.writes", 4836);
+             ("sim.fast.bulk_iterations", 5564);
+             ("sim.fast.bulk_segments", 2837);
+             ("sim.fast.seq_iterations", 9812);
              ("sim.refs", 61504);
            ])
   in
