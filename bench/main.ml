@@ -20,12 +20,15 @@
      figure11 - miss rates over problem sizes 250-520 (EXPL, SHAL)
      figure12 - change in L2/memory refs and miss rates from fusion (EXPL)
      figure13 - MFLOPS of tiled matrix multiply over matrix sizes
+     tiles    - euc vs LRW vs TSS tile selection on L1-tiled matmul
      predict  - analytical miss prediction vs the simulator
      ablation - extra studies (associativity, 3-level hierarchy,
                 Song-Li time tiling, write policy, footnote-1 prefetch)
      bechamel - real wall-clock timings of the native kernels (opt-in:
                 run `bench/main.exe -- bechamel`; excluded from the
                 default set because measured times are nondeterministic)
+     fastsim  - reference vs fast simulator backend, wall clock (opt-in
+                for the same reason; writes BENCH_fastsim.json)
 
    A machine-readable record of the run (wall time per section, jobs/sec,
    cache hit rate) is written to BENCH_engine.json.
@@ -45,30 +48,44 @@ module Cli = Mlc_cli.Cli
 
 let machine = Cs.Machine.ultrasparc
 
-let fast = ref false
+(* --- run context -------------------------------------------------------- *)
 
-(* --- engine context ----------------------------------------------------- *)
+(* What every section reads of the command line, fixed before any section
+   runs.  [backend] is the simulator of every submitted job: fast is the
+   default, and the differential suite and the fastsim section hold the
+   two backends to identical results.  [obs] is one buffer for the whole
+   run (--trace/--metrics); the engine merges per-job buffers into it
+   deterministically. *)
+type ctx = {
+  fast : bool;
+  jobs : int;
+  backend : Interp.backend;
+  cache : E.Cache.t option;
+  progress : E.Progress.t;
+  obs : Obs.Buf.t option;
+}
 
-(* Set once from the command line before any section runs. *)
-let jobs = ref 1
+let submit ctx specs =
+  Array.to_list
+    (E.Engine.run ?cache:ctx.cache ~progress:ctx.progress ?obs:ctx.obs
+       ~jobs:ctx.jobs
+       (Array.of_list
+          (List.map (fun spec -> { spec with E.Job.backend = ctx.backend }) specs)))
 
-(* Simulator backend for every submitted job (--backend).  Fast is the
-   default; the differential suite and the fastsim section hold the two
-   backends to identical results. *)
-let backend = ref `Fast
+(* One job [spec row col] per (row, column), submitted row-major in one
+   batch; the results come back as one list per row. *)
+let grid ctx rows cols spec =
+  let results =
+    Array.of_list (submit ctx (List.concat_map (fun r -> List.map (spec r) cols) rows))
+  in
+  let width = List.length cols in
+  List.mapi (fun i _ -> Array.to_list (Array.sub results (i * width) width)) rows
 
-let cache = ref None
+(* Fast mode's reduced problem size. *)
+let size ctx n = if ctx.fast then max 64 (n / 4) else n
 
-let progress = ref None
-
-(* Observability: one buffer for the whole run (--trace/--metrics); the
-   engine merges per-job buffers into it deterministically. *)
-let obs : Obs.Buf.t option ref = ref None
-
-let submit specs =
-  E.Engine.run ?cache:!cache ?progress:!progress ?obs:!obs ~jobs:!jobs
-    (Array.of_list
-       (List.map (fun spec -> { spec with E.Job.backend = !backend }) specs))
+(* lo, lo + step, ... up to hi. *)
+let range ~lo ~hi ~step = List.init (((hi - lo) / step) + 1) (fun i -> lo + (i * step))
 
 (* Per-level miss rate in percent (level 0 = L1). *)
 let mrate (r : E.Job.result) level =
@@ -79,13 +96,28 @@ let dtime ~baseline (r : E.Job.result) =
   Cs.Cost_model.improvement ~orig:baseline.E.Job.interp.Interp.cycles
     ~opt:r.E.Job.interp.Interp.cycles
 
+(* A table row: [name], the miss rate of every result at each of [levels]
+   (level by level), then each later result's model-time improvement over
+   the first. *)
+let rate_row ~levels name row =
+  name
+  :: List.concat_map
+       (fun level -> List.map (fun r -> L.Report.pct (mrate r level)) row)
+       levels
+  @ List.map (fun r -> L.Report.pct (dtime ~baseline:(List.hd row) r)) (List.tl row)
+
+let mflops (r : E.Job.result) = r.E.Job.interp.Interp.mflops
+
 let strategy s = E.Job.Strategy s
+
+let tiled_matmul n (t : L.Tile_size.tile) =
+  E.Job.Tiled_matmul { n; h = t.height; w = t.width }
 
 (* ----------------------------------------------------------------- *)
 (* Table 1                                                            *)
 (* ----------------------------------------------------------------- *)
 
-let table1 () =
+let table1 _ =
   let rows =
     List.map
       (fun (e : K.Registry.entry) ->
@@ -105,16 +137,34 @@ let table1 () =
     rows
 
 (* ----------------------------------------------------------------- *)
-(* Figure 9: PAD and MULTILVLPAD                                      *)
+(* Figures 9 and 10: one miss-rate table per pair of padding passes    *)
 (* ----------------------------------------------------------------- *)
 
-let fig9_size name =
-  let shrink n = max 64 (n / 4) in
-  if not !fast then None
+(* Per program: L1 and L2 miss rates of the original and the two
+   optimized layouts, and the optimized layouts' model-time
+   improvements. *)
+let level_table ctx ~title ~expected ~strategies programs =
+  let rows =
+    grid ctx programs strategies (fun (_, p) s ->
+        E.Job.simulate ~layout:(strategy s) p)
+  in
+  L.Report.table ~title
+    ~columns:
+      [
+        "program";
+        "L1 Orig"; "L1 w/L1"; "L1 w/L1&L2";
+        "L2 Orig"; "L2 w/L1"; "L2 w/L1&L2";
+        "dT w/L1"; "dT w/L1&L2";
+      ]
+    (List.map2 (fun (name, _) row -> rate_row ~levels:[ 0; 1 ] name row) programs rows);
+  print_endline expected
+
+let fig9_size ctx name =
+  if not ctx.fast then None
   else
     match name with
     | "EXPL512" | "JACOBI512" | "SHAL512" | "HYDRO2D" | "SWIM" ->
-        Some (shrink 512)
+        Some (size ctx 512)
     | "ADI32" -> Some 128
     | "LINPACKD" -> Some 128
     | "IRR500K" -> Some 100_000
@@ -123,154 +173,61 @@ let fig9_size name =
     | "FFTPDE" -> Some 65_536
     | _ -> None
 
-let figure9 () =
-  let strategies =
-    [ L.Pipeline.Original; L.Pipeline.Pad_l1; L.Pipeline.Pad_multilevel ]
-  in
-  let programs =
-    List.map
-      (fun (e : K.Registry.entry) ->
-        ( String.lowercase_ascii e.K.Registry.name,
-          E.Job.Registry { name = e.K.Registry.name; n = fig9_size e.K.Registry.name } ))
-      K.Registry.all
-  in
-  let results =
-    submit
-      (List.concat_map
-         (fun (_, p) ->
-           List.map (fun s -> E.Job.simulate ~layout:(strategy s) p) strategies)
-         programs)
-  in
-  let rows =
-    List.mapi
-      (fun i (name, _) ->
-        let orig = results.(3 * i)
-        and l1 = results.((3 * i) + 1)
-        and both = results.((3 * i) + 2) in
-        [
-          name;
-          L.Report.pct (mrate orig 0);
-          L.Report.pct (mrate l1 0);
-          L.Report.pct (mrate both 0);
-          L.Report.pct (mrate orig 1);
-          L.Report.pct (mrate l1 1);
-          L.Report.pct (mrate both 1);
-          L.Report.pct (dtime ~baseline:orig l1);
-          L.Report.pct (dtime ~baseline:orig both);
-        ])
-      programs
-  in
-  L.Report.table
+let figure9 ctx =
+  level_table ctx
     ~title:
       "Figure 9: PAD (L1 Opt) and MULTILVLPAD (L1&L2 Opt) — miss rates and \
        model-time improvement"
-    ~columns:
-      [
-        "program";
-        "L1 Orig"; "L1 w/L1"; "L1 w/L1&L2";
-        "L2 Orig"; "L2 w/L1"; "L2 w/L1&L2";
-        "dT w/L1"; "dT w/L1&L2";
-      ]
-    rows;
-  print_endline
-    "\nExpected shape (paper): L1-only PAD already recovers most of the L2\n\
-     miss-rate reduction; MULTILVLPAD is only slightly better on L2 (mostly\n\
-     EXPL); L1 rates are unaffected by the L2 pass; time deltas are small."
+    ~expected:
+      "\nExpected shape (paper): L1-only PAD already recovers most of the L2\n\
+       miss-rate reduction; MULTILVLPAD is only slightly better on L2 (mostly\n\
+       EXPL); L1 rates are unaffected by the L2 pass; time deltas are small."
+    ~strategies:[ L.Pipeline.Original; L.Pipeline.Pad_l1; L.Pipeline.Pad_multilevel ]
+    (List.map
+       (fun (e : K.Registry.entry) ->
+         ( String.lowercase_ascii e.K.Registry.name,
+           E.Job.Registry
+             { name = e.K.Registry.name; n = fig9_size ctx e.K.Registry.name } ))
+       K.Registry.all)
 
-(* ----------------------------------------------------------------- *)
-(* Figure 10: GROUPPAD and L2MAXPAD                                   *)
-(* ----------------------------------------------------------------- *)
-
-let figure10 () =
-  let size n = if !fast then max 64 (n / 4) else n in
-  let programs =
-    [
-      ("expl512", E.Job.Registry { name = "EXPL512"; n = Some (size 512) });
-      ("jacobi512", E.Job.Registry { name = "JACOBI512"; n = Some (size 512) });
-      ("shal512", E.Job.Registry { name = "SHAL512"; n = Some (size 512) });
-      ("swim", E.Job.Registry { name = "SWIM"; n = Some (size 512) });
-      ("tomcatv", E.Job.Registry { name = "TOMCATV"; n = Some (size 257) });
-    ]
-  in
-  let strategies =
-    [ L.Pipeline.Original; L.Pipeline.Grouppad_l1; L.Pipeline.Grouppad_l1_l2 ]
-  in
-  let results =
-    submit
-      (List.concat_map
-         (fun (_, p) ->
-           List.map (fun s -> E.Job.simulate ~layout:(strategy s) p) strategies)
-         programs)
-  in
-  let rows =
-    List.mapi
-      (fun i (name, _) ->
-        let orig = results.(3 * i)
-        and l1 = results.((3 * i) + 1)
-        and both = results.((3 * i) + 2) in
-        [
-          name;
-          L.Report.pct (mrate orig 0);
-          L.Report.pct (mrate l1 0);
-          L.Report.pct (mrate both 0);
-          L.Report.pct (mrate orig 1);
-          L.Report.pct (mrate l1 1);
-          L.Report.pct (mrate both 1);
-          L.Report.pct (dtime ~baseline:orig l1);
-          L.Report.pct (dtime ~baseline:orig both);
-        ])
-      programs
-  in
-  L.Report.table
-    ~title:
-      "Figure 10: GROUPPAD (L1 Opt) with and without L2MAXPAD (L1&L2 Opt)"
-    ~columns:
-      [
-        "program";
-        "L1 Orig"; "L1 w/L1"; "L1 w/L1&L2";
-        "L2 Orig"; "L2 w/L1"; "L2 w/L1&L2";
-        "dT w/L1"; "dT w/L1&L2";
-      ]
-    rows;
-  print_endline
-    "\nExpected shape (paper): optimizing for the L2 cache in addition to L1\n\
-     helps in few programs (EXPL benefits on L2); L1 miss rates are not\n\
-     adversely affected; execution-time changes stay small."
+let figure10 ctx =
+  level_table ctx
+    ~title:"Figure 10: GROUPPAD (L1 Opt) with and without L2MAXPAD (L1&L2 Opt)"
+    ~expected:
+      "\nExpected shape (paper): optimizing for the L2 cache in addition to L1\n\
+       helps in few programs (EXPL benefits on L2); L1 miss rates are not\n\
+       adversely affected; execution-time changes stay small."
+    ~strategies:
+      [ L.Pipeline.Original; L.Pipeline.Grouppad_l1; L.Pipeline.Grouppad_l1_l2 ]
+    (List.map
+       (fun (label, name, n) -> (label, E.Job.Registry { name; n = Some (size ctx n) }))
+       [
+         ("expl512", "EXPL512", 512);
+         ("jacobi512", "JACOBI512", 512);
+         ("shal512", "SHAL512", 512);
+         ("swim", "SWIM", 512);
+         ("tomcatv", "TOMCATV", 257);
+       ])
 
 (* ----------------------------------------------------------------- *)
 (* Figure 11: problem-size sweep                                      *)
 (* ----------------------------------------------------------------- *)
 
-let sweep_one ~name ~lo ~hi ~step =
-  let rec sizes n = if n > hi then [] else n :: sizes (n + step) in
-  let sizes = sizes lo in
-  let results =
-    submit
-      (List.concat_map
-         (fun n ->
-           let p = E.Job.Registry { name; n = Some n } in
-           [
-             E.Job.simulate ~layout:(strategy L.Pipeline.Grouppad_l1) p;
-             E.Job.simulate ~layout:(strategy L.Pipeline.Grouppad_l1_l2) p;
-           ])
-         sizes)
-  in
-  List.mapi
-    (fun i n ->
-      let l1_opt = results.(2 * i) and both = results.((2 * i) + 1) in
-      (n, [ mrate l1_opt 0; mrate l1_opt 1; mrate both 0; mrate both 1 ]))
-    sizes
-
-let figure11 () =
-  let step = if !fast then 30 else 3 in
+let figure11 ctx =
+  let sizes = range ~lo:250 ~hi:520 ~step:(if ctx.fast then 30 else 3) in
   let run label name =
-    let points = sweep_one ~name ~lo:250 ~hi:520 ~step in
+    let rows =
+      grid ctx sizes [ L.Pipeline.Grouppad_l1; L.Pipeline.Grouppad_l1_l2 ] (fun n s ->
+          E.Job.simulate ~layout:(strategy s) (E.Job.Registry { name; n = Some n }))
+    in
     L.Report.series
       ~title:(Printf.sprintf "Figure 11 (%s): miss rates over problem sizes" label)
       ~x_label:"N"
       ~labels:
         [ "L1 w/L1Opt"; "L2 w/L1Opt"; "L1 w/L1&L2"; "L2 w/L1&L2" ]
-      points
+      (List.map2
+         (fun n row -> (n, List.concat_map (fun r -> [ mrate r 0; mrate r 1 ]) row))
+         sizes rows)
   in
   run "EXPL" "EXPL512";
   run "SHAL" "SHAL512";
@@ -283,45 +240,26 @@ let figure11 () =
 (* Figure 12: loop fusion on EXPL                                     *)
 (* ----------------------------------------------------------------- *)
 
-let figure12 () =
-  let step = if !fast then 50 else 6 in
-  let rec sizes n = if n > 700 then [] else n :: sizes (n + step) in
+let figure12 ctx =
   (* Fusion legality is decided in the submitting domain (it is a static
      dependence test, independent of the sweep's simulation cost); the
-     model accounting and both simulations run as jobs.  The paper's
-     static counts compare the two original loop bodies against the fused
-     body under GROUPPAD, with L2MAXPAD assumed to preserve on L2
-     whatever L1 loses; peeled prologue/epilogue iterations are excluded,
-     so the fused core is the nest with the largest body. *)
+     model accounting and both simulations run as jobs.  Peeled
+     prologue/epilogue iterations are excluded from the static counts, so
+     the fused core is the nest with the largest body. *)
   let legal =
     List.filter
       (fun n ->
         match L.Fusion.fuse_program (K.Livermore.expl n) 1 with
         | exception L.Fusion.Illegal _ -> false
         | _ -> true)
-      (sizes 250)
+      (range ~lo:250 ~hi:700 ~step:(if ctx.fast then 50 else 6))
   in
-  let count_layout = strategy L.Pipeline.Grouppad_l1 in
-  let results =
-    submit
-      (List.concat_map
-         (fun n ->
-           let base = E.Job.Registry { name = "EXPL512"; n = Some n } in
-           [
-             E.Job.simulate
-               ~count:(count_layout, E.Job.Nests [ 1; 2 ])
-               ~layout:(strategy L.Pipeline.Grouppad_l1_l2) base;
-             E.Job.simulate
-               ~count:(count_layout, E.Job.Largest_body)
-               ~layout:(strategy L.Pipeline.Grouppad_l1_l2)
-               (E.Job.Fused { base; at = 1; max_shift = 4 });
-           ])
-         legal)
+  let rows =
+    grid ctx legal [ fst; snd ] (fun n side ->
+        side (E.Job.fusion_pair ~at:1 (E.Job.Registry { name = "EXPL512"; n = Some n })))
   in
-  let points =
-    List.mapi
-      (fun i n ->
-        let ro = results.(2 * i) and rf = results.((2 * i) + 1) in
+  let change n = function
+    | [ ro; rf ] ->
         let co = Option.get ro.E.Job.counts
         and cf = Option.get rf.E.Job.counts in
         let d_l2 = cf.An.Fusion_model.l2_refs - co.An.Fusion_model.l2_refs in
@@ -336,8 +274,8 @@ let figure12 () =
         in
         let d_l1_rate = 100.0 *. (miss rf 0 -. miss ro 0) /. refs_o in
         let d_l2_rate = 100.0 *. (miss rf 1 -. miss ro 1) /. refs_o in
-        (n, [ float_of_int d_l2; float_of_int d_mem; d_l1_rate; d_l2_rate ]))
-      legal
+        (n, [ float_of_int d_l2; float_of_int d_mem; d_l1_rate; d_l2_rate ])
+    | _ -> assert false
   in
   L.Report.series
     ~title:
@@ -345,7 +283,7 @@ let figure12 () =
        (simulated) from fusing EXPL nests 76+77"
     ~x_label:"N"
     ~labels:[ "dL2refs"; "dMemRefs"; "dL1miss%"; "dL2miss%" ]
-    points;
+    (List.map2 change legal rows);
   print_endline
     "\nExpected shape (paper): memory references drop by a constant as a\n\
      result of fusion while the change in L2 references oscillates >= 0\n\
@@ -357,67 +295,41 @@ let figure12 () =
 (* Figure 13: tiled matrix multiplication                             *)
 (* ----------------------------------------------------------------- *)
 
-let tile_policies =
-  L.Tile_size.policies ~l1:(Cs.Machine.s1 machine)
-    ~l2:(Cs.Machine.level_size machine 1)
+let policy_tiles n =
+  L.Tile_size.policy_tiles ~l1:(Cs.Machine.s1 machine)
+    ~l2:(Cs.Machine.level_size machine 1) ~elem:8 n
 
-let tile_variants n =
-  List.map
-    (fun (label, cache, cap) ->
-      ( label,
-        L.Tile_size.select ~capacity_bytes:cap ~cache_bytes:cache ~elem:8
-          ~col_elems:n ~rows:n () ))
-    tile_policies
-
-let figure13 () =
-  let step = if !fast then 72 else 18 in
-  let rec sizes n = if n > 400 then [] else n :: sizes (n + step) in
-  let sizes = sizes 100 in
-  let policy_labels = List.map (fun (label, _, _) -> label) tile_policies in
-  let variants_per_size = 1 + List.length policy_labels in
-  let results =
-    submit
-      (List.concat_map
-         (fun n ->
-           E.Job.simulate ~layout:E.Job.Initial (E.Job.Matmul { n })
-           :: List.map
-                (fun (_, t) ->
-                  E.Job.simulate ~layout:E.Job.Initial
-                    (E.Job.Tiled_matmul
-                       { n; h = t.L.Tile_size.height; w = t.L.Tile_size.width }))
-                (tile_variants n))
-         sizes)
+let figure13 ctx =
+  let rows =
+    List.map
+      (fun n -> (n, policy_tiles n))
+      (range ~lo:100 ~hi:400 ~step:(if ctx.fast then 72 else 18))
   in
-  let points =
-    List.mapi
-      (fun i n ->
-        ( n,
-          List.init variants_per_size (fun j ->
-              results.((variants_per_size * i) + j).E.Job.interp.Interp.mflops)
-        ))
-      sizes
+  let labels = List.map fst (snd (List.hd rows)) in
+  let results =
+    grid ctx rows (None :: List.map Option.some labels) (fun (n, tiles) policy ->
+        E.Job.simulate ~layout:E.Job.Initial
+          (match policy with
+          | None -> E.Job.Matmul { n }
+          | Some label -> tiled_matmul n (List.assoc label tiles)))
   in
   L.Report.series
     ~title:
       "Figure 13: simulated MFLOPS of matrix multiply under tile-size policies"
     ~x_label:"N"
-    ~labels:("Orig" :: policy_labels)
-    points;
+    ~labels:("Orig" :: labels)
+    (List.map2 (fun (n, _) row -> (n, List.map mflops row)) rows results);
   (* also print the chosen tiles for reference *)
-  let tiles_at = [ 100; 200; 300; 400 ] in
-  let rows =
-    List.map
-      (fun n ->
-        string_of_int n
-        :: List.map
-             (fun (_, t) ->
-               Printf.sprintf "%dx%d" t.L.Tile_size.height t.L.Tile_size.width)
-             (tile_variants n))
-      tiles_at
-  in
   L.Report.table ~title:"Figure 13 (tiles chosen by eucPad-style selection)"
-    ~columns:("N" :: policy_labels)
-    rows;
+    ~columns:("N" :: labels)
+    (List.map
+       (fun n ->
+         string_of_int n
+         :: List.map
+              (fun (_, (t : L.Tile_size.tile)) ->
+                Printf.sprintf "%dx%d" t.height t.width)
+              (policy_tiles n))
+       [ 100; 200; 300; 400 ]);
   print_endline
     "\nExpected shape (paper): L1-sized tiles give the best and steadiest\n\
      performance; L2-sized tiles only help once matrices exceed the L2\n\
@@ -428,56 +340,31 @@ let figure13 () =
 (* Ablations beyond the paper's figures                               *)
 (* ----------------------------------------------------------------- *)
 
-let ablation () =
+let ablation ctx =
   (* (a) associativity: run PAD-optimized layouts on k-way machines, and
      compare the direct-mapped assumption against an explicitly
      associativity-aware PAD.  The paper's claim: treating k-way caches
      as direct-mapped loses almost nothing. *)
-  let jacobi_n = if !fast then 128 else 512 in
-  let jacobi = E.Job.Registry { name = "JACOBI512"; n = Some jacobi_n } in
+  let jacobi =
+    E.Job.Registry { name = "JACOBI512"; n = Some (if ctx.fast then 128 else 512) }
+  in
   let s1 = Cs.Machine.s1 machine in
   let l1_line = Cs.Machine.level_line machine 0 in
   let ks = [ 1; 2; 4 ] in
-  let results =
-    submit
-      (List.concat_map
-         (fun k ->
-           let m =
-             { (E.Job.machine "ultrasparc") with
-               E.Job.assoc = (if k = 1 then None else Some k)
-             }
-           in
-           List.map
-             (fun layout -> E.Job.simulate ~machine:m ~layout jacobi)
-             [
-               E.Job.Initial;
-               strategy L.Pipeline.Pad_l1;
-               E.Job.Pad_assoc { size = s1; line = l1_line; assoc = k };
-             ])
-         ks)
-  in
   let rows =
-    List.mapi
-      (fun i k ->
-        let r_orig = results.(3 * i)
-        and r_pad = results.((3 * i) + 1)
-        and r_assoc = results.((3 * i) + 2) in
-        let rate (r : E.Job.result) =
-          100.0 *. List.nth r.E.Job.interp.Interp.miss_rates 0
+    grid ctx ks
+      [
+        (fun _ -> E.Job.Initial);
+        (fun _ -> strategy L.Pipeline.Pad_l1);
+        (fun k -> E.Job.Pad_assoc { size = s1; line = l1_line; assoc = k });
+      ]
+      (fun k layout ->
+        let m =
+          { (E.Job.machine "ultrasparc") with
+            E.Job.assoc = (if k = 1 then None else Some k)
+          }
         in
-        let cycles (r : E.Job.result) = r.E.Job.interp.Interp.cycles in
-        [
-          string_of_int k;
-          L.Report.pct (rate r_orig);
-          L.Report.pct (rate r_pad);
-          L.Report.pct (rate r_assoc);
-          L.Report.pct
-            (Cs.Cost_model.improvement ~orig:(cycles r_orig) ~opt:(cycles r_pad));
-          L.Report.pct
-            (Cs.Cost_model.improvement ~orig:(cycles r_orig)
-               ~opt:(cycles r_assoc));
-        ])
-      ks
+        E.Job.simulate ~machine:m ~layout:(layout k) jacobi)
   in
   L.Report.table
     ~title:
@@ -485,11 +372,12 @@ let ablation () =
        caches (JACOBI)"
     ~columns:
       [ "assoc"; "L1 Orig"; "L1 PAD(dm)"; "L1 PAD(assoc)"; "dT dm"; "dT assoc" ]
-    rows;
+    (List.map2 (fun k row -> rate_row ~levels:[ 0 ] (string_of_int k) row) ks rows);
   (* (b) three-level hierarchy: MULTILVLPAD with (S1, Lmax) on an
      Alpha-21164-style machine. *)
-  let expl_n = if !fast then 128 else 512 in
-  let expl = E.Job.Registry { name = "EXPL512"; n = Some expl_n } in
+  let expl =
+    E.Job.Registry { name = "EXPL512"; n = Some (if ctx.fast then 128 else 512) }
+  in
   let versions =
     [
       ("Orig", L.Pipeline.Original);
@@ -498,28 +386,23 @@ let ablation () =
     ]
   in
   let results =
-    submit
+    submit ctx
       (List.map
          (fun (_, s) ->
            E.Job.simulate ~machine:(E.Job.machine "alpha") ~layout:(strategy s)
              expl)
          versions)
   in
-  let rows =
-    List.mapi
-      (fun i (label, _) ->
-        label
-        :: List.map (fun l -> L.Report.pct (mrate results.(i) l)) [ 0; 1; 2 ])
-      versions
-  in
   L.Report.table
     ~title:"Ablation: three-level hierarchy (8K/128K/2M), EXPL"
     ~columns:[ "version"; "L1"; "L2"; "L3" ]
-    rows;
+    (List.map2
+       (fun (label, _) r -> rate_row ~levels:[ 0; 1; 2 ] label [ r ])
+       versions results);
   (* (c) the Section 5 exception (Song & Li): tiling across time steps.
      The tile's working set is block+steps columns — too big for L1 at
      any block size — so the tile targets the L2 cache. *)
-  let n = if !fast then 256 else 512 in
+  let n = if ctx.fast then 256 else 512 in
   let steps = 8 in
   let col_bytes = n * 8 in
   let l2_cols = Cs.Machine.level_size machine 1 / col_bytes in
@@ -531,7 +414,7 @@ let ablation () =
     ]
   in
   let results =
-    submit
+    submit ctx
       (E.Job.simulate ~layout:E.Job.Initial (E.Job.Time_sweep { n; steps })
       :: List.map
            (fun (_, block) ->
@@ -540,20 +423,9 @@ let ablation () =
            blocks)
   in
   let per_ref (r : E.Job.result) =
-    r.E.Job.interp.Interp.cycles
-    /. float_of_int r.E.Job.interp.Interp.total_refs
-  in
-  let rows =
-    [ [ "untiled sweeps"; "-"; Printf.sprintf "%.3f" (per_ref results.(0)) ] ]
-    @ List.mapi
-        (fun i (label, block) ->
-          let cols = K.Time_kernels.tile_columns ~steps ~block in
-          [
-            label;
-            Printf.sprintf "%d cols = %dK" cols (cols * col_bytes / 1024);
-            Printf.sprintf "%.3f" (per_ref results.(i + 1));
-          ])
-        blocks
+    Printf.sprintf "%.3f"
+      (r.E.Job.interp.Interp.cycles
+      /. float_of_int r.E.Job.interp.Interp.total_refs)
   in
   L.Report.table
     ~title:
@@ -562,7 +434,16 @@ let ablation () =
           %d steps — tile working set vs cycles/ref"
          n n steps)
     ~columns:[ "version"; "tile working set"; "cycles/ref" ]
-    rows;
+    ([ "untiled sweeps"; "-"; per_ref (List.hd results) ]
+    :: List.map2
+         (fun (label, block) r ->
+           let cols = K.Time_kernels.tile_columns ~steps ~block in
+           [
+             label;
+             Printf.sprintf "%d cols = %dK" cols (cols * col_bytes / 1024);
+             per_ref r;
+           ])
+         blocks (List.tl results));
   print_endline
     "\nExpected shape (paper, Section 5): no time-step tile fits the L1\n\
      cache, so the tiling targets L2; blocks sized for the L2 beat both\n\
@@ -570,7 +451,7 @@ let ablation () =
   (* (d) write policy: the paper's simulator allocates on writes; check
      how much the policy choice moves the reported miss rates. *)
   let results =
-    submit
+    submit ctx
       (List.map
          (fun write_allocate ->
            E.Job.simulate
@@ -581,21 +462,15 @@ let ablation () =
              ~layout:(strategy L.Pipeline.Pad_l1) jacobi)
          [ true; false ])
   in
-  let row label (r : E.Job.result) =
-    [
-      label;
-      L.Report.pct (100.0 *. List.nth r.E.Job.interp.Interp.miss_rates 0);
-      L.Report.pct (100.0 *. List.nth r.E.Job.interp.Interp.miss_rates 1);
-      string_of_int r.E.Job.interp.Interp.writebacks;
-    ]
-  in
   L.Report.table
     ~title:"Ablation: write policy on padded JACOBI (miss rates + writebacks)"
     ~columns:[ "policy"; "L1"; "L2"; "writebacks" ]
-    [
-      row "write-allocate (paper)" results.(0);
-      row "no-allocate" results.(1);
-    ];
+    (List.map2
+       (fun label (r : E.Job.result) ->
+         rate_row ~levels:[ 0; 1 ] label [ r ]
+         @ [ string_of_int r.E.Job.interp.Interp.writebacks ])
+       [ "write-allocate (paper)"; "no-allocate" ]
+       results);
   (* (e) hardware next-line prefetching — the paper's footnote 1: DOT
      improved "due to the differences in the ability of the underlying
      memory system to handle multiple outstanding cache misses, since the
@@ -606,7 +481,7 @@ let ablation () =
      MULTILVLPAD's Lmax = 64B separation keeps the streams disjoint. *)
   let dot =
     E.Job.Registry
-      { name = "DOT256"; n = Some (if !fast then 65_536 else 262_144) }
+      { name = "DOT256"; n = Some (if ctx.fast then 65_536 else 262_144) }
   in
   let layouts =
     [
@@ -616,42 +491,25 @@ let ablation () =
     ]
   in
   let pf_configs = [ ("no prefetch", []); ("next-line prefetch", [ 0; 1 ]) ] in
-  let results =
-    submit
-      (List.concat_map
-         (fun (_, layout) ->
-           List.map
-             (fun (_, pf) ->
-               E.Job.simulate
-                 ~machine:
-                   { (E.Job.machine "ultrasparc") with E.Job.prefetch_levels = pf }
-                 ~layout dot)
-             pf_configs)
-         layouts)
-  in
   let rows =
-    List.concat
-      (List.mapi
-         (fun i (label, _) ->
-           List.mapi
-             (fun j (pf_label, _) ->
-               let r = results.((2 * i) + j) in
-               [
-                 label ^ ", " ^ pf_label;
-                 L.Report.pct
-                   (100.0 *. List.nth r.E.Job.interp.Interp.miss_rates 0);
-                 L.Report.pct
-                   (100.0 *. List.nth r.E.Job.interp.Interp.miss_rates 1);
-               ])
-             pf_configs)
-         layouts)
+    grid ctx layouts pf_configs (fun (_, layout) (_, pf) ->
+        E.Job.simulate
+          ~machine:{ (E.Job.machine "ultrasparc") with E.Job.prefetch_levels = pf }
+          ~layout dot)
   in
   L.Report.table
     ~title:
       "Ablation (footnote 1): next-line prefetching on DOT under the three \
        layouts"
     ~columns:[ "configuration"; "L1"; "L2" ]
-    rows;
+    (List.concat
+       (List.map2
+          (fun (label, _) row ->
+            List.map2
+              (fun (pf_label, _) r ->
+                rate_row ~levels:[ 0; 1 ] (label ^ ", " ^ pf_label) [ r ])
+              pf_configs row)
+          layouts rows));
   print_endline
     "\nExpected shape (paper footnote 1): prefetching cannot rescue the\n\
      packed ping-pong; under PAD's minimal 32B pads the two vectors'\n\
@@ -664,36 +522,19 @@ let ablation () =
 (* Tiling-algorithm comparison (the paper's CC'99 companion study)    *)
 (* ----------------------------------------------------------------- *)
 
-let tiles () =
-  let step = if !fast then 100 else 25 in
-  let rec sizes n = if n > 400 then [] else n :: sizes (n + step) in
-  let sizes = sizes 100 in
-  let elem = 8 and l1 = 16 * 1024 in
-  let tiles_for n =
+let tiles ctx =
+  let sizes = range ~lo:100 ~hi:400 ~step:(if ctx.fast then 100 else 25) in
+  let elem = 8 and l1 = Cs.Machine.s1 machine in
+  let algorithms =
     [
-      L.Tile_size.select ~cache_bytes:l1 ~elem ~col_elems:n ~rows:n ();
-      L.Tile_size.lrw ~cache_bytes:l1 ~elem ~col_elems:n ~rows:n;
-      L.Tile_size.tss ~cache_bytes:l1 ~elem ~col_elems:n ~rows:n;
+      ("euc", fun n -> L.Tile_size.select ~cache_bytes:l1 ~elem ~col_elems:n ~rows:n ());
+      ("LRW", fun n -> L.Tile_size.lrw ~cache_bytes:l1 ~elem ~col_elems:n ~rows:n);
+      ("TSS", fun n -> L.Tile_size.tss ~cache_bytes:l1 ~elem ~col_elems:n ~rows:n);
     ]
   in
-  let results =
-    submit
-      (List.concat_map
-         (fun n ->
-           List.map
-             (fun (t : L.Tile_size.tile) ->
-               E.Job.simulate ~layout:E.Job.Initial
-                 (E.Job.Tiled_matmul { n; h = t.L.Tile_size.height; w = t.L.Tile_size.width }))
-             (tiles_for n))
-         sizes)
-  in
-  let points =
-    List.mapi
-      (fun i n ->
-        ( n,
-          List.init 3 (fun j ->
-              results.((3 * i) + j).E.Job.interp.Interp.mflops) ))
-      sizes
+  let rows =
+    grid ctx sizes algorithms (fun n (_, pick) ->
+        E.Job.simulate ~layout:E.Job.Initial (tiled_matmul n (pick n)))
   in
   L.Report.series
     ~title:
@@ -701,8 +542,8 @@ let tiles () =
        MFLOPS) — euc (miss-fraction score) vs LRW (largest square) vs TSS \
        (largest area)"
     ~x_label:"N"
-    ~labels:[ "euc"; "LRW"; "TSS" ]
-    points;
+    ~labels:(List.map fst algorithms)
+    (List.map2 (fun n row -> (n, List.map mflops row)) sizes rows);
   print_endline
     "\nExpected shape (Rivera & Tseng CC'99): all three stay within a few\n\
      MFLOPS of each other at most sizes — conflict-free tile selection\n\
@@ -714,57 +555,43 @@ let tiles () =
 (* Analytical predictor vs simulator                                  *)
 (* ----------------------------------------------------------------- *)
 
-let predict () =
-  let size n = if !fast then max 64 (n / 4) else n in
+let predict ctx =
   let programs =
     [
-      ("jacobi", E.Job.Registry { name = "JACOBI512"; n = Some (size 512) });
-      ("expl", E.Job.Registry { name = "EXPL512"; n = Some (size 512) });
-      ("adi", E.Job.Registry { name = "ADI32"; n = Some (size 256) });
-      ("dot", E.Job.Registry { name = "DOT256"; n = Some (size 262_144) });
-      ("shal", E.Job.Registry { name = "SHAL512"; n = Some (size 256) });
-      ("figure2", E.Job.Paper { name = "figure2"; n = size 512 });
+      ("jacobi", E.Job.Registry { name = "JACOBI512"; n = Some (size ctx 512) });
+      ("expl", E.Job.Registry { name = "EXPL512"; n = Some (size ctx 512) });
+      ("adi", E.Job.Registry { name = "ADI32"; n = Some (size ctx 256) });
+      ("dot", E.Job.Registry { name = "DOT256"; n = Some (size ctx 262_144) });
+      ("shal", E.Job.Registry { name = "SHAL512"; n = Some (size ctx 256) });
+      ("figure2", E.Job.Paper { name = "figure2"; n = size ctx 512 });
     ]
   in
   let versions =
     [ ("packed", L.Pipeline.Original); ("padded", L.Pipeline.Pad_l1) ]
   in
-  let results =
-    submit
-      (List.concat_map
-         (fun (_, p) ->
-           List.map
-             (fun (_, s) -> E.Job.simulate ~predict:true ~layout:(strategy s) p)
-             versions)
-         programs)
-  in
   let rows =
-    List.concat
-      (List.mapi
-         (fun i (name, _) ->
-           List.mapi
-             (fun j (vlabel, _) ->
-               let r = results.((2 * i) + j) in
-               let sim = r.E.Job.interp in
-               let predicted = Option.get r.E.Job.predicted in
-               let refs = float_of_int sim.Interp.total_refs in
-               [
-                 name ^ " " ^ vlabel;
-                 L.Report.pct (100.0 *. List.hd sim.Interp.miss_rates);
-                 L.Report.pct (100.0 *. List.hd predicted /. refs);
-                 L.Report.f2
-                   (List.hd predicted
-                   /. float_of_int (max 1 (List.hd sim.Interp.misses)));
-               ])
-             versions)
-         programs)
+    grid ctx programs versions (fun (_, p) (_, s) ->
+        E.Job.simulate ~predict:true ~layout:(strategy s) p)
+  in
+  let row name (vlabel, _) (r : E.Job.result) =
+    let sim = r.E.Job.interp in
+    let predicted = Option.get r.E.Job.predicted in
+    let refs = float_of_int sim.Interp.total_refs in
+    [
+      name ^ " " ^ vlabel;
+      L.Report.pct (mrate r 0);
+      L.Report.pct (100.0 *. List.hd predicted /. refs);
+      L.Report.f2
+        (List.hd predicted /. float_of_int (max 1 (List.hd sim.Interp.misses)));
+    ]
   in
   L.Report.table
     ~title:
       "Analytical miss prediction vs simulation (L1): the static model the \
        compiler decides with"
     ~columns:[ "program"; "L1 simulated"; "L1 predicted"; "ratio" ]
-    rows;
+    (List.concat
+       (List.map2 (fun (name, _) -> List.map2 (row name) versions) programs rows));
   print_endline
     "\nThe predictor exists to rank choices the way the paper's compiler\n\
      does; ratios within a small factor of 1 and consistent orderings\n\
@@ -774,7 +601,7 @@ let predict () =
 (* Bechamel: real wall-clock timings of the native kernels            *)
 (* ----------------------------------------------------------------- *)
 
-let bechamel () =
+let bechamel ctx =
   let open Bechamel in
   let open Toolkit in
   L.Report.section "Bechamel: native-kernel wall-clock timings";
@@ -805,13 +632,13 @@ let bechamel () =
     L.Report.table ~title:name ~columns:[ "test"; "time" ] rows
   in
   (* Figure 13 analogue: tiling policies, really executed. *)
-  let n = if !fast then 160 else 320 in
+  let n = if ctx.fast then 160 else 320 in
   let a = Mlc_native.Nat_matmul.create n and b = Mlc_native.Nat_matmul.create n in
   Mlc_native.Nat_matmul.random_fill ~seed:1 a;
   Mlc_native.Nat_matmul.random_fill ~seed:2 b;
   let c = Mlc_native.Nat_matmul.create n in
   let mat_test label f = Test.make ~name:label (Staged.stage f) in
-  let tiles = tile_variants n in
+  let tiles = policy_tiles n in
   run_group
     (Printf.sprintf "matmul %dx%d (real time)" n n)
     (mat_test "orig" (fun () -> Mlc_native.Nat_matmul.multiply ~c ~a ~b)
@@ -827,7 +654,7 @@ let bechamel () =
                  ~w:t.L.Tile_size.width ~c ~a ~b))
          tiles);
   (* Figure 12 analogue: fused vs separate EXPL updates. *)
-  let n2 = if !fast then 256 else 512 in
+  let n2 = if ctx.fast then 256 else 512 in
   let mk seed =
     let g = Mlc_native.Nat_stencil.create n2 in
     Mlc_native.Nat_stencil.random_fill ~seed g;
@@ -843,7 +670,7 @@ let bechamel () =
           Mlc_native.Nat_stencil.expl_fused ~za ~zb ~zu ~zv ~zr ~zz);
     ];
   (* Figure 9 analogue: padded vs unpadded Jacobi columns. *)
-  let n3 = if !fast then 256 else 512 in
+  let n3 = if ctx.fast then 256 else 512 in
   let mk_pair ld =
     let a = Mlc_native.Nat_stencil.create ?ld n3 in
     let b = Mlc_native.Nat_stencil.create ?ld n3 in
@@ -872,8 +699,8 @@ let bechamel () =
    asked for by name. *)
 let fastsim_json_path = "BENCH_fastsim.json"
 
-let fastsim () =
-  let n = if !fast then 256 else 512 in
+let fastsim ctx =
+  let n = if ctx.fast then 256 else 512 in
   let cases =
     [
       ("JACOBI512", L.Pipeline.Original);
@@ -968,75 +795,66 @@ let default_sections =
 
 let json_path = "BENCH_engine.json"
 
-let dump_json section_times =
-  match !progress with
-  | None -> ()
-  | Some p ->
-      let sections_json =
-        Printf.sprintf "[%s]"
-          (String.concat ", "
-             (List.map
-                (fun (name, wall) ->
-                  Printf.sprintf "{\"name\": \"%s\", \"wall_s\": %.3f}"
-                    (Obs.json_escape name)
-                    wall)
-                section_times))
-      in
-      let metrics_json =
-        match !obs with
-        | None -> []
-        | Some buf ->
-            [
-              ( "metrics",
-                Printf.sprintf "{%s}"
-                  (String.concat ", "
-                     (List.map
-                        (fun (k, v) ->
-                          Printf.sprintf "\"%s\": %d" (Obs.json_escape k)
-                            v)
-                        (Obs.Buf.counters buf))) );
-            ]
-      in
-      let extra =
-        metrics_json
-        @ [
-          ("mode", if !fast then "\"fast\"" else "\"full\"");
-          ( "backend",
-            Printf.sprintf "\"%s\"" (Mlc_ir.Interp.backend_name !backend) );
-          ("jobs", string_of_int !jobs);
-          ("cache", string_of_bool (Option.is_some !cache));
-          ( "models_version",
-            Printf.sprintf "\"%s\""
-              (Obs.json_escape
-                 (match !cache with
-                 | Some c -> E.Cache.version c
-                 | None -> E.Cache.git_describe ())) );
-          ("sections", sections_json);
-        ]
-      in
-      let oc = open_out json_path in
-      output_string oc (E.Progress.to_json ~extra p);
-      close_out oc
+let mode ctx = if ctx.fast then "fast" else "full"
 
-let main words jobs' backend' cache' obs_flags =
-  fast := List.mem "fast" words;
+let dump_json ctx section_times =
+  let sections_json =
+    Printf.sprintf "[%s]"
+      (String.concat ", "
+         (List.map
+            (fun (name, wall) ->
+              Printf.sprintf "{\"name\": \"%s\", \"wall_s\": %.3f}"
+                (Obs.json_escape name) wall)
+            section_times))
+  in
+  let metrics_json =
+    match ctx.obs with
+    | None -> []
+    | Some buf ->
+        [
+          ( "metrics",
+            Printf.sprintf "{%s}"
+              (String.concat ", "
+                 (List.map
+                    (fun (k, v) ->
+                      Printf.sprintf "\"%s\": %d" (Obs.json_escape k) v)
+                    (Obs.Buf.counters buf))) );
+        ]
+  in
+  let extra =
+    metrics_json
+    @ [
+        ("mode", Printf.sprintf "\"%s\"" (mode ctx));
+        ("backend", Printf.sprintf "\"%s\"" (Interp.backend_name ctx.backend));
+        ("jobs", string_of_int ctx.jobs);
+        ("cache", string_of_bool (Option.is_some ctx.cache));
+        ( "models_version",
+          Printf.sprintf "\"%s\""
+            (Obs.json_escape
+               (match ctx.cache with
+               | Some c -> E.Cache.version c
+               | None -> E.Cache.default_version ())) );
+        ("sections", sections_json);
+      ]
+  in
+  let oc = open_out json_path in
+  output_string oc (E.Progress.to_json ~extra ctx.progress);
+  close_out oc
+
+let main words jobs backend cache obs_flags =
   let wanted =
     List.filter_map
       (fun w -> if w = "fast" then None else Some (w, List.assoc w sections))
       words
   in
   let to_run = if wanted = [] then default_sections else wanted in
-  jobs := jobs';
-  backend := backend';
-  cache := cache';
-  progress := Some (E.Progress.create ~jobs:!jobs ());
-  Cli.with_obs ~span:"bench" obs_flags @@ fun buf ->
-  obs := buf;
-  Printf.printf "mlcache bench harness — %s mode\n"
-    (if !fast then "fast" else "full");
-  Printf.eprintf "engine: %d worker domain%s, cache %s\n%!" !jobs
-    (if !jobs = 1 then "" else "s")
-    (match !cache with
+  let progress = E.Progress.create ~jobs () in
+  Cli.with_obs ~span:"bench" obs_flags @@ fun obs ->
+  let ctx = { fast = List.mem "fast" words; jobs; backend; cache; progress; obs } in
+  Printf.printf "mlcache bench harness — %s mode\n" (mode ctx);
+  Printf.eprintf "engine: %d worker domain%s, cache %s\n%!" jobs
+    (if jobs = 1 then "" else "s")
+    (match cache with
     | Some c ->
         Printf.sprintf "%s (models %s)" (E.Cache.dir c) (E.Cache.version c)
     | None -> "disabled");
@@ -1047,25 +865,22 @@ let main words jobs' backend' cache' obs_flags =
         (* With observability on, the engine's per-job buffers merge into
            the run's buffer under this span, so one trace covers the whole
            run. *)
-        Obs.with_span ~cat:"bench" ("section:" ^ name) f;
+        Obs.with_span ~cat:"bench" ("section:" ^ name) (fun () -> f ctx);
         let wall = Unix.gettimeofday () -. t0 in
-        Option.iter E.Progress.finish !progress;
+        E.Progress.finish progress;
         Printf.eprintf "[%s done in %.1fs]\n%!" name wall;
         (name, wall))
       to_run
   in
-  Option.iter E.Progress.finish !progress;
-  (match !progress with
-  | Some p ->
-      Printf.eprintf
-        "engine totals: %d jobs, %d cache hits (%.0f%%), %.2e refs streamed, \
-         %.1f jobs/s\n%!"
-        (E.Progress.jobs_done p) (E.Progress.cache_hits p)
-        (100.0 *. E.Progress.hit_rate p)
-        (float_of_int (E.Progress.refs_streamed p))
-        (E.Progress.jobs_per_sec p)
-  | None -> ());
-  dump_json section_times
+  E.Progress.finish progress;
+  Printf.eprintf
+    "engine totals: %d jobs, %d cache hits (%.0f%%), %.2e refs streamed, \
+     %.1f jobs/s\n%!"
+    (E.Progress.jobs_done progress) (E.Progress.cache_hits progress)
+    (100.0 *. E.Progress.hit_rate progress)
+    (float_of_int (E.Progress.refs_streamed progress))
+    (E.Progress.jobs_per_sec progress);
+  dump_json ctx section_times
 
 let () =
   let open Cmdliner in

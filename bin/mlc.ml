@@ -339,20 +339,13 @@ let fuse_cmd =
         (E.Job.Spec_error
            (Printf.sprintf "invalid --nest %d: %s has %d nests (valid: 0..%d)"
               nest_idx p.Program.name n_nests (n_nests - 2)));
-    (* Figure 12's pair of jobs: the accounting under GROUPPAD, the
-       simulation under L2MAXPAD. *)
-    let base = E.Job.Registry { name = prog; n = size } in
-    let job count program =
-      E.Job.execute
-        (E.Job.simulate ~machine
-           ~count:(E.Job.Strategy L.Pipeline.Grouppad_l1, count)
-           ~layout:(E.Job.Strategy L.Pipeline.Grouppad_l1_l2) program)
+    let original, fused =
+      E.Job.fusion_pair ~machine ~at:nest_idx
+        (E.Job.Registry { name = prog; n = size })
     in
     (* the fused job first: an illegal fusion fails before any simulation *)
-    let rf =
-      job E.Job.Largest_body (E.Job.Fused { base; at = nest_idx; max_shift = 4 })
-    in
-    let ro = job (E.Job.Nests [ nest_idx; nest_idx + 1 ]) base in
+    let rf = E.Job.execute fused in
+    let ro = E.Job.execute original in
     Format.printf "original nests %d,%d: %a@." nest_idx (nest_idx + 1)
       An.Fusion_model.pp_counts (Option.get ro.E.Job.counts);
     Format.printf "fused:              %a@." An.Fusion_model.pp_counts
@@ -382,18 +375,12 @@ let tile_cmd =
     Format.printf "  %-6s               %8.2f MFLOPS (model)@." "orig"
       r.Interp.mflops;
     List.iter
-      (fun (label, cache, cap) ->
-        let t =
-          L.Tile_size.select ~capacity_bytes:cap ~cache_bytes:cache ~elem
-            ~col_elems:n ~rows:n ()
-        in
-        let p =
-          L.Tiling.tiled_matmul ~n ~h:t.L.Tile_size.height ~w:t.L.Tile_size.width
-        in
+      (fun (label, (t : L.Tile_size.tile)) ->
+        let p = L.Tiling.tiled_matmul ~n ~h:t.height ~w:t.width in
         let r = Interp.run machine (Layout.initial p) p in
-        Format.printf "  %-6s tile %4dx%-4d %8.2f MFLOPS (model)@." label
-          t.L.Tile_size.height t.L.Tile_size.width r.Interp.mflops)
-      (L.Tile_size.policies ~l1 ~l2)
+        Format.printf "  %-6s tile %4dx%-4d %8.2f MFLOPS (model)@." label t.height
+          t.width r.Interp.mflops)
+      (L.Tile_size.policy_tiles ~l1 ~l2 ~elem n)
   in
   let term = Term.(const run $ n_arg $ Cli.machine) in
   Cmd.v

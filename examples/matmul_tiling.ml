@@ -23,24 +23,18 @@ let () =
     (l1 / 1024) (l2 / 1024);
 
   (* 1. Tile selection per policy. *)
-  let tiles =
-    List.map
-      (fun (label, cache, cap) ->
-        let t =
-          L.Tile_size.select ~capacity_bytes:cap ~cache_bytes:cache ~elem
-            ~col_elems:n ~rows:n ()
-        in
-        Printf.printf "%-5s tile: %3dx%-3d (%5.1fK footprint)%s\n" label
-          t.L.Tile_size.height t.L.Tile_size.width
-          (float_of_int (L.Tile_size.footprint_bytes ~elem t) /. 1024.0)
-          (if
-             L.Tile_size.no_l2_interference ~s1_elems:(l1 / elem) ~k:(l2 / l1)
-               ~col_elems:n t
-           then "  [no L2 self-interference]"
-           else "");
-        (label, t))
-      (L.Tile_size.policies ~l1 ~l2)
-  in
+  let tiles = L.Tile_size.policy_tiles ~l1 ~l2 ~elem n in
+  List.iter
+    (fun (label, t) ->
+      Printf.printf "%-5s tile: %3dx%-3d (%5.1fK footprint)%s\n" label
+        t.L.Tile_size.height t.L.Tile_size.width
+        (float_of_int (L.Tile_size.footprint_bytes ~elem t) /. 1024.0)
+        (if
+           L.Tile_size.no_l2_interference ~s1_elems:(l1 / elem) ~k:(l2 / l1)
+             ~col_elems:n t
+         then "  [no L2 self-interference]"
+         else ""))
+    tiles;
 
   (* 2. Simulated MFLOPS (the Figure 13 series at one size). *)
   print_newline ();

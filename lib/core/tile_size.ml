@@ -106,8 +106,11 @@ let tss ~cache_bytes ~elem ~col_elems ~rows =
     (candidates_for ~cache_elems ~col_elems ~rows);
   !best
 
-let policies ~l1 ~l2 =
-  [ ("L1", l1, l1); ("2xL1", l2, 2 * l1); ("4xL1", l2, 4 * l1); ("L2", l2, l2) ]
+let policy_tiles ~l1 ~l2 ~elem n =
+  List.map
+    (fun (label, cache_bytes, capacity_bytes) ->
+      (label, select ~capacity_bytes ~cache_bytes ~elem ~col_elems:n ~rows:n ()))
+    [ ("L1", l1, l1); ("2xL1", l2, 2 * l1); ("4xL1", l2, 4 * l1); ("L2", l2, l2) ]
 
 let no_l2_interference ~s1_elems ~k ~col_elems tile =
   max_conflict_free_width ~cache_elems:(k * s1_elems) ~col_elems

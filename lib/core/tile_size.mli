@@ -52,11 +52,12 @@ val select :
   unit ->
   tile
 
-(** Figure 13's tile policies for an [l1]-byte L1 and an [l2]-byte L2, as
-    [(label, cache_bytes, capacity_bytes)] for {!select}: "L1" is
-    conflict-free on and sized to L1; "2xL1", "4xL1" and "L2" are
-    conflict-free on L2 with a footprint of [2·l1], [4·l1] and [l2]. *)
-val policies : l1:int -> l2:int -> (string * int * int) list
+(** Figure 13's tile policies for an [n]x[n] matrix of [elem]-byte
+    elements on an [l1]-byte L1 and an [l2]-byte L2: each label with the
+    tile {!select} picks for it.  "L1" is conflict-free on and sized to
+    L1; "2xL1", "4xL1" and "L2" are conflict-free on L2 with a footprint
+    of [2·l1], [4·l1] and [l2]. *)
+val policy_tiles : l1:int -> l2:int -> elem:int -> int -> (string * tile) list
 
 (** True when tile positions conflict-free mod [s1] are also
     conflict-free mod [k * s1] — exercised by tests as the paper's

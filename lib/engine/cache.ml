@@ -7,48 +7,24 @@ let default_dir () =
   | Some d when d <> "" -> d
   | _ -> "_mlc_cache"
 
-(* The models' identity: a change to any simulator/optimizer source means
-   old results may be wrong, so it participates in every key.  Old entries
-   are simply never addressed again — keys invalidate, mtimes never do.
+(* The models' identity: results are served only to the build that wrote
+   them, so the version participates in every key.  It is a digest of the
+   running executable: any rebuild — a new commit or an uncommitted edit —
+   gets keys of its own, and no build ever reads entries in another
+   build's [Marshal] layout.  Old entries are simply never addressed
+   again — keys invalidate, mtimes never do. *)
+let default_version_memo = ref None
 
-   The version must describe the *mlc build*, not whatever directory the
-   user happens to run from: `git describe` is anchored at the directory
-   of [Sys.executable_name] (inside the source tree for any dune-built
-   binary), and an installed binary outside any repository falls back to
-   a digest of the executable itself.  Either way, running `mlc` from an
-   unrelated checkout can no longer key results against the wrong
-   repository's version. *)
-let git_describe_memo = ref None
-
-let git_describe () =
-  match !git_describe_memo with
+let default_version () =
+  match !default_version_memo with
   | Some v -> v
   | None ->
       let v =
-        match Sys.getenv_opt "MLC_MODELS_VERSION" with
-        | Some v when v <> "" -> v
-        | _ -> (
-            let from_git =
-              try
-                let cmd =
-                  Printf.sprintf "git -C %s describe --always --dirty 2>/dev/null"
-                    (Filename.quote (Filename.dirname Sys.executable_name))
-                in
-                let ic = Unix.open_process_in cmd in
-                let line = try input_line ic with End_of_file -> "" in
-                match (Unix.close_process_in ic, line) with
-                | Unix.WEXITED 0, line when line <> "" -> Some line
-                | _ -> None
-              with _ -> None
-            in
-            match from_git with
-            | Some v -> v
-            | None -> (
-                match Digest.file Sys.executable_name with
-                | d -> "exe-" ^ String.sub (Digest.to_hex d) 0 12
-                | exception _ -> "unversioned"))
+        match Digest.file Sys.executable_name with
+        | d -> "exe-" ^ Digest.to_hex d
+        | exception Sys_error _ -> "unversioned"
       in
-      git_describe_memo := Some v;
+      default_version_memo := Some v;
       v
 
 let create_dir_p dir =
@@ -64,7 +40,7 @@ let create_dir_p dir =
 
 let open_ ?dir ?version () =
   let dir = match dir with Some d -> d | None -> default_dir () in
-  let version = match version with Some v -> v | None -> git_describe () in
+  let version = match version with Some v -> v | None -> default_version () in
   create_dir_p dir;
   { dir; version }
 

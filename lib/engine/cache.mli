@@ -2,11 +2,12 @@
 
     Key = MD5 digest of the job's canonical spec string (kernel, size,
     strategy, machine, attached models) salted with the {e models
-    version} — [git describe --always --dirty] anchored at the mlc
-    binary's own source tree, or [MLC_MODELS_VERSION] when set.
-    Changing any model source changes the version, so every old key
-    silently stops being addressed: entries are invalidated {e by key},
-    never by mtime.
+    version} — by default a digest of the running executable.  Any
+    rebuild changes the version, so every old key silently stops being
+    addressed: entries are invalidated {e by key}, never by mtime, and
+    one build never reads another build's [Marshal] layout.  Two
+    different executables ([mlc] and [bench/main.exe]) therefore do not
+    share entries.
 
     Value = [Marshal] of (canonical spec, {!Job.result}) — the per-level
     counters and the cost breakdown.  Entries are written to a temp file
@@ -22,15 +23,12 @@
 type t
 
 (** The models version used by default keys (memoized per process):
-    [MLC_MODELS_VERSION] if set, else [git describe] of the source tree
-    containing the running executable, else a digest of the executable
-    itself ([exe-<hex>]) — never of whatever directory the process was
-    started from. *)
-val git_describe : unit -> string
+    ["exe-"] followed by the hex MD5 of [Sys.executable_name]. *)
+val default_version : unit -> string
 
 (** [open_ ?dir ?version ()] creates the directory if needed.  [dir]
     defaults to [MLC_CACHE_DIR], else ["_mlc_cache"].
-    [version] defaults to {!git_describe}. *)
+    [version] defaults to {!default_version}. *)
 val open_ : ?dir:string -> ?version:string -> unit -> t
 
 val dir : t -> string

@@ -50,6 +50,15 @@ let simulate ?(machine = machine "ultrasparc") ?(predict = false) ?count
     ?(backend = `Fast) ~layout program =
   { program; layout; machine; predict; count; backend }
 
+let fusion_pair ?machine ~at base =
+  let job count program =
+    simulate ?machine
+      ~count:(Strategy L.Pipeline.Grouppad_l1, count)
+      ~layout:(Strategy L.Pipeline.Grouppad_l1_l2) program
+  in
+  ( job (Nests [ at; at + 1 ]) base,
+    job Largest_body (Fused { base; at; max_shift = 4 }) )
+
 (* ----------------------------------------------------------------- *)
 (* Canonical serialization (the cache-key input)                      *)
 (* ----------------------------------------------------------------- *)

@@ -83,6 +83,14 @@ val simulate :
   program_spec ->
   spec
 
+(** Figure 12's (original, fused) pair for nests [at] and [at + 1] of
+    [base]: the original counted on those two nests, the fusion
+    ([max_shift = 4]) on its largest body, both counted under GROUPPAD
+    and simulated under L2MAXPAD (which is assumed to keep on L2 whatever
+    L1 loses). *)
+val fusion_pair :
+  ?machine:machine_spec -> at:int -> program_spec -> spec * spec
+
 (** Stable, human-readable serialization — the digest input for cache
     keys.  Equal specs have equal canonical strings and vice versa. *)
 val canonical : spec -> string

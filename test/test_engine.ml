@@ -203,6 +203,21 @@ let test_cache_key_scheme () =
       Alcotest.(check bool) "strategy changes the key" true
         (k <> E.Cache.key c (spec 64 L.Pipeline.Grouppad_l1)))
 
+(* Without [~version], keys are salted with this executable's digest, so
+   two builds (two uncommitted edits of one commit, say) never share an
+   entry. *)
+let test_cache_default_version () =
+  let dir = tmpdir "mlc_cache_version" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let digest = "exe-" ^ Digest.to_hex (Digest.file Sys.executable_name) in
+      Alcotest.(check string) "default version" digest (E.Cache.default_version ());
+      Alcotest.(check string) "open_ defaults to it" digest
+        (E.Cache.version (E.Cache.open_ ~dir ()));
+      Alcotest.(check string) "~version overrides it" "v1"
+        (E.Cache.version (E.Cache.open_ ~dir ~version:"v1" ())))
+
 (* --- Stats.add ------------------------------------------------------------ *)
 
 let arb_stats =
@@ -353,6 +368,8 @@ let () =
           Alcotest.test_case "stale keys and invalidation" `Quick
             test_cache_stale_key;
           Alcotest.test_case "key scheme" `Quick test_cache_key_scheme;
+          Alcotest.test_case "default version is the executable's digest"
+            `Quick test_cache_default_version;
         ] );
       ( "stats",
         List.map QCheck_alcotest.to_alcotest

@@ -195,7 +195,9 @@ let prop_gap_scan_matches_oracle =
 (* The tiles the bench harness's fast figure13 and tiles sections select,
    recorded from the sort-and-bisect selection: the four Figure 13
    policies (L1, 2xL1, 4xL1, L2) and euc/LRW/TSS on the L1, as
-   (height, width). *)
+   (height, width).  The policies are checked both by direct [select]
+   calls and through [policy_tiles], the table the bench, [mlc tile] and
+   the matmul example print. *)
 let pinned_tiles =
   [
     (100, [ (48, 41); (50, 81); (100, 81); (100, 655); (48, 41); (41, 41); (4, 512) ]);
@@ -230,7 +232,14 @@ let test_pinned_tiles () =
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "tiles at n=%d" n)
         expected
-        (List.map (fun (t : L.Tile_size.tile) -> (t.height, t.width)) got))
+        (List.map (fun (t : L.Tile_size.tile) -> (t.height, t.width)) got);
+      Alcotest.(check (list (pair string (pair int int))))
+        (Printf.sprintf "policy_tiles at n=%d" n)
+        (List.combine [ "L1"; "2xL1"; "4xL1"; "L2" ]
+           (List.filteri (fun i _ -> i < 4) expected))
+        (List.map
+           (fun (label, (t : L.Tile_size.tile)) -> (label, (t.height, t.width)))
+           (L.Tile_size.policy_tiles ~l1 ~l2 ~elem n)))
     pinned_tiles
 
 let prop_selected_tiles_conflict_free =
