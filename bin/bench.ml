@@ -1,17 +1,17 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
+(* mlc bench: regenerates every table and figure of the paper's
    evaluation (Section 6).
 
-     dune exec bench/main.exe              -- everything
-     dune exec bench/main.exe -- figure9   -- one artifact
-     dune exec bench/main.exe -- fast      -- reduced sweeps
+     mlc bench                  -- every default section
+     mlc bench figure9          -- one artifact
+     mlc bench fast             -- reduced sweeps
 
    Every simulation cell is submitted as a job to the parallel experiment
-   engine (lib/engine): jobs fan out over a domain pool and land in a
-   content-addressed result cache, so re-runs are nearly free and
-   `--jobs N` scales the sweep across cores.  Results are merged in
-   submission order, so stdout is byte-identical for any job count; all
-   timing and progress output goes to stderr.  The options are the ones
-   `mlc` uses (lib/cli); `bench/main.exe --help` lists them.
+   engine (lib/engine): jobs fan out over a domain pool and land in the
+   content-addressed result cache that `mlc sweep` shares, so re-runs are
+   nearly free and `--jobs N` scales the sweep across cores.  Results are
+   merged in submission order, so stdout is byte-identical for any job
+   count; all timing and progress output goes to stderr.  The options are
+   the ones every `mlc` subcommand uses (lib/cli).
 
    Sections:
      table1   - the program inventory (Table 1)
@@ -25,8 +25,8 @@
      ablation - extra studies (associativity, 3-level hierarchy,
                 Song-Li time tiling, write policy, footnote-1 prefetch)
      bechamel - real wall-clock timings of the native kernels (opt-in:
-                run `bench/main.exe -- bechamel`; excluded from the
-                default set because measured times are nondeterministic)
+                run `mlc bench bechamel`; excluded from the default set
+                because measured times are nondeterministic)
      fastsim  - reference vs fast simulator backend, wall clock (opt-in
                 for the same reason; writes BENCH_fastsim.json)
 
@@ -44,6 +44,7 @@ module K = Mlc_kernels
 module L = Locality
 module E = Mlc_engine
 module Obs = Mlc_obs.Obs
+module Json = Mlc_obs.Json
 module Cli = Mlc_cli.Cli
 
 let machine = Cs.Machine.ultrasparc
@@ -109,6 +110,9 @@ let rate_row ~levels name row =
 let mflops (r : E.Job.result) = r.E.Job.interp.Interp.mflops
 
 let strategy s = E.Job.Strategy s
+
+let write_json path v =
+  Out_channel.with_open_text path (fun oc -> output_string oc (Json.to_string v))
 
 let tiled_matmul n (t : L.Tile_size.tile) =
   E.Job.Tiled_matmul { n; h = t.height; w = t.width }
@@ -753,20 +757,23 @@ let fastsim ctx =
         acc + r.E.Job.interp.Mlc_ir.Interp.total_refs)
       0 r_fast
   in
-  let oc = open_out fastsim_json_path in
-  Printf.fprintf oc
-    "{\n  \"machine\": \"ultrasparc\",\n  \"jobs\": 1,\n  \"n\": %d,\n\
-    \  \"programs\": [%s],\n  \"total_refs\": %d,\n\
-    \  \"reference_wall_s\": %.3f,\n  \"fast_wall_s\": %.3f,\n\
-    \  \"speedup\": %.2f\n}\n"
-    n
-    (String.concat ", "
-       (List.map
-          (fun (name, strat) ->
-            Printf.sprintf "\"%s/%s\"" name (E.Job.strategy_tag strat))
-          cases))
-    total_refs t_ref t_fast speedup;
-  close_out oc;
+  write_json fastsim_json_path
+    (Json.Obj
+       [
+         ("machine", Json.String "ultrasparc");
+         ("jobs", Json.Int 1);
+         ("n", Json.Int n);
+         ( "programs",
+           Json.List
+             (List.map
+                (fun (name, strat) ->
+                  Json.String (name ^ "/" ^ E.Job.strategy_tag strat))
+                cases) );
+         ("total_refs", Json.Int total_refs);
+         ("reference_wall_s", Json.fixed 3 t_ref);
+         ("fast_wall_s", Json.fixed 3 t_fast);
+         ("speedup", Json.fixed 2 speedup);
+       ]);
   Printf.eprintf "[fastsim: reference %.2fs, fast %.2fs, %.2fx -> %s]\n%!"
     t_ref t_fast speedup fastsim_json_path
 
@@ -798,48 +805,36 @@ let json_path = "BENCH_engine.json"
 let mode ctx = if ctx.fast then "fast" else "full"
 
 let dump_json ctx section_times =
-  let sections_json =
-    Printf.sprintf "[%s]"
-      (String.concat ", "
-         (List.map
-            (fun (name, wall) ->
-              Printf.sprintf "{\"name\": \"%s\", \"wall_s\": %.3f}"
-                (Obs.json_escape name) wall)
-            section_times))
-  in
-  let metrics_json =
+  let metrics =
     match ctx.obs with
     | None -> []
     | Some buf ->
         [
           ( "metrics",
-            Printf.sprintf "{%s}"
-              (String.concat ", "
-                 (List.map
-                    (fun (k, v) ->
-                      Printf.sprintf "\"%s\": %d" (Obs.json_escape k) v)
-                    (Obs.Buf.counters buf))) );
+            Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (Obs.Buf.counters buf)) );
         ]
   in
-  let extra =
-    metrics_json
-    @ [
-        ("mode", Printf.sprintf "\"%s\"" (mode ctx));
-        ("backend", Printf.sprintf "\"%s\"" (Interp.backend_name ctx.backend));
-        ("jobs", string_of_int ctx.jobs);
-        ("cache", string_of_bool (Option.is_some ctx.cache));
-        ( "models_version",
-          Printf.sprintf "\"%s\""
-            (Obs.json_escape
+  write_json json_path
+    (Json.Obj
+       (metrics
+       @ [
+           ("mode", Json.String (mode ctx));
+           ("backend", Json.String (Interp.backend_name ctx.backend));
+           ("jobs", Json.Int ctx.jobs);
+           ("cache", Json.Bool (Option.is_some ctx.cache));
+           ( "models_version",
+             Json.String
                (match ctx.cache with
                | Some c -> E.Cache.version c
-               | None -> E.Cache.default_version ())) );
-        ("sections", sections_json);
-      ]
-  in
-  let oc = open_out json_path in
-  output_string oc (E.Progress.to_json ~extra ctx.progress);
-  close_out oc
+               | None -> E.Cache.default_version ()) );
+           ( "sections",
+             Json.List
+               (List.map
+                  (fun (name, wall) ->
+                    Json.Obj [ ("name", Json.String name); ("wall_s", Json.fixed 3 wall) ])
+                  section_times) );
+         ]
+       @ E.Progress.json_fields ctx.progress))
 
 let main words jobs backend cache obs_flags =
   let wanted =
@@ -849,7 +844,7 @@ let main words jobs backend cache obs_flags =
   in
   let to_run = if wanted = [] then default_sections else wanted in
   let progress = E.Progress.create ~jobs () in
-  Cli.with_obs ~span:"bench" obs_flags @@ fun obs ->
+  Cli.with_obs ~span:"mlc:bench" obs_flags @@ fun obs ->
   let ctx = { fast = List.mem "fast" words; jobs; backend; cache; progress; obs } in
   Printf.printf "mlcache bench harness — %s mode\n" (mode ctx);
   Printf.eprintf "engine: %d worker domain%s, cache %s\n%!" jobs
@@ -872,17 +867,10 @@ let main words jobs backend cache obs_flags =
         (name, wall))
       to_run
   in
-  E.Progress.finish progress;
-  Printf.eprintf
-    "engine totals: %d jobs, %d cache hits (%.0f%%), %.2e refs streamed, \
-     %.1f jobs/s\n%!"
-    (E.Progress.jobs_done progress) (E.Progress.cache_hits progress)
-    (100.0 *. E.Progress.hit_rate progress)
-    (float_of_int (E.Progress.refs_streamed progress))
-    (E.Progress.jobs_per_sec progress);
+  prerr_endline (E.Progress.summary progress);
   dump_json ctx section_times
 
-let () =
+let cmd =
   let open Cmdliner in
   let sections_arg =
     let doc =
@@ -895,16 +883,11 @@ let () =
     let words = List.map (fun w -> (w, w)) ("fast" :: List.map fst sections) in
     Arg.(value & pos_all (enum words) [] & info [] ~docv:"SECTION" ~doc)
   in
-  (* `main.exe -- fast ...`, the form `dune exec` documents, also works
-     when the binary is run directly. *)
-  let argv =
-    match Array.to_list Sys.argv with
-    | exe :: "--" :: rest -> Array.of_list (exe :: rest)
-    | _ -> Sys.argv
-  in
-  Cli.eval ~argv
-    (Cmd.v
-       (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures.")
-       Term.(
-         const main $ sections_arg $ Cli.jobs [ "jobs" ] $ Cli.backend
-         $ Cli.cache $ Cli.obs))
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate the paper's tables and figures (Section 6) on the \
+          parallel experiment engine.")
+    Term.(
+      const main $ sections_arg $ Cli.jobs [ "jobs" ] $ Cli.backend $ Cli.cache
+      $ Cli.obs)

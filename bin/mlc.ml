@@ -7,7 +7,9 @@
      layout PROG                    print the layout a strategy produces
      arcs PROG                      text rendering of the paper's layout diagrams
      fuse PROG                      fuse two nests, print the two-level accounting
-     tile N                         tile-size policies for NxN matmul + simulation *)
+     tile N                         tile-size policies for NxN matmul + simulation
+     bench [fast] [SECTION...]      regenerate the paper's tables and figures
+                                    (bench.ml) *)
 
 open Cmdliner
 open Mlc_ir
@@ -145,7 +147,6 @@ let sweep_cmd =
                 (fun _ -> if Atomic.get cancel then exit 130 else Atomic.set cancel true)))
       with Invalid_argument _ | Sys_error _ -> None
     in
-    let t0 = Unix.gettimeofday () in
     let slots =
       E.Engine.run_collect ?cache ~progress ?obs ~cancel
         ~stop_on_failure:fail_fast ~jobs specs
@@ -225,13 +226,7 @@ let sweep_cmd =
       merged;
     (* timing is nondeterministic; keep stdout byte-stable for a given
        sweep (the golden test diffs it across jobs/cache/backend) *)
-    Format.eprintf
-      "%d jobs (%d cache hits) in %.1fs, %.1f jobs/s, %d refs streamed@."
-      (E.Progress.jobs_done progress)
-      (E.Progress.cache_hits progress)
-      (Unix.gettimeofday () -. t0)
-      (E.Progress.jobs_per_sec progress)
-      (E.Progress.refs_streamed progress);
+    Format.eprintf "%s@." (E.Progress.summary progress);
     if failures <> [] then begin
       List.iter
         (fun (i, f) ->
@@ -613,6 +608,10 @@ let () =
   in
   let group =
     Cmd.group info
-      [ list_cmd; simulate_cmd; sweep_cmd; layout_cmd; arcs_cmd; fuse_cmd; tile_cmd; run_cmd; curve_cmd; emit_cmd; compile_cmd; trace_check_cmd; cache_cmd ]
+      [
+        list_cmd; simulate_cmd; sweep_cmd; layout_cmd; arcs_cmd; fuse_cmd; tile_cmd;
+        run_cmd; curve_cmd; emit_cmd; compile_cmd; trace_check_cmd; cache_cmd;
+        Bench.cmd;
+      ]
   in
   Cli.eval group

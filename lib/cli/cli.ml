@@ -91,11 +91,11 @@ let with_obs ~span { trace; metrics } body =
     result
   end
 
-let eval ?argv cmd =
+let eval cmd =
   (* keep each usage error on one line *)
   Format.pp_set_margin Format.err_formatter 1000;
   let code =
-    try Cmd.eval ?argv ~err:Format.err_formatter ~catch:false cmd with
+    try Cmd.eval ~err:Format.err_formatter ~catch:false cmd with
     | E.Job.Spec_error msg | Locality.Fusion.Illegal msg ->
         Printf.eprintf "%s: %s\n%!" (Cmd.name cmd) msg;
         Cmd.Exit.some_error

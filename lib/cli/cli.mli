@@ -1,4 +1,4 @@
-(** The command-line layer shared by [mlc] and the bench harness: one
+(** The command-line layer of every [mlc] subcommand: one
     cmdliner term per common option, the observability wrapper behind
     [--trace]/[--metrics], and an evaluator that turns bad input into a
     one-line error. *)
@@ -45,9 +45,9 @@ val obs : obs Term.t
 val with_obs :
   span:string -> obs -> (Mlc_obs.Obs.Buf.t option -> 'a) -> 'a
 
-(** [eval ?argv cmd] evaluates [cmd] and exits.  A
+(** [eval cmd] evaluates [cmd] and exits.  A
     {!Mlc_engine.Job.Spec_error} or {!Locality.Fusion.Illegal} escaping
     the command is bad input: its message is printed on one stderr line
     and the exit status is [Cmd.Exit.some_error].  Any other exception is
     a bug, reported as cmdliner reports one ([Cmd.Exit.internal_error]). *)
-val eval : ?argv:string array -> unit Cmd.t -> 'a
+val eval : unit Cmd.t -> 'a

@@ -1,82 +1,33 @@
 open Mlc_ir
 module An = Mlc_analysis
 
-(* Does variable [v] conflict with any variable from [placed] in any nest?
-   A conflict is two dots within one line, circularly, on a cache of
-   [size] bytes. *)
-let conflicts_with ~size ~line program layout v placed =
-  List.exists
-    (fun nest ->
-      let dots = An.Arcs.dots layout ~size nest in
-      let dv = List.filter (fun d -> d.An.Arcs.ref_.Ref_.array = v) dots in
-      let du =
-        List.filter
-          (fun d -> List.mem d.An.Arcs.ref_.Ref_.array placed)
-          dots
-      in
-      List.exists
-        (fun a ->
-          List.exists
-            (fun b ->
-              let s = (b.An.Arcs.position - a.An.Arcs.position) mod size in
-              let s = if s < 0 then s + size else s in
-              min s (size - s) < line)
-            du)
-        dv)
-    program.Program.nests
+(* At least [k] elements of [xs] satisfy [p]. *)
+let rec at_least k p = function
+  | _ when k <= 0 -> true
+  | [] -> false
+  | x :: xs -> at_least (if p x then k - 1 else k) p xs
 
-let apply ~size ~line program layout =
-  let max_bumps = size / line in
-  let layout = ref layout in
-  let placed = ref [] in
-  List.iter
-    (fun v ->
-      let bumps = ref 0 in
-      while
-        !bumps < max_bumps
-        && conflicts_with ~size ~line program !layout v !placed
-      do
-        layout := Layout.add_pad_before !layout v line;
-        incr bumps
-      done;
-      placed := v :: !placed)
-    (Layout.array_names !layout);
-  !layout
-
-(* Does placing [v] overload any cache set beyond [assoc] ways?  A "set"
-   here is the line-granule position; references within one line of each
-   other circularly compete for the same ways. *)
+(* Does some dot of [v] lie within one line (circularly, on a cache of
+   [size] bytes) of [assoc] or more dots of the variables in [placed], in
+   any nest?  With [assoc = 1] that is any severe conflict; on a k-way
+   cache a set only thrashes once more than k references pile onto it. *)
 let overloads_set ~size ~line ~assoc program layout v placed =
   List.exists
     (fun nest ->
       let dots = An.Arcs.dots layout ~size nest in
-      let relevant =
-        List.filter
-          (fun d ->
-            let a = d.An.Arcs.ref_.Ref_.array in
-            a = v || List.mem a placed)
-          dots
-      in
-      (* for each dot of v, count distinct-array dots within one line *)
+      let of_array p = List.filter (fun d -> p d.An.Arcs.ref_.Ref_.array) dots in
+      let du = of_array (fun a -> List.mem a placed) in
       List.exists
         (fun d ->
-          d.An.Arcs.ref_.Ref_.array = v
-          &&
-          let colliding =
-            List.filter
-              (fun d' ->
-                d'.An.Arcs.ref_.Ref_.array <> v
-                &&
-                let s = (d'.An.Arcs.position - d.An.Arcs.position) mod size in
-                let s = if s < 0 then s + size else s in
-                min s (size - s) < line)
-              relevant
-          in
-          List.length colliding >= assoc)
-        relevant)
+          at_least assoc
+            (fun d' ->
+              An.Arcs.circular_distance size d.An.Arcs.position d'.An.Arcs.position
+              < line)
+            du)
+        (of_array (String.equal v)))
     program.Program.nests
 
-let apply_assoc ~size ~line ~assoc program layout =
+let apply ?(assoc = 1) ~size ~line program layout =
   let max_bumps = size / line in
   let layout = ref layout in
   let placed = ref [] in

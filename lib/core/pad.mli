@@ -10,19 +10,19 @@
 open Mlc_ir
 
 (** [apply ~size ~line program layout] returns the padded layout.
-    [size] and [line] describe the (direct-mapped) cache targeted. *)
-val apply : size:int -> line:int -> Program.t -> Layout.t -> Layout.t
+    [size] and [line] describe the cache targeted, treated as
+    direct-mapped.
+
+    With [assoc] above 1 (default 1) it is the associativity-aware
+    variant the paper argues is unnecessary: on a k-way cache a set only
+    thrashes once {e more than k} references pile onto it, so a variable
+    is bumped only while one of its references has [assoc] or more
+    references of placed variables within one line of it.  The ablation
+    benches compare it against treating the cache as direct-mapped. *)
+val apply :
+  ?assoc:int -> size:int -> line:int -> Program.t -> Layout.t -> Layout.t
 
 (** Severe conflicts remaining across all nests (should be empty after
     [apply] unless the working set is inherently too dense). *)
 val remaining_conflicts :
   size:int -> line:int -> Program.t -> Layout.t -> (int * Mlc_analysis.Arcs.conflict) list
-
-(** The associativity-aware variant the paper argues is unnecessary: on a
-    k-way cache a set only thrashes once {e more than k} references pile
-    onto it, so padding is applied only when a cache set (at line
-    granularity, circularly within one line) is hit by more than [assoc]
-    references of a nest.  The ablation benches compare it against
-    treating the cache as direct-mapped. *)
-val apply_assoc :
-  size:int -> line:int -> assoc:int -> Program.t -> Layout.t -> Layout.t

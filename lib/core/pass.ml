@@ -116,21 +116,14 @@ let grouppad_l1 =
       let g = l1_geometry machine in
       Grouppad.apply ~size:g.Cs.Level.size ~line:g.Cs.Level.line program layout)
 
-let maxpad =
-  layout_pass "maxpad" (fun machine program layout ->
-      Maxpad.apply ~size:(Cs.Machine.s1 machine) program layout)
-
 let l2maxpad =
   make "l2maxpad"
-    ~applies:(fun machine _ -> List.length machine.Cs.Machine.geometries >= 1)
+    ~applies:(fun machine _ -> Cs.Machine.n_levels machine >= 2)
     (fun machine (program, layout) ->
-      let s1 = Cs.Machine.s1 machine in
-      let l2_size =
-        match machine.Cs.Machine.geometries with
-        | _ :: g2 :: _ -> g2.Cs.Level.size
-        | _ -> s1
+      let after =
+        Maxpad.apply_l2 ~s1:(Cs.Machine.s1 machine)
+          ~l2_size:(Cs.Machine.level_size machine 1) program layout
       in
-      let after = Maxpad.apply_l2 ~s1 ~l2_size program layout in
       (program, after, layout_events ~pass:"l2maxpad" layout after))
 
 (* --- execution ----------------------------------------------------------- *)
@@ -158,13 +151,9 @@ let run_one machine pass (program, layout) =
   if pass.applies machine program then pass.run machine (program, layout)
   else (program, layout, [])
 
-(* [instrument] is shadowed by run_all's optional argument below. *)
-let instrumented = instrument
-
-let run_all ?(instrument = true) machine passes (program, layout) =
-  let wrap = if instrument then instrumented else Fun.id in
+let run_all machine passes (program, layout) =
   List.fold_left
     (fun (p, l, acc) pass ->
-      let p', l', events = run_one machine (wrap pass) (p, l) in
+      let p', l', events = run_one machine (instrument pass) (p, l) in
       (p', l', acc @ events))
     (program, layout, []) passes

@@ -62,9 +62,6 @@ val multilvlpad : t
 (** GROUPPAD on the L1 cache (Section 3.2.1). *)
 val grouppad_l1 : t
 
-(** MAXPAD on the L1 cache (Section 3.2.2, single level). *)
-val maxpad : t
-
 (** L2MAXPAD: spread on the L2 cache with pads that are multiples of S1;
     applies only when the machine has a second level. *)
 val l2maxpad : t
@@ -82,10 +79,8 @@ val run_one :
   Cs.Machine.t -> t -> Program.t * Layout.t -> Program.t * Layout.t * event list
 
 (** [run_all machine passes (p, l)] folds the passes left to right,
-    concatenating events.  Each pass is wrapped in {!instrument} unless
-    [instrument:false]. *)
+    concatenating events.  Each pass is wrapped in {!instrument}. *)
 val run_all :
-  ?instrument:bool ->
   Cs.Machine.t ->
   t list ->
   Program.t * Layout.t ->

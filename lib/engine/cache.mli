@@ -5,9 +5,9 @@
     version} — by default a digest of the running executable.  Any
     rebuild changes the version, so every old key silently stops being
     addressed: entries are invalidated {e by key}, never by mtime, and
-    one build never reads another build's [Marshal] layout.  Two
-    different executables ([mlc] and [bench/main.exe]) therefore do not
-    share entries.
+    one build never reads another build's [Marshal] layout.  All of
+    [mlc]'s subcommands run in one executable, so [mlc sweep] and
+    [mlc bench] share entries.
 
     Value = [Marshal] of (canonical spec, {!Job.result}) — the per-level
     counters and the cost breakdown.  Entries are written to a temp file

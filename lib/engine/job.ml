@@ -176,7 +176,7 @@ let build_layout machine_t lspec program =
   | Strategy s -> L.Pipeline.layout_for machine_t s program
   | Initial -> Layout.initial program
   | Pad_assoc { size; line; assoc } ->
-      L.Pad.apply_assoc ~size ~line ~assoc program (Layout.initial program)
+      L.Pad.apply ~assoc ~size ~line program (Layout.initial program)
 
 let count_nests target (program : Program.t) =
   match target with

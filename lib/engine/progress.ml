@@ -94,33 +94,31 @@ let finish t =
     prerr_newline ()
   end
 
-let to_json ?(extra = []) t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "  \"%s\": %s,\n" (Mlc_obs.Obs.json_escape k) v))
-    extra;
-  Buffer.add_string b
-    (Printf.sprintf "  \"jobs_done\": %d,\n  \"cache_hits\": %d,\n"
-       (jobs_done t) (cache_hits t));
-  Buffer.add_string b
-    (Printf.sprintf "  \"cache_hit_rate\": %.4f,\n  \"refs_streamed\": %d,\n"
-       (hit_rate t) (refs_streamed t));
-  Buffer.add_string b
-    (Printf.sprintf "  \"jobs_per_sec\": %.3f,\n  \"wall_s\": %.3f,\n"
-       (jobs_per_sec t) (elapsed t));
-  Buffer.add_string b
-    (Printf.sprintf "  \"workers\": [%s]\n"
-       (String.concat ", "
-          (Array.to_list
-             (Array.map
-                (fun w ->
-                  Printf.sprintf
-                    "{\"jobs_done\": %d, \"cache_hits\": %d, \
-                     \"refs_streamed\": %d}"
-                    w.jobs_done w.cache_hits w.refs_streamed)
-                t.workers))));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+let summary t =
+  Printf.sprintf "%d jobs, %d cache hits (%.0f%%), %d refs streamed, %.1fs, %.1f jobs/s"
+    (jobs_done t) (cache_hits t)
+    (100.0 *. hit_rate t)
+    (refs_streamed t) (elapsed t) (jobs_per_sec t)
+
+let json_fields t =
+  let module J = Mlc_obs.Json in
+  [
+    ("jobs_done", J.Int (jobs_done t));
+    ("cache_hits", J.Int (cache_hits t));
+    ("cache_hit_rate", J.fixed 4 (hit_rate t));
+    ("refs_streamed", J.Int (refs_streamed t));
+    ("jobs_per_sec", J.fixed 3 (jobs_per_sec t));
+    ("wall_s", J.fixed 3 (elapsed t));
+    ( "workers",
+      J.List
+        (Array.to_list
+           (Array.map
+              (fun w ->
+                J.Obj
+                  [
+                    ("jobs_done", J.Int w.jobs_done);
+                    ("cache_hits", J.Int w.cache_hits);
+                    ("refs_streamed", J.Int w.refs_streamed);
+                  ])
+              t.workers)) );
+  ]

@@ -1,7 +1,7 @@
 (** Per-worker progress counters: jobs done, cache hits, simulated
     addresses streamed, wall time.  Rendered as a single live line on
-    stderr (when it is a tty, or [~live:true]) and dumped as JSON for the
-    machine-readable bench record.
+    stderr (when it is a tty, or [~live:true]), summed up in one line
+    after a run, and recorded as JSON in the bench's [BENCH_engine.json].
 
     Counters are per-worker slots written only by their owning domain;
     totals are summed on demand.  Everything user-visible goes to stderr
@@ -24,19 +24,16 @@ val record : t -> worker:int -> cache_hit:bool -> refs:int -> unit
 (** Final render + newline, if a live line was shown. *)
 val finish : t -> unit
 
-val jobs_done : t -> int
-
+(** Jobs answered from the result cache, summed over workers. *)
 val cache_hits : t -> int
 
+(** Simulated references streamed, summed over workers. *)
 val refs_streamed : t -> int
 
-val elapsed : t -> float
+(** One line of totals: jobs, cache hits (and their share), references
+    streamed, wall time and jobs per second.  [mlc sweep] and [mlc bench]
+    print it on stderr after a run. *)
+val summary : t -> string
 
-val jobs_per_sec : t -> float
-
-(** Cache hits over jobs done (0 before any job). *)
-val hit_rate : t -> float
-
-(** JSON object with the totals and the per-worker counters.  [extra]
-    key/value pairs (values are raw JSON) are emitted first. *)
-val to_json : ?extra:(string * string) list -> t -> string
+(** The totals and the per-worker counters as JSON object members. *)
+val json_fields : t -> (string * Mlc_obs.Json.t) list

@@ -190,37 +190,16 @@ let count ?(n = 1) name =
 
 (* --- sinks --------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 module Sink = struct
   type t = out_channel
 
   let chrome oc = oc
 
-  let arg_json : arg -> string = function
-    | `Int i -> string_of_int i
-    | `Float f -> Printf.sprintf "%.6g" f
-    | `Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-    | `Bool b -> string_of_bool b
-
-  let args_json args =
-    Printf.sprintf "{%s}"
-      (String.concat ", "
-         (List.map
-            (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) (arg_json v))
-            args))
+  let arg : arg -> Json.t = function
+    | `Int i -> Json.Int i
+    | `Float f -> Json.Float f
+    | `Str s -> Json.String s
+    | `Bool b -> Json.Bool b
 
   let ph = function
     | Span_begin -> "B"
@@ -229,25 +208,23 @@ module Sink = struct
     | Sample -> "C"
 
   let chrome_event e =
-    let b = Buffer.create 128 in
-    Buffer.add_string b
-      (Printf.sprintf "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%s\", \
-                       \"ts\": %d, \"pid\": 1, \"tid\": %d"
-         (json_escape e.name)
-         (json_escape (if e.cat = "" then "default" else e.cat))
-         (ph e.kind) e.ts e.tid);
-    (match e.kind with
-    | Sample -> Buffer.add_string b (Printf.sprintf ", \"args\": {\"value\": %d}" e.value)
-    | Instant ->
-        Buffer.add_string b ", \"s\": \"t\"";
-        if e.args <> [] then
-          Buffer.add_string b (Printf.sprintf ", \"args\": %s" (args_json e.args))
-    | Span_begin ->
-        if e.args <> [] then
-          Buffer.add_string b (Printf.sprintf ", \"args\": %s" (args_json e.args))
-    | Span_end -> ());
-    Buffer.add_string b "}";
-    Buffer.contents b
+    let args kvs = [ ("args", Json.Obj kvs) ] in
+    Json.Obj
+      ([
+         ("name", Json.String e.name);
+         ("cat", Json.String (if e.cat = "" then "default" else e.cat));
+         ("ph", Json.String (ph e.kind));
+         ("ts", Json.Int e.ts);
+         ("pid", Json.Int 1);
+         ("tid", Json.Int e.tid);
+       ]
+      @ (if e.kind = Instant then [ ("s", Json.String "t") ] else [])
+      @
+      match e.kind with
+      | Sample -> args [ ("value", Json.Int e.value) ]
+      | (Instant | Span_begin) when e.args <> [] ->
+          args (List.map (fun (k, v) -> (k, arg v)) e.args)
+      | _ -> [])
 
   (* Merged buffers concatenate per-worker event runs; a stable sort by
      timestamp restores one global monotone timeline while preserving
@@ -257,12 +234,8 @@ module Sink = struct
     List.stable_sort (fun a b -> compare a.ts b.ts) (Buf.events buf)
 
   let write oc buf =
-    output_string oc "{\"traceEvents\": [\n";
-    let events = chrome_events buf in
-    List.iteri
-      (fun i e ->
-        if i > 0 then output_string oc ",\n";
-        output_string oc (chrome_event e))
-      events;
-    output_string oc "\n]}\n"
+    output_string oc
+      (Json.to_string
+         (Json.Obj
+            [ ("traceEvents", Json.List (List.map chrome_event (chrome_events buf))) ]))
 end

@@ -1,5 +1,6 @@
 (** Structured observability: nestable timed spans, monotonic counters,
-    and a sink writing Chrome [trace_event] JSON loadable in perfetto.
+    and a sink writing Chrome [trace_event] JSON (through {!Json})
+    loadable in perfetto.
 
     Recording is explicit and domain-local: nothing is recorded unless a
     {!Buf.t} is installed in the current domain with {!with_buf}.  With no
@@ -85,10 +86,6 @@ val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
 val count : ?n:int -> string -> unit
 
 (** {2 Sinks} *)
-
-(** Escape a string for a JSON string literal (quotes, backslashes and
-    control characters). *)
-val json_escape : string -> string
 
 module Sink : sig
   type t

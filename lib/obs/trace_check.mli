@@ -26,19 +26,5 @@ val validate_string : string -> (stats, string list) result
 (** Validate a file on disk. *)
 val validate_file : string -> (stats, string list) result
 
-(** Minimal JSON parser (exposed for tests). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | String of string
-    | List of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  (** @raise Parse_error on malformed input. *)
-  val parse : string -> t
-end
+(** The JSON type and parser the checks read traces with. *)
+module Json = Json

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Print the option names of every mlc subcommand and of the bench harness,
-# one "COMMAND: --flag" line each.  CI diffs this against
-# test/cli_options.expected, so adding or dropping a flag shows up in review.
+# Print the option names of every mlc subcommand, one "COMMAND: --flag"
+# line each.  CI diffs this against test/cli_options.expected, so adding or
+# dropping a flag shows up in review.
 #
 #   sh test/cli_options.sh [BUILD_DIR]     (default: _build/default)
 set -e
@@ -11,8 +11,7 @@ options() {
     | sed 's/^, //' | sort -u | sed "s/^/$1: /"
 }
 for cmd in list simulate sweep layout arcs fuse tile run curve emit compile \
-           trace-check "cache stats" "cache verify" "cache gc"; do
+           trace-check "cache stats" "cache verify" "cache gc" bench; do
   # shellcheck disable=SC2086  # "cache stats" is two words on purpose
   "$B/bin/mlc.exe" $cmd --help=plain | options "mlc $cmd"
 done
-"$B/bench/main.exe" --help=plain | options "bench"

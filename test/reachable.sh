@@ -3,7 +3,7 @@
 # used by real code.
 #
 # For each lib/**/*.ml, look for its module name (as a whole word) in the
-# .ml/.mli files of lib/, bin/, bench/, examples/ and perfbench/, other
+# .ml/.mli files of lib/, bin/, examples/ and perfbench/, other
 # than the module's own .ml and .mli.  For each "val NAME" in a
 # lib/**/*.mli, look for NAME the same way (by name, so a value whose
 # name another module also uses counts as reached).  test/ does not count:
@@ -26,7 +26,7 @@ users() {
   shift
   found=$(grep -rlw --include='*.ml' --include='*.mli' \
             --exclude-dir=_build --exclude-dir=_out \
-            -e "$word" lib bin bench examples perfbench)
+            -e "$word" lib bin examples perfbench)
   for own in "$@"; do
     found=$(printf '%s\n' "$found" | grep -vxF -e "$own")
   done

@@ -1,15 +1,17 @@
-(* The observability layer: span/counter semantics in Mlc_obs, Chrome
-   export validated by the same checker CI runs, conservation laws tying
-   the simulation counters to the reference stream, determinism of the
-   engine's buffer merge across worker counts and backends, and the
-   Pass-pipeline layouts' bit-identity with the historical per-module
-   compositions. *)
+(* The observability layer: span/counter semantics in Mlc_obs, the JSON
+   printer's round trip through its parser, Chrome export validated by the
+   same checker CI runs, conservation laws tying the simulation counters
+   to the reference stream, determinism of the engine's buffer merge
+   across worker counts and backends, the Pass-pipeline layouts'
+   bit-identity with the historical per-module compositions, and golden
+   stdout of the mlc commands (mlc bench included). *)
 
 module Cs = Mlc_cachesim
 module E = Mlc_engine
 module K = Mlc_kernels
 module L = Locality
 module Obs = Mlc_obs.Obs
+module Json = Mlc_obs.Json
 module Tc = Mlc_obs.Trace_check
 open Mlc_ir
 
@@ -63,6 +65,66 @@ let test_span_exception_safe () =
   | exception Exit -> ());
   Alcotest.(check int) "span closed on raise" 0 (Obs.Buf.depth buf);
   Alcotest.(check bool) "buffer uninstalled on raise" false (Obs.enabled ())
+
+(* --- JSON printer --------------------------------------------------------- *)
+
+(* Strings lean on what the printer must escape: quotes, backslashes and
+   control characters. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    string_size
+      ~gen:(frequency [ (3, oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\031'; '/' ]); (2, char) ])
+      (int_bound 10)
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun s -> Json.String s) str;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map (fun kvs -> Json.Obj kvs)
+                   (list_size (int_bound 4) (pair str (self (n / 4)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = v)
+
+let test_json_floats () =
+  List.iter
+    (fun f ->
+      let printed = Json.to_string (Json.Float f) in
+      match Json.parse printed with
+      | Json.Float g when g = f -> ()
+      | _ -> Alcotest.failf "%h printed as %S does not read back" f printed)
+    [ 0.0; 1.0; -2.5; 100.0; 0.1; 6.687; 1e-7; 1e22; Float.pi; max_float; min_float ];
+  List.iter
+    (fun (v, printed) ->
+      Alcotest.(check string) printed (printed ^ "\n") (Json.to_string v))
+    [
+      (Json.Float 2.0, "2.0");
+      (Json.fixed 3 6.68712, "6.687");
+      (Json.fixed 4 0.0, "0.0");
+      (Json.Float nan, "null");
+      (Json.Float infinity, "null");
+      (Json.Obj [], "{}");
+      ( Json.Obj [ ("k", Json.List [ Json.Obj [ ("a\"b", Json.Int 1) ] ]) ],
+        "{\n  \"k\": [\n    {\"a\\\"b\": 1}\n  ]\n}" );
+    ]
 
 (* --- Chrome export and the validator -------------------------------------- *)
 
@@ -588,6 +650,70 @@ let test_golden_outputs () =
       Alcotest.(check (list string)) ("mlc " ^ args) expected lines)
     golden_outputs
 
+(* --- mlc bench: the Table 1 golden, the engine record and its trace ---------- *)
+
+let bench_expected =
+  List.find_opt Sys.file_exists [ "bench_fast.expected"; "test/bench_fast.expected" ]
+
+(* [mlc bench ARGS] run inside a fresh directory, which receives
+   BENCH_engine.json; [f dir stdout] reads the results. *)
+let in_bench_dir args f =
+  let exe =
+    match mlc_exe with
+    | Some exe when Filename.is_relative exe -> Filename.concat (Sys.getcwd ()) exe
+    | Some exe -> exe
+    | None -> Alcotest.fail "mlc.exe not built (missing test dependency)"
+  in
+  let dir = Filename.temp_dir "mlc_bench" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      f dir
+        (capture_stdout
+           (Printf.sprintf "cd %s && %s bench %s" (Filename.quote dir) exe args)))
+
+let test_golden_bench_table1 () =
+  let expected =
+    match bench_expected with
+    | Some path -> In_channel.with_open_bin path In_channel.input_all
+    | None -> Alcotest.fail "bench_fast.expected not found (missing test dependency)"
+  in
+  (* the header line, a blank line, then the Table 1 block up to the next
+     blank line *)
+  let rec block = function "" :: _ | [] -> [] | l :: rest -> l :: block rest in
+  let expected =
+    match String.split_on_char '\n' expected with
+    | header :: "" :: rest -> String.concat "\n" (header :: "" :: block rest) ^ "\n"
+    | _ -> Alcotest.fail "bench_fast.expected does not start with a header line"
+  in
+  in_bench_dir "fast table1 --no-cache" (fun _ out ->
+      Alcotest.(check string) "mlc bench fast table1" expected out)
+
+let test_bench_record_and_trace () =
+  in_bench_dir "fast predict --no-cache --jobs 2 --trace trace.json" (fun dir _ ->
+      let path name = Filename.concat dir name in
+      (match Tc.validate_file (path "trace.json") with
+      | Ok s -> Alcotest.(check bool) "trace has job spans" true (s.Tc.spans > 2)
+      | Error errs -> Alcotest.fail (String.concat "; " errs));
+      let record =
+        Json.parse (In_channel.with_open_bin (path "BENCH_engine.json") In_channel.input_all)
+      in
+      let field k =
+        match record with
+        | Json.Obj kvs -> List.assoc_opt k kvs
+        | _ -> Alcotest.fail "BENCH_engine.json is not an object"
+      in
+      Alcotest.(check bool) "mode" true (field "mode" = Some (Json.String "fast"));
+      Alcotest.(check bool) "jobs" true (field "jobs" = Some (Json.Int 2));
+      Alcotest.(check bool) "jobs done" true (field "jobs_done" = Some (Json.Int 12));
+      match field "sections" with
+      | Some (Json.List [ Json.Obj section ]) ->
+          Alcotest.(check bool) "section name" true
+            (List.assoc_opt "name" section = Some (Json.String "predict"))
+      | _ -> Alcotest.fail "sections is not a one-section list")
+
 (* --- bad input: one line naming the value, non-zero, never a crash -------- *)
 
 let bad_inputs =
@@ -633,6 +759,11 @@ let () =
           Alcotest.test_case "spans, counters, instants" `Quick test_span_model;
           Alcotest.test_case "exception safety" `Quick test_span_exception_safe;
         ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          Alcotest.test_case "floats and layout" `Quick test_json_floats;
+        ] );
       ( "sinks",
         [
           Alcotest.test_case "chrome export validates" `Quick
@@ -670,6 +801,9 @@ let () =
             test_golden_simulate_metrics;
           Alcotest.test_case "simulate/run/fuse/tile/compile" `Slow
             test_golden_outputs;
+          Alcotest.test_case "mlc bench fast table1" `Slow test_golden_bench_table1;
+          Alcotest.test_case "bench record and trace parse" `Slow
+            test_bench_record_and_trace;
           Alcotest.test_case "bad input fails cleanly" `Quick test_bad_input;
         ] );
     ]

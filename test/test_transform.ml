@@ -288,11 +288,11 @@ let test_assoc_aware_pad () =
   let p = K.Paper_examples.figure2 256 in
   let layout = Layout.initial p in
   (* with assoc 1 it behaves like PAD: no set holds >= 1 foreign ref *)
-  let a1 = L.Pad.apply_assoc ~size:(16 * 1024) ~line:32 ~assoc:1 p layout in
+  let a1 = L.Pad.apply ~assoc:1 ~size:(16 * 1024) ~line:32 p layout in
   check_int "assoc-1 leaves no severe conflicts" 0
     (List.length (L.Pad.remaining_conflicts ~size:(16 * 1024) ~line:32 p a1));
   (* higher associativity demands less padding *)
-  let a2 = L.Pad.apply_assoc ~size:(16 * 1024) ~line:32 ~assoc:2 p layout in
+  let a2 = L.Pad.apply ~assoc:2 ~size:(16 * 1024) ~line:32 p layout in
   let total_pad l =
     List.fold_left (fun acc v -> acc + Layout.pad_before l v) 0 (Layout.array_names l)
   in
