@@ -726,7 +726,7 @@ let fastsim ctx =
   in
   let time be =
     let t0 = Unix.gettimeofday () in
-    let results = E.Engine.run ~jobs:1 (specs be) in
+    let results = E.Engine.run ~progress:ctx.progress ~jobs:1 (specs be) in
     (Unix.gettimeofday () -. t0, results)
   in
   let t_ref, r_ref = time `Reference in

@@ -11,8 +11,20 @@
 open Mlc_ir
 
 (** [apply ~size ~line program layout] — [size]/[line] of the cache being
-    targeted (L1 for the classic pass). [candidate_step] defaults to one
-    line; larger steps explore fewer positions. *)
+    targeted (L1 for the classic pass).  The candidate pads are the
+    multiples of [candidate_step] below [size]; it defaults to [size/128]
+    rounded down to a multiple of [line], and at least one line, so about
+    128 candidates.  Larger steps explore fewer positions.
+
+    When every element size from a variable on divides the step (always
+    at the default step with 4- and 8-byte elements), each candidate moves
+    every array from that variable on by exactly the pad, and all of the
+    variable's candidates are scored in one sweep: the dots on one side of
+    it score once, each pair or arc straddling it adds one window of
+    shifts, and one prefix sum over the candidates gives every score.  Its
+    cost per variable is about that of scoring one candidate, plus one
+    term per candidate.  Any other variable is scored candidate by
+    candidate.  Both give the same layout and decision instants. *)
 val apply :
   ?candidate_step:int -> size:int -> line:int -> Program.t -> Layout.t -> Layout.t
 

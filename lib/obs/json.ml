@@ -43,6 +43,47 @@ let literal st word value =
   end
   else fail "at %d: invalid literal" st.pos
 
+(* The four hex digits of the [\u] escape whose backslash is at [at]. *)
+let hex4 st ~at =
+  let digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> fail "at %d: bad \\u escape" at
+  in
+  if st.pos + 4 > String.length st.src then fail "at %d: bad \\u escape" at;
+  let code = ref 0 in
+  for i = 0 to 3 do
+    code := (!code lsl 4) lor digit st.src.[st.pos + i]
+  done;
+  st.pos <- st.pos + 4;
+  !code
+
+(* The code point of a [\u] escape (the [u] just consumed, the backslash
+   at [at]): a UTF-16 surrogate pair [\uD8xx\uDCxx] is one code point
+   above U+FFFF; a lone or reversed surrogate is an error. *)
+let parse_unicode st ~at =
+  let code = hex4 st ~at in
+  if code >= 0xDC00 && code <= 0xDFFF then fail "at %d: lone low surrogate \\u%04x" at code
+  else if code >= 0xD800 && code <= 0xDBFF then begin
+    let low_at = st.pos in
+    let low =
+      if
+        low_at + 2 <= String.length st.src
+        && st.src.[low_at] = '\\'
+        && st.src.[low_at + 1] = 'u'
+      then begin
+        st.pos <- low_at + 2;
+        hex4 st ~at:low_at
+      end
+      else -1
+    in
+    if low < 0xDC00 || low > 0xDFFF then fail "at %d: lone high surrogate \\u%04x" at code;
+    0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+  end
+  else code
+
 let parse_string st =
   expect st '"';
   let b = Buffer.create 16 in
@@ -51,6 +92,7 @@ let parse_string st =
     | None -> fail "unterminated string"
     | Some '"' -> advance st
     | Some '\\' -> (
+        let at = st.pos in
         advance st;
         match peek st with
         | None -> fail "unterminated escape"
@@ -65,25 +107,7 @@ let parse_string st =
             | 'r' -> Buffer.add_char b '\r'
             | 'b' -> Buffer.add_char b '\b'
             | 'f' -> Buffer.add_char b '\012'
-            | 'u' ->
-                if st.pos + 4 > String.length st.src then fail "bad \\u escape";
-                let hex = String.sub st.src st.pos 4 in
-                st.pos <- st.pos + 4;
-                let code =
-                  try int_of_string ("0x" ^ hex)
-                  with _ -> fail "bad \\u escape %S" hex
-                in
-                (* keep it simple: BMP code points as UTF-8 *)
-                if code < 0x80 then Buffer.add_char b (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                end
+            | 'u' -> Buffer.add_utf_8_uchar b (Uchar.of_int (parse_unicode st ~at))
             | c -> fail "bad escape \\%c" c);
             go ())
     | Some c ->
