@@ -296,7 +296,7 @@ let arcs_cmd =
         List.iter
           (fun d ->
             Format.printf "  dot %-2d %-18s pos %6d@." d.An.Arcs.ref_index
-              (Ref_.to_string d.An.Arcs.ref_)
+              (An.Arcs.label d)
               d.An.Arcs.position)
           dots;
         List.iter
@@ -432,10 +432,16 @@ let emit_cmd =
   let run prog size strategy machine lang repeat =
     let p = build_program prog size in
     let layout () = L.Pipeline.layout_for machine strategy p in
-    match lang with
-    | `Mlc -> print_string (Pretty.program p)
-    | `C -> print_string (Mlc_codegen.Codegen_c.emit ~repeat (layout ()) p)
-    | `F77 -> print_string (Mlc_codegen.Codegen_f77.emit (layout ()) p)
+    let emit =
+      match lang with
+      | `Mlc -> Pretty.program
+      | `C -> Mlc_codegen.Codegen.emit_c ~repeat (layout ())
+      | `F77 -> Mlc_codegen.Codegen.emit_f77 (layout ())
+    in
+    match emit p with
+    | text -> print_string text
+    | exception Invalid_argument msg ->
+        raise (E.Job.Spec_error (Printf.sprintf "cannot emit %s: %s" p.Program.name msg))
   in
   let term =
     Term.(const run $ prog_arg $ size_arg $ Cli.strategy $ Cli.machine $ lang_arg

@@ -71,11 +71,11 @@ let () =
     let repeat = 50 in
     let t0 =
       compile_and_time "original"
-        (Mlc_codegen.Codegen_c.emit ~repeat (Layout.initial p) p)
+        (Mlc_codegen.Codegen.emit_c ~repeat (Layout.initial p) p)
     in
     let t1 =
       compile_and_time "optimized"
-        (Mlc_codegen.Codegen_c.emit ~repeat r.L.Compiler.layout
+        (Mlc_codegen.Codegen.emit_c ~repeat r.L.Compiler.layout
            r.L.Compiler.program)
     in
     if t0 > 0.0 && t1 > 0.0 then

@@ -46,6 +46,8 @@ let dots layout ~size nest =
            Some { ref_index = i; ref_ = r; address; position = address mod size }
          else None)
 
+let label d = (if Ref_.is_write d.ref_ then "=" else "") ^ Pretty.ref_to_string d.ref_
+
 let arcs layout ?(min_span = 1) nest =
   let groups = Ref_group.of_nest layout nest in
   List.concat_map

@@ -39,6 +39,10 @@ type conflict = {
     the point where every loop variable sits at its lower bound. *)
 val dots : Layout.t -> size:int -> Nest.t -> dot list
 
+(** [label d] names a dot's reference in the kernel language, with [=]
+    before a write: [B(i,j+1)], [=A(2*i,j)]. *)
+val label : dot -> string
+
 (** Arcs are layout-dependent only through intra-variable padding (the
     span is the padded column distance); inter-variable pads do not move
     them. *)

@@ -87,7 +87,7 @@ let render ?(width = 72) layout ~size ~line nest =
       | Some l ->
           Buffer.add_string buf
             (Printf.sprintf "     %-4s %-20s pos %6d\n" l
-               (Ref_.to_string d.Arcs.ref_)
+               (Arcs.label d)
                d.Arcs.position))
     dots;
   List.iteri

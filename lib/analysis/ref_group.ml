@@ -55,10 +55,3 @@ let of_nest layout nest = of_refs layout (Nest.refs nest)
 
 let distinct_offsets t =
   List.sort_uniq compare (List.map (fun m -> m.offset_bytes) t.members)
-
-let pp ppf t =
-  Format.fprintf ppf "group %s: %s" t.array
-    (String.concat ", "
-       (List.map
-          (fun m -> Printf.sprintf "%s@+%d" (Ref_.to_string m.ref_) m.offset_bytes)
-          t.members))

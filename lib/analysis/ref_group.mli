@@ -29,5 +29,3 @@ val of_nest : Layout.t -> Nest.t -> t list
 
 (** Distinct offsets, low to high (duplicates collapsed). *)
 val distinct_offsets : t -> int list
-
-val pp : Format.formatter -> t -> unit

@@ -116,5 +116,3 @@ let no_l2_interference ~s1_elems ~k ~col_elems tile =
   max_conflict_free_width ~cache_elems:(k * s1_elems) ~col_elems
     ~height:tile.height ~max_width:tile.width
   = tile.width
-
-let pp ppf t = Format.fprintf ppf "%dx%d (HxW)" t.height t.width

@@ -77,5 +77,3 @@ val tss : cache_bytes:int -> elem:int -> col_elems:int -> rows:int -> tile
 
 (** Footprint in bytes of the tile of one array. *)
 val footprint_bytes : elem:int -> tile -> int
-
-val pp : Format.formatter -> tile -> unit

@@ -25,8 +25,3 @@ let dim_strides t =
     | d :: rest -> stride :: go (stride * d) rest
   in
   go 1 t.dims
-
-let pp ppf t =
-  Format.fprintf ppf "%s(%s)[%dB]" t.name
-    (String.concat "," (List.map string_of_int t.dims))
-    t.elem_size

@@ -23,5 +23,3 @@ val column_bytes : t -> int
     between consecutive indices of that dimension (column-major):
     [1; d1; d1*d2; ...]. *)
 val dim_strides : t -> int list
-
-val pp : Format.formatter -> t -> unit

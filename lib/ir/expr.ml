@@ -60,20 +60,3 @@ let eval env e =
 let equal a b = a.coeffs = b.coeffs && a.const = b.const
 
 let compare a b = Stdlib.compare (a.coeffs, a.const) (b.coeffs, b.const)
-
-let pp ppf e =
-  let pp_term first ppf (v, c) =
-    if c = 1 then Format.fprintf ppf "%s%s" (if first then "" else "+") v
-    else if c = -1 then Format.fprintf ppf "-%s" v
-    else if c >= 0 then Format.fprintf ppf "%s%d%s" (if first then "" else "+") c v
-    else Format.fprintf ppf "%d%s" c v
-  in
-  match e.coeffs with
-  | [] -> Format.fprintf ppf "%d" e.const
-  | first :: rest ->
-      pp_term true ppf first;
-      List.iter (pp_term false ppf) rest;
-      if e.const > 0 then Format.fprintf ppf "+%d" e.const
-      else if e.const < 0 then Format.fprintf ppf "%d" e.const
-
-let to_string e = Format.asprintf "%a" pp e

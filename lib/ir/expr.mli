@@ -48,7 +48,3 @@ val eval : (string -> int) -> t -> int
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
-
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

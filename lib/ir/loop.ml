@@ -52,14 +52,3 @@ let iter env t f =
       iv := !iv + t.step
     done
   end
-
-let pp ppf t =
-  Format.fprintf ppf "for %s = %a%s to %a%s%s" t.var Expr.pp t.lo
-    (match t.lo_max with
-    | None -> ""
-    | Some e -> Format.asprintf " max %a" Expr.pp e)
-    Expr.pp t.hi
-    (match t.hi_min with
-    | None -> ""
-    | Some e -> Format.asprintf " min %a" Expr.pp e)
-    (if t.step = 1 then "" else Printf.sprintf " step %d" t.step)

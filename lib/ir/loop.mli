@@ -33,5 +33,3 @@ val trip_count : (string -> int) -> t -> int
 
 (** Iterate: [iter env t f] calls [f iv] for each iteration value. *)
 val iter : (string -> int) -> t -> (int -> unit) -> unit
-
-val pp : Format.formatter -> t -> unit

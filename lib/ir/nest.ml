@@ -36,7 +36,3 @@ let iterations t =
 
 let ref_count t =
   iterations t * List.fold_left (fun acc s -> acc + List.length s.Stmt.refs) 0 t.body
-
-let pp ppf t =
-  List.iter (fun l -> Format.fprintf ppf "%a@ " Loop.pp l) t.loops;
-  List.iter (fun s -> Format.fprintf ppf "  %a@ " Stmt.pp s) t.body

@@ -29,5 +29,3 @@ val iterations : t -> int
 
 (** References issued per full execution. *)
 val ref_count : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -65,38 +65,24 @@ let stmt_to_string s =
   in
   Printf.sprintf "%s = %s" (ref_to_string lhs) rhs
 
-let nest (n : Nest.t) =
-  let buf = Buffer.create 256 in
+let walk ~open_loop ~stmt ~close_loop (n : Nest.t) =
   let depth = List.length n.Nest.loops in
-  List.iteri
-    (fun i (l : Loop.t) ->
-      let pad = String.make (i * 2) ' ' in
-      if l.Loop.lo_max <> None || l.Loop.hi_min <> None then
-        invalid_arg "Pretty: clamped loops have no source syntax";
-      let header =
-        if l.Loop.step = 1 then
-          Printf.sprintf "for %s = %s to %s {" l.Loop.var
-            (expr_to_string l.Loop.lo) (expr_to_string l.Loop.hi)
-        else if l.Loop.step > 1 then
-          Printf.sprintf "for %s = %s to %s step %d {" l.Loop.var
-            (expr_to_string l.Loop.lo) (expr_to_string l.Loop.hi) l.Loop.step
-        else
-          Printf.sprintf "for %s = %s downto %s%s {" l.Loop.var
-            (expr_to_string l.Loop.lo) (expr_to_string l.Loop.hi)
-            (if l.Loop.step = -1 then ""
-             else Printf.sprintf " step %d" (-l.Loop.step))
-      in
-      Buffer.add_string buf (pad ^ header ^ "\n"))
-    n.Nest.loops;
-  let body_pad = String.make (depth * 2) ' ' in
-  List.iter
-    (fun s -> Buffer.add_string buf (body_pad ^ stmt_to_string s ^ "\n"))
-    n.Nest.body;
-  List.iteri
-    (fun i _ ->
-      Buffer.add_string buf (String.make ((depth - 1 - i) * 2) ' ' ^ "}\n"))
-    n.Nest.loops;
-  Buffer.contents buf
+  List.iteri open_loop n.Nest.loops;
+  List.iter (stmt depth) n.Nest.body;
+  for d = depth - 1 downto 0 do
+    close_loop d
+  done
+
+let loop_header (l : Loop.t) =
+  if l.Loop.lo_max <> None || l.Loop.hi_min <> None then
+    invalid_arg "Pretty: clamped loops have no source syntax";
+  let lo = expr_to_string l.Loop.lo and hi = expr_to_string l.Loop.hi in
+  if l.Loop.step = 1 then Printf.sprintf "for %s = %s to %s {" l.Loop.var lo hi
+  else if l.Loop.step > 1 then
+    Printf.sprintf "for %s = %s to %s step %d {" l.Loop.var lo hi l.Loop.step
+  else
+    Printf.sprintf "for %s = %s downto %s%s {" l.Loop.var lo hi
+      (if l.Loop.step = -1 then "" else Printf.sprintf " step %d" (-l.Loop.step))
 
 let sanitize name =
   let cleaned =
@@ -127,5 +113,15 @@ let program (p : Program.t) =
            | other -> invalid_arg (Printf.sprintf "Pretty: %d-byte elements" other))))
     p.Program.arrays;
   Buffer.add_string buf "\n";
-  List.iter (fun n -> Buffer.add_string buf (nest n ^ "\n")) p.Program.nests;
+  let line depth text =
+    Buffer.add_string buf (String.make (depth * 2) ' ' ^ text ^ "\n")
+  in
+  List.iter
+    (fun n ->
+      walk n
+        ~open_loop:(fun depth l -> line depth (loop_header l))
+        ~stmt:(fun depth s -> line depth (stmt_to_string s))
+        ~close_loop:(fun depth -> line depth "}");
+      Buffer.add_string buf "\n")
+    p.Program.nests;
   Buffer.contents buf

@@ -37,10 +37,3 @@ let map_nests f t = { t with nests = List.map f t.nests }
 
 let set_nest t i nest =
   { t with nests = List.mapi (fun j n -> if i = j then nest else n) t.nests }
-
-let pp ppf t =
-  Format.fprintf ppf "program %s@." t.name;
-  List.iter (fun a -> Format.fprintf ppf "  %a@." Array_decl.pp a) t.arrays;
-  List.iteri
-    (fun i n -> Format.fprintf ppf "nest %d:@.%a@." i Nest.pp n)
-    t.nests

@@ -25,5 +25,3 @@ val map_nests : (Nest.t -> Nest.t) -> t -> t
 
 (** Replace the nest at an index. *)
 val set_nest : t -> int -> Nest.t -> t
-
-val pp : Format.formatter -> t -> unit

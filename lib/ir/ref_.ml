@@ -45,11 +45,3 @@ let equal a b =
   && (match constant_difference a b with
      | Some ds -> List.for_all (fun d -> d = 0) ds
      | None -> false)
-
-let pp ppf t =
-  Format.fprintf ppf "%s%s(%s)"
-    (match t.kind with Read -> "" | Write -> "=")
-    t.array
-    (String.concat "," (List.map (Format.asprintf "%a" Subscript.pp) t.subs))
-
-let to_string t = Format.asprintf "%a" pp t

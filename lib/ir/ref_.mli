@@ -36,7 +36,3 @@ val map_exprs : (Expr.t -> Expr.t) -> t -> t
 val constant_difference : t -> t -> int list option
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

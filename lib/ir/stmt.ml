@@ -14,8 +14,3 @@ let reads t = List.filter (fun r -> not (Ref_.is_write r)) t.refs
 let writes t = List.filter Ref_.is_write t.refs
 
 let map_refs f t = { t with refs = List.map f t.refs }
-
-let pp ppf t =
-  Format.fprintf ppf "{%s; %d flops}"
-    (String.concat " " (List.map Ref_.to_string t.refs))
-    t.flops

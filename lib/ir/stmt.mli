@@ -18,5 +18,3 @@ val reads : t -> Ref_.t list
 val writes : t -> Ref_.t list
 
 val map_refs : (Ref_.t -> Ref_.t) -> t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -28,7 +28,3 @@ let expr = function
 let map_expr f = function
   | Affine e -> Affine (f e)
   | Gather { table; index } -> Gather { table; index = f index }
-
-let pp ppf = function
-  | Affine e -> Expr.pp ppf e
-  | Gather { index; _ } -> Format.fprintf ppf "idx[%a]" Expr.pp index

@@ -33,5 +33,3 @@ val expr : t -> Expr.t
 (** Apply a function to the affine index expression (gather: to the table
     index expression). *)
 val map_expr : (Expr.t -> Expr.t) -> t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -64,10 +64,13 @@ let test_registry_sizing () =
   | exception Not_found -> ()
   | _ -> Alcotest.fail "expected Not_found"
 
-let test_expr_pp_roundtrip_display () =
+let test_expr_rendering () =
   let e = Expr.add (Expr.term 2 "i") (Expr.add (Expr.term (-1) "j") (Expr.const (-3))) in
-  Alcotest.(check string) "rendering" "2i-j-3" (Expr.to_string e);
-  Alcotest.(check string) "constant" "0" (Expr.to_string (Expr.const 0))
+  let show es = Pretty.ref_to_string (Ref_.read_a "A" es) in
+  Alcotest.(check string) "rendering" "A(2*i-j-3)" (show [ e ]);
+  Alcotest.(check string) "leading minus" "A(0-i+1)"
+    (show [ Expr.add (Expr.term (-1) "i") (Expr.const 1) ]);
+  Alcotest.(check string) "constant" "A(0,7)" (show [ Expr.const 0; Expr.const 7 ])
 
 let test_subscript_gather_bounds () =
   let s = Subscript.gather ~table:[| 5; 6 |] ~index:(Expr.var "i") in
@@ -102,7 +105,7 @@ let () =
       ( "ir",
         [
           Alcotest.test_case "pretty refusals" `Quick test_pretty_refusals;
-          Alcotest.test_case "expr rendering" `Quick test_expr_pp_roundtrip_display;
+          Alcotest.test_case "expr rendering" `Quick test_expr_rendering;
           Alcotest.test_case "gather bounds" `Quick test_subscript_gather_bounds;
           Alcotest.test_case "layout errors" `Quick test_layout_errors;
         ] );

@@ -699,10 +699,16 @@ let in_bench_dir args f =
     | None -> Alcotest.fail "mlc.exe not built (missing test dependency)"
   in
   let dir = Filename.temp_dir "mlc_bench" "" in
+  (* the run may leave a result cache directory behind *)
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> remove (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
   Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-      Sys.rmdir dir)
+    ~finally:(fun () -> remove dir)
     (fun () ->
       f dir
         (capture_stdout
@@ -722,7 +728,7 @@ let test_golden_bench_table1 () =
     | header :: "" :: rest -> String.concat "\n" (header :: "" :: block rest) ^ "\n"
     | _ -> Alcotest.fail "bench_fast.expected does not start with a header line"
   in
-  in_bench_dir "fast table1 --no-cache" (fun _ out ->
+  in_bench_dir "fast table1" (fun _ out ->
       Alcotest.(check string) "mlc bench fast table1" expected out)
 
 let test_bench_record_and_trace () =
@@ -768,6 +774,38 @@ let test_bench_fastsim_record () =
       | Some (Json.Int refs) -> Alcotest.(check bool) "refs streamed" true (refs > 0)
       | _ -> Alcotest.fail "no refs_streamed")
 
+(* --- mlc emit: the three printers on downward loops, pads, gathers ---------- *)
+
+let emit_expected =
+  List.find_opt Sys.file_exists [ "emit.expected"; "test/emit.expected" ]
+
+(* APPLU: downward loops and, under l2maxpad, a PAD array in the COMMON
+   block; BUK: gather tables and 4-byte elements; FFTPDE: a coefficient
+   of 2. *)
+let emit_golden_args =
+  [
+    "APPLU -n 6 -s l2maxpad --lang mlc";
+    "APPLU -n 6 -s l2maxpad --lang c";
+    "APPLU -n 6 -s l2maxpad --lang f77";
+    "BUK -n 40 --lang c";
+    "BUK -n 40 --lang f77";
+    "FFTPDE -n 64 --lang mlc";
+  ]
+
+let test_golden_emit () =
+  let expected =
+    match emit_expected with
+    | Some path -> In_channel.with_open_bin path In_channel.input_all
+    | None -> Alcotest.fail "emit.expected not found (missing test dependency)"
+  in
+  let actual =
+    String.concat ""
+      (List.map
+         (fun args -> "$ mlc emit " ^ args ^ "\n" ^ capture_stdout (mlc ("emit " ^ args)))
+         emit_golden_args)
+  in
+  Alcotest.(check string) "mlc emit" expected actual
+
 (* --- bad input: one line naming the value, non-zero, never a crash -------- *)
 
 let bad_inputs =
@@ -788,6 +826,9 @@ let bad_inputs =
     ("sweep JACOBI512 --jobs 0 --no-cache", [ "'0'"; "positive integer" ]);
     ("sweep JACOBI512 --jobs=-3 --no-cache", [ "'-3'"; "positive integer" ]);
     ("emit JACOBI512 --repeat 0", [ "'0'"; "positive integer" ]);
+    ("emit IRR500K --lang mlc", [ "irr500k"; "gather" ]);
+    ("emit BUK -n 5000 --lang f77", [ "buk5000"; "5000 entries"; "4096" ]);
+    ("emit WAVE5 --lang mlc", [ "wave5"; "at most one write" ]);
   ]
 
 let test_bad_input () =
@@ -860,6 +901,7 @@ let () =
           Alcotest.test_case "bench record and trace parse" `Slow
             test_bench_record_and_trace;
           Alcotest.test_case "bench fastsim record" `Slow test_bench_fastsim_record;
+          Alcotest.test_case "mlc emit" `Quick test_golden_emit;
           Alcotest.test_case "bad input fails cleanly" `Quick test_bad_input;
         ] );
     ]
