@@ -6,8 +6,11 @@
    consumes a whole two-loop segment at once: as long as no reference
    crosses an L1 line boundary and every referenced line is
    L1-resident, the iterations are guaranteed hits that touch no lower
-   level, so they can be accounted in bulk; and the segment's L1 misses
-   reach the lower levels as a batch, one level at a time.
+   level, so they can be accounted in bulk; a reference that crosses
+   onto a missing line is installed in place, without leaving the bulk
+   path, when no other reference's line sits in that L1 set; and the
+   segment's L1 misses reach the lower levels as a batch, one level at
+   a time.
 
    Associative levels and hardware prefetch are not modelled here;
    [create] rejects the former, and callers gate on both and fall back
@@ -26,11 +29,16 @@ type level = {
 type t = {
   write_allocate : bool;
   levels : level array;
-  (* scratch for [block], grown on demand to the widest ref group seen *)
+  (* scratch for [block], grown on demand to the widest ref group seen:
+     per ref its address, its next-crossing iteration, the L1 set of its
+     current line, and log2 of its stride *)
   mutable cur : int array;
-  mutable slot : int array;
-  mutable rem : int array;
+  mutable next : int array;
+  mutable set : int array;
   mutable shift : int array;
+  (* per L1 set, the refs whose current line sits in it during a steady
+     phase of [block]; all zero outside one *)
+  occ : int array;
   (* L1 misses of a [block] awaiting the levels below, in
      order, each [(addr land lnot 1) lor write] (lines are >= 4 bytes) *)
   batch : int array;
@@ -75,13 +83,15 @@ let batch_capacity = 1024
 
 let create ?(write_allocate = true) geoms =
   if geoms = [] then invalid_arg "Fast_sim.create: no levels";
+  let levels = Array.of_list (List.mapi make_level geoms) in
   {
     write_allocate;
-    levels = Array.of_list (List.mapi make_level geoms);
+    levels;
     cur = [||];
-    slot = [||];
-    rem = [||];
+    next = [||];
+    set = [||];
     shift = [||];
+    occ = Array.make (levels.(0).set_mask + 1) 0;
     batch = Array.make batch_capacity 0;
     bulk_segments = 0;
     bulk_iterations = 0;
@@ -198,12 +208,11 @@ let[@inline] push t pending addr ~write =
   else pending + 1
 
 (* Iterations, the current one included, that a reference at [a] with
-   stride [s] stays on its line; [sh] is log2 |s| for a power-of-two
-   stride below a line, else -1. *)
+   nonzero stride [s] stays on its line; [sh] is log2 |s| for a
+   power-of-two stride below a line, else -1. *)
 let[@inline] cross_dist ~line_mask a s sh =
   let line = line_mask + 1 in
-  if s = 0 then max_int
-  else if s >= line || -s >= line then 1
+  if s >= line || -s >= line then 1
   else if s > 0 then
     let d = line - (a land line_mask) + s - 1 in
     if sh >= 0 then d lsr sh else d / s
@@ -214,8 +223,8 @@ let[@inline] cross_dist ~line_mask a s sh =
 let ensure_scratch t n =
   if Array.length t.cur < n then begin
     t.cur <- Array.make n 0;
-    t.slot <- Array.make n 0;
-    t.rem <- Array.make n 0;
+    t.next <- Array.make n 0;
+    t.set <- Array.make n 0;
     t.shift <- Array.make n 0
   end
 
@@ -227,34 +236,41 @@ let ensure_scratch t n =
    the rows one by one, restarting its phase logic at each row start,
    so its work counters are those of one call per row.
 
-   Exactness: while every reference hits L1, lower levels see nothing
-   and no line is installed or evicted, so such iterations change no
-   tag state, only counters and dirty bits (idempotent: any write during
-   the run leaves the line dirty before the next possible eviction).  A
-   direct-mapped L1 has no recency state, so a steady all-hit phase
-   needs nothing but counting.  Per reference we track [rem], the number
-   of iterations (current included) it stays on its current line — pure
-   address geometry; the phase advances by the minimum and re-probes
-   only the references that crossed a line boundary, since nothing was
-   installed, so the others cannot have been evicted.  Crossed refs are
-   committed in two phases (check residency of all, then update), so a
-   miss never sets a dirty bit of an unsimulated iteration.  When a
-   crossed ref's new line is not resident, that one iteration runs in
-   place, keeping [rem] current; the phase goes on if every ref that
-   stays on its line still holds it, dirty if the ref writes (a later
-   fill may have evicted it, or a read filled it clean).  Otherwise
-   iterations run sequentially, with no [rem] upkeep, until one is
-   all-hit again.  A sequential iteration tests each ref's tag at its
-   turn (an install can evict a later ref's line) and sends a miss
-   through [miss_dm] into [t.batch] ([flush]ed when full and before
-   returning).  L1 is charged once, with the misses counted here.
+   A row alternates two phases.  The sequential phase runs whole
+   iterations access by access, testing each ref's tag at its turn (an
+   install can evict a later ref's line) and sending a miss through
+   [miss_dm] into [t.batch] ([flush]ed when full and before returning),
+   until an iteration hits throughout.  Every line that iteration
+   touched is then resident, and dirty if written, and the steady phase
+   starts from the next iteration with that invariant: every ref's
+   current line is L1-resident, and dirty if the ref writes.
+
+   Exactness of the steady phase: iterations in which no ref crosses a
+   line boundary are then guaranteed hits that reach no lower level and
+   change no tag state (dirty bits are idempotent), so a direct-mapped
+   L1, which has no recency state, needs nothing but counting for them.
+   Per ref we keep [next], the absolute iteration at which it next moves
+   onto another line (pure address geometry), and [set], the L1 set of
+   its current line; [occ] counts the refs per set.  The phase jumps to
+   the smallest [next], and one pass in ref order handles the refs that
+   cross there and finds the next crossing point.  A crossed ref's new
+   line either hits (setting its dirty bit if the ref writes) or is
+   installed right there, its miss counted and batched, when no other
+   ref's current line sits in its set: the line it evicts is then none
+   a ref is on, so the invariant holds and the later refs of the
+   iteration hit as assumed.  Refs not yet handled in the pass still
+   count on their old line, which only makes that test stricter.  On a
+   clash, or a write miss without write-allocate (which installs
+   nothing), the phase ends and the sequential phase takes over at that
+   iteration, from that ref.  L1 is charged once, with the misses
+   counted here.
 
    Unchecked array accesses: sets are masked by [set_mask]; scratch
    indices are < nrefs, and [block] validated the input array lengths. *)
 let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   let nrefs = Array.length bases in
   ensure_scratch t nrefs;
-  let cur = t.cur and rem = t.rem and slot = t.slot and shift = t.shift in
+  let cur = t.cur and next = t.next and rset = t.set and shift = t.shift and occ = t.occ in
   let line_bits = l1.line_bits and set_mask = l1.set_mask in
   let tags = l1.tags in
   let line_mask = (1 lsl line_bits) - 1 in
@@ -275,129 +291,119 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
         (Array.unsafe_get bases r + (o * Array.unsafe_get outer_strides r))
     done;
     let i = ref 0 in
+    (* the first ref of iteration [!i] not yet issued *)
+    let from = ref 0 in
     while !i < count do
-      (* is iteration !i an all-hit iteration? *)
-      let all = ref true in
-      for r = 0 to nrefs - 1 do
-        let la = Array.unsafe_get cur r lsr line_bits in
-        if Array.unsafe_get tags (la land set_mask) lsr 1 <> la then all := false
-      done;
-      if !all then begin
-        (* steady all-hit phase *)
-        for r = 0 to nrefs - 1 do
+      (* sequential phase: whole iterations until one hits throughout *)
+      let had_miss = ref true in
+      while !had_miss && !i < count do
+        had_miss := false;
+        for r = !from to nrefs - 1 do
           let a = Array.unsafe_get cur r in
-          if Array.unsafe_get writes r then begin
-            let set = (a lsr line_bits) land set_mask in
-            Array.unsafe_set tags set (Array.unsafe_get tags set lor 1)
+          let la = a lsr line_bits and w = Array.unsafe_get writes r in
+          let set = la land set_mask in
+          let e = Array.unsafe_get tags set in
+          if e lsr 1 = la then begin
+            if w then Array.unsafe_set tags set (e lor 1)
+          end
+          else begin
+            let o = miss_dm ~write_allocate ~write:w tags la set in
+            had_miss := true;
+            incr nmiss;
+            nwb := !nwb + (o land 1);
+            pending := push t !pending a ~write:w
           end;
-          Array.unsafe_set rem r
-            (cross_dist ~line_mask a (Array.unsafe_get strides r) (Array.unsafe_get shift r))
+          Array.unsafe_set cur r (a + Array.unsafe_get strides r)
+        done;
+        from := 0;
+        incr seq_iters;
+        incr i
+      done;
+      if (not !had_miss) && !i < count then begin
+        (* steady phase from [i0], with [cur] kept at [i0]; the current
+           lines are those of iteration [i0 - 1] *)
+        let i0 = !i in
+        let nx = ref count in
+        for r = 0 to nrefs - 1 do
+          let s = Array.unsafe_get strides r in
+          let a = Array.unsafe_get cur r - s in
+          let set = (a lsr line_bits) land set_mask in
+          Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
+          Array.unsafe_set rset r set;
+          let x =
+            if s = 0 then max_int
+            else i0 - 1 + cross_dist ~line_mask a s (Array.unsafe_get shift r)
+          in
+          Array.unsafe_set next r x;
+          if x < !nx then nx := x
         done;
         let steady = ref true in
-        while !steady && !i < count do
-          let k = ref (count - !i) in
-          for r = 0 to nrefs - 1 do
-            let rr = Array.unsafe_get rem r in
-            if rr < !k then k := rr
-          done;
-          let k = !k in
-          bulk_iters := !bulk_iters + k;
-          incr bulk_segs;
-          i := !i + k;
-          for r = 0 to nrefs - 1 do
-            Array.unsafe_set rem r (Array.unsafe_get rem r - k);
-            Array.unsafe_set cur r
-              (Array.unsafe_get cur r + (k * Array.unsafe_get strides r))
-          done;
-          let crossing = ref (!i < count) in
-          while !crossing do
-            (* crossed refs (rem = 0) moved onto unverified lines *)
-            let ok = ref true in
-            let nc = ref 0 in
-            for r = 0 to nrefs - 1 do
-              if Array.unsafe_get rem r = 0 then begin
-                let la = Array.unsafe_get cur r lsr line_bits in
-                if Array.unsafe_get tags (la land set_mask) lsr 1 <> la then ok := false;
-                Array.unsafe_set slot !nc r;
-                incr nc
+        while !steady do
+          let ic = !nx in
+          if ic > !i then begin
+            bulk_iters := !bulk_iters + (ic - !i);
+            incr bulk_segs;
+            i := ic
+          end;
+          if ic = count then steady := false
+          else begin
+            (* the crossing pass at iteration [ic] *)
+            let d = ic - i0 in
+            nx := count;
+            let r = ref 0 in
+            while !r < nrefs do
+              let q = !r in
+              let x = Array.unsafe_get next q in
+              if x > ic then begin
+                if x < !nx then nx := x;
+                r := q + 1
               end
-            done;
-            if !ok then begin
-              for j = 0 to !nc - 1 do
-                let r = Array.unsafe_get slot j in
-                let a = Array.unsafe_get cur r in
-                if Array.unsafe_get writes r then begin
-                  let set = (a lsr line_bits) land set_mask in
-                  Array.unsafe_set tags set (Array.unsafe_get tags set lor 1)
-                end;
-                Array.unsafe_set rem r
-                  (cross_dist ~line_mask a (Array.unsafe_get strides r) (Array.unsafe_get shift r))
-              done;
-              crossing := false
-            end
-            else begin
-              (* iteration !i in place *)
-              for r = 0 to nrefs - 1 do
-                let a = Array.unsafe_get cur r and s = Array.unsafe_get strides r in
-                if Array.unsafe_get rem r = 0 then
-                  Array.unsafe_set rem r (cross_dist ~line_mask a s (Array.unsafe_get shift r));
-                let la = a lsr line_bits and w = Array.unsafe_get writes r in
-                let set = la land set_mask in
+              else begin
+                let s = Array.unsafe_get strides q in
+                let a = Array.unsafe_get cur q + (d * s) in
+                let la = a lsr line_bits and w = Array.unsafe_get writes q in
+                let set = la land set_mask and old = Array.unsafe_get rset q in
                 let e = Array.unsafe_get tags set in
                 if e lsr 1 = la then begin
                   if w then Array.unsafe_set tags set (e lor 1)
                 end
-                else begin
+                else if
+                  Array.unsafe_get occ set = Bool.to_int (old = set)
+                  && (write_allocate || not w)
+                then begin
                   let o = miss_dm ~write_allocate ~write:w tags la set in
                   incr nmiss;
                   nwb := !nwb + (o land 1);
                   pending := push t !pending a ~write:w
+                end
+                else begin
+                  (* a clash: iteration [ic] goes on in place from [q] *)
+                  from := q;
+                  steady := false
                 end;
-                Array.unsafe_set cur r (a + s);
-                Array.unsafe_set rem r (Array.unsafe_get rem r - 1)
-              done;
-              incr seq_iters;
-              incr i;
-              if !i < count then
-                for r = 0 to nrefs - 1 do
-                  if Array.unsafe_get rem r > 0 then begin
-                    let la = Array.unsafe_get cur r lsr line_bits in
-                    let e = Array.unsafe_get tags (la land set_mask) in
-                    if
-                      if Array.unsafe_get writes r then e <> (la lsl 1) lor 1
-                      else e lsr 1 <> la
-                    then steady := false
-                  end
-                done;
-              crossing := !steady && !i < count
-            end
-          done
-        done
-      end
-      else begin
-        (* sequential phase: whole iterations until one is all-hit again *)
-        let had_miss = ref true in
-        while !had_miss && !i < count do
-          had_miss := false;
-          for r = 0 to nrefs - 1 do
-            let a = Array.unsafe_get cur r in
-            let la = a lsr line_bits and w = Array.unsafe_get writes r in
-            let set = la land set_mask in
-            let e = Array.unsafe_get tags set in
-            if e lsr 1 = la then begin
-              if w then Array.unsafe_set tags set (e lor 1)
-            end
-            else begin
-              let o = miss_dm ~write_allocate ~write:w tags la set in
-              had_miss := true;
-              incr nmiss;
-              nwb := !nwb + (o land 1);
-              pending := push t !pending a ~write:w
-            end;
-            Array.unsafe_set cur r (a + Array.unsafe_get strides r)
-          done;
-          incr seq_iters;
-          incr i
+                if !steady then begin
+                  Array.unsafe_set occ old (Array.unsafe_get occ old - 1);
+                  Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
+                  Array.unsafe_set rset q set;
+                  let x = ic + cross_dist ~line_mask a s (Array.unsafe_get shift q) in
+                  Array.unsafe_set next q x;
+                  if x < !nx then nx := x;
+                  r := q + 1
+                end
+                else r := nrefs
+              end
+            done
+          end
+        done;
+        (* [cur] to iteration [!i], and to [!i + 1] for the refs a clash
+           left already issued *)
+        let d = !i - i0 and issued = !from in
+        for r = 0 to nrefs - 1 do
+          let s = Array.unsafe_get strides r in
+          let d = if r < issued then d + 1 else d in
+          Array.unsafe_set cur r (Array.unsafe_get cur r + (d * s));
+          let set = Array.unsafe_get rset r in
+          Array.unsafe_set occ set (Array.unsafe_get occ set - 1)
         done
       end
     done

@@ -36,9 +36,15 @@ val access : t -> ?write:bool -> int -> int
     [o], iteration [j] accesses, for each reference [r] in order, address
     [bases.(r) + o * outer_strides.(r) + j * strides.(r)], as a write iff
     [writes.(r)]; rows, then iterations, then references.  Exactly
-    equivalent to issuing every access through {!access}, but segments in
-    which every reference stays within an L1-resident line are accounted
-    in bulk.  Nothing is left pending when it returns.
+    equivalent to issuing every access through {!access}.  After an
+    iteration that hits throughout, the following iterations are
+    accounted in bulk, jumping from one L1 line crossing to the next; a
+    reference that crosses onto a line that is not resident is installed
+    right there (its miss counted and sent down) when no other
+    reference's current line sits in that L1 set.  A clash, or a write
+    miss without write-allocate, sends the row back to access-by-access
+    simulation, from that reference, until an iteration hits throughout
+    again.  Nothing is left pending when it returns.
     @raise Invalid_argument when the four arrays differ in length. *)
 val block :
   t ->
@@ -59,13 +65,17 @@ val level_stats : t -> Stats.t list
     a high bulk share is what makes this backend fast. *)
 type metrics = {
   bulk_segments : int;
-      (** all-hit segments accounted in bulk: one per advance of the
-          steady phase to the next line crossing *)
-  bulk_iterations : int;  (** iterations covered by those segments *)
+      (** segments accounted in bulk: one per advance of the steady phase
+          to the next line crossing *)
+  bulk_iterations : int;
+      (** iterations covered by those segments, including crossing
+          iterations whose misses were installed in place *)
   seq_iterations : int;
-      (** iterations replayed access by access: conflict iterations, and
-          each crossing iteration that missed and ran in place inside the
-          steady phase *)
+      (** iterations run access by access: every iteration up to and
+          including the first that hits throughout, at each row start and
+          after a clash (a crossing onto a set where another reference's
+          line sits, or a write miss without write-allocate); the clash's
+          own iteration counts here *)
 }
 
 val metrics : t -> metrics

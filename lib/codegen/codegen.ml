@@ -193,9 +193,9 @@ let max_table = 4096
 (* Fixed form: statements start at column 7; continuation lines carry a
    character in column 6; nothing beyond column 72. *)
 let f77_line buf text =
-  let body_width = 66 in
   let rec go text first =
     let lead = if first then "      " else "     & " in
+    let body_width = 72 - String.length lead in
     if String.length text <= body_width then Buffer.add_string buf (lead ^ text ^ "\n")
     else begin
       Buffer.add_string buf (lead ^ String.sub text 0 body_width ^ "\n");

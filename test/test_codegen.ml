@@ -61,25 +61,24 @@ let prop_pretty_roundtrip_random =
 (* --- C codegen -------------------------------------------------------------- *)
 
 let compile_and_run c_source =
-  let dir = Filename.temp_file "mlc_cg" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let c_path = Filename.concat dir "prog.c" in
-  let exe_path = Filename.concat dir "prog" in
-  let oc = open_out c_path in
-  output_string oc c_source;
-  close_out oc;
-  let compile =
-    Printf.sprintf "gcc -O1 -o %s %s 2> %s/gcc.log" exe_path c_path dir
-  in
-  if Sys.command compile <> 0 then begin
-    let log = In_channel.with_open_text (dir ^ "/gcc.log") In_channel.input_all in
-    Alcotest.failf "gcc failed:\n%s" log
-  end;
-  let out_path = Filename.concat dir "out.txt" in
-  if Sys.command (Printf.sprintf "%s > %s" exe_path out_path) <> 0 then
-    Alcotest.fail "generated program crashed";
-  In_channel.with_open_text out_path In_channel.input_all
+  let dir = Filename.temp_dir "mlc_cg" "" in
+  Fun.protect
+    ~finally:(fun () -> Tmp_tree.rm_rf dir)
+    (fun () ->
+      let c_path = Filename.concat dir "prog.c" in
+      let exe_path = Filename.concat dir "prog" in
+      Out_channel.with_open_text c_path (fun oc -> output_string oc c_source);
+      let compile =
+        Printf.sprintf "gcc -O1 -o %s %s 2> %s/gcc.log" exe_path c_path dir
+      in
+      if Sys.command compile <> 0 then begin
+        let log = In_channel.with_open_text (dir ^ "/gcc.log") In_channel.input_all in
+        Alcotest.failf "gcc failed:\n%s" log
+      end;
+      let out_path = Filename.concat dir "out.txt" in
+      if Sys.command (Printf.sprintf "%s > %s" exe_path out_path) <> 0 then
+        Alcotest.fail "generated program crashed";
+      In_channel.with_open_text out_path In_channel.input_all)
 
 (* jacobi, and APPLU for its downward loops *)
 let test_codegen_compiles_and_runs () =
@@ -161,7 +160,19 @@ let test_f77_structure () =
     |> List.filter (fun l -> contains l needle)
     |> List.length
   in
-  check_bool "DOs balanced with ENDDOs" true (count "DO " >= count "ENDDO")
+  check_bool "DOs balanced with ENDDOs" true (count "DO " >= count "ENDDO");
+  (* continuation lines too: BUK's DATA statements run over several *)
+  let buk = K.Nas.buk 40 in
+  let lines =
+    String.split_on_char '\n' (Mlc_codegen.Codegen.emit_f77 (Layout.initial buk) buk)
+  in
+  check_bool "BUK has continuation lines" true
+    (List.exists (fun l -> String.starts_with ~prefix:"     & " l) lines);
+  List.iter
+    (fun l ->
+      if String.length l > 72 then
+        Alcotest.failf "line of %d columns: %s" (String.length l) l)
+    lines
 
 let test_f77_intra_pad_leading_dimension () =
   let p = K.Livermore.erle 64 in

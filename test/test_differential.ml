@@ -7,8 +7,8 @@
    reference cascade's k-way LRU has its own oracle in
    test_properties.ml.
 
-   Case counts scale with the QCHECK_COUNT environment variable (the
-   nightly CI job sets it to 2000); the defaults already exceed 1000
+   Case counts scale with the QCHECK_COUNT environment variable (CI
+   sets it to 2000 on every push); the defaults already exceed 1000
    random (trace, hierarchy) cases per run. *)
 
 module Cs = Mlc_cachesim
@@ -356,6 +356,61 @@ let prop_crossing =
     (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
       rows_match h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
 
+(* Clashing crossings: 2-6 references on a tiny L1 (1-8 sets of 8-32
+   bytes) whose lines share L1 sets.  Each base is a random multiple of
+   the L1 size away from one anchor, shifted by -2..2 lines and a few
+   elements, so the references step into one another's sets at
+   different iterations.  Strides are +-elem, 0, or at least a line;
+   writes are random.  A crossing miss may be installed in the steady
+   phase only in a set that no other reference's current line is in,
+   and a write miss without write-allocate installs nothing. *)
+let gen_clashing =
+  QCheck.Gen.(
+    let* line_bits = int_range 3 5 in
+    let* sets_bits = int_range 0 3 in
+    let line = 1 lsl line_bits in
+    let l1_size = line lsl sets_bits in
+    let lower =
+      let* lbits = int_range line_bits 6 in
+      let* sbits = int_range 0 4 in
+      return { Cs.Level.size = 1 lsl (lbits + sbits); line = 1 lsl lbits; assoc = 1 }
+    in
+    let* lowers = list_size (int_range 0 2) lower in
+    let* write_allocate = bool in
+    let* elem = oneofl [ 4; 8 ] in
+    let* nrefs = int_range 2 6 in
+    let* anchor = int_range 0 (4 * l1_size) in
+    let reference =
+      let* k = int_range 0 3 and* lines = int_range (-2) 2 in
+      let* off = int_range 0 ((line / elem) - 1) in
+      let* stride = oneofl [ elem; -elem; elem; -elem; 0; line; -line; 2 * line; l1_size ] in
+      return (anchor + (k * l1_size) + (lines * line) + (off * elem), stride)
+    in
+    let* refs = list_repeat nrefs reference in
+    let* writes = list_repeat nrefs bool in
+    let* count = int_range 1 120 in
+    let* outer_count = int_range 1 3 in
+    let* outer_strides =
+      flatten_l
+        (List.map (fun (_, s) -> oneofl [ 0; count * s; line; l1_size; -l1_size ]) refs)
+    in
+    return
+      ( (write_allocate, { Cs.Level.size = l1_size; line; assoc = 1 } :: lowers),
+        ( Array.of_list (List.map fst refs),
+          Array.of_list (List.map snd refs),
+          Array.of_list writes,
+          count,
+          Array.of_list outer_strides,
+          outer_count ) ))
+
+let prop_clashing =
+  QCheck.Test.make
+    ~name:"clashing crossings: Fast_sim.block = per-access reference cascade"
+    ~count:(qcheck_count 400)
+    (QCheck.make ~print:print_rows gen_clashing)
+    (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
+      rows_match h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
+
 (* Found by the crossing-streams property.  After an iteration run in
    place, a writing reference can stay on a line that is resident but
    clean: here, under no-write-allocate, its write misses and a later
@@ -375,8 +430,10 @@ let test_refilled_clean () =
    A(i,k) at stride 8, B(k,j) at stride 0, the K x I rows of a few
    columns j as one two-loop segment each, on the UltraSPARC geometry.
    C and A each cross an L1 line every fourth iteration, A two
-   iterations after C; a crossing that misses runs in place, so every
-   sequential iteration has a miss and the rest of each row is bulk. *)
+   iterations after C.  A crossing that misses is installed in place
+   unless the new line's set holds another reference's line, so most
+   misses stay in the bulk path, and sequential iterations number at
+   most half the L1 misses. *)
 let test_matmul_rows () =
   let n = 96 and elem = 8 in
   let col = n * elem in
@@ -410,7 +467,12 @@ let test_matmul_rows () =
     (Printf.sprintf "no more sequential iterations (%d) than L1 misses (%d)"
        m.Cs.Fast_sim.seq_iterations l1_misses)
     true
-    (m.Cs.Fast_sim.seq_iterations <= l1_misses)
+    (m.Cs.Fast_sim.seq_iterations <= l1_misses);
+  Alcotest.(check bool)
+    (Printf.sprintf "crossing misses mostly installed in place: %d sequential iterations, %d L1 misses"
+       m.Cs.Fast_sim.seq_iterations l1_misses)
+    true
+    (m.Cs.Fast_sim.seq_iterations <= l1_misses / 2)
 
 (* The packed tag word at the ends of the address range, against the
    reference on every level: -1, min_int and max_int (and their
@@ -570,6 +632,7 @@ let () =
             prop_ping_pong;
             prop_rows;
             prop_crossing;
+            prop_clashing;
           ] );
       ( "rows",
         [

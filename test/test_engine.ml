@@ -13,18 +13,6 @@ let tmpdir prefix =
   Sys.remove d;
   d
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    let rec go path =
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> go (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-    in
-    go dir
-  end
-
 (* A small but real sweep: two kernels, two sizes, two strategies. *)
 let sweep_specs () =
   List.concat_map
@@ -137,7 +125,7 @@ let test_parallel_deterministic () =
 let test_cache_roundtrip () =
   let dir = tmpdir "mlc_cache_rt" in
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () -> Tmp_tree.rm_rf dir)
     (fun () ->
       let specs = sweep_specs () in
       let cold_cache = E.Cache.open_ ~dir ~version:"v1" () in
@@ -157,7 +145,7 @@ let test_cache_roundtrip () =
 let test_cache_stale_key () =
   let dir = tmpdir "mlc_cache_stale" in
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () -> Tmp_tree.rm_rf dir)
     (fun () ->
       let spec =
         E.Job.simulate ~layout:E.Job.Initial
@@ -188,7 +176,7 @@ let test_cache_stale_key () =
 let test_cache_key_scheme () =
   let dir = tmpdir "mlc_cache_key" in
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () -> Tmp_tree.rm_rf dir)
     (fun () ->
       let c = E.Cache.open_ ~dir ~version:"v1" () in
       let spec n strategy =
@@ -209,7 +197,7 @@ let test_cache_key_scheme () =
 let test_cache_default_version () =
   let dir = tmpdir "mlc_cache_version" in
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () -> Tmp_tree.rm_rf dir)
     (fun () ->
       let digest = "exe-" ^ Digest.to_hex (Digest.file Sys.executable_name) in
       Alcotest.(check string) "default version" digest (E.Cache.default_version ());

@@ -15,18 +15,6 @@ let tmpdir prefix =
   Sys.remove d;
   d
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    let rec go path =
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> go (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-    in
-    go dir
-  end
-
 let contains s sub =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -97,7 +85,7 @@ let test_collect_isolation () =
 let test_corrupt_quarantine () =
   let dir = tmpdir "mlc_fault_corrupt" in
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () -> Tmp_tree.rm_rf dir)
     (fun () ->
       let spec = spec1 () in
       let first =
@@ -128,7 +116,7 @@ let test_corrupt_quarantine () =
 let test_resume_only_missing () =
   let dir = tmpdir "mlc_fault_resume" in
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () -> Tmp_tree.rm_rf dir)
     (fun () ->
       let specs = sweep_specs () in
       let failed =
@@ -155,7 +143,7 @@ let test_resume_only_missing () =
 let test_cache_verify_gc () =
   let dir = tmpdir "mlc_fault_verify" in
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () -> Tmp_tree.rm_rf dir)
     (fun () ->
       let c = E.Cache.open_ ~dir ~version:"v1" () in
       let specs = [| spec1 ~n:64 (); spec1 ~n:72 (); spec1 ~n:80 () |] in
@@ -202,8 +190,8 @@ let test_cli_collect_resume () =
   let d_crash = tmpdir "mlc_fault_cli" and d_full = tmpdir "mlc_fault_cli_full" in
   Fun.protect
     ~finally:(fun () ->
-      rm_rf d_crash;
-      rm_rf d_full)
+      Tmp_tree.rm_rf d_crash;
+      Tmp_tree.rm_rf d_full)
     (fun () ->
       let base =
         Printf.sprintf
