@@ -6,11 +6,12 @@
    consumes a whole two-loop segment at once: as long as no reference
    crosses an L1 line boundary and every referenced line is
    L1-resident, the iterations are guaranteed hits that touch no lower
-   level, so they can be accounted in bulk; a reference that crosses
-   onto a missing line is installed in place, without leaving the bulk
-   path, when no other reference's line sits in that L1 set; and the
-   segment's L1 misses reach the lower levels as a batch, one level at
-   a time.
+   level, so they can be accounted in bulk, jumping from one line
+   crossing to the next as a per-row calendar of crossings lists them;
+   a reference that crosses onto a missing line is installed in place,
+   without leaving the bulk path, when no other reference's line sits
+   in that L1 set; and the segment's L1 misses reach the lower levels
+   as a batch, one level at a time.
 
    Associative levels and hardware prefetch are not modelled here;
    [create] rejects the former, and callers gate on both and fall back
@@ -30,12 +31,15 @@ type t = {
   write_allocate : bool;
   levels : level array;
   (* scratch for [block], grown on demand to the widest ref group seen:
-     per ref its address, its next-crossing iteration, the L1 set of its
-     current line, and log2 of its stride *)
+     per ref its address and the L1 set of its current line *)
   mutable cur : int array;
-  mutable next : int array;
   mutable set : int array;
-  mutable shift : int array;
+  (* the crossing calendar of [block]'s current row (see [calendar]):
+     ref lists per residue, list starts (L1 line + 1 entries), and
+     distance to the next non-empty residue (L1 line entries) *)
+  mutable cal : int array;
+  cal_start : int array;
+  cal_gap : int array;
   (* per L1 set, the refs whose current line sits in it during a steady
      phase of [block]; all zero outside one *)
   occ : int array;
@@ -88,9 +92,10 @@ let create ?(write_allocate = true) geoms =
     write_allocate;
     levels;
     cur = [||];
-    next = [||];
     set = [||];
-    shift = [||];
+    cal = [||];
+    cal_start = Array.make ((1 lsl levels.(0).line_bits) + 1) 0;
+    cal_gap = Array.make (1 lsl levels.(0).line_bits) 0;
     occ = Array.make (levels.(0).set_mask + 1) 0;
     batch = Array.make batch_capacity 0;
     bulk_segments = 0;
@@ -207,26 +212,71 @@ let[@inline] push t pending addr ~write =
   end
   else pending + 1
 
-(* Iterations, the current one included, that a reference at [a] with
-   nonzero stride [s] stays on its line; [sh] is log2 |s| for a
-   power-of-two stride below a line, else -1. *)
-let[@inline] cross_dist ~line_mask a s sh =
-  let line = line_mask + 1 in
-  if s >= line || -s >= line then 1
-  else if s > 0 then
-    let d = line - (a land line_mask) + s - 1 in
-    if sh >= 0 then d lsr sh else d / s
-  else
-    let d = a land line_mask in
-    (if sh >= 0 then d lsr sh else d / -s) + 1
-
 let ensure_scratch t n =
   if Array.length t.cur < n then begin
     t.cur <- Array.make n 0;
-    t.next <- Array.make n 0;
-    t.set <- Array.make n 0;
-    t.shift <- Array.make n 0
+    t.set <- Array.make n 0
   end
+
+(* The crossing calendar of row [o] of a [block] call, with period [p]
+   (a power of two, at most the L1 line): for each residue [rho < p],
+   [t.cal.(t.cal_start.(rho)) .. t.cal.(t.cal_start.(rho + 1) - 1)] are
+   the refs, in order, whose L1 line at iteration [j] differs from their
+   line at [j - 1] for every [j] of the row with [j land (p - 1) = rho],
+   and [t.cal_gap.(rho)] is the distance from [rho] to the first residue
+   at or after it (cyclically) whose list is not empty, [max_int] when
+   none is.  A ref's offset within its line at iteration [j] is
+   [(a0 + j * s) mod line], which repeats every line / gcd(|s|, line)
+   iterations, a power of two that divides [p]; so does the crossing
+   test, which is therefore made once per residue, on the addresses of
+   iterations [rho - 1] and [rho].  The calendar fits every row that
+   starts each moving ref at the same offset within its line. *)
+let calendar t ~bases ~strides ~outer_strides ~line_bits ~p o =
+  let nrefs = Array.length bases in
+  if Array.length t.cal < p * nrefs then t.cal <- Array.make (p * nrefs) 0;
+  let cal = t.cal and start = t.cal_start and gap = t.cal_gap in
+  let n = ref 0 in
+  for rho = 0 to p - 1 do
+    start.(rho) <- !n;
+    for r = 0 to nrefs - 1 do
+      let s = strides.(r) in
+      let a = bases.(r) + (o * outer_strides.(r)) + ((rho - 1) * s) in
+      if s <> 0 && a lsr line_bits <> (a + s) lsr line_bits then begin
+        cal.(!n) <- r;
+        incr n
+      end
+    done
+  done;
+  start.(p) <- !n;
+  let next = ref max_int in
+  for k = (2 * p) - 1 downto 0 do
+    let rho = k land (p - 1) in
+    if start.(rho + 1) > start.(rho) then next := k;
+    if k < p then gap.(rho) <- (if !next = max_int then max_int else !next - k)
+  done
+
+(* The first iteration at or after [j] at which a ref crosses, by the
+   calendar's [gap], or [count] *)
+let[@inline] next_crossing gap ~pmask ~count j =
+  let g = Array.unsafe_get gap (j land pmask) in
+  if g >= count - j then count else j + g
+
+(* The probe: whether every ref's line of the iteration just issued
+   ([cur] is one stride past it) is L1-resident, and dirty if the ref
+   writes. *)
+let resident l1 cur ~strides ~writes =
+  let line_bits = l1.line_bits and set_mask = l1.set_mask and tags = l1.tags in
+  let r = ref 0 and n = Array.length strides in
+  while
+    !r < n
+    &&
+    let la = (Array.unsafe_get cur !r - Array.unsafe_get strides !r) lsr line_bits in
+    let e = Array.unsafe_get tags (la land set_mask) in
+    e lsr 1 = la && (e land 1 = 1 || not (Array.unsafe_get writes !r))
+  do
+    incr r
+  done;
+  !r = n
 
 (* [block] pushes a two-loop segment through the hierarchy: row o,
    iteration j issues, for each ref r in order,
@@ -239,50 +289,80 @@ let ensure_scratch t n =
    A row alternates two phases.  The sequential phase runs whole
    iterations access by access, testing each ref's tag at its turn (an
    install can evict a later ref's line) and sending a miss through
-   [miss_dm] into [t.batch] ([flush]ed when full and before returning),
-   until an iteration hits throughout.  Every line that iteration
-   touched is then resident, and dirty if written, and the steady phase
-   starts from the next iteration with that invariant: every ref's
-   current line is L1-resident, and dirty if the ref writes.
+   [miss_dm] into [t.batch] ([flush]ed when full and before returning).
+   It ends after an iteration that hits throughout, or after its first
+   iteration when the probe ([resident]) finds every ref's line of that
+   iteration resident, and dirty if written; either way the steady
+   phase starts from the next iteration with that invariant: every
+   ref's current line is L1-resident, and dirty if the ref writes.
 
    Exactness of the steady phase: iterations in which no ref crosses a
    line boundary are then guaranteed hits that reach no lower level and
    change no tag state (dirty bits are idempotent), so a direct-mapped
    L1, which has no recency state, needs nothing but counting for them.
-   Per ref we keep [next], the absolute iteration at which it next moves
-   onto another line (pure address geometry), and [set], the L1 set of
-   its current line; [occ] counts the refs per set.  The phase jumps to
-   the smallest [next], and one pass in ref order handles the refs that
-   cross there and finds the next crossing point.  A crossed ref's new
-   line either hits (setting its dirty bit if the ref writes) or is
-   installed right there, its miss counted and batched, when no other
-   ref's current line sits in its set: the line it evicts is then none
-   a ref is on, so the invariant holds and the later refs of the
-   iteration hit as assumed.  Refs not yet handled in the pass still
-   count on their old line, which only makes that test stricter.  On a
-   clash, or a write miss without write-allocate (which installs
-   nothing), the phase ends and the sequential phase takes over at that
-   iteration, from that ref.  L1 is charged once, with the misses
-   counted here.
+   The row's crossing [calendar] names the iterations at which some ref
+   moves onto another line, and which refs do; the phase jumps to the
+   next such iteration, and one pass over its list handles those refs
+   in order.  Per ref, [set] is the L1 set of its current line, and
+   [occ] counts the refs per set.  A crossed ref's new line either hits
+   (setting its dirty bit if the ref writes) or is installed right
+   there, its miss counted and batched, when no other ref's current line
+   sits in its set: the line it evicts is then none a ref is on, so the
+   invariant holds and the later refs of the iteration hit as assumed.
+   Refs not yet handled in the pass still count on their old line,
+   which only makes that test stricter.  On a clash, or a write miss
+   without write-allocate (which installs nothing), the phase ends and
+   the sequential phase takes over at that iteration, from that ref.
+   L1 is charged once, with the misses counted here.
+
+   The calendar is built at a row's first steady phase, and kept for
+   the later rows of the call when every moving ref's outer stride is a
+   multiple of the line ([shared]).  Its period [p] is the largest
+   line / gcd(|s|, line) over the refs with 0 < |s| < line (a ref moving
+   a line or more crosses at every iteration).  Where the steady phase
+   cannot pay, the row runs access by access throughout ([bulk] false):
+   - when half or more of the accesses cross a line (a ref crosses at
+     min(|s|, line) / line of the iterations): a crossing pass then
+     costs what the sequential iterations it replaces cost;
+   - when a calendar would serve fewer than four periods of iterations:
+     the row is shorter than that, and the call's rows either need
+     calendars of their own or are that short all together.
 
    Unchecked array accesses: sets are masked by [set_mask]; scratch
-   indices are < nrefs, and [block] validated the input array lengths. *)
+   indices are < nrefs, calendar residues < p, and [block] validated
+   the input array lengths. *)
 let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   let nrefs = Array.length bases in
   ensure_scratch t nrefs;
-  let cur = t.cur and next = t.next and rset = t.set and shift = t.shift and occ = t.occ in
+  let cur = t.cur and rset = t.set and occ = t.occ in
   let line_bits = l1.line_bits and set_mask = l1.set_mask in
   let tags = l1.tags in
-  let line_mask = (1 lsl line_bits) - 1 in
-  let nwrites = ref 0 in
+  let line = 1 lsl line_bits in
+  (* the period is line over the smallest power of two dividing a
+     stride below a line; [crossing] sums min(|s|, line); [shared]: one
+     calendar fits every row *)
+  let low = ref line and crossing = ref 0 and nwrites = ref 0 and shared = ref true in
   for r = 0 to nrefs - 1 do
     let s = abs strides.(r) in
-    shift.(r) <- (if s <= line_mask && is_pow2 s then log2 s else -1);
+    if s < line then begin
+      if s <> 0 && s land -s < !low then low := s land -s;
+      crossing := !crossing + s
+    end
+    else crossing := !crossing + line;
+    if s <> 0 && outer_strides.(r) land (line - 1) <> 0 then shared := false;
     if writes.(r) then incr nwrites
   done;
-  let nwrites = !nwrites in
+  let p = line / !low and nwrites = !nwrites and shared = !shared in
+  let pmask = p - 1 in
+  let bulk =
+    (count >= 4 * p || (shared && count * outer_count >= 4 * p))
+    && 2 * !crossing < nrefs * line
+  in
+  let cal_start = t.cal_start and cal_gap = t.cal_gap in
+  (* the row [t]'s calendar was built for in this call, -1 for none *)
+  let cal_row = ref (-1) in
   let write_allocate = t.write_allocate in
-  let bulk_segs = ref 0 and bulk_iters = ref 0 and seq_iters = ref 0 in
+  let bulk_segs = ref 0 and bulk_iters = ref 0 in
   let nmiss = ref 0 and nwb = ref 0 in
   let pending = ref 0 in
   for o = 0 to outer_count - 1 do
@@ -293,10 +373,12 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
     let i = ref 0 in
     (* the first ref of iteration [!i] not yet issued *)
     let from = ref 0 in
+    let had_miss = ref false in
     while !i < count do
-      (* sequential phase: whole iterations until one hits throughout *)
-      let had_miss = ref true in
-      while !had_miss && !i < count do
+      (* sequential phase: whole iterations until the steady phase may
+         start, the probe tried after the first *)
+      let probe = ref bulk and go = ref true in
+      while !go do
         had_miss := false;
         for r = !from to nrefs - 1 do
           let a = Array.unsafe_get cur r in
@@ -316,27 +398,31 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
           Array.unsafe_set cur r (a + Array.unsafe_get strides r)
         done;
         from := 0;
-        incr seq_iters;
-        incr i
+        incr i;
+        if !i = count then go := false
+        else if not !had_miss then go := not bulk
+        else if !probe then begin
+          probe := false;
+          go := not (resident l1 cur ~strides ~writes)
+        end
       done;
-      if (not !had_miss) && !i < count then begin
+      if !i < count then begin
+        if !cal_row < 0 || ((not shared) && !cal_row <> o) then begin
+          calendar t ~bases ~strides ~outer_strides ~line_bits ~p o;
+          cal_row := o
+        end;
         (* steady phase from [i0], with [cur] kept at [i0]; the current
            lines are those of iteration [i0 - 1] *)
-        let i0 = !i in
-        let nx = ref count in
+        let i0 = !i and cal = t.cal in
         for r = 0 to nrefs - 1 do
-          let s = Array.unsafe_get strides r in
-          let a = Array.unsafe_get cur r - s in
-          let set = (a lsr line_bits) land set_mask in
-          Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
-          Array.unsafe_set rset r set;
-          let x =
-            if s = 0 then max_int
-            else i0 - 1 + cross_dist ~line_mask a s (Array.unsafe_get shift r)
+          let set =
+            ((Array.unsafe_get cur r - Array.unsafe_get strides r) lsr line_bits)
+            land set_mask
           in
-          Array.unsafe_set next r x;
-          if x < !nx then nx := x
+          Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
+          Array.unsafe_set rset r set
         done;
+        let nx = ref (next_crossing cal_gap ~pmask ~count i0) in
         let steady = ref true in
         while !steady do
           let ic = !nx in
@@ -348,51 +434,41 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
           if ic = count then steady := false
           else begin
             (* the crossing pass at iteration [ic] *)
-            let d = ic - i0 in
-            nx := count;
-            let r = ref 0 in
-            while !r < nrefs do
-              let q = !r in
-              let x = Array.unsafe_get next q in
-              if x > ic then begin
-                if x < !nx then nx := x;
-                r := q + 1
+            let d = ic - i0 and rho = ic land pmask in
+            let k = ref (Array.unsafe_get cal_start rho) in
+            let stop = Array.unsafe_get cal_start (rho + 1) in
+            while !k < stop do
+              let q = Array.unsafe_get cal !k in
+              let a = Array.unsafe_get cur q + (d * Array.unsafe_get strides q) in
+              let la = a lsr line_bits and w = Array.unsafe_get writes q in
+              let set = la land set_mask and old = Array.unsafe_get rset q in
+              let e = Array.unsafe_get tags set in
+              if e lsr 1 = la then begin
+                if w then Array.unsafe_set tags set (e lor 1)
+              end
+              else if
+                Array.unsafe_get occ set = Bool.to_int (old = set)
+                && (write_allocate || not w)
+              then begin
+                let o = miss_dm ~write_allocate ~write:w tags la set in
+                incr nmiss;
+                nwb := !nwb + (o land 1);
+                pending := push t !pending a ~write:w
               end
               else begin
-                let s = Array.unsafe_get strides q in
-                let a = Array.unsafe_get cur q + (d * s) in
-                let la = a lsr line_bits and w = Array.unsafe_get writes q in
-                let set = la land set_mask and old = Array.unsafe_get rset q in
-                let e = Array.unsafe_get tags set in
-                if e lsr 1 = la then begin
-                  if w then Array.unsafe_set tags set (e lor 1)
-                end
-                else if
-                  Array.unsafe_get occ set = Bool.to_int (old = set)
-                  && (write_allocate || not w)
-                then begin
-                  let o = miss_dm ~write_allocate ~write:w tags la set in
-                  incr nmiss;
-                  nwb := !nwb + (o land 1);
-                  pending := push t !pending a ~write:w
-                end
-                else begin
-                  (* a clash: iteration [ic] goes on in place from [q] *)
-                  from := q;
-                  steady := false
-                end;
-                if !steady then begin
-                  Array.unsafe_set occ old (Array.unsafe_get occ old - 1);
-                  Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
-                  Array.unsafe_set rset q set;
-                  let x = ic + cross_dist ~line_mask a s (Array.unsafe_get shift q) in
-                  Array.unsafe_set next q x;
-                  if x < !nx then nx := x;
-                  r := q + 1
-                end
-                else r := nrefs
+                (* a clash: iteration [ic] goes on in place from [q] *)
+                from := q;
+                steady := false
+              end;
+              if !steady then begin
+                Array.unsafe_set occ old (Array.unsafe_get occ old - 1);
+                Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
+                Array.unsafe_set rset q set;
+                incr k
               end
-            done
+              else k := stop
+            done;
+            if !steady then nx := next_crossing cal_gap ~pmask ~count (ic + 1)
           end
         done;
         (* [cur] to iteration [!i], and to [!i + 1] for the refs a clash
@@ -409,12 +485,12 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
     done
   done;
   flush t !pending;
-  let iters = !bulk_iters + !seq_iters in
+  let iters = count * outer_count in
   charge l1.stats ~accesses:(iters * nrefs) ~misses:!nmiss ~writes:(iters * nwrites)
     ~writebacks:!nwb;
   t.bulk_segments <- t.bulk_segments + !bulk_segs;
   t.bulk_iterations <- t.bulk_iterations + !bulk_iters;
-  t.seq_iterations <- t.seq_iterations + !seq_iters
+  t.seq_iterations <- t.seq_iterations + iters - !bulk_iters
 
 let block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   let nrefs = Array.length bases in

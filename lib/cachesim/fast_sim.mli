@@ -36,15 +36,25 @@ val access : t -> ?write:bool -> int -> int
     [o], iteration [j] accesses, for each reference [r] in order, address
     [bases.(r) + o * outer_strides.(r) + j * strides.(r)], as a write iff
     [writes.(r)]; rows, then iterations, then references.  Exactly
-    equivalent to issuing every access through {!access}.  After an
-    iteration that hits throughout, the following iterations are
-    accounted in bulk, jumping from one L1 line crossing to the next; a
-    reference that crosses onto a line that is not resident is installed
-    right there (its miss counted and sent down) when no other
-    reference's current line sits in that L1 set.  A clash, or a write
-    miss without write-allocate, sends the row back to access-by-access
-    simulation, from that reference, until an iteration hits throughout
-    again.  Nothing is left pending when it returns.
+    equivalent to issuing every access through {!access}.  A row starts
+    access by access.  After an iteration that hits throughout, or right
+    after the first iteration of an access-by-access phase when a probe
+    finds every reference's line of that iteration resident (and dirty
+    if the reference writes), the following iterations are accounted in
+    bulk.  Bulk iterations jump from one L1
+    line crossing to the next by a per-row calendar: a stride-[s]
+    reference's line crossings repeat every line / gcd(|s|, line)
+    iterations, so the calendar lists, per residue of that period, the
+    references that change line there.  It is built once per row, or
+    once per call when every row starts each reference at the same
+    offset within its line.  A reference that crosses onto a line that
+    is not resident is installed right there (its miss counted and sent
+    down) when no other reference's current line sits in that L1 set.
+    A clash, or a write miss without write-allocate, sends the row back
+    to access-by-access simulation, from that reference.  A row runs
+    access by access throughout when half or more of its accesses cross
+    a line, or when its calendar would serve fewer than four periods of
+    iterations.  Nothing is left pending when it returns.
     @raise Invalid_argument when the four arrays differ in length. *)
 val block :
   t ->
@@ -71,11 +81,13 @@ type metrics = {
       (** iterations covered by those segments, including crossing
           iterations whose misses were installed in place *)
   seq_iterations : int;
-      (** iterations run access by access: every iteration up to and
-          including the first that hits throughout, at each row start and
+      (** iterations run access by access: the first of each row; after
+          it, every iteration up to and including the first that hits
+          throughout, unless the probe lets the bulk path start at once;
           after a clash (a crossing onto a set where another reference's
-          line sits, or a write miss without write-allocate); the clash's
-          own iteration counts here *)
+          line sits, or a write miss without write-allocate) the same,
+          the clash's own iteration counting here; and every iteration
+          of a row that the bulk path cannot pay for (see {!block}) *)
 }
 
 val metrics : t -> metrics

@@ -119,10 +119,22 @@ let print_block (h, (bases, strides, writes, count)) =
     (String.concat ";" (Array.to_list (Array.map string_of_bool writes)))
     count
 
+(* A read of one line in every L1 set, at addresses far from any block,
+   on both simulators: it evicts every line a block left, so the
+   writebacks its dirty lines owe are counted. *)
+let evict_l1 h f geoms =
+  let l1 = List.hd geoms in
+  for k = 0 to (l1.Cs.Level.size / l1.Cs.Level.line) - 1 do
+    let a = (1 lsl 30) + (k * l1.Cs.Level.line) in
+    ignore (Cs.Hierarchy.access h a);
+    ignore (Cs.Fast_sim.access f a)
+  done
+
 (* A two-loop [block] against the per-access reference cascade, rows
-   then iterations then references: per-level stats. *)
-let rows_match (write_allocate, geoms) ~bases ~strides ~writes ~count ~outer_strides
-    ~outer_count =
+   then iterations then references, then [evict_l1] if [evict]:
+   per-level stats. *)
+let rows_match ?(evict = false) (write_allocate, geoms) ~bases ~strides ~writes ~count
+    ~outer_strides ~outer_count =
   let h = Cs.Hierarchy.create ~write_allocate geoms in
   let f = Cs.Fast_sim.create ~write_allocate geoms in
   for o = 0 to outer_count - 1 do
@@ -135,6 +147,7 @@ let rows_match (write_allocate, geoms) ~bases ~strides ~writes ~count ~outer_str
     done
   done;
   Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count;
+  if evict then evict_l1 h f geoms;
   stats_match h f
 
 (* A one-row [block] *)
@@ -411,6 +424,147 @@ let prop_clashing =
     (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
       rows_match h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
 
+(* Crossing calendars: [block]'s steady phase follows a per-row table of
+   the iterations, modulo the period line / gcd(|s|, line), at which each
+   reference changes line.  Lines of 16-64 bytes; strides that do not
+   divide the line (+-12, +-20, +-24, 36, +-40, 100) as well as ones that
+   do, and stride-0 references; row counts on both sides of four periods
+   (shorter rows run access by access unless the rows share one
+   calendar); 1-4 rows whose outer strides
+   either keep every moving reference's offset within its line (one
+   calendar serves every row) or shift it (each row needs its own), while
+   the stride-0 references' bases move from row to row; both write
+   policies.  Bases sit a few lines apart or a multiple of the L1 size
+   away from one anchor, so crossings hit, install in place and clash,
+   and some references repeat an earlier one.  Every line is evicted at
+   the end, so a dirty bit the fast side lost shows as a writeback. *)
+let gen_calendar =
+  QCheck.Gen.(
+    let* line_bits = int_range 4 6 in
+    let* sets_bits = int_range 1 4 in
+    let line = 1 lsl line_bits in
+    let l1_size = line lsl sets_bits in
+    let lower =
+      let* lbits = int_range line_bits 6 in
+      let* sbits = int_range sets_bits 6 in
+      return { Cs.Level.size = 1 lsl (lbits + sbits); line = 1 lsl lbits; assoc = 1 }
+    in
+    let* lowers = list_size (int_range 0 2) lower in
+    let* write_allocate = bool in
+    let* nrefs = int_range 1 6 in
+    let* anchor = int_range 0 (4 * l1_size) in
+    let reference =
+      let* stride =
+        frequency
+          [
+            (3, oneofl [ 12; -12; 20; -20; 24; -24; 36; 40; -40; 100 ]);
+            (4, oneofl [ 4; -4; 8; -8; 8; 16; -16 ]);
+            (1, return 0);
+          ]
+      in
+      let* k = int_range 0 3 and* lines = int_range (-2) 2 in
+      let* off = int_range 0 ((line / 4) - 1) in
+      return (anchor + (k * l1_size) + (lines * line) + (4 * off), stride)
+    in
+    (* some references repeat an earlier one, as C(i,j) is read and then
+       written *)
+    let rec more n acc =
+      if n = 0 then return (List.rev acc)
+      else
+        let* repeat = oneofl [ false; false; false; true ] in
+        let* next = if repeat && acc <> [] then oneofl acc else reference in
+        more (n - 1) (next :: acc)
+    in
+    let* refs = more nrefs [] in
+    let strides = List.map snd refs in
+    let period =
+      List.fold_left
+        (fun p s ->
+          let a = abs s in
+          if a = 0 || a >= line then p else max p (line / (a land -a)))
+        1 strides
+    in
+    let* count =
+      oneof [ int_range 1 ((4 * period) - 1); int_range (4 * period) (12 * period) ]
+    in
+    let* outer_count = int_range 1 4 in
+    let* keep = bool in
+    let* outer_strides =
+      flatten_l
+        (List.map
+           (fun s ->
+             if s = 0 then oneofl [ 0; 4; -8; line + 4; l1_size ]
+             else
+               let* k = int_range (-3) 3 in
+               let* shift = if keep then return 0 else oneofl [ 4; 8; 12; -4 ] in
+               return ((k * line) + shift))
+           strides)
+    in
+    let* writes = list_repeat nrefs bool in
+    return
+      ( (write_allocate, { Cs.Level.size = l1_size; line; assoc = 1 } :: lowers),
+        ( Array.of_list (List.map fst refs),
+          Array.of_list strides,
+          Array.of_list writes,
+          count,
+          Array.of_list outer_strides,
+          outer_count ) ))
+
+let prop_calendar =
+  QCheck.Test.make
+    ~name:"crossing calendars: Fast_sim.block = per-access reference cascade"
+    ~count:(qcheck_count 600)
+    (QCheck.make ~print:print_rows gen_calendar)
+    (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
+      rows_match ~evict:true h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
+
+(* [rows_match ~evict:true] for a one-row block, and the work counters
+   of the same block on a fresh fast simulator. *)
+let block_then_evict ((write_allocate, geoms) as h) ~bases ~strides ~writes ~count =
+  let outer_strides = Array.make (Array.length bases) 0 in
+  let ok = rows_match ~evict:true h ~bases ~strides ~writes ~count ~outer_strides ~outer_count:1 in
+  let f = Cs.Fast_sim.create ~write_allocate geoms in
+  Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count:1;
+  (ok, Cs.Fast_sim.metrics f)
+
+let small_dm = [ { Cs.Level.size = 1024; line = 32; assoc = 1 }; { Cs.Level.size = 8192; line = 64; assoc = 1 } ]
+
+(* The probe: three streams a quarter of the L1 apart, the second one
+   written.  Iteration 0 misses on every line, and leaves each resident
+   (the written one dirty), so the steady phase starts at iteration 1 and
+   installs every later crossing in place. *)
+let test_probe_enters () =
+  let ok, m =
+    block_then_evict (true, small_dm) ~bases:[| 0; 264; 528 |] ~strides:[| 8; 8; 8 |]
+      ~writes:[| false; true; false |] ~count:64
+  in
+  Alcotest.(check bool) "stats = reference cascade" true ok;
+  Alcotest.(check int) "sequential iterations" 1 m.Cs.Fast_sim.seq_iterations;
+  Alcotest.(check int) "bulk iterations" 63 m.Cs.Fast_sim.bulk_iterations
+
+(* The probe must refuse when an iteration leaves a reference's line
+   missing or a writer's line clean: here a later reference evicts an
+   earlier one's line in the same iteration at every iteration (two
+   streams one L1 size apart), and, under no-write-allocate, a read of
+   the line a write just missed on fills it clean.  In the second case
+   the next iteration's write hits and dirties the line, so each line
+   costs two sequential iterations: the one that misses, and the one
+   that hits throughout. *)
+let test_probe_refuses () =
+  let ok, m =
+    block_then_evict (true, small_dm) ~bases:[| 0; 1024 |] ~strides:[| 8; 8 |]
+      ~writes:[| false; false |] ~count:64
+  in
+  Alcotest.(check bool) "evicted: stats = reference cascade" true ok;
+  Alcotest.(check int) "evicted: every iteration sequential" 64 m.Cs.Fast_sim.seq_iterations;
+  let ok, m =
+    block_then_evict (false, small_dm) ~bases:[| 0; 0 |] ~strides:[| 8; 8 |]
+      ~writes:[| true; false |] ~count:64
+  in
+  Alcotest.(check bool) "filled clean: stats = reference cascade" true ok;
+  Alcotest.(check int) "filled clean: two sequential iterations per line" 32
+    m.Cs.Fast_sim.seq_iterations
+
 (* Found by the crossing-streams property.  After an iteration run in
    place, a writing reference can stay on a line that is resident but
    clean: here, under no-write-allocate, its write misses and a later
@@ -473,6 +627,40 @@ let test_matmul_rows () =
        m.Cs.Fast_sim.seq_iterations l1_misses)
     true
     (m.Cs.Fast_sim.seq_iterations <= l1_misses / 2)
+
+(* Two streams a quarter of the L1 apart that move two lines per
+   iteration: every access crosses a line, so a crossing pass would cost
+   what the iteration costs, and the row runs access by access although
+   every iteration leaves both lines resident. *)
+let test_dense_crossings () =
+  let ok, m =
+    block_then_evict (true, small_dm) ~bases:[| 0; 264 |] ~strides:[| 64; 64 |]
+      ~writes:[| true; false |] ~count:64
+  in
+  Alcotest.(check bool) "stats = reference cascade" true ok;
+  Alcotest.(check int) "every iteration sequential" 64 m.Cs.Fast_sim.seq_iterations
+
+(* The cell the probe moves most: SHAL512 under GROUPPAD at n = 370 has
+   about 2.7 L1 misses per iteration over 22 references, so almost no
+   iteration hits throughout, but most leave every line resident.  At
+   most a fifth of its iterations may run access by access, and its
+   result must equal the reference backend's. *)
+let test_shal_bulk () =
+  let machine = Cs.Machine.ultrasparc in
+  let program =
+    (Option.get (Mlc_kernels.Registry.find "SHAL512").Mlc_kernels.Registry.build_sized) 370
+  in
+  let layout = Locality.Pipeline.layout_for machine Locality.Pipeline.Grouppad_l1 program in
+  let sim = Cs.Fast_sim.create machine.Cs.Machine.geometries in
+  let fast = Mlc_ir.Interp.run_sim sim machine layout program in
+  Alcotest.(check bool) "result = reference backend" true
+    (Mlc_ir.Interp.run ~backend:`Reference machine layout program = fast);
+  let m = Cs.Fast_sim.metrics sim in
+  let total = m.Cs.Fast_sim.bulk_iterations + m.Cs.Fast_sim.seq_iterations in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d iterations sequential" m.Cs.Fast_sim.seq_iterations total)
+    true
+    (5 * m.Cs.Fast_sim.seq_iterations < total)
 
 (* The packed tag word at the ends of the address range, against the
    reference on every level: -1, min_int and max_int (and their
@@ -633,6 +821,7 @@ let () =
             prop_rows;
             prop_crossing;
             prop_clashing;
+            prop_calendar;
           ] );
       ( "rows",
         [
@@ -646,6 +835,14 @@ let () =
             test_refilled_clean;
           Alcotest.test_case "packed tags at -1, min_int, max_int" `Quick
             test_extreme_addresses;
+          Alcotest.test_case "probe: a first iteration that leaves every line resident" `Quick
+            test_probe_enters;
+          Alcotest.test_case "probe: a line evicted or filled clean in the iteration" `Quick
+            test_probe_refuses;
+          Alcotest.test_case "dense crossings run access by access" `Quick
+            test_dense_crossings;
+          Alcotest.test_case "SHAL512 n=370 GROUPPAD: under a fifth sequential" `Quick
+            test_shal_bulk;
         ] );
       ( "create",
         [ Alcotest.test_case "a 2-way level is rejected" `Quick test_create_rejects_assoc ] );

@@ -591,9 +591,9 @@ let test_golden_simulate_metrics () =
              ("sim.L2.writes", 4836);
              (* the backend's own work counters: they move with
                 Fast_sim's algorithm, the sim.L* ones never do *)
-             ("sim.fast.bulk_iterations", 7440);
-             ("sim.fast.bulk_segments", 3782);
-             ("sim.fast.seq_iterations", 7936);
+             ("sim.fast.bulk_iterations", 7564);
+             ("sim.fast.bulk_segments", 3844);
+             ("sim.fast.seq_iterations", 7812);
              ("sim.refs", 61504);
            ])
   in
