@@ -697,10 +697,12 @@ let bechamel ctx =
 (* ----------------------------------------------------------------- *)
 
 (* Times the same cold job set on both backends (no cache, one domain,
-   both hierarchy levels in play), checks the results agree exactly, and
-   records the wall-clock ratio in BENCH_fastsim.json.  Wall-clock output
-   is nondeterministic, so like bechamel this section only runs when
-   asked for by name. *)
+   both hierarchy levels in play), one program at a time, reference
+   first, checks the results agree exactly, and records each program's
+   wall-clock times and the totals' ratio in BENCH_fastsim.json: the
+   per-program times show which cells the bulk path serves and which
+   run access by access.  Wall-clock output is nondeterministic, so like
+   bechamel this section only runs when asked for by name. *)
 let fastsim_json_path = "BENCH_fastsim.json"
 
 let fastsim ctx =
@@ -714,48 +716,49 @@ let fastsim ctx =
       ("SHAL512", L.Pipeline.Original);
     ]
   in
-  let specs be =
-    Array.of_list
-      (List.map
-         (fun (name, strat) ->
-           E.Job.simulate ~backend:be
-             ~machine:(E.Job.machine "ultrasparc")
-             ~layout:(strategy strat)
-             (E.Job.Registry { name; n = Some n }))
-         cases)
+  let spec be (name, strat) =
+    E.Job.simulate ~backend:be
+      ~machine:(E.Job.machine "ultrasparc")
+      ~layout:(strategy strat)
+      (E.Job.Registry { name; n = Some n })
   in
-  let time be =
+  let time be case =
     let t0 = Unix.gettimeofday () in
-    let results = E.Engine.run ~progress:ctx.progress ~jobs:1 (specs be) in
-    (Unix.gettimeofday () -. t0, results)
+    let results = E.Engine.run ~progress:ctx.progress ~jobs:1 [| spec be case |] in
+    (Unix.gettimeofday () -. t0, results.(0))
   in
-  let t_ref, r_ref = time `Reference in
-  let t_fast, r_fast = time `Fast in
-  Array.iteri
-    (fun i (a : E.Job.result) ->
-      let b = r_fast.(i) in
-      if
-        not
-          (a.E.Job.interp = b.E.Job.interp
-          && List.for_all2 Cs.Stats.equal a.E.Job.level_stats
-               b.E.Job.level_stats)
-      then failwith ("fastsim: backend results differ on " ^ a.E.Job.key))
-    r_ref;
-  let speedup = if t_fast > 0.0 then t_ref /. t_fast else 0.0 in
+  let ratio a b = if b > 0.0 then a /. b else 0.0 in
+  let rows =
+    List.map
+      (fun ((name, strat) as case) ->
+        let t_ref, a = time `Reference case in
+        let t_fast, b = time `Fast case in
+        if
+          not
+            (a.E.Job.interp = b.E.Job.interp
+            && List.for_all2 Cs.Stats.equal a.E.Job.level_stats b.E.Job.level_stats)
+        then failwith ("fastsim: backend results differ on " ^ a.E.Job.key);
+        (name ^ "/" ^ E.Job.strategy_tag strat, t_ref, t_fast, b))
+      cases
+  in
+  let t_ref = List.fold_left (fun acc (_, t, _, _) -> acc +. t) 0.0 rows in
+  let t_fast = List.fold_left (fun acc (_, _, t, _) -> acc +. t) 0.0 rows in
+  let speedup = ratio t_ref t_fast in
+  let cell (program, a, b, _) =
+    [ program; Printf.sprintf "%.2f" a; Printf.sprintf "%.2f" b;
+      Printf.sprintf "%.2fx" (ratio a b) ]
+  in
   L.Report.table
     ~title:
       (Printf.sprintf
          "Fast backend vs reference (cold, 1 worker, ultrasparc, n=%d)" n)
-    ~columns:[ "backend"; "wall (s)"; "speedup" ]
-    [
-      [ "reference"; Printf.sprintf "%.2f" t_ref; "1.00x" ];
-      [ "fast"; Printf.sprintf "%.2f" t_fast; Printf.sprintf "%.2fx" speedup ];
-    ];
+    ~columns:[ "program"; "reference (s)"; "fast (s)"; "speedup" ]
+    (List.map cell rows @ [ cell ("total", t_ref, t_fast, ()) ]);
   let total_refs =
-    Array.fold_left
-      (fun acc (r : E.Job.result) ->
+    List.fold_left
+      (fun acc (_, _, _, (r : E.Job.result)) ->
         acc + r.E.Job.interp.Mlc_ir.Interp.total_refs)
-      0 r_fast
+      0 rows
   in
   write_json fastsim_json_path
     (Json.Obj
@@ -766,9 +769,15 @@ let fastsim ctx =
          ( "programs",
            Json.List
              (List.map
-                (fun (name, strat) ->
-                  Json.String (name ^ "/" ^ E.Job.strategy_tag strat))
-                cases) );
+                (fun (program, a, b, _) ->
+                  Json.Obj
+                    [
+                      ("program", Json.String program);
+                      ("reference_wall_s", Json.fixed 3 a);
+                      ("fast_wall_s", Json.fixed 3 b);
+                      ("speedup", Json.fixed 2 (ratio a b));
+                    ])
+                rows) );
          ("total_refs", Json.Int total_refs);
          ("reference_wall_s", Json.fixed 3 t_ref);
          ("fast_wall_s", Json.fixed 3 t_fast);

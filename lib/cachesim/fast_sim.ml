@@ -11,7 +11,9 @@
    a reference that crosses onto a missing line is installed in place,
    without leaving the bulk path, when no other reference's line sits
    in that L1 set; and the segment's L1 misses reach the lower levels
-   as a batch, one level at a time.
+   as a batch, one level at a time.  Whatever runs access by access
+   ([block]'s sequential iterations, [stream]'s buffers) goes through
+   small loops that call nothing, so their state stays in registers.
 
    Associative levels and hardware prefetch are not modelled here;
    [create] rejects the former, and callers gate on both and fall back
@@ -31,8 +33,10 @@ type t = {
   write_allocate : bool;
   levels : level array;
   (* scratch for [block], grown on demand to the widest ref group seen:
-     per ref its address and the L1 set of its current line *)
-  mutable cur : int array;
+     [refs] holds per ref, interleaved, its current address, its stride
+     and 1 if it writes (else 0); [set] the L1 set of its current line
+     during a steady phase *)
+  mutable refs : int array;
   mutable set : int array;
   (* the crossing calendar of [block]'s current row (see [calendar]):
      ref lists per residue, list starts (L1 line + 1 entries), and
@@ -43,9 +47,18 @@ type t = {
   (* per L1 set, the refs whose current line sits in it during a steady
      phase of [block]; all zero outside one *)
   occ : int array;
-  (* L1 misses of a [block] awaiting the levels below, in
-     order, each [(addr land lnot 1) lor write] (lines are >= 4 bytes) *)
-  batch : int array;
+  (* L1 misses awaiting the levels below, in order, each
+     [(addr land lnot 3) lor (writeback lsl 1) lor write], the
+     writeback that of the L1 fill (lines are >= 4 bytes, so no level
+     looks at bits 0 and 1 of the address); at least
+     [batch_capacity] entries, and at least one iteration of the widest
+     ref group *)
+  mutable batch : int array;
+  (* the current [block] or [stream] call's pending misses, and its L1
+     misses and writebacks so far; [pending] is 0 between calls *)
+  mutable pending : int;
+  mutable nmiss : int;
+  mutable nwb : int;
   (* fast-path accounting: how [block] consumed its iterations *)
   mutable bulk_segments : int;
   mutable bulk_iterations : int;
@@ -91,13 +104,16 @@ let create ?(write_allocate = true) geoms =
   {
     write_allocate;
     levels;
-    cur = [||];
+    refs = [||];
     set = [||];
     cal = [||];
     cal_start = Array.make ((1 lsl levels.(0).line_bits) + 1) 0;
     cal_gap = Array.make (1 lsl levels.(0).line_bits) 0;
     occ = Array.make (levels.(0).set_mask + 1) 0;
     batch = Array.make batch_capacity 0;
+    pending = 0;
+    nmiss = 0;
+    nwb = 0;
     bulk_segments = 0;
     bulk_iterations = 0;
     seq_iterations = 0;
@@ -112,7 +128,7 @@ let metrics (t : t) : metrics =
     seq_iterations = t.seq_iterations;
   }
 
-(* The access routines leave [Stats.t] alone; callers count in locals. *)
+(* The access routines leave [Stats.t] alone; their callers count. *)
 let[@inline] charge (st : Stats.t) ~accesses ~misses ~writes ~writebacks =
   st.accesses <- st.accesses + accesses;
   st.hits <- st.hits + accesses - misses;
@@ -121,34 +137,35 @@ let[@inline] charge (st : Stats.t) ~accesses ~misses ~writes ~writebacks =
   st.writebacks <- st.writebacks + writebacks
 
 (* One access at one level, on the line address and set the caller
-   already computed; mirrors Level.access minus prefetch.  The outcome
-   is 0 for a hit, 2 for a miss, 3 for a miss whose fill evicted a dirty
-   line: [o lsr 1] counts the miss, [o land 1] the writeback.  Sets are
-   in bounds, so the unchecked array accesses are safe.  [access_dm] is
-   the one copy of the access logic; [miss_dm] is its miss half, which
-   [block_dm] calls after its own tag test. *)
-let[@inline] miss_dm ~write_allocate ~write tags line_addr set =
-  if write && not write_allocate then 2
+   already computed, [w] 1 for a write and 0 for a read; mirrors
+   Level.access minus prefetch.  The outcome is 0 for a hit, 2 for a
+   miss, 3 for a miss whose fill evicted a dirty line: [o lsr 1] counts
+   the miss, [o land 1] the writeback.  Sets are in bounds, so the
+   unchecked array accesses are safe.  [access_dm] is the one copy of
+   the access logic; [miss_dm] is its miss half on the tag word [e]
+   already read, which the L1 loops below call after their own tag
+   test. *)
+let[@inline] miss_dm ~write_allocate ~w tags line_addr set e =
+  if w <> 0 && not write_allocate then 2
   else begin
-    let e = Array.unsafe_get tags set in
-    Array.unsafe_set tags set ((line_addr lsl 1) lor Bool.to_int write);
+    Array.unsafe_set tags set ((line_addr lsl 1) lor w);
     if e >= 0 && e land 1 = 1 then 3 else 2
   end
 
-let[@inline] access_dm ~write_allocate ~write tags line_addr set =
+let[@inline] access_dm ~write_allocate ~w tags line_addr set =
   let e = Array.unsafe_get tags set in
   if e lsr 1 = line_addr then begin
-    if write then Array.unsafe_set tags set (e lor 1);
+    if w <> 0 then Array.unsafe_set tags set (e lor 1);
     0
   end
-  else miss_dm ~write_allocate ~write tags line_addr set
+  else miss_dm ~write_allocate ~w tags line_addr set e
 
 (* One access down the cascade, as a loop: level [i+1] only sees level
    [i]'s misses.  Returns the index of the level that hit, or the number
    of levels for a main-memory access. *)
 let cascade t ~write addr =
   let levels = t.levels and write_allocate = t.write_allocate in
-  let n = Array.length levels in
+  let n = Array.length levels and w = Bool.to_int write in
   let i = ref 0 in
   while
     !i < n
@@ -156,10 +173,10 @@ let cascade t ~write addr =
          let l = Array.unsafe_get levels !i in
          let line_addr = addr lsr l.line_bits in
          let set = line_addr land l.set_mask in
-         let o = access_dm ~write_allocate ~write l.tags line_addr set in
+         let o = access_dm ~write_allocate ~w l.tags line_addr set in
          let st = l.stats in
          st.accesses <- st.accesses + 1;
-         if write then st.writes <- st.writes + 1;
+         st.writes <- st.writes + w;
          if o = 0 then st.hits <- st.hits + 1
          else (st.misses <- st.misses + 1; st.writebacks <- st.writebacks + (o land 1));
          o <> 0
@@ -171,52 +188,140 @@ let cascade t ~write addr =
 
 let access t ?(write = false) addr = cascade t ~write addr
 
-(* Takes the [n] pending L1 misses in [t.batch] through levels 1.., one
-   level at a time: each level runs over the batch in order, through the
-   same per-access routines as [cascade], and compacts its own misses
-   to the front for the next level.  Exact: a level's state depends only
-   on the stream it is fed, and this feeds level i+1 exactly level i's
-   misses in their order, as [cascade] per miss would; nothing reads
-   a lower level while a batch is pending. *)
-let flush t n =
-  let levels = t.levels and batch = t.batch and write_allocate = t.write_allocate in
-  let n = ref n and i = ref 1 in
-  while !n > 0 && !i < Array.length levels do
-    let l = Array.unsafe_get levels !i in
-    let line_bits = l.line_bits and set_mask = l.set_mask and tags = l.tags in
-    let kept = ref 0 and writes = ref 0 and writebacks = ref 0 in
-    for k = 0 to !n - 1 do
-      let e = Array.unsafe_get batch k in
-      let line_addr = e lsr line_bits in
-      let set = line_addr land set_mask and write = e land 1 = 1 in
-      writes := !writes + (e land 1);
-      let o = access_dm ~write_allocate ~write tags line_addr set in
-      if o <> 0 then begin
-        writebacks := !writebacks + (o land 1);
-        Array.unsafe_set batch !kept e;
-        incr kept
-      end
-    done;
-    charge l.stats ~accesses:!n ~misses:!kept ~writes:!writes ~writebacks:!writebacks;
-    n := !kept;
-    incr i
-  done
+(* One level's pass over the first [n] entries of [batch]: each goes
+   through [access_dm] in order, the level's misses are compacted to the
+   front for the next level, and the level is charged once.  Returns the
+   misses kept.  The loop calls nothing. *)
+let level_pass ~write_allocate l batch n =
+  let line_bits = l.line_bits and set_mask = l.set_mask and tags = l.tags in
+  let kept = ref 0 and writes = ref 0 and writebacks = ref 0 in
+  for k = 0 to n - 1 do
+    let e = Array.unsafe_get batch k in
+    let line_addr = e lsr line_bits and w = e land 1 in
+    writes := !writes + w;
+    let o = access_dm ~write_allocate ~w tags line_addr (line_addr land set_mask) in
+    if o <> 0 then begin
+      writebacks := !writebacks + (o land 1);
+      Array.unsafe_set batch !kept e;
+      incr kept
+    end
+  done;
+  charge l.stats ~accesses:n ~misses:!kept ~writes:!writes ~writebacks:!writebacks;
+  !kept
 
-(* Appends an L1 miss to the batch at [pending] and returns the new
-   pending count, sending a full batch down first. *)
-let[@inline] push t pending addr ~write =
-  Array.unsafe_set t.batch pending ((addr land lnot 1) lor Bool.to_int write);
-  if pending + 1 = batch_capacity then begin
-    flush t batch_capacity;
-    0
-  end
-  else pending + 1
+(* Takes the pending L1 misses in [t.batch] through levels 1.., one
+   [level_pass] each, and counts them as L1 misses of the call, and the
+   writebacks their fills caused (bit 1 of each entry) as L1
+   writebacks.  Exact: a level's state depends only on the stream it is
+   fed, and this feeds level i+1 exactly level i's misses in their
+   order, as [cascade] per miss would; nothing reads a lower level while
+   a batch is pending. *)
+let flush t =
+  let levels = t.levels and batch = t.batch in
+  let wb = ref 0 in
+  for k = 0 to t.pending - 1 do
+    wb := !wb + ((Array.unsafe_get batch k lsr 1) land 1)
+  done;
+  t.nmiss <- t.nmiss + t.pending;
+  t.nwb <- t.nwb + !wb;
+  let n = ref t.pending and i = ref 1 in
+  while !n > 0 && !i < Array.length levels do
+    n := level_pass ~write_allocate:t.write_allocate (Array.unsafe_get levels !i) batch !n;
+    incr i
+  done;
+  t.pending <- 0
+
+(* Appends an entry to the batch, sending a full batch down first. *)
+let[@inline] push t entry =
+  if t.pending = Array.length t.batch then flush t;
+  let p = t.pending in
+  Array.unsafe_set t.batch p entry;
+  t.pending <- p + 1
 
 let ensure_scratch t n =
-  if Array.length t.cur < n then begin
-    t.cur <- Array.make n 0;
+  if Array.length t.set < n then begin
+    t.refs <- Array.make (3 * n) 0;
     t.set <- Array.make n 0
-  end
+  end;
+  (* room for a whole iteration; nothing is pending between calls *)
+  if Array.length t.batch < n then t.batch <- Array.make n 0
+
+(* An L1 miss of the loops below on the tag word [e] already read:
+   installs the line (or not, for a write without write-allocate) and
+   returns the batch entry of the miss, its writeback in bit 1 (see
+   [flush]).  Inlined, it keeps the loops free of calls. *)
+let[@inline] l1_miss ~write_allocate tags la set e a w =
+  let o = miss_dm ~write_allocate ~w tags la set e in
+  (a land lnot 3) lor ((o land 1) lsl 1) lor w
+
+(* The sequential kernel: up to [iters] whole iterations of the refs in
+   [t.refs], access by access, the first iteration from ref [from].
+   With [until_hit] it stops after an iteration with no L1 miss.  Each
+   ref's tag is tested at its turn (an install can evict a later ref's
+   line), a miss goes through [l1_miss], and the ref's address advances
+   by its stride.  Returns the iterations not run, times two, plus 1
+   when the last one run had no miss and [until_hit].
+
+   The loop calls nothing and keeps few values live, so they stay in
+   registers: the caller leaves the batch room for [iters] iterations
+   and sends it down between calls (see [seq]).  [start] is the pending
+   count at the start of the iteration, or -1 without [until_hit]; an
+   iteration that left it unchanged had no miss. *)
+let seq_kernel t l1 ~nrefs ~from ~iters ~until_hit =
+  let refs = t.refs and tags = l1.tags and batch = t.batch in
+  let line_bits = l1.line_bits and set_mask = l1.set_mask in
+  let write_allocate = t.write_allocate in
+  let p = ref t.pending and left = ref iters and first = ref from in
+  let start = ref (if until_hit then !p else -1) in
+  while !left > 0 do
+    for r = !first to nrefs - 1 do
+      let b = 3 * r in
+      let a = Array.unsafe_get refs b in
+      Array.unsafe_set refs b (a + Array.unsafe_get refs (b + 1));
+      let la = a lsr line_bits in
+      let set = la land set_mask in
+      let e = Array.unsafe_get tags set in
+      if e lsr 1 = la then begin
+        if Array.unsafe_get refs (b + 2) <> 0 then Array.unsafe_set tags set (e lor 1)
+      end
+      else begin
+        let w = Array.unsafe_get refs (b + 2) in
+        Array.unsafe_set batch !p (l1_miss ~write_allocate tags la set e a w);
+        incr p
+      end
+    done;
+    (* the end of an iteration: a hit throughout stops [until_hit],
+       leaving [lnot] the iterations not run *)
+    first := 0;
+    left := !left - 1;
+    if !p = !start then left := lnot !left else if !start >= 0 then start := !p
+  done;
+  t.pending <- !p;
+  if !left < 0 then ((lnot !left) lsl 1) lor 1 else 0
+
+(* [seq_kernel] over [iters] iterations, in calls that each fill at most
+   the room left in the batch, which is sent down when it has none for
+   a whole iteration; same result.  [iters] >= 1. *)
+let seq_chunked t l1 ~nrefs ~from ~iters ~until_hit =
+  let left = ref iters and from = ref from and result = ref (-1) in
+  while !result < 0 do
+    let room = (Array.length t.batch - t.pending) / nrefs in
+    if room = 0 then flush t
+    else begin
+      let n = min room !left in
+      let r = seq_kernel t l1 ~nrefs ~from:!from ~iters:n ~until_hit in
+      left := !left - n + (r lsr 1);
+      from := 0;
+      if !left = 0 || r land 1 = 1 then result := (!left lsl 1) lor (r land 1)
+    end
+  done;
+  !result
+
+(* The same, in one kernel call when the batch has room for all *)
+let[@inline] seq t l1 ~nrefs ~from ~iters ~until_hit =
+  if t.pending + (iters * nrefs) <= Array.length t.batch then
+    seq_kernel t l1 ~nrefs ~from ~iters ~until_hit
+  else seq_chunked t l1 ~nrefs ~from ~iters ~until_hit
 
 (* The crossing calendar of row [o] of a [block] call, with period [p]
    (a power of two, at most the L1 line): for each residue [rho < p],
@@ -262,35 +367,36 @@ let[@inline] next_crossing gap ~pmask ~count j =
   if g >= count - j then count else j + g
 
 (* The probe: whether every ref's line of the iteration just issued
-   ([cur] is one stride past it) is L1-resident, and dirty if the ref
-   writes. *)
-let resident l1 cur ~strides ~writes =
+   (each address in [refs] is one stride past it) is L1-resident, and
+   dirty if the ref writes. *)
+let resident l1 refs ~nrefs =
   let line_bits = l1.line_bits and set_mask = l1.set_mask and tags = l1.tags in
-  let r = ref 0 and n = Array.length strides in
+  let b = ref 0 and stop = 3 * nrefs in
   while
-    !r < n
+    !b < stop
     &&
-    let la = (Array.unsafe_get cur !r - Array.unsafe_get strides !r) lsr line_bits in
+    let la = (Array.unsafe_get refs !b - Array.unsafe_get refs (!b + 1)) lsr line_bits in
     let e = Array.unsafe_get tags (la land set_mask) in
-    e lsr 1 = la && (e land 1 = 1 || not (Array.unsafe_get writes !r))
+    e lsr 1 = la && (e land 1 = 1 || Array.unsafe_get refs (!b + 2) = 0)
   do
-    incr r
+    b := !b + 3
   done;
-  !r = n
+  !b = stop
 
 (* [block] pushes a two-loop segment through the hierarchy: row o,
    iteration j issues, for each ref r in order,
    [bases.(r) + o * outer_strides.(r) + j * strides.(r)] (a write iff
    [writes.(r)]); rows run in order, each [count] iterations.  Rows
    that continue one another are joined into one; [block_dm] then takes
-   the rows one by one, restarting its phase logic at each row start,
-   so its work counters are those of one call per row.
+   the rows one by one, each from its own start, so its work counters
+   are those of one call per row.  Its per-ref state ([t.refs]) is set
+   up once per call: addresses at each row start, and kept across the
+   row's phases.
 
    A row alternates two phases.  The sequential phase runs whole
-   iterations access by access, testing each ref's tag at its turn (an
-   install can evict a later ref's line) and sending a miss through
-   [miss_dm] into [t.batch] ([flush]ed when full and before returning).
-   It ends after an iteration that hits throughout, or after its first
+   iterations access by access, through [seq]; misses go to [t.batch],
+   which is sent down between kernel calls and before returning.  It
+   ends after an iteration that hits throughout, or after its first
    iteration when the probe ([resident]) finds every ref's line of that
    iteration resident, and dirty if written; either way the steady
    phase starts from the next iteration with that invariant: every
@@ -320,7 +426,8 @@ let resident l1 cur ~strides ~writes =
    multiple of the line ([shared]).  Its period [p] is the largest
    line / gcd(|s|, line) over the refs with 0 < |s| < line (a ref moving
    a line or more crosses at every iteration).  Where the steady phase
-   cannot pay, the row runs access by access throughout ([bulk] false):
+   cannot pay, the whole call runs access by access, every row through
+   [seq] with no phase logic ([bulk] false):
    - when half or more of the accesses cross a line (a ref crosses at
      min(|s|, line) / line of the iterations): a crossing pass then
      costs what the sequential iterations it replaces cost;
@@ -329,12 +436,12 @@ let resident l1 cur ~strides ~writes =
      calendars of their own or are that short all together.
 
    Unchecked array accesses: sets are masked by [set_mask]; scratch
-   indices are < nrefs, calendar residues < p, and [block] validated
-   the input array lengths. *)
+   indices are < 3 * nrefs, calendar residues < p, and [block]
+   validated the input array lengths. *)
 let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   let nrefs = Array.length bases in
   ensure_scratch t nrefs;
-  let cur = t.cur and rset = t.set and occ = t.occ in
+  let refs = t.refs and rset = t.set and occ = t.occ in
   let line_bits = l1.line_bits and set_mask = l1.set_mask in
   let tags = l1.tags in
   let line = 1 lsl line_bits in
@@ -343,7 +450,10 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
      calendar fits every row *)
   let low = ref line and crossing = ref 0 and nwrites = ref 0 and shared = ref true in
   for r = 0 to nrefs - 1 do
-    let s = abs strides.(r) in
+    let s = strides.(r) in
+    refs.((3 * r) + 1) <- s;
+    refs.((3 * r) + 2) <- Bool.to_int writes.(r);
+    let s = abs s in
     if s < line then begin
       if s <> 0 && s land -s < !low then low := s land -s;
       crossing := !crossing + s
@@ -363,131 +473,111 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   let cal_row = ref (-1) in
   let write_allocate = t.write_allocate in
   let bulk_segs = ref 0 and bulk_iters = ref 0 in
-  let nmiss = ref 0 and nwb = ref 0 in
-  let pending = ref 0 in
+  t.nmiss <- 0;
+  t.nwb <- 0;
   for o = 0 to outer_count - 1 do
     for r = 0 to nrefs - 1 do
-      Array.unsafe_set cur r
+      Array.unsafe_set refs (3 * r)
         (Array.unsafe_get bases r + (o * Array.unsafe_get outer_strides r))
     done;
-    let i = ref 0 in
-    (* the first ref of iteration [!i] not yet issued *)
-    let from = ref 0 in
-    let had_miss = ref false in
-    while !i < count do
-      (* sequential phase: whole iterations until the steady phase may
-         start, the probe tried after the first *)
-      let probe = ref bulk and go = ref true in
-      while !go do
-        had_miss := false;
-        for r = !from to nrefs - 1 do
-          let a = Array.unsafe_get cur r in
-          let la = a lsr line_bits and w = Array.unsafe_get writes r in
-          let set = la land set_mask in
-          let e = Array.unsafe_get tags set in
-          if e lsr 1 = la then begin
-            if w then Array.unsafe_set tags set (e lor 1)
-          end
-          else begin
-            let o = miss_dm ~write_allocate ~write:w tags la set in
-            had_miss := true;
-            incr nmiss;
-            nwb := !nwb + (o land 1);
-            pending := push t !pending a ~write:w
-          end;
-          Array.unsafe_set cur r (a + Array.unsafe_get strides r)
-        done;
+    if not bulk then ignore (seq t l1 ~nrefs ~from:0 ~iters:count ~until_hit:false)
+    else begin
+      let i = ref 0 in
+      (* the first ref of iteration [!i] not yet issued *)
+      let from = ref 0 in
+      while !i < count do
+        (* sequential phase: its first iteration, then the probe, then
+           whole iterations up to one that hits throughout *)
+        let r = seq t l1 ~nrefs ~from:!from ~iters:1 ~until_hit:true in
         from := 0;
         incr i;
-        if !i = count then go := false
-        else if not !had_miss then go := not bulk
-        else if !probe then begin
-          probe := false;
-          go := not (resident l1 cur ~strides ~writes)
-        end
-      done;
-      if !i < count then begin
-        if !cal_row < 0 || ((not shared) && !cal_row <> o) then begin
-          calendar t ~bases ~strides ~outer_strides ~line_bits ~p o;
-          cal_row := o
+        if !i < count && r land 1 = 0 && not (resident l1 refs ~nrefs) then begin
+          let r = seq t l1 ~nrefs ~from:0 ~iters:(count - !i) ~until_hit:true in
+          i := count - (r lsr 1)
         end;
-        (* steady phase from [i0], with [cur] kept at [i0]; the current
-           lines are those of iteration [i0 - 1] *)
-        let i0 = !i and cal = t.cal in
-        for r = 0 to nrefs - 1 do
-          let set =
-            ((Array.unsafe_get cur r - Array.unsafe_get strides r) lsr line_bits)
-            land set_mask
-          in
-          Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
-          Array.unsafe_set rset r set
-        done;
-        let nx = ref (next_crossing cal_gap ~pmask ~count i0) in
-        let steady = ref true in
-        while !steady do
-          let ic = !nx in
-          if ic > !i then begin
-            bulk_iters := !bulk_iters + (ic - !i);
-            incr bulk_segs;
-            i := ic
+        if !i < count then begin
+          if !cal_row < 0 || ((not shared) && !cal_row <> o) then begin
+            calendar t ~bases ~strides ~outer_strides ~line_bits ~p o;
+            cal_row := o
           end;
-          if ic = count then steady := false
-          else begin
-            (* the crossing pass at iteration [ic] *)
-            let d = ic - i0 and rho = ic land pmask in
-            let k = ref (Array.unsafe_get cal_start rho) in
-            let stop = Array.unsafe_get cal_start (rho + 1) in
-            while !k < stop do
-              let q = Array.unsafe_get cal !k in
-              let a = Array.unsafe_get cur q + (d * Array.unsafe_get strides q) in
-              let la = a lsr line_bits and w = Array.unsafe_get writes q in
-              let set = la land set_mask and old = Array.unsafe_get rset q in
-              let e = Array.unsafe_get tags set in
-              if e lsr 1 = la then begin
-                if w then Array.unsafe_set tags set (e lor 1)
-              end
-              else if
-                Array.unsafe_get occ set = Bool.to_int (old = set)
-                && (write_allocate || not w)
-              then begin
-                let o = miss_dm ~write_allocate ~write:w tags la set in
-                incr nmiss;
-                nwb := !nwb + (o land 1);
-                pending := push t !pending a ~write:w
-              end
-              else begin
-                (* a clash: iteration [ic] goes on in place from [q] *)
-                from := q;
-                steady := false
-              end;
-              if !steady then begin
-                Array.unsafe_set occ old (Array.unsafe_get occ old - 1);
-                Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
-                Array.unsafe_set rset q set;
-                incr k
-              end
-              else k := stop
-            done;
-            if !steady then nx := next_crossing cal_gap ~pmask ~count (ic + 1)
-          end
-        done;
-        (* [cur] to iteration [!i], and to [!i + 1] for the refs a clash
-           left already issued *)
-        let d = !i - i0 and issued = !from in
-        for r = 0 to nrefs - 1 do
-          let s = Array.unsafe_get strides r in
-          let d = if r < issued then d + 1 else d in
-          Array.unsafe_set cur r (Array.unsafe_get cur r + (d * s));
-          let set = Array.unsafe_get rset r in
-          Array.unsafe_set occ set (Array.unsafe_get occ set - 1)
-        done
-      end
-    done
+          (* steady phase from [i0], with the addresses kept at [i0];
+             the current lines are those of iteration [i0 - 1] *)
+          let i0 = !i and cal = t.cal in
+          for r = 0 to nrefs - 1 do
+            let set =
+              ((Array.unsafe_get refs (3 * r) - Array.unsafe_get refs ((3 * r) + 1))
+               lsr line_bits)
+              land set_mask
+            in
+            Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
+            Array.unsafe_set rset r set
+          done;
+          let nx = ref (next_crossing cal_gap ~pmask ~count i0) in
+          let steady = ref true in
+          while !steady do
+            let ic = !nx in
+            if ic > !i then begin
+              bulk_iters := !bulk_iters + (ic - !i);
+              incr bulk_segs;
+              i := ic
+            end;
+            if ic = count then steady := false
+            else begin
+              (* the crossing pass at iteration [ic] *)
+              let d = ic - i0 and rho = ic land pmask in
+              let k = ref (Array.unsafe_get cal_start rho) in
+              let stop = Array.unsafe_get cal_start (rho + 1) in
+              while !k < stop do
+                let q = Array.unsafe_get cal !k in
+                let b = 3 * q in
+                let a = Array.unsafe_get refs b + (d * Array.unsafe_get refs (b + 1)) in
+                let la = a lsr line_bits and w = Array.unsafe_get refs (b + 2) in
+                let set = la land set_mask and old = Array.unsafe_get rset q in
+                let e = Array.unsafe_get tags set in
+                if e lsr 1 = la then begin
+                  if w <> 0 then Array.unsafe_set tags set (e lor 1)
+                end
+                else if
+                  Array.unsafe_get occ set = Bool.to_int (old = set)
+                  && (write_allocate || w = 0)
+                then begin
+                  push t (l1_miss ~write_allocate tags la set e a w)
+                end
+                else begin
+                  (* a clash: iteration [ic] goes on in place from [q] *)
+                  from := q;
+                  steady := false
+                end;
+                if !steady then begin
+                  Array.unsafe_set occ old (Array.unsafe_get occ old - 1);
+                  Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
+                  Array.unsafe_set rset q set;
+                  incr k
+                end
+                else k := stop
+              done;
+              if !steady then nx := next_crossing cal_gap ~pmask ~count (ic + 1)
+            end
+          done;
+          (* addresses to iteration [!i], and to [!i + 1] for the refs a
+             clash left already issued *)
+          let d = !i - i0 and issued = !from in
+          for r = 0 to nrefs - 1 do
+            let b = 3 * r in
+            let d = if r < issued then d + 1 else d in
+            Array.unsafe_set refs b
+              (Array.unsafe_get refs b + (d * Array.unsafe_get refs (b + 1)));
+            let set = Array.unsafe_get rset r in
+            Array.unsafe_set occ set (Array.unsafe_get occ set - 1)
+          done
+        end
+      done
+    end
   done;
-  flush t !pending;
+  flush t;
   let iters = count * outer_count in
-  charge l1.stats ~accesses:(iters * nrefs) ~misses:!nmiss ~writes:(iters * nwrites)
-    ~writebacks:!nwb;
+  charge l1.stats ~accesses:(iters * nrefs) ~misses:t.nmiss ~writes:(iters * nwrites)
+    ~writebacks:t.nwb;
   t.bulk_segments <- t.bulk_segments + !bulk_segs;
   t.bulk_iterations <- t.bulk_iterations + !bulk_iters;
   t.seq_iterations <- t.seq_iterations + iters - !bulk_iters
@@ -506,3 +596,46 @@ let block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
     let count, outer_count = if !joined then (count * outer_count, 1) else (count, outer_count) in
     block_dm t t.levels.(0) ~bases ~strides ~writes ~count ~outer_strides ~outer_count
   end
+
+(* The stream kernel: the accesses [lo] to [hi - 1] of [buf] (address at
+   [2k], 1 for a write or 0 at [2k + 1]) through L1 by the same step as
+   [seq_kernel], the batch having room for their misses.  Returns the
+   writes among them.  The loop calls nothing. *)
+let stream_kernel t l1 buf ~lo ~hi =
+  let tags = l1.tags and line_bits = l1.line_bits and set_mask = l1.set_mask in
+  let batch = t.batch and write_allocate = t.write_allocate in
+  let nw = ref 0 and p = ref t.pending in
+  for k = lo to hi - 1 do
+    let a = Array.unsafe_get buf (2 * k) and w = Array.unsafe_get buf ((2 * k) + 1) in
+    nw := !nw + w;
+    let la = a lsr line_bits in
+    let set = la land set_mask in
+    let e = Array.unsafe_get tags set in
+    if e lsr 1 = la then begin
+      if w <> 0 then Array.unsafe_set tags set (e lor 1)
+    end
+    else begin
+      Array.unsafe_set batch !p (l1_miss ~write_allocate tags la set e a w);
+      incr p
+    end
+  done;
+  t.pending <- !p;
+  !nw
+
+let stream t buf n =
+  if n < 0 || 2 * n > Array.length buf then invalid_arg "Fast_sim.stream: n outside the buffer";
+  let l1 = t.levels.(0) in
+  t.nmiss <- 0;
+  t.nwb <- 0;
+  let k = ref 0 and writes = ref 0 in
+  while !k < n do
+    let room = Array.length t.batch - t.pending in
+    if room = 0 then flush t
+    else begin
+      let hi = min n (!k + room) in
+      writes := !writes + stream_kernel t l1 buf ~lo:!k ~hi;
+      k := hi
+    end
+  done;
+  flush t;
+  charge l1.stats ~accesses:n ~misses:t.nmiss ~writes:!writes ~writebacks:t.nwb

@@ -8,8 +8,9 @@
     comes from {!block}, which takes a two-loop segment per call,
     accounts whole runs of guaranteed L1 hits in bulk instead of walking
     the cascade per access, and sends the segment's L1 misses to the
-    lower levels in batches, one level at a time; and from a leaner
-    per-access path (no LRU or prefetch bookkeeping).
+    lower levels in batches, one level at a time; from {!stream}, which
+    takes a buffer of addresses per call; and from a leaner per-access
+    path (no LRU or prefetch bookkeeping) whose loops call nothing.
 
     Not modelled: associative levels and next-line prefetching.  Callers
     must fall back to the reference path for either (as [Interp.run]
@@ -28,7 +29,10 @@ val create : ?write_allocate:bool -> Level.geometry list -> t
 
 (** [access t ?write addr] sends one reference down the cascade and
     returns the index of the level that hit (0 = L1), or the number of
-    levels for a main-memory access — the same contract as [Hierarchy.access]. *)
+    levels for a main-memory access — the same contract as
+    [Hierarchy.access].  The walker sends nothing this way ({!block} and
+    {!stream} take its streams); it is the per-access form that the
+    differential tests hold against [Hierarchy.access]. *)
 val access : t -> ?write:bool -> int -> int
 
 (** [block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count]
@@ -36,24 +40,32 @@ val access : t -> ?write:bool -> int -> int
     [o], iteration [j] accesses, for each reference [r] in order, address
     [bases.(r) + o * outer_strides.(r) + j * strides.(r)], as a write iff
     [writes.(r)]; rows, then iterations, then references.  Exactly
-    equivalent to issuing every access through {!access}.  A row starts
-    access by access.  After an iteration that hits throughout, or right
-    after the first iteration of an access-by-access phase when a probe
-    finds every reference's line of that iteration resident (and dirty
-    if the reference writes), the following iterations are accounted in
-    bulk.  Bulk iterations jump from one L1
-    line crossing to the next by a per-row calendar: a stride-[s]
-    reference's line crossings repeat every line / gcd(|s|, line)
-    iterations, so the calendar lists, per residue of that period, the
-    references that change line there.  It is built once per row, or
-    once per call when every row starts each reference at the same
+    equivalent to issuing every access through {!access}.
+
+    Access by access, iterations run through one small kernel whose loop
+    calls nothing: it keeps every reference's address, stride and write
+    bit in one array for the whole call, runs as many whole iterations as
+    the batch of pending L1 misses has room for, and leaves the batch to
+    be sent down between its calls.  A call where the bulk path cannot
+    pay (below) runs every row through that kernel and nothing else.
+
+    Otherwise a row starts access by access.  After an iteration that
+    hits throughout, or right after the first iteration of an
+    access-by-access phase when a probe finds every reference's line of
+    that iteration resident (and dirty if the reference writes), the
+    following iterations are accounted in bulk.  Bulk iterations jump
+    from one L1 line crossing to the next by a per-row calendar: a
+    stride-[s] reference's line crossings repeat every line / gcd(|s|,
+    line) iterations, so the calendar lists, per residue of that period,
+    the references that change line there.  It is built once per row,
+    or once per call when every row starts each reference at the same
     offset within its line.  A reference that crosses onto a line that
     is not resident is installed right there (its miss counted and sent
     down) when no other reference's current line sits in that L1 set.
     A clash, or a write miss without write-allocate, sends the row back
-    to access-by-access simulation, from that reference.  A row runs
-    access by access throughout when half or more of its accesses cross
-    a line, or when its calendar would serve fewer than four periods of
+    to access-by-access simulation, from that reference.  The whole call
+    runs access by access when half or more of its accesses cross a
+    line, or when its calendar would serve fewer than four periods of
     iterations.  Nothing is left pending when it returns.
     @raise Invalid_argument when the four arrays differ in length. *)
 val block :
@@ -65,6 +77,17 @@ val block :
   outer_strides:int array ->
   outer_count:int ->
   unit
+
+(** [stream t buf n] issues the [n] accesses stored in [buf]: access [k]
+    is to byte address [buf.(2 * k)], a write iff [buf.(2 * k + 1)] is 1
+    (it must be 0 or 1).  Exactly equivalent to [n] calls to {!access} in
+    order.  They go through L1 by the same step as {!block}'s kernel,
+    their L1 misses to the lower levels in batches; nothing is left
+    pending when it returns.  It counts nothing in {!metrics}.  The
+    walker ([Interp]) sends gather nests this way, one buffer at a time.
+    @raise Invalid_argument when [n] is negative or [buf] holds fewer
+    than [2 * n] entries. *)
+val stream : t -> int array -> int -> unit
 
 (** Live per-level counters, L1 first (not copies). *)
 val level_stats : t -> Stats.t list
@@ -81,13 +104,16 @@ type metrics = {
       (** iterations covered by those segments, including crossing
           iterations whose misses were installed in place *)
   seq_iterations : int;
-      (** iterations run access by access: the first of each row; after
-          it, every iteration up to and including the first that hits
-          throughout, unless the probe lets the bulk path start at once;
-          after a clash (a crossing onto a set where another reference's
-          line sits, or a write miss without write-allocate) the same,
-          the clash's own iteration counting here; and every iteration
-          of a row that the bulk path cannot pay for (see {!block}) *)
+      (** {!block}'s iterations run access by access, through its
+          kernel: the first of each row; after it, every iteration up to
+          and including the first that hits throughout, unless the probe
+          lets the bulk path start at once; after a clash (a crossing
+          onto a set where another reference's line sits, or a write
+          miss without write-allocate) the same, the clash's own
+          iteration counting here; and every iteration of a call that
+          the bulk path cannot pay for (see {!block}).  Accesses sent
+          through {!access} or {!stream} are not iterations and count
+          nowhere here. *)
 }
 
 val metrics : t -> metrics

@@ -17,11 +17,13 @@ type result = {
 (* Where the walker sends the reference stream.  [block] receives one
    two-loop segment: row [o], iteration [j] issues, for each reference
    [r] in order, [bases.(r) + o * outer_strides.(r) + j * strides.(r)];
-   it must behave exactly as [outer_count * count * nrefs] calls to
-   [access] in that order (rows, then iterations, then references)
-   would. *)
+   it must behave exactly as [outer_count * count * nrefs] accesses in
+   that order (rows, then iterations, then references) would.  [stream
+   buf n] receives [n] accesses in order: access [k] is to byte address
+   [buf.(2 * k)], a write iff [buf.(2 * k + 1)] is 1 (else 0).  The
+   buffer is the walker's and is refilled after the call returns. *)
 type sink = {
-  access : write:bool -> int -> unit;
+  stream : int array -> int -> unit;
   block :
     bases:int array ->
     strides:int array ->
@@ -31,6 +33,10 @@ type sink = {
     outer_count:int ->
     unit;
 }
+
+(* Accesses per [sink.stream] call at most, unless one iteration of a
+   nest has more: the walker's buffer holds twice as many ints. *)
+let stream_capacity = 1024
 
 (* Compiles a nest once and returns its walker, which pushes one full
    execution of the nest into [sink] and returns the flops executed.
@@ -47,9 +53,12 @@ type sink = {
    two-loop segment when its bounds do not mention that loop's variable
    (so every row starts at the same iteration and has the same trip
    count), else one execution per call as a single row.  Otherwise (and
-   for zero-depth bodies) every access goes to [sink.access] in program
-   order, its address the reference's column plus its gather terms. *)
-let compile_nest sink layout nest =
+   for zero-depth bodies) the innermost loop's accesses are written in
+   program order, each its reference's column plus its gather terms,
+   with its write bit, into [buf] (shared by the program's nests), which
+   goes to [sink.stream] whenever it cannot hold one more iteration and
+   when the nest's execution ends. *)
+let compile_nest sink buf layout nest =
   let loops = Array.of_list nest.Nest.loops in
   let depth = Array.length loops in
   let var_level = Hashtbl.create 8 in
@@ -113,7 +122,9 @@ let compile_nest sink layout nest =
            @ Option.to_list inner.Loop.hi_min)
        end
   in
-  let stop = if two_loop then depth - 2 else if blocked then depth - 1 else depth in
+  let stop = if two_loop then depth - 2 else max 0 (depth - 1) in
+  (* ints of [buf] filled *)
+  let len = ref 0 in
   let leaf =
     if blocked then begin
       let loop = loops.(depth - 1) and s = strides.(depth - 1) in
@@ -145,28 +156,59 @@ let compile_nest sink layout nest =
         end
     end
     else begin
-      let cols = partials.(depth) in
+      (* the innermost loop, or one execution of a zero-depth body *)
+      let loop, s, cols =
+        if depth = 0 then (None, Array.make ncols 0, partials.(0))
+        else (Some loops.(depth - 1), strides.(depth - 1), partials.(depth - 1))
+      in
+      let w = Array.map Bool.to_int writes in
+      let room = Array.length buf - (2 * nrefs) in
       fun () ->
-        for r = 0 to nrefs - 1 do
-          let addr = ref cols.(r) in
-          for g = first.(r) to first.(r + 1) - 1 do
-            addr :=
-              !addr + (scales.(g) * Subscript.lookup tables.(g) cols.(nrefs + g))
-          done;
-          sink.access ~write:writes.(r) !addr
+        let count = Option.fold ~none:1 ~some:(Loop.trip_count env) loop in
+        let lo = Option.fold ~none:0 ~some:(Loop.effective_lo env) loop in
+        let step = Option.fold ~none:0 ~some:(fun l -> l.Loop.step) loop in
+        for j = 0 to count - 1 do
+          let iv = lo + (j * step) in
+          if !len > room then begin
+            sink.stream buf (!len / 2);
+            len := 0
+          end;
+          for r = 0 to nrefs - 1 do
+            let addr = ref (cols.(r) + (s.(r) * iv)) in
+            for g = first.(r) to first.(r + 1) - 1 do
+              let c = nrefs + g in
+              addr :=
+                !addr + (scales.(g) * Subscript.lookup tables.(g) (cols.(c) + (s.(c) * iv)))
+            done;
+            let k = !len in
+            buf.(k) <- !addr;
+            buf.(k + 1) <- w.(r);
+            len := k + 2
+          done
         done;
-        flops := !flops + flops_per_iter
+        flops := !flops + (flops_per_iter * count)
     end
   in
   fun () ->
     flops := 0;
     outer ~stop ~leaf 0;
+    if !len > 0 then begin
+      sink.stream buf (!len / 2);
+      len := 0
+    end;
     !flops
 
 (* Pushes the whole program (every time step, nests in order) into
    [sink]; returns the flops executed. *)
 let walk sink layout program =
-  let nests = List.map (compile_nest sink layout) program.Program.nests in
+  let widest =
+    List.fold_left
+      (fun m nest ->
+        max m (List.fold_left (fun n s -> n + List.length s.Stmt.refs) 0 nest.Nest.body))
+      0 program.Program.nests
+  in
+  let buf = Array.make (2 * max stream_capacity widest) 0 in
+  let nests = List.map (compile_nest sink buf layout) program.Program.nests in
   let flops = ref 0 in
   for _step = 1 to program.Program.time_steps do
     List.iter (fun nest -> flops := !flops + nest ()) nests
@@ -175,10 +217,15 @@ let walk sink layout program =
 
 (* --- sinks ------------------------------------------------------------- *)
 
-(* A sink that takes every segment access by access, in order. *)
+(* A sink that takes every access of a segment or a buffer one by one,
+   in order. *)
 let per_access access =
   {
-    access;
+    stream =
+      (fun buf n ->
+        for k = 0 to n - 1 do
+          access ~write:(buf.((2 * k) + 1) = 1) buf.(2 * k)
+        done);
     block =
       (fun ~bases ~strides ~writes ~count ~outer_strides ~outer_count ->
         for o = 0 to outer_count - 1 do
@@ -194,11 +241,7 @@ let per_access access =
 let hierarchy_sink hierarchy =
   per_access (fun ~write addr -> ignore (Cs.Hierarchy.access hierarchy ~write addr))
 
-let fast_sink sim =
-  {
-    access = (fun ~write addr -> ignore (Cs.Fast_sim.access sim ~write addr));
-    block = Cs.Fast_sim.block sim;
-  }
+let fast_sink sim = { stream = Cs.Fast_sim.stream sim; block = Cs.Fast_sim.block sim }
 
 (* --- pricing and observability ----------------------------------------- *)
 

@@ -10,8 +10,10 @@
     two-loop segments: rows of iterations, one row per iteration of the
     next-outer loop, whenever the innermost bounds do not mention that
     loop's variable, and otherwise one row per innermost execution.
-    Nests with a
-    gather, and zero-depth bodies, are issued access by access, a
+    Nests with a gather, and zero-depth bodies, write their innermost
+    loop's byte addresses and write bits, in program order, into a
+    reusable buffer that goes to the simulator about a thousand accesses
+    at a time ({!Mlc_cachesim.Fast_sim.stream} on the fast backend), a
     gather's address being its column plus one table load per gather
     subscript.  Whatever consumes the stream — the reference cascade,
     {!Mlc_cachesim.Fast_sim}, or the address buffer behind {!trace} —

@@ -92,6 +92,77 @@ let prop_trace_equivalence =
         trace;
       !levels_agree && stats_match h f)
 
+(* A read of one line in every L1 set, at addresses far from any block,
+   on both simulators: it evicts every line a block left, so the
+   writebacks its dirty lines owe are counted. *)
+let evict_l1 h f geoms =
+  let l1 = List.hd geoms in
+  for k = 0 to (l1.Cs.Level.size / l1.Cs.Level.line) - 1 do
+    let a = (1 lsl 30) + (k * l1.Cs.Level.line) in
+    ignore (Cs.Hierarchy.access h a);
+    ignore (Cs.Fast_sim.access f a)
+  done
+
+(* [Fast_sim.stream] over random buffers, in one to three calls, against
+   [Hierarchy.access] per access, then an [evict_l1] sweep.  Lengths
+   fall on both sides of the pending-miss batch (1024 entries) and of
+   the walker's buffer (1024 accesses), up to three times over; each
+   buffer is longer than the accesses it carries, and its tail holds
+   addresses that must not be issued. *)
+let gen_stream =
+  QCheck.Gen.(
+    let* h = gen_hierarchy in
+    let* calls =
+      list_size (int_range 1 3)
+        (let* n =
+           frequency
+             [
+               (3, int_range 0 60);
+               (3, int_range 1000 1100);
+               (2, int_range 2000 2100);
+               (1, int_range 1 3100);
+             ]
+         in
+         let* accesses = list_repeat n (pair gen_addr bool) in
+         let* slack = int_range 0 3 in
+         return (accesses, slack))
+    in
+    return (h, calls))
+
+let print_stream (h, calls) =
+  Printf.sprintf "%s calls=[%s]" (print_hierarchy h)
+    (String.concat "; "
+       (List.map
+          (fun (accesses, slack) ->
+            Printf.sprintf "%d accesses (+%d) %s" (List.length accesses) slack
+              (String.concat ","
+                 (List.map
+                    (fun (a, w) -> Printf.sprintf "%d%s" a (if w then "w" else ""))
+                    accesses)))
+          calls))
+
+let prop_stream =
+  QCheck.Test.make ~name:"random buffers: Fast_sim.stream = per-access reference cascade"
+    ~count:(qcheck_count 300)
+    (QCheck.make ~print:print_stream gen_stream)
+    (fun ((write_allocate, geoms), calls) ->
+      let h = Cs.Hierarchy.create ~write_allocate geoms in
+      let f = Cs.Fast_sim.create ~write_allocate geoms in
+      List.iter
+        (fun (accesses, slack) ->
+          let n = List.length accesses in
+          let buf = Array.make (2 * (n + slack)) 1 in
+          List.iteri
+            (fun k (a, w) ->
+              ignore (Cs.Hierarchy.access h ~write:w a);
+              buf.(2 * k) <- a;
+              buf.((2 * k) + 1) <- Bool.to_int w)
+            accesses;
+          Cs.Fast_sim.stream f buf n)
+        calls;
+      evict_l1 h f geoms;
+      stats_match h f)
+
 (* --- block-level equivalence ------------------------------------------- *)
 
 (* Loop-shaped access patterns: a handful of references advancing by
@@ -118,17 +189,6 @@ let print_block (h, (bases, strides, writes, count)) =
     (String.concat ";" (Array.to_list (Array.map string_of_int strides)))
     (String.concat ";" (Array.to_list (Array.map string_of_bool writes)))
     count
-
-(* A read of one line in every L1 set, at addresses far from any block,
-   on both simulators: it evicts every line a block left, so the
-   writebacks its dirty lines owe are counted. *)
-let evict_l1 h f geoms =
-  let l1 = List.hd geoms in
-  for k = 0 to (l1.Cs.Level.size / l1.Cs.Level.line) - 1 do
-    let a = (1 lsl 30) + (k * l1.Cs.Level.line) in
-    ignore (Cs.Hierarchy.access h a);
-    ignore (Cs.Fast_sim.access f a)
-  done
 
 (* A two-loop [block] against the per-access reference cascade, rows
    then iterations then references, then [evict_l1] if [evict]:
@@ -286,6 +346,68 @@ let test_rows_length_mismatch () =
     (fun () ->
       Cs.Fast_sim.block f ~bases:[| 0; 64 |] ~strides:[| 8; 8 |] ~writes:[| false; true |]
         ~count:4 ~outer_strides:[| 512 |] ~outer_count:2)
+
+(* One call with more references than the pending-miss batch holds
+   entries: the batch grows to hold a whole iteration, so the sequential
+   kernel always has room for one.  1100 references over 24 KB, with
+   sub-line, zero, line and multi-line strides (up and down) and random
+   writes, in 3 rows of 40 iterations, on 2- and 3-level hierarchies
+   under both write policies; every L1 line is evicted at the end. *)
+let test_wide_block () =
+  let g size line assoc = { Cs.Level.size; line; assoc } in
+  let nrefs = 1100 in
+  let st = Random.State.make [| 1100 |] in
+  let bases = Array.init nrefs (fun _ -> 8 * Random.State.int st 3072) in
+  let strides =
+    Array.init nrefs (fun _ ->
+        [| 8; 8; 8; 0; 32; -8; 64; 200 |].(Random.State.int st 8))
+  in
+  let writes = Array.init nrefs (fun _ -> Random.State.int st 3 = 0) in
+  let outer_strides = Array.map (fun s -> (40 * s) + 4096) strides in
+  List.iter
+    (fun geoms ->
+      List.iter
+        (fun write_allocate ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d levels, write_allocate=%b" (List.length geoms) write_allocate)
+            true
+            (rows_match ~evict:true (write_allocate, geoms) ~bases ~strides ~writes ~count:40
+               ~outer_strides ~outer_count:3))
+        [ true; false ])
+    [
+      Cs.Machine.ultrasparc.Cs.Machine.geometries;
+      [ g 4096 32 1; g 16384 64 1; g 65536 64 1 ];
+    ]
+
+(* The sequential phase may leave the batch exactly full; a steady phase
+   that follows must send it down before it appends an in-place install.
+   256 reads four lines apart on a 2048-set L1, at stride 8: row 0 misses
+   at iteration 0 and installs its crossings at iterations 4 and 8 in
+   place (768 pending misses); row 1, one L1 size further on, misses
+   throughout its iteration 0 (1024, a full batch), the probe starts the
+   steady phase at once, and iteration 4 installs. *)
+let test_full_batch_then_install () =
+  let g size line assoc = { Cs.Level.size; line; assoc } in
+  let nrefs = 256 in
+  let geoms = [ g 65536 32 1; g (1 lsl 20) 64 1 ] in
+  let bases = Array.init nrefs (fun r -> r * 128) in
+  let strides = Array.make nrefs 8 and outer_strides = Array.make nrefs 65536 in
+  let writes = Array.make nrefs false in
+  Alcotest.(check bool) "stats = reference cascade" true
+    (rows_match ~evict:true (true, geoms) ~bases ~strides ~writes ~count:12 ~outer_strides
+       ~outer_count:2);
+  let f = Cs.Fast_sim.create geoms in
+  Cs.Fast_sim.block f ~bases ~strides ~writes ~count:12 ~outer_strides ~outer_count:2;
+  let m = Cs.Fast_sim.metrics f in
+  Alcotest.(check int) "two sequential iterations" 2 m.Cs.Fast_sim.seq_iterations;
+  Alcotest.(check int) "L1 misses" (2 * 3 * nrefs)
+    (List.hd (Cs.Fast_sim.level_stats f)).Cs.Stats.misses
+
+let test_stream_length () =
+  let f = Cs.Fast_sim.create [ { Cs.Level.size = 1024; line = 32; assoc = 1 } ] in
+  Alcotest.check_raises "more accesses than the buffer holds"
+    (Invalid_argument "Fast_sim.stream: n outside the buffer")
+    (fun () -> Cs.Fast_sim.stream f [| 0; 1; 64 |] 2)
 
 (* Crossing streams: 3-8 references with sub-line strides (12 and 24
    among them, a downward one and one of stride 0) that cross L1 lines
@@ -777,6 +899,9 @@ let test_kernel_equivalence () =
       ("irr40", Mlc_kernels.Livermore.irr 40, initial);
       ("adi32", Mlc_kernels.Livermore.adi 32, initial);
       ("buk2048", Mlc_kernels.Nas.buk 2048, initial);
+      ("embar4096", Mlc_kernels.Nas.embar 4096, initial);
+      ("irr6000: 36K accesses in one loop, the walker's buffer refilled", Mlc_kernels.Livermore.irr 6000, initial);
+      ("irr6000 L1-aligned", Mlc_kernels.Livermore.irr 6000, aligned);
       ("buk2048 L1-aligned", Mlc_kernels.Nas.buk 2048, aligned);
       ("cgm2048 multilvlpad", Mlc_kernels.Nas.cgm 2048, multilvlpad);
       ("cgm2048 L1-aligned", Mlc_kernels.Nas.cgm 2048, aligned);
@@ -816,6 +941,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_trace_equivalence;
+            prop_stream;
             prop_block_equivalence;
             prop_ping_pong;
             prop_rows;
@@ -829,6 +955,11 @@ let () =
             test_rows_overflow_batch;
           Alcotest.test_case "outer_strides length mismatch" `Quick
             test_rows_length_mismatch;
+          Alcotest.test_case "1100 references: more than the batch holds" `Quick
+            test_wide_block;
+          Alcotest.test_case "a full batch, then an in-place install" `Quick
+            test_full_batch_then_install;
+          Alcotest.test_case "stream: n beyond the buffer" `Quick test_stream_length;
           Alcotest.test_case "matmul rows: crossings run in place" `Quick
             test_matmul_rows;
           Alcotest.test_case "in place: a writer's line filled clean" `Quick

@@ -751,23 +751,52 @@ let test_bench_record_and_trace () =
 
 (* The fastsim section counts its jobs like every other section: five
    programs on each of the two backends, and the references they
-   streamed. *)
+   streamed.  Its own record lists each program's wall time on both
+   backends next to the totals. *)
 let test_bench_fastsim_record () =
   in_bench_dir "fast fastsim --no-cache" (fun dir _ ->
-      let record =
-        Json.parse
-          (In_channel.with_open_bin (Filename.concat dir "BENCH_engine.json")
-             In_channel.input_all)
+      let read name =
+        Json.parse (In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all)
       in
-      let field k =
+      let field record k =
         match record with
         | Json.Obj kvs -> List.assoc_opt k kvs
-        | _ -> Alcotest.fail "BENCH_engine.json is not an object"
+        | _ -> Alcotest.fail "record is not an object"
       in
-      Alcotest.(check bool) "jobs done" true (field "jobs_done" = Some (Json.Int 10));
-      match field "refs_streamed" with
+      let engine = read "BENCH_engine.json" in
+      Alcotest.(check bool) "jobs done" true (field engine "jobs_done" = Some (Json.Int 10));
+      (match field engine "refs_streamed" with
       | Some (Json.Int refs) -> Alcotest.(check bool) "refs streamed" true (refs > 0)
-      | _ -> Alcotest.fail "no refs_streamed")
+      | _ -> Alcotest.fail "no refs_streamed");
+      let fastsim = read "BENCH_fastsim.json" in
+      let seconds record k =
+        match field record k with
+        | Some (Json.Float s) -> s
+        | Some (Json.Int s) -> float_of_int s
+        | _ -> Alcotest.fail ("no " ^ k)
+      in
+      (match field fastsim "programs" with
+      | Some (Json.List programs) ->
+          Alcotest.(check (list string)) "programs"
+            [ "JACOBI512/orig"; "JACOBI512/grouppad"; "EXPL512/orig"; "EXPL512/l2maxpad";
+              "SHAL512/orig" ]
+            (List.map
+               (fun p ->
+                 match field p "program" with
+                 | Some (Json.String name) -> name
+                 | _ -> Alcotest.fail "a program without a name")
+               programs);
+          List.iter
+            (fun k ->
+              let total = seconds fastsim k in
+              let sum = List.fold_left (fun acc p -> acc +. seconds p k) 0.0 programs in
+              Alcotest.(check bool) (k ^ ": the programs' sum") true
+                (Float.abs (sum -. total) < 0.01))
+            [ "reference_wall_s"; "fast_wall_s" ]
+      | _ -> Alcotest.fail "no programs list");
+      match field fastsim "total_refs" with
+      | Some (Json.Int refs) -> Alcotest.(check bool) "total refs" true (refs > 0)
+      | _ -> Alcotest.fail "no total_refs")
 
 (* --- mlc emit: the three printers on downward loops, pads, gathers ---------- *)
 
