@@ -109,6 +109,26 @@ let severe_conflicts layout ~size ~line ?(include_same_array = false) nest =
   pairs ds;
   List.rev !conflicts
 
+(* [severe_conflicts ~include_same_array:true] restricted to pairs of
+   [array]'s own references.  A pair's circular distance depends only on
+   the difference of its two addresses, so the array's base drops out and
+   its offsets at the first iteration decide. *)
+let self_conflict layout ~size ~line array nest =
+  match List.filter (fun r -> r.Ref_.array = array && Ref_.is_affine r) (Nest.refs nest) with
+  | [] | [ _ ] -> false
+  | refs ->
+      let env = first_iteration_env nest in
+      let offsets = Array.of_list (List.map (Layout.offset_of_ref layout env) refs) in
+      let k = Array.length offsets in
+      let rec scan i j =
+        if i >= k - 1 then false
+        else if j >= k then scan (i + 1) (i + 2)
+        else
+          let delta = offsets.(j) - offsets.(i) in
+          (abs delta >= line && circular_distance size 0 delta < line) || scan i (j + 1)
+      in
+      scan 0 1
+
 let under_arc ~size ~trailing ~span q =
   let rel = (q - trailing) mod size in
   let rel = if rel < 0 then rel + size else rel in

@@ -54,6 +54,12 @@ val arcs : Layout.t -> ?min_span:int -> Nest.t -> arc list
 val severe_conflicts :
   Layout.t -> size:int -> line:int -> ?include_same_array:bool -> Nest.t -> conflict list
 
+(** [self_conflict layout ~size ~line array nest]: whether
+    [severe_conflicts ~include_same_array:true] reports a pair of two of
+    [array]'s own references in [nest].  It places only that array's
+    references, and stops at the first such pair. *)
+val self_conflict : Layout.t -> size:int -> line:int -> string -> Nest.t -> bool
+
 (** Distance between two cache positions around a cache of [size]
     bytes. *)
 val circular_distance : int -> int -> int -> int

@@ -1,18 +1,6 @@
 open Mlc_ir
 module An = Mlc_analysis
 
-let self_conflicts_of ~size ~line layout nest v =
-  An.Arcs.severe_conflicts layout ~size ~line ~include_same_array:true nest
-  |> List.filter (fun c ->
-         let refs = Array.of_list (Nest.refs nest) in
-         let arr i = refs.(i).Ref_.array in
-         arr c.An.Arcs.a = v && arr c.An.Arcs.b = v)
-
-let has_self_conflict ~size ~line program layout v =
-  List.exists
-    (fun nest -> self_conflicts_of ~size ~line layout nest v <> [])
-    program.Program.nests
-
 let apply ?max_elems ~size ~line program layout =
   let max_elems =
     match max_elems with
@@ -21,9 +9,14 @@ let apply ?max_elems ~size ~line program layout =
   in
   List.fold_left
     (fun layout v ->
+      let nests =
+        List.filter
+          (fun nest -> List.exists (fun r -> r.Ref_.array = v) (Nest.refs nest))
+          program.Program.nests
+      in
+      let conflicts layout = List.exists (An.Arcs.self_conflict layout ~size ~line v) nests in
       let rec go layout n =
-        if n >= max_elems || not (has_self_conflict ~size ~line program layout v)
-        then layout
+        if n >= max_elems || not (conflicts layout) then layout
         else go (Layout.set_intra_pad layout v (Layout.intra_pad layout v + 1)) (n + 1)
       in
       go layout 0)

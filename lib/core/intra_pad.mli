@@ -7,7 +7,13 @@ open Mlc_ir
 
 (** [apply ~size ~line program layout] pads columns of arrays whose own
     references conflict, one element at a time, up to [max_elems]
-    (default: one cache line's worth). *)
+    (default: one cache line's worth).
+
+    Each step tests the padded array alone ({!Mlc_analysis.Arcs.self_conflict}):
+    only the nests that name it, only its own references, up to the first
+    pair at least [line] bytes apart in memory and under [line] bytes apart
+    on the cache.  A step costs O(k²) in that array's k references per
+    nest, not a whole-nest [severe_conflicts] over every pair. *)
 val apply :
   ?max_elems:int -> size:int -> line:int -> Program.t -> Layout.t -> Layout.t
 

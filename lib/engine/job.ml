@@ -150,26 +150,35 @@ let build_machine m =
   | None | Some 1 -> base
   | Some k -> Cs.Machine.with_associativity k base
 
-let rec build_program = function
+(* Each kernel build runs in a [kernel:build] span; a fused program is its
+   base's build, then the fusion. *)
+let rec build_program spec =
+  let kernel build =
+    Mlc_obs.Obs.with_span ~cat:"kernel"
+      ~args:[ ("program", `Str (program_string spec)) ]
+      "kernel:build" build
+  in
+  match spec with
   | Registry { name; n } -> (
       match K.Registry.find_opt name with
       | None -> spec_error "unknown benchmark %S (see `mlc list`)" name
       | Some e -> (
           match (n, e.K.Registry.build_sized) with
-          | None, _ -> e.K.Registry.build ()
-          | Some n, Some f -> f n
+          | None, _ -> kernel e.K.Registry.build
+          | Some n, Some f -> kernel (fun () -> f n)
           | Some _, None -> spec_error "%s takes no size parameter" e.K.Registry.name))
   | Paper { name; n } -> (
       match name with
-      | "figure2" -> K.Paper_examples.figure2 n
-      | "figure6_fused" -> K.Paper_examples.figure6_fused n
+      | "figure2" -> kernel (fun () -> K.Paper_examples.figure2 n)
+      | "figure6_fused" -> kernel (fun () -> K.Paper_examples.figure6_fused n)
       | other -> spec_error "unknown paper example %S" other)
   | Fused { base; at; max_shift } ->
       L.Fusion.fuse_program ~max_shift (build_program base) at
-  | Matmul { n } -> L.Tiling.matmul n
-  | Tiled_matmul { n; h; w } -> L.Tiling.tiled_matmul ~n ~h ~w
-  | Time_sweep { n; steps } -> K.Time_kernels.sweep_2d ~n ~steps
-  | Time_tiled { n; steps; block } -> K.Time_kernels.time_tiled_2d ~n ~steps ~block
+  | Matmul { n } -> kernel (fun () -> L.Tiling.matmul n)
+  | Tiled_matmul { n; h; w } -> kernel (fun () -> L.Tiling.tiled_matmul ~n ~h ~w)
+  | Time_sweep { n; steps } -> kernel (fun () -> K.Time_kernels.sweep_2d ~n ~steps)
+  | Time_tiled { n; steps; block } ->
+      kernel (fun () -> K.Time_kernels.time_tiled_2d ~n ~steps ~block)
 
 let build_layout machine_t lspec program =
   match lspec with

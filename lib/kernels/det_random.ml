@@ -14,11 +14,18 @@ let int t bound =
 
 let table ~seed ~n ~bound =
   let t = create ~seed in
-  Array.init n (fun _ -> int t bound)
+  let a = Array.make n 0 in
+  for k = 0 to n - 1 do
+    a.(k) <- int t bound
+  done;
+  a
 
 let permutation ~seed ~n =
   let t = create ~seed in
-  let a = Array.init n (fun i -> i) in
+  let a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    a.(i) <- i
+  done;
   for i = n - 1 downto 1 do
     let j = int t (i + 1) in
     let tmp = a.(i) in

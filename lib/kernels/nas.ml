@@ -187,7 +187,10 @@ let cgm ?(row_nnz = 8) n =
   and y = arr "Y" [ n ]
   and colidx = arr ~elem_size:4 "COLIDX" [ nnz ] in
   let e = v "e" in
-  let row = Array.init nnz (fun e -> e / row_nnz) in
+  let row = Array.make nnz 0 in
+  for e = 0 to nnz - 1 do
+    row.(e) <- e / row_nnz
+  done;
   program (Printf.sprintf "cgm%d" n) [ a; x; y; colidx ]
     [
       nest
@@ -205,16 +208,21 @@ let embar n =
   let hist = Det_random.table ~seed:41 ~n:4096 ~bound:10 in
   let tab = Det_random.table ~seed:43 ~n:4096 ~bound:64 in
   let i = v "i" in
-  let wrap = Array.init n (fun k -> k mod 4096) in
-  let idx_of t = Array.init n (fun k -> t.(wrap.(k))) in
+  (* Iteration [k] reads entry [k mod 4096] of each table; the histogram
+     index is built once and shared by the read and the write. *)
+  let idx_of t =
+    let a = Array.make n 0 in
+    for k = 0 to n - 1 do
+      a.(k) <- t.(k land 4095)
+    done;
+    a
+  in
+  let q_idx = idx_of hist in
   program (Printf.sprintf "embar%d" n) [ gauss; q ]
     [
       nest
         [ loop "i" 0 (n - 1) ]
-        [
-          Stmt.make ~flops:12
-            [ rg "GAUSS" (idx_of tab) i; rg "Q" (idx_of hist) i; wg "Q" (idx_of hist) i ];
-        ];
+        [ Stmt.make ~flops:12 [ rg "GAUSS" (idx_of tab) i; rg "Q" q_idx i; wg "Q" q_idx i ] ];
     ]
 
 let fftpde n =

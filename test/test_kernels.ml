@@ -95,6 +95,87 @@ let test_paper_examples_match_paper_refs () =
   check_int "fused nest has 10 refs" 10
     (List.length (Nest.refs (List.hd fused.Program.nests)))
 
+(* --- gather builders ----------------------------------------------------- *)
+
+let qcheck_count default =
+  match Sys.getenv_opt "QCHECK_COUNT" with
+  | Some s -> (
+      match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
+  | None -> default
+
+(* The gather kernels' identity, as perfbench's oracle takes it: the MD5 of
+   the marshalled IR with no sharing.  Recorded from the [Array.init]
+   builders; a builder that fills its tables another way must marshal to
+   the same bytes. *)
+let gather_digests =
+  [
+    ("BUK", None, "756bfd7a776cb25b1e3fc66887519234");
+    ("BUK", Some 250_000, "1aca7e89de40dcb8dd96857ef884b325");
+    ("CGM", None, "48609d826f28e350c7025d6c861d764f");
+    ("CGM", Some 20_000, "e60a49f7a5b1b163208791ad95d0c210");
+    ("EMBAR", None, "88986476f428cd463f9630d9cc2a8e76");
+    ("EMBAR", Some 250_000, "9f7e795b9abe9e1e02e24ef930155eb6");
+    ("IRR500K", None, "be09206412057b379ec6982471a13711");
+    ("IRR500K", Some 100_000, "64ec6dd4084b3cfa8ae3c1d163f373f0");
+    ("WAVE5", None, "a191c96512a448daadcc8535f605bc5e");
+  ]
+
+let test_gather_digests () =
+  List.iter
+    (fun (name, n, digest) ->
+      let e = K.Registry.find name in
+      let p =
+        match n with None -> e.K.Registry.build () | Some n -> (Option.get e.K.Registry.build_sized) n
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s at %s" name
+           (match n with None -> "its default size" | Some n -> string_of_int n))
+        digest
+        (Digest.to_hex (Digest.string (Marshal.to_string p [ Marshal.No_sharing ]))))
+    gather_digests
+
+(* The tables as [Array.init] built them: the oracle for the loop fills. *)
+let oracle_table ~seed ~n ~bound =
+  let t = K.Det_random.create ~seed in
+  Array.init n (fun _ -> K.Det_random.int t bound)
+
+let oracle_permutation ~seed ~n =
+  let t = K.Det_random.create ~seed in
+  let a = Array.init n (fun i -> i) in
+  for i = n - 1 downto 1 do
+    let j = K.Det_random.int t (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done;
+  a
+
+let prop_tables_match_oracle =
+  QCheck.Test.make ~name:"table and permutation = the Array.init forms"
+    ~count:(qcheck_count 200)
+    QCheck.(triple int (int_range 0 5000) (int_range 1 (1 lsl 20)))
+    (fun (seed, n, bound) ->
+      K.Det_random.table ~seed ~n ~bound = oracle_table ~seed ~n ~bound
+      && K.Det_random.permutation ~seed ~n = oracle_permutation ~seed ~n)
+
+let test_table_edges () =
+  List.iter
+    (fun bound ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "n = 0, bound = %d" bound)
+        [||]
+        (K.Det_random.table ~seed:7 ~n:0 ~bound))
+    [ 1; 0; -1; min_int ];
+  Alcotest.(check (array int)) "permutation of 0" [||] (K.Det_random.permutation ~seed:7 ~n:0);
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no exception" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "table n = -1" (fun () -> K.Det_random.table ~seed:7 ~n:(-1) ~bound:10);
+  raises "permutation n = -1" (fun () -> K.Det_random.permutation ~seed:7 ~n:(-1));
+  raises "table n = 1, bound = 0" (fun () -> K.Det_random.table ~seed:7 ~n:1 ~bound:0)
+
 let () =
   Alcotest.run "kernels"
     [
@@ -115,5 +196,11 @@ let () =
           Alcotest.test_case "time steps" `Quick test_time_steps_multiply;
           Alcotest.test_case "BUK gather bounds" `Quick test_buk_gather_bounds;
           Alcotest.test_case "paper examples" `Quick test_paper_examples_match_paper_refs;
+        ] );
+      ( "gather builders",
+        [
+          Alcotest.test_case "golden digests" `Quick test_gather_digests;
+          Alcotest.test_case "empty and negative sizes" `Quick test_table_edges;
+          QCheck_alcotest.to_alcotest prop_tables_match_oracle;
         ] );
     ]

@@ -749,6 +749,45 @@ let test_bench_record_and_trace () =
             (List.assoc_opt "name" section = Some (Json.String "predict"))
       | _ -> Alcotest.fail "sections is not a one-section list")
 
+(* Span counts per name are a deterministic property of the work: the same
+   at one worker and at two.  Every job builds its program inside one
+   [kernel:build] span. *)
+let test_bench_span_counts () =
+  let span_counts jobs =
+    in_bench_dir
+      (Printf.sprintf "fast predict --no-cache --jobs %d --trace trace.json" jobs)
+      (fun dir _ ->
+        let trace =
+          Json.parse
+            (In_channel.with_open_bin (Filename.concat dir "trace.json") In_channel.input_all)
+        in
+        let events =
+          match trace with
+          | Json.Obj kvs -> (
+              match List.assoc_opt "traceEvents" kvs with
+              | Some (Json.List evs) -> evs
+              | _ -> Alcotest.fail "no traceEvents list")
+          | _ -> Alcotest.fail "trace is not an object"
+        in
+        let counts = Hashtbl.create 64 in
+        List.iter
+          (function
+            | Json.Obj kvs when List.assoc_opt "ph" kvs = Some (Json.String "B") -> (
+                match List.assoc_opt "name" kvs with
+                | Some (Json.String name) ->
+                    Hashtbl.replace counts name
+                      (1 + Option.value (Hashtbl.find_opt counts name) ~default:0)
+                | _ -> Alcotest.fail "span without a name")
+            | _ -> ())
+          events;
+        List.sort compare (List.of_seq (Hashtbl.to_seq counts)))
+  in
+  let one = span_counts 1 in
+  Alcotest.(check (list (pair string int))) "span counts, --jobs 1 = --jobs 2" one
+    (span_counts 2);
+  Alcotest.(check (option int)) "one kernel:build per job" (Some 12)
+    (List.assoc_opt "kernel:build" one)
+
 (* The fastsim section counts its jobs like every other section: five
    programs on each of the two backends, and the references they
    streamed.  Its own record lists each program's wall time on both
@@ -925,6 +964,7 @@ let () =
           Alcotest.test_case "bench record and trace parse" `Slow
             test_bench_record_and_trace;
           Alcotest.test_case "bench fastsim record" `Slow test_bench_fastsim_record;
+          Alcotest.test_case "bench span counts across --jobs" `Slow test_bench_span_counts;
           Alcotest.test_case "mlc emit" `Quick test_golden_emit;
           Alcotest.test_case "bad input fails cleanly" `Quick test_bad_input;
         ] );

@@ -101,6 +101,97 @@ let test_intra_pad_erle () =
   check_bool "some column padding applied" true
     (List.exists (fun v -> Layout.intra_pad padded v > 0) (Layout.array_names padded))
 
+(* The whole-nest formulation [Intra_pad] used before it tested the padded
+   array alone: every severe conflict of the nest, same-array pairs
+   included, kept where both references are to [v].  The oracle for
+   [Arcs.self_conflict] and for [Intra_pad.apply]. *)
+let oracle_self_conflict ~size ~line layout nest v =
+  An.Arcs.severe_conflicts layout ~size ~line ~include_same_array:true nest
+  |> List.exists (fun c ->
+         let refs = Array.of_list (Nest.refs nest) in
+         let arr i = refs.(i).Ref_.array in
+         arr c.An.Arcs.a = v && arr c.An.Arcs.b = v)
+
+let oracle_intra_pad ~size ~line program layout =
+  let conflicts layout v =
+    List.exists (fun nest -> oracle_self_conflict ~size ~line layout nest v) program.Program.nests
+  in
+  List.fold_left
+    (fun layout v ->
+      let rec go layout n =
+        if n >= (line / 4) + 1 || not (conflicts layout v) then layout
+        else go (Layout.set_intra_pad layout v (Layout.intra_pad layout v + 1)) (n + 1)
+      in
+      go layout 0)
+    layout (Layout.array_names layout)
+
+let qcheck_count default =
+  match Sys.getenv_opt "QCHECK_COUNT" with
+  | Some s -> (
+      match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
+  | None -> default
+
+(* Registry kernels at the trace oracle's small sizes and, for the 2-D
+   and 3-D grids, at the powers of two up to where their columns and
+   planes collide on both machines' caches. *)
+let intra_programs =
+  Array.of_list
+    (List.concat_map
+       (fun e ->
+         let name = e.K.Registry.name in
+         let sizes =
+           match name with
+           | "ADI32" | "ERLE64" | "EXPL512" | "JACOBI512" | "SHAL512" | "LINPACKD" | "HYDRO2D"
+           | "SWIM" | "TOMCATV" | "SU2COR" ->
+               [ 64; 128; 256; 512; 1024 ]
+           | "APPBT" | "APPLU" | "APPSP" | "MGRID" | "TURB3D" | "APSI" -> [ 16; 32; 64 ]
+           | _ -> []
+         in
+         (name, Trace_oracle.small_build e)
+         :: List.map
+              (fun n -> (Printf.sprintf "%s at %d" name n, (Option.get e.K.Registry.build_sized) n))
+              sizes)
+       K.Registry.all)
+
+let prop_intra_pad_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* k = int_bound (Array.length intra_programs - 1) in
+      let* alpha = bool in
+      let* pads = list_size (return 16) (pair (int_bound 64) (int_bound 5)) in
+      return (k, alpha, pads))
+  in
+  let print (k, alpha, pads) =
+    Printf.sprintf "%s on %s, (pad_before/8, intra_pad) = %s" (fst intra_programs.(k))
+      (if alpha then "alpha" else "ultrasparc")
+      (String.concat " " (List.map (fun (p, i) -> Printf.sprintf "(%d,%d)" p i) pads))
+  in
+  QCheck.Test.make ~name:"per-array self-conflict test = whole-nest oracle"
+    ~count:(qcheck_count 100) (QCheck.make ~print gen) (fun (k, alpha, pads) ->
+      let program = snd intra_programs.(k) in
+      let machine = if alpha then Cs.Machine.alpha21164 else Cs.Machine.ultrasparc in
+      let layout =
+        List.fold_left
+          (fun (layout, i) v ->
+            let pad, intra = List.nth pads (i mod List.length pads) in
+            (Layout.set_intra_pad (Layout.set_pad_before layout v (8 * pad)) v intra, i + 1))
+          (Layout.initial program, 0) (Layout.array_names (Layout.initial program))
+        |> fst
+      in
+      List.for_all
+        (fun { Cs.Level.size; line; _ } ->
+          List.for_all
+            (fun nest ->
+              List.for_all
+                (fun v ->
+                  An.Arcs.self_conflict layout ~size ~line v nest
+                  = oracle_self_conflict ~size ~line layout nest v)
+                (Layout.array_names layout))
+            program.Program.nests
+          && L.Intra_pad.apply ~size ~line program layout
+             = oracle_intra_pad ~size ~line program layout)
+        machine.Cs.Machine.geometries)
+
 (* --- GROUPPAD -------------------------------------------------------------- *)
 
 let test_grouppad_beats_pad_on_group_reuse () =
@@ -206,7 +297,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_modular_spacing;
         ] );
       ( "intra",
-        [ Alcotest.test_case "ERLE self conflicts" `Quick test_intra_pad_erle ] );
+        [
+          Alcotest.test_case "ERLE self conflicts" `Quick test_intra_pad_erle;
+          QCheck_alcotest.to_alcotest prop_intra_pad_oracle;
+        ] );
       ( "grouppad",
         [
           Alcotest.test_case "beats PAD on group reuse" `Quick test_grouppad_beats_pad_on_group_reuse;
