@@ -8,12 +8,13 @@
    L1-resident, the iterations are guaranteed hits that touch no lower
    level, so they can be accounted in bulk, jumping from one line
    crossing to the next as a per-row calendar of crossings lists them;
-   a reference that crosses onto a missing line is installed in place,
+   the references that cross at an iteration first leave their lines,
+   and one that crosses onto a missing line is installed in place,
    without leaving the bulk path, when no other reference's line sits
-   in that L1 set; and the segment's L1 misses reach the lower levels
-   as a batch, one level at a time.  Whatever runs access by access
-   ([block]'s sequential iterations, [stream]'s buffers) goes through
-   small loops that call nothing, so their state stays in registers.
+   in that L1 set.  It all runs in small loops that call nothing
+   ([block]'s sequential iterations and steady phase, [stream]'s
+   buffers); each L1 miss walks L2 and the levels below where it
+   happens.
 
    Associative levels and hardware prefetch are not modelled here;
    [create] rejects the former, and callers gate on both and fall back
@@ -47,18 +48,16 @@ type t = {
   (* per L1 set, the refs whose current line sits in it during a steady
      phase of [block]; all zero outside one *)
   occ : int array;
-  (* L1 misses awaiting the levels below, in order, each
-     [(addr land lnot 3) lor (writeback lsl 1) lor write], the
-     writeback that of the L1 fill (lines are >= 4 bytes, so no level
-     looks at bits 0 and 1 of the address); at least
-     [batch_capacity] entries, and at least one iteration of the widest
-     ref group *)
-  mutable batch : int array;
-  (* the current [block] or [stream] call's pending misses, and its L1
-     misses and writebacks so far; [pending] is 0 between calls *)
-  mutable pending : int;
-  mutable nmiss : int;
-  mutable nwb : int;
+  (* the current [block] or [stream] call's L1 misses and writebacks,
+     and L2's misses, writes and writebacks (its accesses are L1's
+     misses); charged by [settle] *)
+  mutable nmiss : int; mutable nwb : int;
+  mutable miss2 : int; mutable write2 : int; mutable wb2 : int;
+  (* the ref a clash stopped [steady_kernel] at, and the access a kernel
+     hands to [cascade] ([(addr land lnot 1) lor write]: lines are >= 4
+     bytes, so no level looks at bit 0 of the address; see [Deep]) *)
+  mutable clash : int;
+  mutable deep : int;
   (* fast-path accounting: how [block] consumed its iterations *)
   mutable bulk_segments : int;
   mutable bulk_iterations : int;
@@ -94,10 +93,6 @@ let make_level i (geom : Level.geometry) =
     stats = Stats.create ();
   }
 
-(* Entries of [batch]: enough to amortise the per-level loop setup,
-   small enough to stay in the host's L1 data cache. *)
-let batch_capacity = 1024
-
 let create ?(write_allocate = true) geoms =
   if geoms = [] then invalid_arg "Fast_sim.create: no levels";
   let levels = Array.of_list (List.mapi make_level geoms) in
@@ -110,10 +105,9 @@ let create ?(write_allocate = true) geoms =
     cal_start = Array.make ((1 lsl levels.(0).line_bits) + 1) 0;
     cal_gap = Array.make (1 lsl levels.(0).line_bits) 0;
     occ = Array.make (levels.(0).set_mask + 1) 0;
-    batch = Array.make batch_capacity 0;
-    pending = 0;
-    nmiss = 0;
-    nwb = 0;
+    nmiss = 0; nwb = 0; miss2 = 0; write2 = 0; wb2 = 0;
+    clash = 0;
+    deep = 0;
     bulk_segments = 0;
     bulk_iterations = 0;
     seq_iterations = 0;
@@ -160,13 +154,16 @@ let[@inline] access_dm ~write_allocate ~w tags line_addr set =
   end
   else miss_dm ~write_allocate ~w tags line_addr set e
 
-(* One access down the cascade, as a loop: level [i+1] only sees level
-   [i]'s misses.  Returns the index of the level that hit, or the number
-   of levels for a main-memory access. *)
-let cascade t ~write addr =
+(* One access down the cascade from level [from], as a loop: level
+   [i+1] only sees level [i]'s misses, and each level visited is charged
+   at once.  Returns the index of the level that hit, or the number of
+   levels for a main-memory access.  [access] runs it from L1; the
+   kernels below run L1 and L2 themselves and reach levels 3.. through
+   it. *)
+let cascade t ~from ~w addr =
   let levels = t.levels and write_allocate = t.write_allocate in
-  let n = Array.length levels and w = Bool.to_int write in
-  let i = ref 0 in
+  let n = Array.length levels in
+  let i = ref from in
   while
     !i < n
     && begin
@@ -186,142 +183,106 @@ let cascade t ~write addr =
   done;
   !i
 
-let access t ?(write = false) addr = cascade t ~write addr
+let access t ?(write = false) addr = cascade t ~from:0 ~w:(Bool.to_int write) addr
 
-(* One level's pass over the first [n] entries of [batch]: each goes
-   through [access_dm] in order, the level's misses are compacted to the
-   front for the next level, and the level is charged once.  Returns the
-   misses kept.  The loop calls nothing. *)
-let level_pass ~write_allocate l batch n =
-  let line_bits = l.line_bits and set_mask = l.set_mask and tags = l.tags in
-  let kept = ref 0 and writes = ref 0 and writebacks = ref 0 in
-  for k = 0 to n - 1 do
-    let e = Array.unsafe_get batch k in
-    let line_addr = e lsr line_bits and w = e land 1 in
-    writes := !writes + w;
-    let o = access_dm ~write_allocate ~w tags line_addr (line_addr land set_mask) in
-    if o <> 0 then begin
-      writebacks := !writebacks + (o land 1);
-      Array.unsafe_set batch !kept e;
-      incr kept
-    end
-  done;
-  charge l.stats ~accesses:n ~misses:!kept ~writes:!writes ~writebacks:!writebacks;
-  !kept
+(* A kernel's L1 miss at [a], on the tag word [e] already read: installs
+   the line (or not, for a write without write-allocate), counts it, and
+   steps L2 by [access_dm] right there.  True when L2 missed too and
+   levels lie below it: the caller hands the access on by [Deep].  Exact:
+   level i+1 is fed level i's misses, in order, as they happen.  It reads
+   L2 and keeps the counts through [t], which leaves the kernels' hit
+   path its registers. *)
+let[@inline] step_down t tags la set e ~w a =
+  let o = miss_dm ~write_allocate:t.write_allocate ~w tags la set e in
+  t.nmiss <- t.nmiss + 1;
+  t.nwb <- t.nwb + (o land 1);
+  Array.length t.levels > 1
+  &&
+  let l2 = Array.unsafe_get t.levels 1 in
+  let la = a lsr l2.line_bits in
+  let o = access_dm ~write_allocate:t.write_allocate ~w l2.tags la (la land l2.set_mask) in
+  t.write2 <- t.write2 + w;
+  t.miss2 <- t.miss2 + (o lsr 1);
+  t.wb2 <- t.wb2 + (o land 1);
+  o <> 0 && Array.length t.levels > 2
 
-(* Takes the pending L1 misses in [t.batch] through levels 1.., one
-   [level_pass] each, and counts them as L1 misses of the call, and the
-   writebacks their fills caused (bit 1 of each entry) as L1
-   writebacks.  Exact: a level's state depends only on the stream it is
-   fed, and this feeds level i+1 exactly level i's misses in their
-   order, as [cascade] per miss would; nothing reads a lower level while
-   a batch is pending. *)
-let flush t =
-  let levels = t.levels and batch = t.batch in
-  let wb = ref 0 in
-  for k = 0 to t.pending - 1 do
-    wb := !wb + ((Array.unsafe_get batch k lsr 1) land 1)
-  done;
-  t.nmiss <- t.nmiss + t.pending;
-  t.nwb <- t.nwb + !wb;
-  let n = ref t.pending and i = ref 1 in
-  while !n > 0 && !i < Array.length levels do
-    n := level_pass ~write_allocate:t.write_allocate (Array.unsafe_get levels !i) batch !n;
-    incr i
-  done;
-  t.pending <- 0
+(* The access [step_down] leaves for levels 3..: a kernel records it in
+   [t.deep] and raises [Deep] to a handler outside its loops, which runs
+   [cascade] from level 2, and goes on from where it stopped.  OCaml
+   keeps no value in a register across a call, so a call in the loop
+   would reload the loop's state from the stack at every access. *)
+exception Deep
 
-(* Appends an entry to the batch, sending a full batch down first. *)
-let[@inline] push t entry =
-  if t.pending = Array.length t.batch then flush t;
-  let p = t.pending in
-  Array.unsafe_set t.batch p entry;
-  t.pending <- p + 1
+let[@inline] deep t ~w a =
+  t.deep <- (a land lnot 1) lor w;
+  raise_notrace Deep
+
+let[@inline] run_deep t = ignore (cascade t ~from:2 ~w:(t.deep land 1) t.deep)
+
+(* A [block] or [stream] call zeroes the counts, then charges them to
+   L1 (with its [accesses] and [writes]) and L2, once. *)
+let start_call t =
+  t.nmiss <- 0; t.nwb <- 0; t.miss2 <- 0; t.write2 <- 0; t.wb2 <- 0
+
+let settle t l1 ~accesses ~writes =
+  charge l1.stats ~accesses ~misses:t.nmiss ~writes ~writebacks:t.nwb;
+  if t.nmiss > 0 && Array.length t.levels > 1 then
+    charge t.levels.(1).stats ~accesses:t.nmiss ~misses:t.miss2 ~writes:t.write2
+      ~writebacks:t.wb2
 
 let ensure_scratch t n =
   if Array.length t.set < n then begin
     t.refs <- Array.make (3 * n) 0;
     t.set <- Array.make n 0
-  end;
-  (* room for a whole iteration; nothing is pending between calls *)
-  if Array.length t.batch < n then t.batch <- Array.make n 0
-
-(* An L1 miss of the loops below on the tag word [e] already read:
-   installs the line (or not, for a write without write-allocate) and
-   returns the batch entry of the miss, its writeback in bit 1 (see
-   [flush]).  Inlined, it keeps the loops free of calls. *)
-let[@inline] l1_miss ~write_allocate tags la set e a w =
-  let o = miss_dm ~write_allocate ~w tags la set e in
-  (a land lnot 3) lor ((o land 1) lsl 1) lor w
+  end
 
 (* The sequential kernel: up to [iters] whole iterations of the refs in
    [t.refs], access by access, the first iteration from ref [from].
    With [until_hit] it stops after an iteration with no L1 miss.  Each
    ref's tag is tested at its turn (an install can evict a later ref's
-   line), a miss goes through [l1_miss], and the ref's address advances
-   by its stride.  Returns the iterations not run, times two, plus 1
-   when the last one run had no miss and [until_hit].
-
-   The loop calls nothing and keeps few values live, so they stay in
-   registers: the caller leaves the batch room for [iters] iterations
-   and sends it down between calls (see [seq]).  [start] is the pending
-   count at the start of the iteration, or -1 without [until_hit]; an
-   iteration that left it unchanged had no miss. *)
+   line), a miss goes through [step_down], and the ref's address
+   advances by its stride.  Returns the iterations not run, times two,
+   plus 1 when the last one run had no miss and [until_hit].  [start] is
+   the miss count at the start of the iteration, or -1 without
+   [until_hit]; an iteration that left it unchanged had no miss.  The
+   loop calls nothing; what [Deep] must not lose sits outside it. *)
 let seq_kernel t l1 ~nrefs ~from ~iters ~until_hit =
-  let refs = t.refs and tags = l1.tags and batch = t.batch in
-  let line_bits = l1.line_bits and set_mask = l1.set_mask in
-  let write_allocate = t.write_allocate in
-  let p = ref t.pending and left = ref iters and first = ref from in
-  let start = ref (if until_hit then !p else -1) in
-  while !left > 0 do
-    for r = !first to nrefs - 1 do
-      let b = 3 * r in
-      let a = Array.unsafe_get refs b in
-      Array.unsafe_set refs b (a + Array.unsafe_get refs (b + 1));
-      let la = a lsr line_bits in
-      let set = la land set_mask in
-      let e = Array.unsafe_get tags set in
-      if e lsr 1 = la then begin
-        if Array.unsafe_get refs (b + 2) <> 0 then Array.unsafe_set tags set (e lor 1)
-      end
-      else begin
-        let w = Array.unsafe_get refs (b + 2) in
-        Array.unsafe_set batch !p (l1_miss ~write_allocate tags la set e a w);
-        incr p
-      end
-    done;
-    (* the end of an iteration: a hit throughout stops [until_hit],
-       leaving [lnot] the iterations not run *)
-    first := 0;
-    left := !left - 1;
-    if !p = !start then left := lnot !left else if !start >= 0 then start := !p
+  let left = ref iters and first = ref from and running = ref true in
+  let start = ref (if until_hit then t.nmiss else -1) in
+  while !running do
+    match
+      let refs = t.refs and tags = l1.tags in
+      let line_bits = l1.line_bits and set_mask = l1.set_mask in
+      while !left > 0 do
+        for r = !first to nrefs - 1 do
+          let b = 3 * r in
+          let a = Array.unsafe_get refs b in
+          Array.unsafe_set refs b (a + Array.unsafe_get refs (b + 1));
+          let la = a lsr line_bits in
+          let set = la land set_mask in
+          let e = Array.unsafe_get tags set in
+          if e lsr 1 = la then begin
+            if Array.unsafe_get refs (b + 2) <> 0 then Array.unsafe_set tags set (e lor 1)
+          end
+          else begin
+            let w = Array.unsafe_get refs (b + 2) in
+            if step_down t tags la set e ~w a then begin
+              first := r + 1;
+              deep t ~w a
+            end
+          end
+        done;
+        (* the end of an iteration: a hit throughout stops [until_hit],
+           leaving [lnot] the iterations not run *)
+        first := 0;
+        left := !left - 1;
+        if t.nmiss = !start then left := lnot !left else if !start >= 0 then start := t.nmiss
+      done
+    with
+    | () -> running := false
+    | exception Deep -> run_deep t
   done;
-  t.pending <- !p;
   if !left < 0 then ((lnot !left) lsl 1) lor 1 else 0
-
-(* [seq_kernel] over [iters] iterations, in calls that each fill at most
-   the room left in the batch, which is sent down when it has none for
-   a whole iteration; same result.  [iters] >= 1. *)
-let seq_chunked t l1 ~nrefs ~from ~iters ~until_hit =
-  let left = ref iters and from = ref from and result = ref (-1) in
-  while !result < 0 do
-    let room = (Array.length t.batch - t.pending) / nrefs in
-    if room = 0 then flush t
-    else begin
-      let n = min room !left in
-      let r = seq_kernel t l1 ~nrefs ~from:!from ~iters:n ~until_hit in
-      left := !left - n + (r lsr 1);
-      from := 0;
-      if !left = 0 || r land 1 = 1 then result := (!left lsl 1) lor (r land 1)
-    end
-  done;
-  !result
-
-(* The same, in one kernel call when the batch has room for all *)
-let[@inline] seq t l1 ~nrefs ~from ~iters ~until_hit =
-  if t.pending + (iters * nrefs) <= Array.length t.batch then
-    seq_kernel t l1 ~nrefs ~from ~iters ~until_hit
-  else seq_chunked t l1 ~nrefs ~from ~iters ~until_hit
 
 (* The crossing calendar of row [o] of a [block] call, with period [p]
    (a power of two, at most the L1 line): for each residue [rho < p],
@@ -383,6 +344,86 @@ let resident l1 refs ~nrefs =
   done;
   !b = stop
 
+(* The steady kernel: the steady phase of a row (see [block_dm]) from
+   iteration [i0], whose first crossing is [ic], with the addresses in
+   [t.refs] kept at [i0], [t.set] and [t.occ] set up and the calendar
+   built.  It jumps from crossing to crossing, one bulk segment each,
+   and runs each crossing pass: the listed refs leave their sets, then
+   each in order hits or is installed in place, and lands on its new
+   set.  Returns the iteration reached, times two, plus 1 when a clash
+   stopped it there, the clashing ref in [t.clash] and the refs not yet
+   handled back on their old sets.  Like [seq_kernel], it calls nothing;
+   [ic] is the crossing being passed, [k] to [stop] what is left of its
+   list. *)
+let steady_kernel t l1 ~i0 ~ic ~count ~pmask =
+  (* as if the pass before [ic] had just ended *)
+  let i = ref i0 and ic = ref (ic - 1) and k = ref 0 and stop = ref 0 in
+  let segs = ref 0 and clashed = ref false and running = ref true in
+  while !running do
+    match
+      let refs = t.refs and rset = t.set and occ = t.occ and cal = t.cal in
+      let tags = l1.tags and line_bits = l1.line_bits and set_mask = l1.set_mask in
+      while !ic < count do
+        let d = !ic - i0 in
+        while !k < !stop do
+          let q = Array.unsafe_get cal !k in
+          let b = 3 * q in
+          let a = Array.unsafe_get refs b + (d * Array.unsafe_get refs (b + 1)) in
+          let la = a lsr line_bits and w = Array.unsafe_get refs (b + 2) in
+          let set = la land set_mask in
+          let e = Array.unsafe_get tags set in
+          if e lsr 1 = la || (Array.unsafe_get occ set = 0 && (t.write_allocate || w = 0))
+          then begin
+            Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
+            Array.unsafe_set rset q set;
+            incr k;
+            if e lsr 1 = la then begin
+              if w <> 0 then Array.unsafe_set tags set (e lor 1)
+            end
+            else if step_down t tags la set e ~w a then deep t ~w a
+          end
+          else begin
+            (* a clash: [q] and the refs after it go back on their sets *)
+            t.clash <- q;
+            for j = !k to !stop - 1 do
+              let set = Array.unsafe_get rset (Array.unsafe_get cal j) in
+              Array.unsafe_set occ set (Array.unsafe_get occ set + 1)
+            done;
+            stop := !k;
+            clashed := true
+          end
+        done;
+        if !clashed then ic := count
+        else begin
+          (* the next crossing pass: its refs leave their sets *)
+          let c = next_crossing t.cal_gap ~pmask ~count (!ic + 1) in
+          ic := c;
+          if c < count then begin
+            if c > !i then begin
+              incr segs;
+              i := c
+            end;
+            k := Array.unsafe_get t.cal_start (c land pmask);
+            stop := Array.unsafe_get t.cal_start ((c land pmask) + 1);
+            for j = !k to !stop - 1 do
+              let set = Array.unsafe_get rset (Array.unsafe_get cal j) in
+              Array.unsafe_set occ set (Array.unsafe_get occ set - 1)
+            done
+          end
+        end
+      done
+    with
+    | () -> running := false
+    | exception Deep -> run_deep t
+  done;
+  if (not !clashed) && count > !i then begin
+    incr segs;
+    i := count
+  end;
+  t.bulk_segments <- t.bulk_segments + !segs;
+  t.bulk_iterations <- t.bulk_iterations + !i - i0;
+  (!i lsl 1) lor Bool.to_int !clashed
+
 (* [block] pushes a two-loop segment through the hierarchy: row o,
    iteration j issues, for each ref r in order,
    [bases.(r) + o * outer_strides.(r) + j * strides.(r)] (a write iff
@@ -394,40 +435,43 @@ let resident l1 refs ~nrefs =
    row's phases.
 
    A row alternates two phases.  The sequential phase runs whole
-   iterations access by access, through [seq]; misses go to [t.batch],
-   which is sent down between kernel calls and before returning.  It
-   ends after an iteration that hits throughout, or after its first
-   iteration when the probe ([resident]) finds every ref's line of that
-   iteration resident, and dirty if written; either way the steady
-   phase starts from the next iteration with that invariant: every
-   ref's current line is L1-resident, and dirty if the ref writes.
+   iterations access by access, through [seq_kernel].  It ends after an
+   iteration that hits throughout, or after its first iteration when
+   the probe ([resident]) finds every ref's line of that iteration
+   resident, and dirty if written; either way the steady phase starts
+   with the invariant: every ref's current line is L1-resident, and
+   dirty if the ref writes.
 
-   Exactness of the steady phase: iterations in which no ref crosses a
-   line boundary are then guaranteed hits that reach no lower level and
-   change no tag state (dirty bits are idempotent), so a direct-mapped
-   L1, which has no recency state, needs nothing but counting for them.
-   The row's crossing [calendar] names the iterations at which some ref
-   moves onto another line, and which refs do; the phase jumps to the
-   next such iteration, and one pass over its list handles those refs
-   in order.  Per ref, [set] is the L1 set of its current line, and
-   [occ] counts the refs per set.  A crossed ref's new line either hits
-   (setting its dirty bit if the ref writes) or is installed right
-   there, its miss counted and batched, when no other ref's current line
-   sits in its set: the line it evicts is then none a ref is on, so the
-   invariant holds and the later refs of the iteration hit as assumed.
-   Refs not yet handled in the pass still count on their old line,
-   which only makes that test stricter.  On a clash, or a write miss
-   without write-allocate (which installs nothing), the phase ends and
-   the sequential phase takes over at that iteration, from that ref.
-   L1 is charged once, with the misses counted here.
+   Exactness of the steady phase ([steady_kernel]): iterations in which
+   no ref crosses a line boundary are then hits that reach no lower
+   level and change no tag state (dirty bits are idempotent), so a
+   direct-mapped L1 needs nothing but counting for them.  The row's
+   crossing [calendar] names the iterations at which refs move onto
+   another line, and which refs do; the phase jumps to the next one, and
+   a pass over its list handles them.  Per ref, [set] is the L1 set of
+   its current line; [occ] counts the refs per set.  The pass first
+   takes every listed ref off its set: its next access is to its new
+   line, and no ref returns to a line it has crossed from, so a line
+   only such refs sit on is read by no later access.  Then, in order, a
+   listed ref's new line hits (its dirty bit set if the ref writes) or,
+   when no ref sits in its set, is installed there, its miss counted and
+   sent down: the evicted line is none a later access reads before
+   refilling it, and its writeback is the one the per-access cascade
+   counts at that access.  Each ref lands on its new set, so the
+   invariant holds and the iteration's later refs hit as assumed;
+   duplicate refs cross together, the first installing, the second
+   hitting.  On a clash, or a write miss without write-allocate (which
+   installs nothing), the sequential phase takes over at that
+   iteration, from that ref.
 
    The calendar is built at a row's first steady phase, and kept for
    the later rows of the call when every moving ref's outer stride is a
-   multiple of the line ([shared]).  Its period [p] is the largest
-   line / gcd(|s|, line) over the refs with 0 < |s| < line (a ref moving
-   a line or more crosses at every iteration).  Where the steady phase
-   cannot pay, the whole call runs access by access, every row through
-   [seq] with no phase logic ([bulk] false):
+   multiple of the line ([shared]); a row with no crossing left takes
+   the rest as one bulk segment, without the phase's set-up.  Its
+   period [p] is the largest line / gcd(|s|, line) over the refs with
+   0 < |s| < line (a ref moving a line or more crosses at every
+   iteration).  Where the steady phase cannot pay, every row of the call
+   runs through [seq_kernel] alone ([bulk] false):
    - when half or more of the accesses cross a line (a ref crosses at
      min(|s|, line) / line of the iterations): a crossing pass then
      costs what the sequential iterations it replaces cost;
@@ -443,7 +487,6 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   ensure_scratch t nrefs;
   let refs = t.refs and rset = t.set and occ = t.occ in
   let line_bits = l1.line_bits and set_mask = l1.set_mask in
-  let tags = l1.tags in
   let line = 1 lsl line_bits in
   (* the period is line over the smallest power of two dividing a
      stride below a line; [crossing] sums min(|s|, line); [shared]: one
@@ -468,19 +511,16 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
     (count >= 4 * p || (shared && count * outer_count >= 4 * p))
     && 2 * !crossing < nrefs * line
   in
-  let cal_start = t.cal_start and cal_gap = t.cal_gap in
   (* the row [t]'s calendar was built for in this call, -1 for none *)
   let cal_row = ref (-1) in
-  let write_allocate = t.write_allocate in
-  let bulk_segs = ref 0 and bulk_iters = ref 0 in
-  t.nmiss <- 0;
-  t.nwb <- 0;
+  let bulk_before = t.bulk_iterations in
+  start_call t;
   for o = 0 to outer_count - 1 do
     for r = 0 to nrefs - 1 do
       Array.unsafe_set refs (3 * r)
         (Array.unsafe_get bases r + (o * Array.unsafe_get outer_strides r))
     done;
-    if not bulk then ignore (seq t l1 ~nrefs ~from:0 ~iters:count ~until_hit:false)
+    if not bulk then ignore (seq_kernel t l1 ~nrefs ~from:0 ~iters:count ~until_hit:false)
     else begin
       let i = ref 0 in
       (* the first ref of iteration [!i] not yet issued *)
@@ -488,11 +528,11 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
       while !i < count do
         (* sequential phase: its first iteration, then the probe, then
            whole iterations up to one that hits throughout *)
-        let r = seq t l1 ~nrefs ~from:!from ~iters:1 ~until_hit:true in
+        let r = seq_kernel t l1 ~nrefs ~from:!from ~iters:1 ~until_hit:true in
         from := 0;
         incr i;
         if !i < count && r land 1 = 0 && not (resident l1 refs ~nrefs) then begin
-          let r = seq t l1 ~nrefs ~from:0 ~iters:(count - !i) ~until_hit:true in
+          let r = seq_kernel t l1 ~nrefs ~from:0 ~iters:(count - !i) ~until_hit:true in
           i := count - (r lsr 1)
         end;
         if !i < count then begin
@@ -502,85 +542,47 @@ let block_dm t l1 ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
           end;
           (* steady phase from [i0], with the addresses kept at [i0];
              the current lines are those of iteration [i0 - 1] *)
-          let i0 = !i and cal = t.cal in
-          for r = 0 to nrefs - 1 do
-            let set =
-              ((Array.unsafe_get refs (3 * r) - Array.unsafe_get refs ((3 * r) + 1))
-               lsr line_bits)
-              land set_mask
-            in
-            Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
-            Array.unsafe_set rset r set
-          done;
-          let nx = ref (next_crossing cal_gap ~pmask ~count i0) in
-          let steady = ref true in
-          while !steady do
-            let ic = !nx in
-            if ic > !i then begin
-              bulk_iters := !bulk_iters + (ic - !i);
-              incr bulk_segs;
-              i := ic
-            end;
-            if ic = count then steady := false
-            else begin
-              (* the crossing pass at iteration [ic] *)
-              let d = ic - i0 and rho = ic land pmask in
-              let k = ref (Array.unsafe_get cal_start rho) in
-              let stop = Array.unsafe_get cal_start (rho + 1) in
-              while !k < stop do
-                let q = Array.unsafe_get cal !k in
-                let b = 3 * q in
-                let a = Array.unsafe_get refs b + (d * Array.unsafe_get refs (b + 1)) in
-                let la = a lsr line_bits and w = Array.unsafe_get refs (b + 2) in
-                let set = la land set_mask and old = Array.unsafe_get rset q in
-                let e = Array.unsafe_get tags set in
-                if e lsr 1 = la then begin
-                  if w <> 0 then Array.unsafe_set tags set (e lor 1)
-                end
-                else if
-                  Array.unsafe_get occ set = Bool.to_int (old = set)
-                  && (write_allocate || w = 0)
-                then begin
-                  push t (l1_miss ~write_allocate tags la set e a w)
-                end
-                else begin
-                  (* a clash: iteration [ic] goes on in place from [q] *)
-                  from := q;
-                  steady := false
-                end;
-                if !steady then begin
-                  Array.unsafe_set occ old (Array.unsafe_get occ old - 1);
-                  Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
-                  Array.unsafe_set rset q set;
-                  incr k
-                end
-                else k := stop
-              done;
-              if !steady then nx := next_crossing cal_gap ~pmask ~count (ic + 1)
-            end
-          done;
-          (* addresses to iteration [!i], and to [!i + 1] for the refs a
-             clash left already issued *)
-          let d = !i - i0 and issued = !from in
-          for r = 0 to nrefs - 1 do
-            let b = 3 * r in
-            let d = if r < issued then d + 1 else d in
-            Array.unsafe_set refs b
-              (Array.unsafe_get refs b + (d * Array.unsafe_get refs (b + 1)));
-            let set = Array.unsafe_get rset r in
-            Array.unsafe_set occ set (Array.unsafe_get occ set - 1)
-          done
+          let i0 = !i in
+          let ic = next_crossing t.cal_gap ~pmask ~count i0 in
+          if ic = count then begin
+            (* no crossing left: the rest of the row, whose addresses
+               the next row resets, is one bulk segment *)
+            t.bulk_segments <- t.bulk_segments + 1;
+            t.bulk_iterations <- t.bulk_iterations + count - i0;
+            i := count
+          end
+          else begin
+            for r = 0 to nrefs - 1 do
+              let set =
+                ((Array.unsafe_get refs (3 * r) - Array.unsafe_get refs ((3 * r) + 1))
+                 lsr line_bits)
+                land set_mask
+              in
+              Array.unsafe_set occ set (Array.unsafe_get occ set + 1);
+              Array.unsafe_set rset r set
+            done;
+            let r = steady_kernel t l1 ~i0 ~ic ~count ~pmask in
+            i := r lsr 1;
+            if r land 1 = 1 then from := t.clash;
+            (* addresses to iteration [!i], and to [!i + 1] for the refs
+               a clash left already issued *)
+            let d = !i - i0 and issued = !from in
+            for r = 0 to nrefs - 1 do
+              let b = 3 * r in
+              let d = if r < issued then d + 1 else d in
+              Array.unsafe_set refs b
+                (Array.unsafe_get refs b + (d * Array.unsafe_get refs (b + 1)));
+              let set = Array.unsafe_get rset r in
+              Array.unsafe_set occ set (Array.unsafe_get occ set - 1)
+            done
+          end
         end
       done
     end
   done;
-  flush t;
   let iters = count * outer_count in
-  charge l1.stats ~accesses:(iters * nrefs) ~misses:t.nmiss ~writes:(iters * nwrites)
-    ~writebacks:t.nwb;
-  t.bulk_segments <- t.bulk_segments + !bulk_segs;
-  t.bulk_iterations <- t.bulk_iterations + !bulk_iters;
-  t.seq_iterations <- t.seq_iterations + iters - !bulk_iters
+  settle t l1 ~accesses:(iters * nrefs) ~writes:(iters * nwrites);
+  t.seq_iterations <- t.seq_iterations + iters - (t.bulk_iterations - bulk_before)
 
 let block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
   let nrefs = Array.length bases in
@@ -597,45 +599,39 @@ let block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count =
     block_dm t t.levels.(0) ~bases ~strides ~writes ~count ~outer_strides ~outer_count
   end
 
-(* The stream kernel: the accesses [lo] to [hi - 1] of [buf] (address at
-   [2k], 1 for a write or 0 at [2k + 1]) through L1 by the same step as
-   [seq_kernel], the batch having room for their misses.  Returns the
-   writes among them.  The loop calls nothing. *)
-let stream_kernel t l1 buf ~lo ~hi =
-  let tags = l1.tags and line_bits = l1.line_bits and set_mask = l1.set_mask in
-  let batch = t.batch and write_allocate = t.write_allocate in
-  let nw = ref 0 and p = ref t.pending in
-  for k = lo to hi - 1 do
-    let a = Array.unsafe_get buf (2 * k) and w = Array.unsafe_get buf ((2 * k) + 1) in
-    nw := !nw + w;
-    let la = a lsr line_bits in
-    let set = la land set_mask in
-    let e = Array.unsafe_get tags set in
-    if e lsr 1 = la then begin
-      if w <> 0 then Array.unsafe_set tags set (e lor 1)
-    end
-    else begin
-      Array.unsafe_set batch !p (l1_miss ~write_allocate tags la set e a w);
-      incr p
-    end
-  done;
-  t.pending <- !p;
-  !nw
+(* The stream kernel: the [n] accesses of [buf] (address at [2k], 1 for
+   a write or 0 at [2k + 1]) through L1 and below by the same step as
+   [seq_kernel]; [k] is the next access to issue. *)
+let stream_kernel t l1 buf n =
+  let k = ref 0 and running = ref true in
+  while !running do
+    match
+      let tags = l1.tags and line_bits = l1.line_bits and set_mask = l1.set_mask in
+      for j = !k to n - 1 do
+        let a = Array.unsafe_get buf (2 * j) and w = Array.unsafe_get buf ((2 * j) + 1) in
+        let la = a lsr line_bits in
+        let set = la land set_mask in
+        let e = Array.unsafe_get tags set in
+        if e lsr 1 = la then begin
+          if w <> 0 then Array.unsafe_set tags set (e lor 1)
+        end
+        else if step_down t tags la set e ~w a then begin
+          k := j + 1;
+          deep t ~w a
+        end
+      done
+    with
+    | () -> running := false
+    | exception Deep -> run_deep t
+  done
 
 let stream t buf n =
   if n < 0 || 2 * n > Array.length buf then invalid_arg "Fast_sim.stream: n outside the buffer";
   let l1 = t.levels.(0) in
-  t.nmiss <- 0;
-  t.nwb <- 0;
-  let k = ref 0 and writes = ref 0 in
-  while !k < n do
-    let room = Array.length t.batch - t.pending in
-    if room = 0 then flush t
-    else begin
-      let hi = min n (!k + room) in
-      writes := !writes + stream_kernel t l1 buf ~lo:!k ~hi;
-      k := hi
-    end
+  start_call t;
+  stream_kernel t l1 buf n;
+  let writes = ref 0 in
+  for k = 0 to n - 1 do
+    writes := !writes + Array.unsafe_get buf ((2 * k) + 1)
   done;
-  flush t;
-  charge l1.stats ~accesses:n ~misses:t.nmiss ~writes:!writes ~writebacks:t.nwb
+  settle t l1 ~accesses:n ~writes:!writes

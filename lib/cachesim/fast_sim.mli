@@ -5,12 +5,12 @@
     writebacks) for any hierarchy of direct-mapped levels without
     hardware prefetch: same filtered semantics (a level only sees the
     misses of the level above), same write-allocate behaviour.  The speed
-    comes from {!block}, which takes a two-loop segment per call,
+    comes from {!block}, which takes a two-loop segment per call and
     accounts whole runs of guaranteed L1 hits in bulk instead of walking
-    the cascade per access, and sends the segment's L1 misses to the
-    lower levels in batches, one level at a time; from {!stream}, which
-    takes a buffer of addresses per call; and from a leaner per-access
-    path (no LRU or prefetch bookkeeping) whose loops call nothing.
+    the cascade per access; from {!stream}, which takes a buffer of
+    addresses per call; and from a leaner per-access path (no LRU or
+    prefetch bookkeeping) whose loops call nothing.  Each L1 miss walks
+    L2 and the levels below where it happens.
 
     Not modelled: associative levels and next-line prefetching.  Callers
     must fall back to the reference path for either (as [Interp.run]
@@ -44,10 +44,9 @@ val access : t -> ?write:bool -> int -> int
 
     Access by access, iterations run through one small kernel whose loop
     calls nothing: it keeps every reference's address, stride and write
-    bit in one array for the whole call, runs as many whole iterations as
-    the batch of pending L1 misses has room for, and leaves the batch to
-    be sent down between its calls.  A call where the bulk path cannot
-    pay (below) runs every row through that kernel and nothing else.
+    bit in one array for the whole call, and sends each L1 miss down the
+    levels below as it happens.  A call where the bulk path cannot pay
+    (below) runs every row through that kernel and nothing else.
 
     Otherwise a row starts access by access.  After an iteration that
     hits throughout, or right after the first iteration of an
@@ -59,14 +58,16 @@ val access : t -> ?write:bool -> int -> int
     line) iterations, so the calendar lists, per residue of that period,
     the references that change line there.  It is built once per row,
     or once per call when every row starts each reference at the same
-    offset within its line.  A reference that crosses onto a line that
-    is not resident is installed right there (its miss counted and sent
-    down) when no other reference's current line sits in that L1 set.
-    A clash, or a write miss without write-allocate, sends the row back
-    to access-by-access simulation, from that reference.  The whole call
+    offset within its line; a row with no crossing left is one bulk
+    segment.  At a crossing, the references that cross first leave
+    their lines; then one that crosses onto a line that is not resident
+    is installed right there (its miss counted and sent down) when no
+    other reference's current line sits in that L1 set.  A clash, or a
+    write miss without write-allocate, sends the row back to
+    access-by-access simulation, from that reference.  The whole call
     runs access by access when half or more of its accesses cross a
     line, or when its calendar would serve fewer than four periods of
-    iterations.  Nothing is left pending when it returns.
+    iterations.
     @raise Invalid_argument when the four arrays differ in length. *)
 val block :
   t ->
@@ -81,9 +82,8 @@ val block :
 (** [stream t buf n] issues the [n] accesses stored in [buf]: access [k]
     is to byte address [buf.(2 * k)], a write iff [buf.(2 * k + 1)] is 1
     (it must be 0 or 1).  Exactly equivalent to [n] calls to {!access} in
-    order.  They go through L1 by the same step as {!block}'s kernel,
-    their L1 misses to the lower levels in batches; nothing is left
-    pending when it returns.  It counts nothing in {!metrics}.  The
+    order.  They go through L1 and below by the same step as {!block}'s
+    kernel.  It counts nothing in {!metrics}.  The
     walker ([Interp]) sends gather nests this way, one buffer at a time.
     @raise Invalid_argument when [n] is negative or [buf] holds fewer
     than [2 * n] entries. *)
@@ -108,8 +108,9 @@ type metrics = {
           kernel: the first of each row; after it, every iteration up to
           and including the first that hits throughout, unless the probe
           lets the bulk path start at once; after a clash (a crossing
-          onto a set where another reference's line sits, or a write
-          miss without write-allocate) the same, the clash's own
+          onto a set that another reference's line still holds once the
+          crossing references have left theirs, or a write miss without
+          write-allocate) the same, the clash's own
           iteration counting here; and every iteration of a call that
           the bulk path cannot pay for (see {!block}).  Accesses sent
           through {!access} or {!stream} are not iterations and count

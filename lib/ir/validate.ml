@@ -21,6 +21,22 @@ let corner_value bounds choice e =
 let check program =
   let issues = ref [] in
   let add nest message = issues := { nest; message } :: !issues in
+  (* the out-of-range entries of each gather table against a dimension,
+     in table order: a table that several references name (BUK's keys)
+     is scanned once and its entries replayed per reference *)
+  let scanned = ref [] in
+  let out_of_range table dim =
+    match List.find_opt (fun (t, d, _) -> t == table && d = dim) !scanned with
+    | Some (_, _, bad) -> bad
+    | None ->
+        let bad = ref [] in
+        for k = Array.length table - 1 downto 0 do
+          let e = Array.unsafe_get table k in
+          if e < 0 || e >= dim then bad := e :: !bad
+        done;
+        scanned := (table, dim, !bad) :: !scanned;
+        !bad
+  in
   let arrays = Hashtbl.create 16 in
   List.iter
     (fun a -> Hashtbl.replace arrays a.Array_decl.name a)
@@ -73,13 +89,12 @@ let check program =
                   (fun d (sub, dim) ->
                     match sub with
                     | Subscript.Gather { table; _ } ->
-                        Array.iter
+                        List.iter
                           (fun e ->
-                            if e < 0 || e >= dim then
-                              add ni
-                                (Printf.sprintf "%s: gather table entry %d out of [0,%d)"
-                                   r.Ref_.array e dim))
-                          table
+                            add ni
+                              (Printf.sprintf "%s: gather table entry %d out of [0,%d)"
+                                 r.Ref_.array e dim))
+                          (out_of_range table dim)
                     | Subscript.Affine e -> (
                         List.iter
                           (fun var ->

@@ -105,10 +105,9 @@ let evict_l1 h f geoms =
 
 (* [Fast_sim.stream] over random buffers, in one to three calls, against
    [Hierarchy.access] per access, then an [evict_l1] sweep.  Lengths
-   fall on both sides of the pending-miss batch (1024 entries) and of
-   the walker's buffer (1024 accesses), up to three times over; each
-   buffer is longer than the accesses it carries, and its tail holds
-   addresses that must not be issued. *)
+   fall on both sides of the walker's buffer (1024 accesses), up to
+   three times over; each buffer is longer than the accesses it
+   carries, and its tail holds addresses that must not be issued. *)
 let gen_stream =
   QCheck.Gen.(
     let* h = gen_hierarchy in
@@ -264,10 +263,9 @@ let prop_ping_pong =
 
 (* Two-loop segments: 1-6 rows whose outer strides are negative, zero,
    or smaller than a row's span, so that rows revisit each other's
-   lines.  The L1 sits over 0-2 lower levels;
-   the miss-heavy shape (line-sized strides, rows up to 300 iterations)
-   pushes more L1 misses through one call than [Fast_sim]'s batch of
-   pending misses holds. *)
+   lines.  The L1 sits over 0-2 lower levels; the miss-heavy shape
+   (line-sized strides, rows up to 300 iterations) sends over a
+   thousand L1 misses down in one call. *)
 let gen_rows =
   QCheck.Gen.(
     let* nlevels = oneofl [ 1; 2; 2; 3; 3 ] in
@@ -312,9 +310,9 @@ let prop_rows =
     (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
       rows_match h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
 
-(* One call whose L1 misses outnumber the pending-miss batch several
-   times over (every access misses a 256-byte direct-mapped L1), on 2-
-   and 3-level hierarchies, under both write policies. *)
+(* One call with thousands of L1 misses (every access misses a 256-byte
+   direct-mapped L1), each walking the levels below as it happens, on
+   2- and 3-level hierarchies, under both write policies. *)
 let test_rows_overflow_batch () =
   let g size line assoc = { Cs.Level.size; line; assoc } in
   let nrefs = 4 and count = 300 and outer_count = 6 in
@@ -347,12 +345,11 @@ let test_rows_length_mismatch () =
       Cs.Fast_sim.block f ~bases:[| 0; 64 |] ~strides:[| 8; 8 |] ~writes:[| false; true |]
         ~count:4 ~outer_strides:[| 512 |] ~outer_count:2)
 
-(* One call with more references than the pending-miss batch holds
-   entries: the batch grows to hold a whole iteration, so the sequential
-   kernel always has room for one.  1100 references over 24 KB, with
-   sub-line, zero, line and multi-line strides (up and down) and random
-   writes, in 3 rows of 40 iterations, on 2- and 3-level hierarchies
-   under both write policies; every L1 line is evicted at the end. *)
+(* One call with 1100 references, more than a kilo-entry scratch
+   buffer would hold per iteration, over 24 KB, with sub-line, zero,
+   line and multi-line strides (up and down) and random writes, in 3
+   rows of 40 iterations, on 2- and 3-level hierarchies under both write
+   policies; every L1 line is evicted at the end. *)
 let test_wide_block () =
   let g size line assoc = { Cs.Level.size; line; assoc } in
   let nrefs = 1100 in
@@ -379,13 +376,12 @@ let test_wide_block () =
       [ g 4096 32 1; g 16384 64 1; g 65536 64 1 ];
     ]
 
-(* The sequential phase may leave the batch exactly full; a steady phase
-   that follows must send it down before it appends an in-place install.
+(* A sequential iteration with 1024 L1 misses, then in-place installs.
    256 reads four lines apart on a 2048-set L1, at stride 8: row 0 misses
    at iteration 0 and installs its crossings at iterations 4 and 8 in
-   place (768 pending misses); row 1, one L1 size further on, misses
-   throughout its iteration 0 (1024, a full batch), the probe starts the
-   steady phase at once, and iteration 4 installs. *)
+   place (768 misses); row 1, one L1 size further on, misses throughout
+   its iteration 0 (another 1024), the probe starts the steady phase at
+   once, and iteration 4 installs. *)
 let test_full_batch_then_install () =
   let g size line assoc = { Cs.Level.size; line; assoc } in
   let nrefs = 256 in
@@ -417,9 +413,11 @@ let test_stream_length () =
    the L1 size away from the others (give or take a few bytes), so that
    a crossing fills a line another reference is still on.  Some
    references repeat an earlier one (as C(i,j) is read and then
-   written), so that a line can be written, evicted and refilled clean
-   by another reference within one iteration; some blocks' rows continue
-   one another, which [block] joins into one row. *)
+   written), right after it or after a reference that conflicts with it,
+   so that a line can be written, evicted and refilled clean by another
+   reference within one iteration, and duplicates cross together; some
+   blocks' rows continue one another, which [block] joins into one
+   row. *)
 let gen_crossing =
   QCheck.Gen.(
     let* line_bits = int_range 5 6 in
@@ -443,15 +441,23 @@ let gen_crossing =
       return (s, target + (k * l1_size) + jitter - (meet * s))
     in
     let* first = shape 0 in
+    (* a reference repeats an earlier one, or the one just before it,
+       or the one just before a conflicting reference: the same stride,
+       one L1 size away *)
     let rec more n acc =
       if n = 0 then return (List.rev acc)
       else
-        let* repeat = oneofl [ false; false; false; true ] in
-        let* next =
-          if repeat then oneofl acc
-          else oneofl [ 4; 8; 8; 12; 16; 24; -8; -8; -12 ] >>= shape
-        in
-        more (n - 1) (next :: acc)
+        let* kind = oneofl [ `Fresh; `Fresh; `Fresh; `Repeat; `Adjacent; `Around ] in
+        match (kind, acc) with
+        | `Repeat, _ ->
+            let* next = oneofl acc in
+            more (n - 1) (next :: acc)
+        | `Adjacent, last :: _ -> more (n - 1) (last :: acc)
+        | `Around, ((s, base) as last) :: _ when n >= 2 ->
+            more (n - 2) (last :: (s, base + l1_size) :: acc)
+        | _ ->
+            let* next = oneofl [ 4; 8; 8; 12; 16; 24; -8; -8; -12 ] >>= shape in
+            more (n - 1) (next :: acc)
     in
     let* shapes = more (nrefs - 1) [ first ] in
     let* zero_at = int_range 0 (nrefs - 1) in
@@ -819,6 +825,70 @@ let test_extreme_addresses () =
       [ { Cs.Level.size = 2048; line = 32; assoc = 1 }; { Cs.Level.size = 65536; line = 64; assoc = 1 } ];
     ]
 
+(* 1-, 2- and 3-level hierarchies under a 1 KB, 32-byte-line L1, each
+   under both write policies. *)
+let depths =
+  let g size line assoc = { Cs.Level.size; line; assoc } in
+  List.concat_map
+    (fun lowers -> [ (true, g 1024 32 1 :: lowers); (false, g 1024 32 1 :: lowers) ])
+    [ []; [ g 8192 64 1 ]; [ g 4096 64 1; g 32768 64 1 ] ]
+
+(* A crossing into a set that a later crossing reference leaves: two
+   stride-8 streams, the second one line ahead of the first plus the L1
+   size, so that at every crossing the first one's new line falls in the
+   set of the second one's old line.  The second reference leaves that
+   line in the same pass, so the install is no clash: each row runs its
+   first iteration access by access and the rest in bulk.  Read, and
+   written under write-allocate, where the evicted line is dirty. *)
+let test_crossing_leaves () =
+  List.iter
+    (fun ((wa, geoms) as h) ->
+      List.iter
+        (fun writes ->
+          if wa || not (Array.exists Fun.id writes) then begin
+            let bases = [| 0; 32 + 1024 |] and strides = [| 8; 8 |] in
+            let outer_strides = [| 4096; 4096 |] and outer_count = 3 and count = 64 in
+            let name = Printf.sprintf "%d levels, write_allocate=%b, writes=%b"
+                (List.length geoms) wa writes.(0) in
+            Alcotest.(check bool) (name ^ ": stats = reference cascade") true
+              (rows_match ~evict:true h ~bases ~strides ~writes ~count ~outer_strides
+                 ~outer_count);
+            let f = Cs.Fast_sim.create ~write_allocate:wa geoms in
+            Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count;
+            let m = Cs.Fast_sim.metrics f in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %d sequential iterations, at most 2 per row" name
+                 m.Cs.Fast_sim.seq_iterations)
+              true
+              (m.Cs.Fast_sim.seq_iterations <= 2 * outer_count)
+          end)
+        [ [| false; false |]; [| true; true |] ])
+    depths
+
+(* Rows whose remaining iterations have no crossing: 4-iteration rows of
+   two stride-8 streams that start each row on a line boundary, as in
+   the 4-row matmul tiles.  The steady phase starts at iteration 1 and
+   reaches the row's end without a crossing, so the rest of the row is
+   one bulk segment. *)
+let test_no_crossing_left () =
+  List.iter
+    (fun ((wa, geoms) as h) ->
+      let bases = [| 0; 2048 + 512 |] and strides = [| 8; 8 |] in
+      let writes = [| false; true |] and outer_strides = [| 800; 800 |] in
+      let count = 4 and outer_count = 12 in
+      let name = Printf.sprintf "%d levels, write_allocate=%b" (List.length geoms) wa in
+      Alcotest.(check bool) (name ^ ": stats = reference cascade") true
+        (rows_match ~evict:true h ~bases ~strides ~writes ~count ~outer_strides ~outer_count);
+      let f = Cs.Fast_sim.create ~write_allocate:wa geoms in
+      Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count;
+      let m = Cs.Fast_sim.metrics f in
+      if wa then begin
+        Alcotest.(check int) (name ^ ": sequential iterations") outer_count
+          m.Cs.Fast_sim.seq_iterations;
+        Alcotest.(check int) (name ^ ": bulk segments") outer_count m.Cs.Fast_sim.bulk_segments
+      end)
+    depths
+
 (* Associative levels are the reference cascade's alone: [create]
    rejects them, naming the level. *)
 let test_create_rejects_assoc () =
@@ -974,6 +1044,9 @@ let () =
             test_dense_crossings;
           Alcotest.test_case "SHAL512 n=370 GROUPPAD: under a fifth sequential" `Quick
             test_shal_bulk;
+          Alcotest.test_case "a crossing into a set a crossing reference leaves" `Quick
+            test_crossing_leaves;
+          Alcotest.test_case "rows with no crossing left" `Quick test_no_crossing_left;
         ] );
       ( "create",
         [ Alcotest.test_case "a 2-way level is rejected" `Quick test_create_rejects_assoc ] );

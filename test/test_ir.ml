@@ -183,7 +183,28 @@ let test_validate_catches () =
       [ Nest.make [ Loop.range "i" 0 9 ] [ Stmt.make [ Ref_.read_a "A" [ Expr.var "i" ] ] ] ]
   in
   Alcotest.(check (list string)) "clean" []
-    (List.map (Format.asprintf "%a" Validate.pp_issue) (Validate.check ok))
+    (List.map (Format.asprintf "%a" Validate.pp_issue) (Validate.check ok));
+  (* one out-of-range table named by two references (and a third that
+     reads it against a wider array): the issue is listed once per
+     reference, as a scan per reference would list it *)
+  let b = Array_decl.make "B" [ 12 ] in
+  let table = [| 3; 10; -1; 11 |] in
+  let g name = Ref_.read name [ Subscript.gather ~table ~index:(Expr.var "i") ] in
+  let shared =
+    Program.make "shared" [ a; b ]
+      [ Nest.make [ Loop.range "i" 0 3 ] [ Stmt.make [ g "A"; g "B"; g "A" ] ] ]
+  in
+  Alcotest.(check (list string)) "shared table"
+    [
+      "nest 0: A: gather table entry 10 out of [0,10)";
+      "nest 0: A: gather table entry -1 out of [0,10)";
+      "nest 0: A: gather table entry 11 out of [0,10)";
+      "nest 0: B: gather table entry -1 out of [0,12)";
+      "nest 0: A: gather table entry 10 out of [0,10)";
+      "nest 0: A: gather table entry -1 out of [0,10)";
+      "nest 0: A: gather table entry 11 out of [0,10)";
+    ]
+    (List.map (Format.asprintf "%a" Validate.pp_issue) (Validate.check shared))
 
 (* --- Interp ------------------------------------------------------------- *)
 
