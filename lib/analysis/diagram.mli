@@ -14,10 +14,8 @@
 
 open Mlc_ir
 
-(** [render layout ~size ~line nest] — a multi-line string; [width]
-    controls the box width in characters (default 72). *)
-val render : ?width:int -> Layout.t -> size:int -> line:int -> Nest.t -> string
-
-(** Render every nest of a program. *)
+(** [render_program layout ~size ~line p] — a multi-line string, one
+    diagram per nest; [width] controls the box width in characters
+    (default 72). *)
 val render_program :
   ?width:int -> Layout.t -> size:int -> line:int -> Program.t -> string

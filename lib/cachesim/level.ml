@@ -54,11 +54,7 @@ let create ?(write_allocate = true) ?(prefetch_next_line = false) geom =
     stats = Stats.create ();
   }
 
-let geometry t = t.geom
-
 let stats t = t.stats
-
-let writebacks t = t.stats.Stats.writebacks
 
 let install ?(prefetch = false) t slot line_addr ~write =
   if t.tags.(slot) >= 0 && t.dirty.(slot) then Stats.record_writeback t.stats;
@@ -150,11 +146,3 @@ let resident_lines t =
   Array.to_list t.tags
   |> List.filter (fun tag -> tag >= 0)
   |> List.map (fun tag -> tag lsl t.line_bits)
-
-let clear t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.last_use 0 (Array.length t.last_use) 0;
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  Array.fill t.prefetched 0 (Array.length t.prefetched) false;
-  t.clock <- 0;
-  Stats.reset t.stats

@@ -23,14 +23,7 @@ type t
     or an associativity that does not divide the number of lines. *)
 val create : ?write_allocate:bool -> ?prefetch_next_line:bool -> geometry -> t
 
-val geometry : t -> geometry
-
 val stats : t -> Stats.t
-
-(** Dirty evictions so far (write-back traffic to the next level).
-    Equal to [(stats t).Stats.writebacks]; kept distinct from write
-    misses, which land in [Stats.misses]/[Stats.writes]. *)
-val writebacks : t -> int
 
 (** [access t ?write addr] touches the line containing byte [addr],
     updates LRU state and counters, and reports whether it hit.  A miss
@@ -40,6 +33,3 @@ val access : t -> ?write:bool -> int -> bool
 (** Lines currently resident, as line-granule addresses (byte address of
     each line start), in no particular order.  Intended for tests. *)
 val resident_lines : t -> int list
-
-(** Forget all contents and reset counters. *)
-val clear : t -> unit

@@ -59,9 +59,6 @@ let total t = t.total
 
 let cold t = t.cold
 
-let histogram t =
-  Hashtbl.fold (fun d c acc -> (d, c) :: acc) t.hist [] |> List.sort compare
-
 let misses_at t ~lines =
   (* distance counts the lines touched strictly between the two accesses;
      the line itself plus [d] distinct others need [d + 1] slots, so an

@@ -22,9 +22,6 @@ val total : t -> int
 (** First-touch (cold) accesses. *)
 val cold : t -> int
 
-(** Histogram: (distance, count) for finite distances, sorted. *)
-val histogram : t -> (int * int) list
-
 (** Misses of a fully associative LRU cache with [lines] lines
     (= cold + accesses with distance >= lines). *)
 val misses_at : t -> lines:int -> int

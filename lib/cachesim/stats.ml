@@ -8,13 +8,6 @@ type t = {
 
 let create () = { accesses = 0; hits = 0; misses = 0; writes = 0; writebacks = 0 }
 
-let reset t =
-  t.accesses <- 0;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.writes <- 0;
-  t.writebacks <- 0
-
 let record ?(write = false) t ~hit =
   t.accesses <- t.accesses + 1;
   if write then t.writes <- t.writes + 1;

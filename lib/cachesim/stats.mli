@@ -33,8 +33,6 @@ val add : t -> t -> t
 
 val equal : t -> t -> bool
 
-val reset : t -> unit
-
 (** [record ?write t ~hit] counts one access; [write] (default false)
     additionally bumps the write counter. *)
 val record : ?write:bool -> t -> hit:bool -> unit

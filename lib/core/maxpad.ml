@@ -1,14 +1,9 @@
 open Mlc_ir
 
-let positions ~size layout =
-  List.map
-    (fun v -> (v, Layout.base layout v mod size))
-    (Layout.array_names layout)
-
 (* Spread variables toward targets k·size/n by choosing, for each variable
    in order, the pad increment from [increments] whose resulting position
    is closest to the target. *)
-let spread ~size ~increments _program layout =
+let spread ~size ~increments layout =
   let names = Layout.array_names layout in
   let n = List.length names in
   if n = 0 then layout
@@ -35,25 +30,10 @@ let spread ~size ~increments _program layout =
       (layout, 0) names
     |> fst
 
-let apply ?(grain = 8) ~size program layout =
-  (* Cap the candidate count so huge caches do not explode the search:
-     position precision of size/4096 is far below a cache line.  The
-     subsampled increments are generated directly — every [step]'th
-     multiple of [grain] below [size] — instead of materializing the
-     full size/grain-element list (≈1M entries for an 8 MB L2) only to
-     filter it down to ≤4096. *)
-  let increments =
-    let count = (size + grain - 1) / grain in
-    let step = max 1 (count / 4096) in
-    let kept = (count + step - 1) / step in
-    List.init kept (fun i -> i * step * grain)
-  in
-  spread ~size ~increments program layout
-
-let apply_l2 ~s1 ~l2_size program layout =
+let apply_l2 ~s1 ~l2_size _program layout =
   if l2_size mod s1 <> 0 then
     invalid_arg "Maxpad.apply_l2: L2 size not a multiple of S1";
   let increments =
     List.init (l2_size / s1) (fun k -> k * s1)
   in
-  spread ~size:l2_size ~increments program layout
+  spread ~size:l2_size ~increments layout

@@ -10,8 +10,8 @@
     {!Pipeline.layout_for} and {!Compiler.optimize} are compositions of
     [t] lists run through {!run_all}, so observability instrumentation
     (a span per pass, an instant event per decision, a decision counter)
-    lives in exactly one place — {!instrument} — instead of being
-    replicated at every call site. *)
+    lives in exactly one place instead of being replicated at every call
+    site. *)
 
 open Mlc_ir
 module Cs = Mlc_cachesim
@@ -29,13 +29,6 @@ type t = {
     Program.t * Layout.t ->
     Program.t * Layout.t * event list;
 }
-
-(** [make ?applies name run] (default [applies]: always). *)
-val make :
-  ?applies:(Cs.Machine.t -> Program.t -> bool) ->
-  string ->
-  (Cs.Machine.t -> Program.t * Layout.t -> Program.t * Layout.t * event list) ->
-  t
 
 (** {2 The pass library} *)
 
@@ -68,18 +61,15 @@ val l2maxpad : t
 
 (** {2 Execution} *)
 
-(** [instrument pass] wraps [pass.run] in an [Obs] span
-    (["pass:<name>"], category ["pass"]), emits one instant event per
-    decision and bumps the ["pass.<name>.decisions"] counter.  A no-op
-    when observability is disabled. *)
-val instrument : t -> t
-
 (** [run_one machine pass (p, l)] — applies the gate, then the pass. *)
 val run_one :
   Cs.Machine.t -> t -> Program.t * Layout.t -> Program.t * Layout.t * event list
 
 (** [run_all machine passes (p, l)] folds the passes left to right,
-    concatenating events.  Each pass is wrapped in {!instrument}. *)
+    concatenating events.  Each pass runs in an [Obs] span
+    (["pass:<name>"], category ["pass"]) that emits one instant event per
+    decision and bumps the ["pass.<name>.decisions"] counter; a no-op
+    when observability is disabled. *)
 val run_all :
   Cs.Machine.t ->
   t list ->

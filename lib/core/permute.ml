@@ -37,10 +37,6 @@ let apply nest order =
     raise (Illegal "Permute.apply: dependences forbid this permutation");
   apply_unchecked nest order
 
-let innermost nest var =
-  let others = List.filter (fun v -> v <> var) (Nest.vars nest) in
-  apply nest (others @ [ var ])
-
 let optimize layout ~line nest =
   match An.Miss_predict.rank_permutations layout ~line nest with
   | (order, _) :: _ when order <> Nest.vars nest -> (

@@ -14,16 +14,12 @@ exception Illegal of string
 val apply : Nest.t -> string list -> Nest.t
 
 (** Like {!apply} but skips the dependence test; the caller must have
-    established legality by other means.  {!Tiling.tile} uses this after
+    established legality by other means.  Tiling uses this after
     checking full permutability of the {e original} band — once loops are
     strip-mined, the strip variables no longer appear in subscripts and
     the naive dependence model can no longer see that the traversal stays
     forward.  Bounds scoping is still enforced. *)
 val apply_unchecked : Nest.t -> string list -> Nest.t
-
-(** Permute so the given variable becomes innermost (common case of
-    improving spatial locality). *)
-val innermost : Nest.t -> string -> Nest.t
 
 (** Memory-order driven permutation: pick the legal order
     {!Mlc_analysis.Miss_predict.rank_permutations} ranks cheapest. *)

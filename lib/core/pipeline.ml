@@ -15,8 +15,6 @@ let strategy_name = function
   | Grouppad_l1 -> "L1 Opt (GROUPPAD)"
   | Grouppad_l1_l2 -> "L1&L2 Opt (GROUPPAD+L2MAXPAD)"
 
-let all = [ Original; Pad_l1; Pad_multilevel; Grouppad_l1; Grouppad_l1_l2 ]
-
 let passes = function
   | Original -> []
   | Pad_l1 -> [ Pass.intra_pad; Pass.pad_l1 ]

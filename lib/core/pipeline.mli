@@ -23,6 +23,3 @@ val passes : strategy -> Pass.t list
 
 (** [layout_for machine strategy program] runs the passes. *)
 val layout_for : Cs.Machine.t -> strategy -> Program.t -> Layout.t
-
-(** All five strategies in presentation order. *)
-val all : strategy list

@@ -47,8 +47,4 @@ let apply ?(max_distance = 2) nest =
   in
   { nest with Nest.body }
 
-let apply_program ?max_distance program =
-  Program.map_nests (apply ?max_distance) program
-
-let removed ~before ~after =
-  List.length (Nest.refs before) - List.length (Nest.refs after)
+let apply_program program = Program.map_nests (fun nest -> apply nest) program

@@ -20,8 +20,5 @@ open Mlc_ir
 (** [apply ?max_distance nest] (default distance 2). *)
 val apply : ?max_distance:int -> Nest.t -> Nest.t
 
-(** Apply to every nest of a program. *)
-val apply_program : ?max_distance:int -> Program.t -> Program.t
-
-(** Reads removed, per nest, for reporting. *)
-val removed : before:Nest.t -> after:Nest.t -> int
+(** {!apply} at the default distance to every nest of a program. *)
+val apply_program : Program.t -> Program.t

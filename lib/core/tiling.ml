@@ -34,6 +34,8 @@ let check_fully_permutable nest tiled_vars =
   if not all_legal then
     raise (Illegal "Tiling.tile: loop nest is not fully permutable")
 
+(* [spec] = [(var, width, strip_name); ...], applied outside-in; all
+   strip loops end up outermost, in the order given. *)
 let tile nest spec =
   check_fully_permutable nest (List.map (fun (v, _, _) -> v) spec);
   (* Strip-mine each requested loop, then hoist strip loops to the front

@@ -1,8 +1,9 @@
 (** Tiling (Section 5, Figure 8).
 
-    [tile] is the generic transformation: strip-mine the chosen loops and
-    move the strip loops outermost (preserving their relative order).
-    [matmul] and [tiled_matmul] build the paper's evaluation kernel:
+    The tiling strip-mines the chosen loops and moves the strip loops
+    outermost (preserving their relative order), after checking that the
+    band is fully permutable.  [matmul] and [tiled_matmul] build the
+    paper's evaluation kernel:
 
     {v
     do KK = 1,N,W
@@ -17,14 +18,9 @@ open Mlc_ir
 
 exception Illegal of string
 
-(** [tile nest spec] with [spec] = [(var, width, strip_name); ...]
-    applied outside-in; all strip loops end up outermost, in the order
-    given. *)
-val tile : Nest.t -> (string * int * string) list -> Nest.t
-
 (** Untiled IJK matrix multiplication C = A·B on NxN doubles, J outermost
     (column-major-friendly: I innermost). *)
 val matmul : int -> Program.t
 
-(** The Figure 8 nest, built with {!tile} from {!matmul}. *)
+(** The Figure 8 nest: {!matmul} with [K] and [I] tiled by [w] and [h]. *)
 val tiled_matmul : n:int -> h:int -> w:int -> Program.t

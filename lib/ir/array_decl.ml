@@ -14,11 +14,6 @@ let elements t = List.fold_left ( * ) 1 t.dims
 
 let size_bytes t = elements t * t.elem_size
 
-let column_bytes t =
-  match t.dims with
-  | d :: _ -> d * t.elem_size
-  | [] -> assert false
-
 let dim_strides t =
   let rec go stride = function
     | [] -> []

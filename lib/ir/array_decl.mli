@@ -9,15 +9,8 @@ type t = {
 
 val make : ?elem_size:int -> string -> int list -> t
 
-(** Total elements. *)
-val elements : t -> int
-
 (** Total size in bytes. *)
 val size_bytes : t -> int
-
-(** Column size (extent of the first dimension) in bytes: the span of one
-    group-reuse "arc" in the paper's layout diagrams. *)
-val column_bytes : t -> int
 
 (** [dim_strides t] gives, per dimension, the distance in {e elements}
     between consecutive indices of that dimension (column-major):

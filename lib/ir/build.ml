@@ -8,8 +8,6 @@ let ( +! ) e k = Expr.add e (Expr.const k)
 
 let ( -! ) e k = Expr.sub e (Expr.const k)
 
-let ( ++ ) = Expr.add
-
 let ( ** ) e k = Expr.scale k e
 
 let r name exprs = Ref_.read_a name exprs

@@ -24,9 +24,7 @@ val ( +! ) : Expr.t -> int -> Expr.t
 
 val ( -! ) : Expr.t -> int -> Expr.t
 
-(** [e ++ e'] adds two index expressions, [e ** k] scales. *)
-val ( ++ ) : Expr.t -> Expr.t -> Expr.t
-
+(** [e ** k] scales an index expression. *)
 val ( ** ) : Expr.t -> int -> Expr.t
 
 val r : string -> Expr.t list -> Ref_.t

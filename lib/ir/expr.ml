@@ -1,5 +1,6 @@
 (* Normal form: coefficient list sorted by variable name, no zero
-   coefficients.  This makes [equal] and [compare] structural. *)
+   coefficients.  This makes structural equality ([=]) equality of the
+   expressions. *)
 type t = { coeffs : (string * int) list; const : int }
 
 let normalize coeffs =
@@ -56,7 +57,3 @@ let shift v d e = subst v (add (var v) (const d)) e
 
 let eval env e =
   List.fold_left (fun acc (v, c) -> acc + (c * env v)) e.const e.coeffs
-
-let equal a b = a.coeffs = b.coeffs && a.const = b.const
-
-let compare a b = Stdlib.compare (a.coeffs, a.const) (b.coeffs, b.const)

@@ -44,7 +44,3 @@ val shift : string -> int -> t -> t
 (** [eval env e] with [env] giving each variable's value.
     @raise Not_found if a variable is unbound. *)
 val eval : (string -> int) -> t -> int
-
-val equal : t -> t -> bool
-
-val compare : t -> t -> int

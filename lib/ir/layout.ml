@@ -81,15 +81,6 @@ let total_bytes t =
       b + Array_decl.size_bytes padded)
     0 t.entries
 
-let address t name indices =
-  let e = find t name in
-  let padded = padded_decl_of_entry e in
-  let strides = Array_decl.dim_strides padded in
-  if List.length indices <> List.length strides then
-    invalid_arg ("Layout.address: wrong arity for " ^ name);
-  let offset = List.fold_left2 (fun acc i s -> acc + (i * s)) 0 indices strides in
-  base t name + (offset * e.decl.Array_decl.elem_size)
-
 let address_parts t r =
   let e = find t r.Ref_.array in
   let padded = padded_decl_of_entry e in

@@ -47,9 +47,6 @@ val array_names : t -> string list
 (** End of the last array (bytes). *)
 val total_bytes : t -> int
 
-(** Byte address of an element given 0-based indices. *)
-val address : t -> string -> int list -> int
-
 (** Byte address of an affine reference, as an affine expression of the
     loop variables: [base + elem_size * Σ subᵢ·strideᵢ].
     @raise Invalid_argument on gather subscripts. *)

@@ -7,8 +7,6 @@ let make loops body =
   if loops = [] then invalid_arg "Nest.make: no loops";
   { loops; body }
 
-let depth t = List.length t.loops
-
 let innermost t =
   match List.rev t.loops with
   | l :: _ -> l
@@ -17,8 +15,6 @@ let innermost t =
 let refs t = List.concat_map (fun s -> s.Stmt.refs) t.body
 
 let vars t = List.map (fun l -> l.Loop.var) t.loops
-
-let map_refs f t = { t with body = List.map (Stmt.map_refs f) t.body }
 
 let iterations t =
   (* Walk the loop structure, counting trips; bounds may reference outer

@@ -9,8 +9,6 @@ type t = {
 
 val make : Loop.t list -> Stmt.t list -> t
 
-val depth : t -> int
-
 (** Innermost loop. @raise Invalid_argument on an empty nest. *)
 val innermost : t -> Loop.t
 
@@ -19,9 +17,6 @@ val refs : t -> Ref_.t list
 
 (** Loop variables, outermost first. *)
 val vars : t -> string list
-
-(** [map_refs f t] rewrites every reference. *)
-val map_refs : (Ref_.t -> Ref_.t) -> t -> t
 
 (** Total iterations of the whole nest for constant bounds; triangular
     nests are counted by walking the iteration space. *)

@@ -11,10 +11,6 @@ type t = {
 
 val make : ?time_steps:int -> string -> Array_decl.t list -> Nest.t list -> t
 
-val find_array : t -> string -> Array_decl.t
-
-val array_names : t -> string list
-
 (** References issued by one full execution. *)
 val ref_count : t -> int
 
@@ -22,6 +18,3 @@ val ref_count : t -> int
 val flop_count : t -> int
 
 val map_nests : (Nest.t -> Nest.t) -> t -> t
-
-(** Replace the nest at an index. *)
-val set_nest : t -> int -> Nest.t -> t

@@ -39,9 +39,3 @@ let constant_difference a b =
       | _ -> None
     in
     go (a.subs, b.subs)
-
-let equal a b =
-  a.array = b.array && a.kind = b.kind
-  && (match constant_difference a b with
-     | Some ds -> List.for_all (fun d -> d = 0) ds
-     | None -> false)

@@ -34,5 +34,3 @@ val map_exprs : (Expr.t -> Expr.t) -> t -> t
     terms — the paper's "uniformly generated" references, the unit of
     group reuse. @return [None] when not uniformly generated. *)
 val constant_difference : t -> t -> int list option
-
-val equal : t -> t -> bool

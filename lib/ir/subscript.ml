@@ -21,10 +21,6 @@ let eval env = function
   | Affine e -> Expr.eval env e
   | Gather { table; index } -> lookup table (Expr.eval env index)
 
-let expr = function
-  | Affine e -> e
-  | Gather _ -> invalid_arg "Subscript.expr: gather subscript"
-
 let map_expr f = function
   | Affine e -> Affine (f e)
   | Gather { table; index } -> Gather { table; index = f index }

@@ -27,9 +27,6 @@ val eval : (string -> int) -> t -> int
     falls outside the table. *)
 val lookup : int array -> int -> int
 
-(** Affine payload. @raise Invalid_argument on [Gather]. *)
-val expr : t -> Expr.t
-
 (** Apply a function to the affine index expression (gather: to the table
     index expression). *)
 val map_expr : (Expr.t -> Expr.t) -> t -> t

@@ -14,13 +14,8 @@ type entry = {
   build_sized : (int -> Program.t) option;  (** size-parameterized, when meaningful *)
 }
 
+(** Table 1's three groups, kernels then NAS then SPEC. *)
 val all : entry list
-
-val kernels : entry list
-
-val nas : entry list
-
-val spec : entry list
 
 (** @raise Not_found *)
 val find : string -> entry

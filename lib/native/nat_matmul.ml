@@ -10,11 +10,6 @@ let random_fill ~seed m =
     m.data.(i) <- float_of_int bits /. 16777216.0
   done
 
-(* column-major: (i, j) at i + n*j *)
-let get m i j = m.data.(i + (m.n * j))
-
-let set m i j x = m.data.(i + (m.n * j)) <- x
-
 let multiply ~c ~a ~b =
   let n = c.n in
   if a.n <> n || b.n <> n then invalid_arg "Nat_matmul.multiply: size mismatch";

@@ -11,10 +11,6 @@ val create : int -> matrix
 (** Deterministically filled. *)
 val random_fill : seed:int -> matrix -> unit
 
-val get : matrix -> int -> int -> float
-
-val set : matrix -> int -> int -> float -> unit
-
 (** [multiply ~c ~a ~b] — C += A·B with J/K/I loops (I innermost,
     unit stride). *)
 val multiply : c:matrix -> a:matrix -> b:matrix -> unit

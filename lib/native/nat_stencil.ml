@@ -11,8 +11,6 @@ let random_fill ~seed g =
     g.data.(i) <- float_of_int (!state land 0xFFFF) /. 65536.0
   done
 
-let get g i j = g.data.(i + (g.ld * j))
-
 let jacobi_sweep ~src ~dst =
   let n = src.n in
   if dst.n <> n then invalid_arg "Nat_stencil.jacobi_sweep: size mismatch";
@@ -97,14 +95,3 @@ let expl_fused ~za ~zb ~zu ~zv ~zr ~zz =
     let k' = k - shift in
     if k' >= 1 && k' <= n - 2 then nest77 ~zu ~zv ~zr ~zz k'
   done
-
-let checksum g =
-  let acc = ref 0.0 in
-  let n = g.n in
-  for j = 1 to n - 2 do
-    let c = g.ld * j in
-    for i = 1 to n - 2 do
-      acc := !acc +. g.data.(i + c)
-    done
-  done;
-  !acc

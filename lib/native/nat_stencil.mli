@@ -11,8 +11,6 @@ val create : ?ld:int -> int -> grid
 
 val random_fill : seed:int -> grid -> unit
 
-val get : grid -> int -> int -> float
-
 (** Jacobi with copy-back, [steps] times. *)
 val jacobi : steps:int -> a:grid -> b:grid -> unit
 
@@ -23,7 +21,3 @@ val jacobi : steps:int -> a:grid -> b:grid -> unit
 val expl_separate : za:grid -> zb:grid -> zu:grid -> zv:grid -> zr:grid -> zz:grid -> unit
 
 val expl_fused : za:grid -> zb:grid -> zu:grid -> zv:grid -> zr:grid -> zz:grid -> unit
-
-(** Sum of a grid's interior (to keep results observable and prevent
-    dead-code elimination in benches). *)
-val checksum : grid -> float

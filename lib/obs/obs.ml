@@ -30,7 +30,6 @@ module Buf = struct
     tid : int;
     mutable events_rev : event list;  (* newest first *)
     mutable n_events : int;
-    mutable depth : int;
     mutable last_ts : int;
     counters : (string, int ref) Hashtbl.t;
   }
@@ -40,18 +39,13 @@ module Buf = struct
       tid;
       events_rev = [];
       n_events = 0;
-      depth = 0;
       last_ts = 0;
       counters = Hashtbl.create 16;
     }
 
-  let tid t = t.tid
-
   let events t = List.rev t.events_rev
 
   let n_events t = t.n_events
-
-  let depth t = t.depth
 
   (* Monotone per-buffer clock: gettimeofday can step backwards under
      NTP; clamping keeps every buffer's event stream non-decreasing,
@@ -91,7 +85,6 @@ module Buf = struct
        chronological output is "into's events, then src's". *)
     into.events_rev <- src.events_rev @ into.events_rev;
     into.n_events <- into.n_events + src.n_events;
-    into.depth <- into.depth + src.depth;
     if src.last_ts > into.last_ts then into.last_ts <- src.last_ts;
     Hashtbl.iter (fun name r -> ignore (bump into name !r)) src.counters
 end
@@ -119,7 +112,6 @@ let begin_span ?(cat = "") ?(args = []) name : span =
   match current () with
   | None -> None
   | Some b ->
-      b.Buf.depth <- b.Buf.depth + 1;
       Buf.emit b
         {
           kind = Span_begin;
@@ -136,7 +128,6 @@ let end_span (s : span) =
   match s with
   | None -> ()
   | Some (b, name, cat) ->
-      b.Buf.depth <- b.Buf.depth - 1;
       Buf.emit b
         {
           kind = Span_end;

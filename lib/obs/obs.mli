@@ -40,15 +40,10 @@ module Buf : sig
       event (default 0). *)
   val create : ?tid:int -> unit -> t
 
-  val tid : t -> int
-
   (** Events in chronological (record) order. *)
   val events : t -> event list
 
   val n_events : t -> int
-
-  (** Currently open spans (0 once every span has been finished). *)
-  val depth : t -> int
 
   (** Counter totals, sorted by name. *)
   val counters : t -> (string * int) list
@@ -68,9 +63,6 @@ val with_buf : Buf.t -> (unit -> 'a) -> 'a
 
 (** True iff a buffer is installed in the current domain. *)
 val enabled : unit -> bool
-
-(** The installed buffer, if any. *)
-val current : unit -> Buf.t option
 
 (** {2 Spans} *)
 

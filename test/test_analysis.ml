@@ -285,8 +285,8 @@ let test_diagram_renders () =
   (* Under GROUPPAD at the Figure 4 geometry only one of the three
      first-nest arcs survives: the rendering must show both outcomes. *)
   let layout = grouppad_layout () in
-  let nest1 = List.hd fig2.Program.nests in
-  let out = An.Diagram.render layout ~size:l1_size ~line:l1_line nest1 in
+  let first = { fig2 with Program.nests = [ List.hd fig2.Program.nests ] } in
+  let out = An.Diagram.render_program layout ~size:l1_size ~line:l1_line first in
   check_bool "has a cache box" true
     (String.split_on_char '\n' out
     |> List.exists (fun l -> String.length l > 0 && String.contains l '|'));

@@ -9,6 +9,9 @@ let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
+let declared p name =
+  List.find (fun a -> a.Array_decl.name = name) p.Program.arrays
+
 let jacobi_src n =
   Printf.sprintf
     {|
@@ -88,9 +91,9 @@ for i = 0 to 99 {
   in
   let p = F.Parser.parse src in
   check_int "steps" 3 p.Program.time_steps;
-  check_int "int elem" 4 (Program.find_array p "K").Array_decl.elem_size;
-  check_int "real elem" 8 (Program.find_array p "V").Array_decl.elem_size;
-  check_int "default elem" 8 (Program.find_array p "W").Array_decl.elem_size;
+  check_int "int elem" 4 (declared p "K").Array_decl.elem_size;
+  check_int "real elem" 8 (declared p "V").Array_decl.elem_size;
+  check_int "default elem" 8 (declared p "W").Array_decl.elem_size;
   check_int "refs per step" 300 (Nest.ref_count (List.hd p.Program.nests));
   check_int "total refs" 900 (Program.ref_count p)
 

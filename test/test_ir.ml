@@ -39,16 +39,14 @@ let test_expr_subst_shift () =
 let test_expr_equal_normal_form () =
   let a = Expr.add (Expr.var "i") (Expr.var "j") in
   let b = Expr.add (Expr.var "j") (Expr.var "i") in
-  check_bool "commutative normal form" true (Expr.equal a b)
+  check_bool "commutative normal form" true (a = b)
 
 (* --- Array_decl & Layout ----------------------------------------------- *)
 
 let test_dim_strides () =
   let a = Array_decl.make "A" [ 4; 5; 6 ] in
   Alcotest.(check (list int)) "strides" [ 1; 4; 20 ] (Array_decl.dim_strides a);
-  check_int "elements" 120 (Array_decl.elements a);
-  check_int "bytes" 960 (Array_decl.size_bytes a);
-  check_int "column bytes" 32 (Array_decl.column_bytes a)
+  check_int "bytes" 960 (Array_decl.size_bytes a)
 
 let test_layout_packed () =
   let a = Array_decl.make "A" [ 10 ] and b = Array_decl.make "B" [ 10 ] in
@@ -73,10 +71,12 @@ let test_layout_pads () =
 let test_layout_intra_pad () =
   let a = Array_decl.make "A" [ 4; 3 ] in
   let l = Layout.of_arrays [ a ] in
-  check_int "addr (1,2) packed" ((1 + (4 * 2)) * 8) (Layout.address l "A" [ 1; 2 ]);
+  let a12 = Ref_.read_a "A" [ Expr.const 1; Expr.const 2 ] in
+  let address l = Layout.address_of_ref l (fun _ -> 0) a12 in
+  check_int "addr (1,2) packed" ((1 + (4 * 2)) * 8) (address l);
   let l = Layout.set_intra_pad l "A" 1 in
   (* columns now 5 long *)
-  check_int "addr (1,2) padded" ((1 + (5 * 2)) * 8) (Layout.address l "A" [ 1; 2 ]);
+  check_int "addr (1,2) padded" ((1 + (5 * 2)) * 8) (address l);
   check_int "size grows" (5 * 3 * 8) (Layout.total_bytes l)
 
 let test_layout_address_expr () =

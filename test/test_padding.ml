@@ -217,8 +217,10 @@ let test_grouppad_figure4_counts () =
 
 let test_maxpad_spreads () =
   let layout = Layout.initial fig2 in
-  let spread = L.Maxpad.apply ~size:l2_size fig2 layout in
-  let positions = List.map snd (L.Maxpad.positions ~size:l2_size spread) in
+  let spread = L.Maxpad.apply_l2 ~s1 ~l2_size fig2 layout in
+  let positions =
+    List.map (fun v -> Layout.base spread v mod l2_size) (Layout.array_names spread)
+  in
   let sorted = List.sort compare positions in
   let rec min_gap acc = function
     | a :: (b :: _ as rest) -> min_gap (min acc (b - a)) rest
@@ -279,7 +281,7 @@ let test_pipeline_strategies_run () =
         (L.Pipeline.strategy_name strategy ^ " yields layout")
         true
         (Layout.total_bytes layout > 0))
-    L.Pipeline.all
+    (List.map snd Mlc_engine.Job.strategies)
 
 let () =
   Alcotest.run "padding"

@@ -25,7 +25,7 @@ let test_permute_figure1 () =
   Alcotest.(check (list string)) "order" [ "i"; "j" ] (Nest.vars permuted);
   (* same multiset of addresses *)
   let layout = Layout.initial p in
-  let p' = Program.set_nest p 0 permuted in
+  let p' = { p with Program.nests = [ permuted ] } in
   Alcotest.(check (array int)) "same accesses"
     (Trace_oracle.sorted_trace layout p) (Trace_oracle.sorted_trace layout p')
 
@@ -115,7 +115,7 @@ let test_strip_mine_exact_cover () =
   let layout = Layout.initial p in
   (* width 7 does not divide 20: the clamp matters *)
   let stripped = L.Strip_mine.apply n1 ~var:"i" ~width:7 ~strip_var:"ii" in
-  let p' = Program.set_nest p 0 stripped in
+  let p' = { p with Program.nests = [ stripped ] } in
   Alcotest.(check (array int)) "identical access sequence"
     (Interp.trace layout p) (Interp.trace layout p')
 
