@@ -470,16 +470,17 @@ let curve_cmd =
     else begin
       Format.printf "fully-associative LRU miss rates by capacity:@.";
       List.iter
-        (fun kb ->
-          let lines = kb * 1024 / 32 in
-          let misses = Cs.Stack_distance.misses_at sd ~lines in
+        (fun (lines, misses) ->
+          let kb = lines * 32 / 1024 in
           Format.printf "  %5dK (%6d lines): %6.2f%%%s@." kb lines
             (100.0 *. float_of_int misses /. float_of_int total)
             (match kb with
             | 16 -> "   <- L1 capacity"
             | 512 -> "   <- L2 capacity"
             | _ -> ""))
-        [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 ]
+        (Cs.Stack_distance.miss_curve sd
+           ~capacities:
+             (List.map (fun kb -> kb * 1024 / 32) [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 ]))
     end
   in
   let term = Term.(const run $ prog_arg $ size_arg) in

@@ -44,7 +44,7 @@ let () =
   describe "PAD" p (L.Pad.apply ~size:s1 ~line:32 p (Layout.initial p));
   let gp = L.Grouppad.apply ~size:s1 ~line:32 p (Layout.initial p) in
   describe "GROUPPAD" p gp;
-  let gp_l2 = L.Maxpad.apply_l2 ~s1 ~l2_size:l2 p gp in
+  let gp_l2 = L.Maxpad.apply_l2 ~s1 ~l2_size:l2 gp in
   describe "GROUPPAD+L2MAXPAD" p gp_l2;
 
   (* The L2MAXPAD invariant: base residues mod S1 are untouched. *)

@@ -1,6 +1,9 @@
 open Mlc_ir
 
-let render ?(width = 72) layout ~size ~line nest =
+(* Width of the cache box, in characters. *)
+let width = 72
+
+let render layout ~size ~line nest =
   let buf = Buffer.create 1024 in
   let dots = Arcs.dots layout ~size nest in
   let arcs = Arcs.arcs layout ~min_span:line nest in
@@ -106,11 +109,11 @@ let render ?(width = 72) layout ~size ~line nest =
     (Printf.sprintf "     severe conflicts: %d\n" (List.length conflicts));
   Buffer.contents buf
 
-let render_program ?width layout ~size ~line program =
+let render_program layout ~size ~line program =
   let buf = Buffer.create 4096 in
   List.iteri
     (fun i nest ->
       Buffer.add_string buf (Printf.sprintf "nest %d:\n" i);
-      Buffer.add_string buf (render ?width layout ~size ~line nest))
+      Buffer.add_string buf (render layout ~size ~line nest))
     program.Program.nests;
   Buffer.contents buf

@@ -15,7 +15,5 @@
 open Mlc_ir
 
 (** [render_program layout ~size ~line p] — a multi-line string, one
-    diagram per nest; [width] controls the box width in characters
-    (default 72). *)
-val render_program :
-  ?width:int -> Layout.t -> size:int -> line:int -> Program.t -> string
+    diagram per nest, each box 72 characters wide. *)
+val render_program : Layout.t -> size:int -> line:int -> Program.t -> string

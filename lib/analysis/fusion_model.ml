@@ -16,13 +16,10 @@ let same_location r r' =
   | Some ds -> List.for_all (( = ) 0) ds
   | None -> false
 
-let classify_nest layout ~l1_size ?l2_size nest =
+let classify_nest layout ~l1_size nest =
   let refs = Nest.refs nest in
   let arcs = Arcs.arcs layout nest in
   let l1_dots = Arcs.dots layout ~size:l1_size nest in
-  let l2_dots =
-    match l2_size with Some s -> Arcs.dots layout ~size:s nest | None -> []
-  in
   let arc_of_trailing i = List.find_opt (fun a -> a.Arcs.trailing = i) arcs in
   let classified = ref [] in
   List.iteri
@@ -40,19 +37,13 @@ let classify_nest layout ~l1_size ?l2_size nest =
           | None -> Memory
           | Some arc ->
               if Arcs.arc_preserved l1_dots ~size:l1_size arc then L1_hit
-              else begin
-                match l2_size with
-                | None -> L2_ref (* assume L2MAXPAD preserved it *)
-                | Some s ->
-                    if Arcs.arc_preserved l2_dots ~size:s arc then L2_ref
-                    else Memory
-              end
+              else L2_ref (* assume L2MAXPAD preserved it *)
       in
       classified := (i, r, cls) :: !classified)
     refs;
   List.rev !classified
 
-let count layout ~l1_size ?l2_size nests =
+let count layout ~l1_size nests =
   let zero = { register = 0; l1_hits = 0; l2_refs = 0; memory_refs = 0 } in
   List.fold_left
     (fun acc nest ->
@@ -64,7 +55,7 @@ let count layout ~l1_size ?l2_size nests =
           | L2_ref -> { acc with l2_refs = acc.l2_refs + 1 }
           | Memory -> { acc with memory_refs = acc.memory_refs + 1 })
         acc
-        (classify_nest layout ~l1_size ?l2_size nest))
+        (classify_nest layout ~l1_size nest))
     zero nests
 
 let miss_cost ~l2_cost ~memory_cost counts =

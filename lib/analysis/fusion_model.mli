@@ -28,8 +28,7 @@ type counts = {
 }
 
 (** Aggregate over a list of nests (a program version). *)
-val count :
-  Layout.t -> l1_size:int -> ?l2_size:int -> Nest.t list -> counts
+val count : Layout.t -> l1_size:int -> Nest.t list -> counts
 
 (** [miss_cost model counts] — weigh the counts by per-level miss costs to
     decide fusion profitability (paper: "comparing the sum of reuse at

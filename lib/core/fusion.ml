@@ -77,7 +77,10 @@ let fuse ?(shift = 0) n1 n2 =
   in
   prologue @ [ core ] @ epilogue
 
-let fuse_program ?(max_shift = 4) program i =
+(* Largest shift fusion tries by default. *)
+let max_shift = 4
+
+let fuse_program ?(max_shift = max_shift) program i =
   let nests = program.Program.nests in
   if i < 0 || i + 1 >= List.length nests then
     raise (Illegal "Fusion.fuse_program: nest index out of range");
@@ -100,7 +103,7 @@ let core_of nests =
       else best)
     (List.hd nests) nests
 
-let optimize_program ?(max_shift = 4) machine program =
+let optimize_program machine program =
   let module Cs = Mlc_cachesim in
   let l1_size = Cs.Machine.s1 machine in
   let l1_line = Cs.Machine.level_line machine 0 in

@@ -32,7 +32,7 @@ val fuse_program : ?max_shift:int -> Program.t -> int -> Program.t
     scaled by the cost of cache misses at that level".  GROUPPAD is
     applied to candidate layouts for the accounting; peeled iterations
     are excluded from the static counts like the paper's per-body model.
-    Returns the program and a log line per decision. *)
+    Shifts up to 4 are tried.  Returns the program and a log line per
+    decision. *)
 val optimize_program :
-  ?max_shift:int -> Mlc_cachesim.Machine.t -> Mlc_ir.Program.t ->
-  Mlc_ir.Program.t * string list
+  Mlc_cachesim.Machine.t -> Mlc_ir.Program.t -> Mlc_ir.Program.t * string list

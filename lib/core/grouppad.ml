@@ -75,16 +75,15 @@ let union ranges =
 (* [(conflicts, preserved)] summed over the nests — what [conflict_count]
    and [preserved_references] report — for every candidate at once, when
    candidate [c] moves every array from slot [moved] on by exactly
-   [c * step] bytes from [bases0] and no other array.  With [moved] past
-   the last slot nothing moves, and the one result is the score of the
-   layout with bases [bases0].  A pair or arc whose dots all lie on one side of
-   [moved] scores the same for every candidate: it is scored once, at
-   [bases0].  A straddling pair conflicts inside one circular window of
-   [2 * line - 1] shifts, and a straddling dot blocks an arc inside one
-   of [span - 1]; each window goes into a difference array over the
-   candidates (an arc's windows first merged, so that an arc is lost
-   once however many dots block it), and one prefix sum gives every
-   candidate's [(conflicts, preserved)]. *)
+   [c * step] bytes from [bases0] and no other array.  A pair or arc
+   whose dots all lie on one side of [moved] scores the same for every
+   candidate: it is scored once, at [bases0].  A straddling pair
+   conflicts inside one circular window of [2 * line - 1] shifts, and a
+   straddling dot blocks an arc inside one of [span - 1]; each window
+   goes into a difference array over the candidates (an arc's windows
+   first merged, so that an arc is lost once however many dots block
+   it), and one prefix sum gives every candidate's
+   [(conflicts, preserved)]. *)
 let sweep ~size ~line ~step ~count ~moved models bases0 =
   let conflicts0 = ref 0 and preserved0 = ref 0 in
   let more_conflicts = Array.make (count + 1) 0 and lost = Array.make (count + 1) 0 in
@@ -152,44 +151,36 @@ let decision v ~candidates best runner_up =
       @ match runner_up with Some r -> key "runner_up_" r | None -> [])
     ("grouppad:score " ^ v)
 
-let apply ?candidate_step ~size ~line program layout =
-  (* Default: ~128 candidate positions per variable, line-aligned — the
-     "limited number of positions" of the original algorithm. *)
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let apply ~size ~line program layout =
+  let names = Layout.array_names layout in
+  (* About 128 candidate positions per variable, line-aligned — the
+     "limited number of positions" of the original algorithm — on a step
+     every element size divides, so that the base alignment moves every
+     array from the padded one on by exactly the pad. *)
   let step =
-    match candidate_step with
-    | Some s -> max line s
-    | None -> max line (size / 128 / line * line)
+    List.fold_left
+      (fun step v ->
+        let e = (Layout.padded_decl layout v).Array_decl.elem_size in
+        step / gcd step e * e)
+      (max line (size / 128 / line * line))
+      names
   in
   (* Candidate [c] pads by [c * step] bytes, for every [c * step < size]. *)
   let count = if size <= 0 then 0 else ((size - 1) / step) + 1 in
-  match Layout.array_names layout with
+  match names with
   | [] -> layout
   | _ when count = 0 -> layout
   | names ->
       let models = List.map (nest_model layout ~size) program.Program.nests in
-      let elem_sizes =
-        Array.of_list
-          (List.map (fun v -> (Layout.padded_decl layout v).Array_decl.elem_size) names)
-      in
       let bases layout = Layout.bases layout |> List.map snd |> Array.of_list in
       List.fold_left
         (fun layout (slot, v) ->
           let pad c = c * step in
-          (* Every element size from [v] on divides [step]: the base
-             alignment then moves every later array by exactly the pad. *)
-          let uniform =
-            Array.for_all (fun e -> step mod e = 0)
-              (Array.sub elem_sizes slot (Array.length elem_sizes - slot))
-          in
           let scores =
-            if uniform then
-              sweep ~size ~line ~step ~count ~moved:slot models
-                (bases (Layout.set_pad_before layout v 0))
-            else
-              let last = Array.length elem_sizes in
-              Array.init count (fun c ->
-                  (sweep ~size ~line ~step ~count:1 ~moved:last models
-                     (bases (Layout.set_pad_before layout v (pad c)))).(0))
+            sweep ~size ~line ~step ~count ~moved:slot models
+              (bases (Layout.set_pad_before layout v 0))
           in
           (* Key = (severe conflicts, -preserved arcs, pad); the first
              strict minimum wins, per variable, greedily, like the

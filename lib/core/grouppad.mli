@@ -12,21 +12,18 @@ open Mlc_ir
 
 (** [apply ~size ~line program layout] — [size]/[line] of the cache being
     targeted (L1 for the classic pass).  The candidate pads are the
-    multiples of [candidate_step] below [size]; it defaults to [size/128]
-    rounded down to a multiple of [line], and at least one line, so about
-    128 candidates.  Larger steps explore fewer positions.
+    multiples of a step below [size]: [size/128] rounded down to a
+    multiple of [line], at least one line, and rounded up to a multiple
+    of every element size (a no-op with 4- and 8-byte elements and lines
+    of 8 bytes or more), so about 128 candidates.
 
-    When every element size from a variable on divides the step (always
-    at the default step with 4- and 8-byte elements), each candidate moves
-    every array from that variable on by exactly the pad, and all of the
-    variable's candidates are scored in one sweep: the dots on one side of
-    it score once, each pair or arc straddling it adds one window of
-    shifts, and one prefix sum over the candidates gives every score.  Its
-    cost per variable is about that of scoring one candidate, plus one
-    term per candidate.  Any other variable is scored candidate by
-    candidate.  Both give the same layout and decision instants. *)
-val apply :
-  ?candidate_step:int -> size:int -> line:int -> Program.t -> Layout.t -> Layout.t
+    Each candidate then moves every array from the variable on by exactly
+    the pad, and all of the variable's candidates are scored in one
+    sweep: the dots on one side of it score once, each pair or arc
+    straddling it adds one window of shifts, and one prefix sum over the
+    candidates gives every score.  Its cost per variable is about that of
+    scoring one candidate, plus one term per candidate. *)
+val apply : size:int -> line:int -> Program.t -> Layout.t -> Layout.t
 
 (** Number of references exploiting group reuse over all nests on a cache
     of [size] bytes — the objective GROUPPAD maximizes. *)

@@ -1,12 +1,8 @@
 open Mlc_ir
 module An = Mlc_analysis
 
-let apply ?max_elems ~size ~line program layout =
-  let max_elems =
-    match max_elems with
-    | Some m -> m
-    | None -> (line / 4) + 1 (* a few elements; enough to slide a line *)
-  in
+let apply ~size ~line program layout =
+  let max_elems = (line / 4) + 1 (* a few elements; enough to slide a line *) in
   List.fold_left
     (fun layout v ->
       let nests =

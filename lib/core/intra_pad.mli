@@ -6,16 +6,15 @@
 open Mlc_ir
 
 (** [apply ~size ~line program layout] pads columns of arrays whose own
-    references conflict, one element at a time, up to [max_elems]
-    (default: one cache line's worth).
+    references conflict, one element at a time, up to [line / 4 + 1]
+    elements (a line's worth of 4-byte elements).
 
     Each step tests the padded array alone ({!Mlc_analysis.Arcs.self_conflict}):
     only the nests that name it, only its own references, up to the first
     pair at least [line] bytes apart in memory and under [line] bytes apart
     on the cache.  A step costs O(k²) in that array's k references per
     nest, not a whole-nest [severe_conflicts] over every pair. *)
-val apply :
-  ?max_elems:int -> size:int -> line:int -> Program.t -> Layout.t -> Layout.t
+val apply : size:int -> line:int -> Program.t -> Layout.t -> Layout.t
 
 (** Same-array severe conflicts remaining, per nest index. *)
 val remaining_self_conflicts :

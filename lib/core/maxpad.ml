@@ -30,7 +30,7 @@ let spread ~size ~increments layout =
       (layout, 0) names
     |> fst
 
-let apply_l2 ~s1 ~l2_size _program layout =
+let apply_l2 ~s1 ~l2_size layout =
   if l2_size mod s1 <> 0 then
     invalid_arg "Maxpad.apply_l2: L2 size not a multiple of S1";
   let increments =

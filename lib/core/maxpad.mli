@@ -14,6 +14,6 @@
 
 open Mlc_ir
 
-(** [apply_l2 ~s1 ~l2_size program layout] — L2MAXPAD: spread on the L2
-    cache with pads that are multiples of [s1]. *)
-val apply_l2 : s1:int -> l2_size:int -> Program.t -> Layout.t -> Layout.t
+(** [apply_l2 ~s1 ~l2_size layout] — L2MAXPAD: spread on the L2 cache
+    with pads that are multiples of [s1]. *)
+val apply_l2 : s1:int -> l2_size:int -> Layout.t -> Layout.t

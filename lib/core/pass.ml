@@ -122,7 +122,7 @@ let l2maxpad =
     (fun machine (program, layout) ->
       let after =
         Maxpad.apply_l2 ~s1:(Cs.Machine.s1 machine)
-          ~l2_size:(Cs.Machine.level_size machine 1) program layout
+          ~l2_size:(Cs.Machine.level_size machine 1) layout
       in
       (program, after, layout_events ~pass:"l2maxpad" layout after))
 

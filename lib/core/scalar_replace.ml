@@ -5,7 +5,10 @@ let same_location r r' =
   | Some ds -> List.for_all (( = ) 0) ds
   | None -> false
 
-let apply ?(max_distance = 2) nest =
+(* Innermost iterations a rotating register carries a value for. *)
+let max_distance = 2
+
+let apply nest =
   let inner_loop = Nest.innermost nest in
   let inner = inner_loop.Loop.var in
   (* on a downward loop, "k iterations earlier" means a larger value *)
@@ -47,4 +50,4 @@ let apply ?(max_distance = 2) nest =
   in
   { nest with Nest.body }
 
-let apply_program program = Program.map_nests (fun nest -> apply nest) program
+let apply_program program = Program.map_nests apply program

@@ -6,8 +6,8 @@
       iteration (the fusion model's [Register] class — "wherever there
       are two identical references, only the first may cause a cache
       fault");
-    - a read whose group partner touched the same location at most
-      [max_distance] iterations of the {e innermost} loop earlier
+    - a read whose group partner touched the same location at most two
+      iterations of the {e innermost} loop earlier
       (register rotation across stencil points, footnote 2's source of
       the 38→60 MFLOPS jump together with unrolling).
 
@@ -17,8 +17,8 @@
 
 open Mlc_ir
 
-(** [apply ?max_distance nest] (default distance 2). *)
-val apply : ?max_distance:int -> Nest.t -> Nest.t
+(** [apply nest] — one nest rewritten. *)
+val apply : Nest.t -> Nest.t
 
-(** {!apply} at the default distance to every nest of a program. *)
+(** {!apply} to every nest of a program. *)
 val apply_program : Program.t -> Program.t

@@ -14,26 +14,16 @@ type t = {
   mutable line_shown : bool;
 }
 
-let create ?live ~jobs () =
-  let live =
-    match live with
-    | Some b -> b
-    | None -> (
-        (* All telemetry goes to stderr; the live line additionally
-           requires a tty (or an explicit MLC_PROGRESS override), so
-           redirected runs never see spinner control characters. *)
-        match Sys.getenv_opt "MLC_PROGRESS" with
-        | Some ("0" | "no" | "false" | "off") -> false
-        | Some _ -> true
-        | None -> Unix.isatty Unix.stderr)
-  in
+let create ~jobs () =
   {
     workers =
       Array.init (max 1 jobs) (fun _ ->
           { jobs_done = 0; cache_hits = 0; refs_streamed = 0 });
     total = 0;
     started = Unix.gettimeofday ();
-    live;
+    (* All telemetry goes to stderr; the live line additionally requires
+       a tty, so redirected runs never see spinner control characters. *)
+    live = Unix.isatty Unix.stderr;
     render_mutex = Mutex.create ();
     last_render = 0.0;
     line_shown = false;

@@ -1,6 +1,6 @@
 (** Per-worker progress counters: jobs done, cache hits, simulated
     addresses streamed, wall time.  Rendered as a single live line on
-    stderr (when it is a tty, or [~live:true]), summed up in one line
+    stderr (when it is a tty), summed up in one line
     after a run, and recorded as JSON in the bench's [BENCH_engine.json].
 
     Counters are per-worker slots written only by their owning domain;
@@ -9,10 +9,8 @@
 
 type t
 
-(** [create ~jobs ()] — [live] defaults to [stderr] being a tty, overridable
-    with the [MLC_PROGRESS] env var ([0]/[no]/[false]/[off] force it off,
-    any other value forces it on). *)
-val create : ?live:bool -> jobs:int -> unit -> t
+(** [create ~jobs ()] — the live line is shown when [stderr] is a tty. *)
+val create : jobs:int -> unit -> t
 
 (** Announce [n] more expected jobs (the live line's denominator). *)
 val expect : t -> int -> unit

@@ -128,8 +128,8 @@ let expl n =
     [ za; zb; zm; zp; zq; zr; zu; zv; zz ]
     [ n75; n76; n77 ]
 
-let irr ?nodes edges =
-  let nodes = match nodes with Some n -> n | None -> max 16 (edges / 5) in
+let irr edges =
+  let nodes = max 16 (edges / 5) in
   let left = Det_random.table ~seed:11 ~n:edges ~bound:nodes in
   let right = Det_random.table ~seed:23 ~n:edges ~bound:nodes in
   let x = arr "X" [ nodes ]
@@ -200,7 +200,7 @@ let linpackd n =
         ];
     ]
 
-let shal ?(time_steps = 1) n =
+let shal n =
   let mk name = arr name [ n; n ] in
   let u = mk "U" and vv = mk "V" and p = mk "P" in
   let unew = mk "UNEW" and vnew = mk "VNEW" and pnew = mk "PNEW" in
@@ -273,7 +273,7 @@ let shal ?(time_steps = 1) n =
         asn ~flops:0 (w "P" [ i; j ]) [ r "PNEW" [ i; j ] ];
       ]
   in
-  program ~time_steps
+  program
     (Printf.sprintf "shal%d" n)
     [ u; vv; p; unew; vnew; pnew; uold; vold; pold; cu; cv; z; h ]
     [ calc1; calc2; calc3 ]

@@ -27,9 +27,9 @@ val erle : int -> Program.t
 val expl : int -> Program.t
 
 (** IRR — relaxation over an irregular mesh: gather references through
-    deterministic random edge tables.  [edges] defaults to 500_000 with
-    [nodes = edges / 5]. *)
-val irr : ?nodes:int -> int -> Program.t
+    deterministic random edge tables over [max 16 (edges / 5)] nodes
+    (the registry's IRR500K has 500_000 edges). *)
+val irr : int -> Program.t
 
 (** JACOBI — 2D Jacobi with copy-back (convergence test folded into the
     second nest's reads). *)
@@ -41,4 +41,4 @@ val linpackd : int -> Program.t
 
 (** SHAL — shallow-water model (the SWIM ancestor): thirteen NxN arrays,
     three computation nests (CALC1, CALC2, CALC3) per time step. *)
-val shal : ?time_steps:int -> int -> Program.t
+val shal : int -> Program.t

@@ -152,7 +152,8 @@ let sp n =
   program (Printf.sprintf "appsp%d" n) [ uu; rhs; cv; rhon ]
     [ line_sweep `X; line_sweep `Y; line_sweep `Z ]
 
-let buk ?(buckets = 1024) n =
+let buk n =
+  let buckets = 1024 in
   let keys = Det_random.table ~seed:7 ~n ~bound:buckets in
   let rank = Det_random.permutation ~seed:13 ~n in
   let key = arr ~elem_size:4 "KEY" [ n ]
@@ -178,7 +179,8 @@ let buk ?(buckets = 1024) n =
         [ Stmt.make ~flops:1 [ r "KEY" [ i ]; wg "OUT" rank i ] ];
     ]
 
-let cgm ?(row_nnz = 8) n =
+let cgm n =
+  let row_nnz = 8 in
   (* y = A x with [row_nnz] nonzeros per row, flattened over nnz. *)
   let nnz = n * row_nnz in
   let colidx_table = Det_random.table ~seed:31 ~n:nnz ~bound:n in

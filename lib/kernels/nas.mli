@@ -20,13 +20,13 @@ val lu : int -> Program.t
     direction. *)
 val sp : int -> Program.t
 
-(** BUK: integer bucket sort — counting pass (gather-increment), prefix
-    sum, and the permutation pass. *)
-val buk : ?buckets:int -> int -> Program.t
+(** BUK: integer bucket sort of [n] keys into 1024 buckets — counting
+    pass (gather-increment), prefix sum, and the permutation pass. *)
+val buk : int -> Program.t
 
 (** CGM: sparse conjugate-gradient matrix-vector product through column
-    indices. *)
-val cgm : ?row_nnz:int -> int -> Program.t
+    indices, eight nonzeros per row. *)
+val cgm : int -> Program.t
 
 (** EMBAR: embarrassingly parallel Monte Carlo — almost no memory reuse;
     a small table plus counters. *)

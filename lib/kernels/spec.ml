@@ -169,7 +169,8 @@ let turb3d n =
         ];
     ]
 
-let wave5 ?(particles = 100_000) n =
+let wave5 n =
+  let particles = 100_000 in
   let ex = arr "EX" [ n; n ] and ey = arr "EY" [ n; n ] in
   let px = arr "PX" [ particles ] and py = arr "PY" [ particles ] in
   let cell = Det_random.table ~seed:57 ~n:particles ~bound:(n * n) in

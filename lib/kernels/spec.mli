@@ -27,9 +27,9 @@ val su2cor : int -> Program.t
 (** TURB3D — isotropic turbulence: 3D FFT-flavoured passes. *)
 val turb3d : int -> Program.t
 
-(** WAVE5 — plasma physics: particle pushes (gathers) over field
+(** WAVE5 — plasma physics: 100_000 particle pushes (gathers) over field
     arrays. *)
-val wave5 : ?particles:int -> int -> Program.t
+val wave5 : int -> Program.t
 
 (** FPPPP — electron integrals: small dense blocks with little array
     reuse. *)

@@ -23,3 +23,14 @@ val bare : int
 
 (** Listed with a reason: exempt. *)
 val oracle : int
+
+(** One optional parameter per way an application can treat it; user.ml
+    shows each way once. *)
+val tune :
+  ?omitted:int -> ?given:int -> ?passed:int -> ?none:int -> ?coerced:int -> int -> int
+
+(** Partially applied, [?left] left open. *)
+val partial : ?left:int -> last:int -> unit -> int
+
+(** Passed as a value with its optionals intact. *)
+val escaped : ?kept:int -> int -> int

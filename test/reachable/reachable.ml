@@ -11,12 +11,23 @@
      themselves, and a module's uses of its own values point at its .ml,
      not at the .mli, and count for nothing;
    - a library unit is used when another unit under a user directory
-     imports it.
+     imports it;
+   - an optional parameter of an exported value (an [Optional] arrow of
+     its type) is supplied where an application whose head resolves to
+     the declaration passes it anything but the [None] constructor: the
+     type checker fills an omitted optional with a [None] of its own.
+     A slot a partial application leaves open, and any occurrence of
+     the value that is not an application head (it escapes with its
+     optionals), count as supplies too.  The exception is a coercion
+     to a type without the optionals ([~f:M.v]): the type checker
+     binds the value to a ghost [let arg = M.v in fun eta -> arg
+     ?x:None eta], which supplies nothing.
 
-   A value listed in the allow file with a reason is exempt; a listed
-   value that has a user (or is gone), or an entry without a reason, is
-   an error.  Prints one line per finding and exits 1 if there is any;
-   prints nothing and exits 0 otherwise.  A source file under a scanned
+   A value (or [Module.value ?label]) listed in the allow file with a
+   reason is exempt; a listed value that has a user, a listed parameter
+   that is supplied, an entry that is gone, or an entry without a
+   reason, is an error.  Prints one line per finding and exits 1 if
+   there is any; prints nothing and exits 0 otherwise.  A source file under a scanned
    directory without its .cmt or .cmti is an error too, so the check
    cannot pass with nothing read.
 
@@ -88,12 +99,22 @@ let units dir =
           None)
     (sources dir)
 
+(* Labels of the optional arrows of a value's type. *)
+let rec optionals ty =
+  match Types.get_desc ty with
+  | Tarrow (Optional l, _, rest, _) -> l :: optionals rest
+  | Tarrow (_, _, rest, _) | Tpoly (rest, _) -> optionals rest
+  | _ -> []
+
+(* (full name, declaration key, optional labels) per exported value. *)
 let rec exports prefix (sg : signature) =
   List.concat_map
     (fun item ->
       match item.sig_desc with
       | Tsig_value vd ->
-          [ (value_path prefix vd.val_name.txt, key vd.val_val.val_loc) ]
+          [ ( value_path prefix vd.val_name.txt,
+              key vd.val_val.val_loc,
+              optionals vd.val_val.val_type ) ]
       | Tsig_module
           { md_name = { txt = Some name; _ };
             md_type = { mty_desc = Tmty_signature sg; _ };
@@ -108,19 +129,50 @@ let rec exports prefix (sg : signature) =
       | _ -> [])
     sg.sig_items
 
+(* Declaration keys used; (key, label) of each supplied optional; keys
+   of values that escape, all their optionals supplied. *)
 let uses = Hashtbl.create 4096
+let supplied = Hashtbl.create 1024
+let escapes = Hashtbl.create 1024
+
+(* Whether an application's argument to an optional parameter supplies
+   it: a slot left open ([None]) does; the [None] constructor, the type
+   checker's for an omitted optional or the caller's own, does not. *)
+let supplies = function
+  | Some { exp_desc = Texp_construct (_, { cstr_name = "None"; _ }, []); _ } -> false
+  | Some _ | None -> true
 
 let use_iterator =
   let expr sub e =
-    (match e.exp_desc with
-    | Texp_ident (_, _, vd) -> Hashtbl.replace uses (key vd.val_loc) ()
-    | _ -> ());
-    Tast_iterator.default_iterator.expr sub e
+    match e.exp_desc with
+    | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, args) ->
+        let k = key vd.val_loc in
+        Hashtbl.replace uses k ();
+        List.iter
+          (function
+            | Asttypes.Optional l, a when supplies a -> Hashtbl.replace supplied (k, l) ()
+            | _ -> ())
+          args;
+        List.iter (fun (_, a) -> Option.iter (sub.Tast_iterator.expr sub) a) args
+    | Texp_let
+        ( Nonrecursive,
+          [ { vb_pat = { pat_desc = Tpat_var _; pat_loc = { loc_ghost = true; _ }; _ };
+              vb_expr = { exp_desc = Texp_ident (_, _, vd); _ };
+              _ } ],
+          body ) ->
+        (* the coercion's [let arg = M.v in ...] *)
+        Hashtbl.replace uses (key vd.val_loc) ();
+        sub.expr sub body
+    | Texp_ident (_, _, vd) ->
+        Hashtbl.replace uses (key vd.val_loc) ();
+        Hashtbl.replace escapes (key vd.val_loc) ()
+    | _ -> Tast_iterator.default_iterator.expr sub e
   in
   { Tast_iterator.default_iterator with expr }
 
-(* [Module.value  reason] per line; '#' starts a comment.  Returns
-   (line, name, reason) per entry. *)
+(* [Module.value  reason] or [Module.value ?label  reason] per line;
+   '#' starts a comment.  Returns (line, name, reason) per entry, the
+   name of a parameter entry being [Module.value ?label]. *)
 let read_allow file =
   let ic = open_in file in
   let rec go n acc =
@@ -142,6 +194,12 @@ let read_allow file =
                 | Some j -> j + 1
                 | None -> len)
             | Some i -> i
+          in
+          let stop =
+            match String.index_from_opt line stop '?' with
+            | Some q when String.trim (String.sub line stop (q - stop)) = "" ->
+                Option.value (String.index_from_opt line q ' ') ~default:len
+            | _ -> stop
           in
           let name = String.sub line 0 stop in
           let reason = String.trim (String.sub line stop (len - stop)) in
@@ -193,13 +251,24 @@ let () =
       match c.cmt_annots with
       | Interface sg ->
           List.iter
-            (fun (name, ((file, line, _) as k)) ->
+            (fun (name, ((file, line, _) as k), labels) ->
               if not (Hashtbl.mem uses k) then begin
                 Hashtbl.replace unused name ();
                 if not (Hashtbl.mem listed name) then
                   report "%s (%s:%d): used only from test/ or its own module"
                     name file line
-              end)
+              end;
+              List.iter
+                (fun l ->
+                  let param = Printf.sprintf "%s ?%s" name l in
+                  if not (Hashtbl.mem escapes k || Hashtbl.mem supplied (k, l))
+                  then begin
+                    Hashtbl.replace unused param ();
+                    if not (Hashtbl.mem listed param) then
+                      report "%s (%s:%d): supplied only from test/ or its own module"
+                        param file line
+                  end)
+                labels)
             (exports (unit_name src) sg)
       | _ -> ())
     lib_units;

@@ -34,7 +34,7 @@ let test_pretty_roundtrip_kernels () =
   List.iter
     (fun (label, p) -> check_bool (label ^ " round-trips") true (roundtrip p))
     [
-      ("shal, two steps", K.Livermore.shal ~time_steps:2 12);
+      ("shal, two steps", { (K.Livermore.shal 12) with Program.time_steps = 2 });
       ("matmul", L.Tiling.matmul 8);
     ]
 
@@ -118,7 +118,7 @@ let test_codegen_respects_padding () =
 
 let test_codegen_gather_and_int () =
   (* BUK exercises int arrays and gather tables *)
-  let p = K.Nas.buk ~buckets:32 500 in
+  let p = K.Nas.buk 500 in
   let layout = Layout.initial p in
   let src = Mlc_codegen.Codegen.emit_c layout p in
   check_bool "emits a table" true
@@ -187,13 +187,13 @@ let test_f77_intra_pad_leading_dimension () =
     (contains src (Printf.sprintf "F(%d,64,64)" (64 + pad)))
 
 let test_f77_gather_tables () =
-  let p = K.Nas.buk ~buckets:16 64 in
+  let p = K.Nas.buk 64 in
   let layout = Layout.initial p in
   let src = Mlc_codegen.Codegen.emit_f77 layout p in
   check_bool "table declared" true (contains src "INTEGER MLCTB0");
   check_bool "data statement" true (contains src "DATA (MLCTB0(MLCI)");
   (* and tables above 4096 entries are refused *)
-  let big = K.Nas.buk ~buckets:16 5000 in
+  let big = K.Nas.buk 5000 in
   match Mlc_codegen.Codegen.emit_f77 (Layout.initial big) big with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for an oversized table"

@@ -129,12 +129,12 @@ let test_cache_roundtrip () =
     (fun () ->
       let specs = sweep_specs () in
       let cold_cache = E.Cache.open_ ~dir ~version:"v1" () in
-      let cold_progress = E.Progress.create ~live:false ~jobs:2 () in
+      let cold_progress = E.Progress.create ~jobs:2 () in
       let cold = E.Engine.run ~cache:cold_cache ~progress:cold_progress ~jobs:2 specs in
       Alcotest.(check int) "cold run has no hits" 0
         (E.Progress.cache_hits cold_progress);
       let warm_cache = E.Cache.open_ ~dir ~version:"v1" () in
-      let warm_progress = E.Progress.create ~live:false ~jobs:2 () in
+      let warm_progress = E.Progress.create ~jobs:2 () in
       let warm = E.Engine.run ~cache:warm_cache ~progress:warm_progress ~jobs:2 specs in
       Alcotest.(check int) "warm run is all hits" (Array.length specs)
         (E.Progress.cache_hits warm_progress);

@@ -132,7 +132,7 @@ let test_resume_only_missing () =
       (* Faults cleared: a plain re-run replays the completed half from
          the cache and computes only what is missing. *)
       let c = E.Cache.open_ ~dir ~version:"v1" () in
-      let progress = E.Progress.create ~live:false ~jobs:2 () in
+      let progress = E.Progress.create ~jobs:2 () in
       let results = E.Engine.run ~cache:c ~progress ~jobs:2 specs in
       Alcotest.(check int) "every cell resolved" 8 (Array.length results);
       Alcotest.(check int) "completed cells replay from cache" 4

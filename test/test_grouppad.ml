@@ -25,12 +25,8 @@ let qcheck_count default =
    scratch.  The key is (conflicts, -preserved, pad); the smallest wins
    and the second smallest is the runner-up.  Returns the layout and, per
    variable, [(name, winner, runner-up)]. *)
-let oracle_apply ?candidate_step ~size ~line program layout =
-  let step =
-    match candidate_step with
-    | Some s -> max line s
-    | None -> max line (size / 128 / line * line)
-  in
+let oracle_apply ~size ~line program layout =
+  let step = max line (size / 128 / line * line) in
   let candidates =
     let rec go p acc = if p >= size then List.rev acc else go (p + step) (p :: acc) in
     go 0 []
@@ -55,11 +51,9 @@ let oracle_apply ?candidate_step ~size ~line program layout =
 
 (* [Grouppad.apply] with its decision instants read back into the
    oracle's [(name, winner, runner-up)] form. *)
-let apply_decided ?candidate_step ~size ~line program layout =
+let apply_decided ~size ~line program layout =
   let buf = Obs.Buf.create () in
-  let result =
-    Obs.with_buf buf (fun () -> L.Grouppad.apply ?candidate_step ~size ~line program layout)
-  in
+  let result = Obs.with_buf buf (fun () -> L.Grouppad.apply ~size ~line program layout) in
   let decision (e : Obs.event) =
     let arg k =
       match List.assoc_opt k e.Obs.args with Some (`Int i) -> Some i | _ -> None
@@ -95,13 +89,13 @@ let l1 machine =
   | [] -> invalid_arg "machine without cache levels"
 
 (* GROUPPAD as the pipeline runs it: on L1, after intra-variable padding. *)
-let check_identical ?candidate_step machine label program layout =
+let check_identical machine label program layout =
   let size, line = l1 machine in
   let layout = L.Intra_pad.apply ~size ~line program layout in
   Alcotest.(check string)
     (Printf.sprintf "%s on %s" label machine.Cs.Machine.name)
-    (render (oracle_apply ?candidate_step ~size ~line program layout))
-    (render (apply_decided ?candidate_step ~size ~line program layout))
+    (render (oracle_apply ~size ~line program layout))
+    (render (apply_decided ~size ~line program layout))
 
 let machines = [ Cs.Machine.ultrasparc; Cs.Machine.alpha21164 ]
 
@@ -157,34 +151,31 @@ let padded program pads =
 
 let gen_pads = QCheck.(list_of_size (Gen.return 16) (pair (int_range 0 3000) (int_range 0 5)))
 
-let agrees ?candidate_step ~size ~line program layout =
-  render (oracle_apply ?candidate_step ~size ~line program layout)
-  = render (apply_decided ?candidate_step ~size ~line program layout)
+let agrees ~size ~line program layout =
+  render (oracle_apply ~size ~line program layout)
+  = render (apply_decided ~size ~line program layout)
 
 (* Arbitrary starting pads (not line multiples, so alignment rounding
-   differs between arrays), intra-variable pads and candidate steps. *)
+   differs between arrays) and intra-variable pads. *)
 let prop_random_layouts =
-  QCheck.Test.make ~name:"random pads and candidate steps" ~count:(qcheck_count 40)
-    QCheck.(quad (int_range 0 3) (int_range 40 160) (int_range 1 4096) gen_pads)
-    (fun (kernel, n, candidate_step, pads) ->
+  QCheck.Test.make ~name:"random pads" ~count:(qcheck_count 40)
+    QCheck.(triple (int_range 0 3) (int_range 40 160) gen_pads)
+    (fun (kernel, n, pads) ->
       let name = List.nth [ "EXPL512"; "SHAL512"; "JACOBI512"; "TOMCATV" ] kernel in
       let program = sized name n in
       let size, line = l1 (List.nth machines (n mod 2)) in
-      agrees ~candidate_step ~size ~line program (padded program pads))
+      agrees ~size ~line program (padded program pads))
 
-(* Layouts mixing 4- and 8-byte arrays, with steps that are multiples of 4
-   but not of 8: a variable followed only by 4-byte arrays is scored in
-   one sweep, any other one candidate by candidate.  BUK, CGM and IRR500K
-   mix the two sizes as written; the stencils, whose nests have many more
-   dots and arcs, get 4-byte elements on the arrays [narrow] picks. *)
+(* Layouts mixing 4- and 8-byte arrays: the alignment of a 4-byte array
+   after an 8-byte one, and the reverse, must move with the pad.  BUK,
+   CGM and IRR500K mix the two sizes as written; the stencils, whose
+   nests have many more dots and arcs, get 4-byte elements on the arrays
+   [narrow] picks. *)
 let prop_mixed_elem_sizes =
-  QCheck.Test.make ~name:"4- and 8-byte arrays, steps off the 8-byte grid"
-    ~count:(qcheck_count 40)
+  QCheck.Test.make ~name:"mixed element sizes" ~count:(qcheck_count 40)
     QCheck.(
-      quad (int_range 0 6) (int_range 40 600)
-        (pair (int_range 4 512) (list_of_size (Gen.return 16) bool))
-        gen_pads)
-    (fun (kernel, n, (k, narrow), pads) ->
+      quad (int_range 0 6) (int_range 40 600) (list_of_size (Gen.return 16) bool) gen_pads)
+    (fun (kernel, n, narrow, pads) ->
       let name =
         List.nth [ "BUK"; "CGM"; "IRR500K"; "EXPL512"; "SHAL512"; "JACOBI512"; "TOMCATV" ] kernel
       in
@@ -202,7 +193,7 @@ let prop_mixed_elem_sizes =
           }
       in
       let size, line = l1 (List.nth machines (n mod 2)) in
-      agrees ~candidate_step:(4 * ((2 * k) + 1)) ~size ~line program (padded program pads))
+      agrees ~size ~line program (padded program pads))
 
 (* Small caches, lines up to the whole cache: conflict windows that wrap
    around the cache, and lines over half of it, where every pair of

@@ -79,12 +79,12 @@ let test_erle_planes_collide () =
      <> [])
 
 let test_time_steps_multiply () =
-  let once = K.Livermore.shal ~time_steps:1 32 in
-  let thrice = K.Livermore.shal ~time_steps:3 32 in
+  let once = K.Livermore.shal 32 in
+  let thrice = { once with Program.time_steps = 3 } in
   check_int "refs triple" (3 * Program.ref_count once) (Program.ref_count thrice)
 
 let test_buk_gather_bounds () =
-  let p = K.Nas.buk ~buckets:64 1000 in
+  let p = K.Nas.buk 1000 in
   Alcotest.(check (list string)) "valid" []
     (List.map (Format.asprintf "%a" Validate.pp_issue) (Validate.check p))
 

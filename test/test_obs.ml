@@ -488,7 +488,7 @@ let old_layout_for machine strategy program =
         | _ :: g2 :: _ -> g2.Cs.Level.size
         | _ -> s1
       in
-      L.Maxpad.apply_l2 ~s1 ~l2_size program layout
+      L.Maxpad.apply_l2 ~s1 ~l2_size layout
 
 let check_layouts_equal msg a b =
   Alcotest.(check (list string))

@@ -217,7 +217,7 @@ let test_grouppad_figure4_counts () =
 
 let test_maxpad_spreads () =
   let layout = Layout.initial fig2 in
-  let spread = L.Maxpad.apply_l2 ~s1 ~l2_size fig2 layout in
+  let spread = L.Maxpad.apply_l2 ~s1 ~l2_size layout in
   let positions =
     List.map (fun v -> Layout.base spread v mod l2_size) (Layout.array_names spread)
   in
@@ -233,7 +233,7 @@ let test_maxpad_spreads () =
 let test_l2maxpad_preserves_l1_layout () =
   let layout = Layout.initial fig2 in
   let gp = L.Grouppad.apply ~size:s1 ~line:l1_line fig2 layout in
-  let l2 = L.Maxpad.apply_l2 ~s1 ~l2_size fig2 gp in
+  let l2 = L.Maxpad.apply_l2 ~s1 ~l2_size gp in
   (* positions mod S1 unchanged for every array *)
   List.iter
     (fun v ->
@@ -249,7 +249,7 @@ let test_l2maxpad_preserves_l1_layout () =
 let test_l2maxpad_improves_l2_reuse () =
   let layout = Layout.initial fig2 in
   let gp = L.Grouppad.apply ~size:s1 ~line:l1_line fig2 layout in
-  let l2 = L.Maxpad.apply_l2 ~s1 ~l2_size fig2 gp in
+  let l2 = L.Maxpad.apply_l2 ~s1 ~l2_size gp in
   let preserved l = L.Grouppad.preserved_references ~size:l2_size fig2 l in
   check_bool "L2 group reuse not worse" true (preserved l2 >= preserved gp);
   (* on the big L2 every arc should fit after spreading: all 5 arcs *)

@@ -209,7 +209,7 @@ let prop_l2maxpad_keeps_l1_residues =
       let p = K.Livermore.jacobi n in
       let s1 = 16 * 1024 and l2_size = 512 * 1024 in
       let gp = L.Grouppad.apply ~size:s1 ~line:32 p (Layout.initial p) in
-      let l2 = L.Maxpad.apply_l2 ~s1 ~l2_size p gp in
+      let l2 = L.Maxpad.apply_l2 ~s1 ~l2_size gp in
       List.for_all
         (fun v -> Layout.base gp v mod s1 = Layout.base l2 v mod s1)
         (Layout.array_names gp))

@@ -19,7 +19,7 @@ let test_duplicates_dropped () =
   (* the fused Figure 6 body has three duplicate reads *)
   let fig6 = K.Paper_examples.figure6_fused 64 in
   let nest = List.hd fig6.Program.nests in
-  let replaced = L.Scalar_replace.apply ~max_distance:0 nest in
+  let replaced = L.Scalar_replace.apply nest in
   check_int "three registers" 3 (removed ~before:nest ~after:replaced)
 
 let test_rotation_on_stencil () =
@@ -28,7 +28,7 @@ let test_rotation_on_stencil () =
      partner and stay. *)
   let p = K.Livermore.jacobi 64 in
   let nest = List.hd p.Program.nests in
-  let replaced = L.Scalar_replace.apply ~max_distance:2 nest in
+  let replaced = L.Scalar_replace.apply nest in
   check_int "one rotated load" 1
     (removed ~before:nest ~after:replaced);
   let names r = r.Ref_.array in
