@@ -71,7 +71,7 @@ let component d var =
   | Unknown -> Star
   | Distance ds -> ( try Exact (List.assoc var ds) with Not_found -> Star)
 
-let fusion_legal ?(shift = 0) n1 n2 =
+let fusion_legal ~shift n1 n2 =
   match (n1.Nest.loops, n2.Nest.loops) with
   | l1 :: inner1, _ :: _ ->
       let outer1 = l1.Loop.var in
@@ -105,7 +105,7 @@ let fusion_legal ?(shift = 0) n1 n2 =
                  | Star -> false))
   | _ -> false
 
-let min_legal_shift ?(max_shift = 8) n1 n2 =
+let min_legal_shift ~max_shift n1 n2 =
   let rec go s =
     if s > max_shift then None
     else if fusion_legal ~shift:s n1 n2 then Some s

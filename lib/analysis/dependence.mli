@@ -18,14 +18,14 @@ type distance =
     different arrays. *)
 val between : Ref_.t -> Ref_.t -> distance
 
-(** [fusion_legal ?shift n1 n2] — can the bodies be fused iteration-wise
+(** [fusion_legal ~shift n1 n2] — can the bodies be fused iteration-wise
     with the second body executing [shift] iterations of the outermost
     loop behind the first?  True when every cross-nest dependence keeps
     source before sink in the fused order. *)
-val fusion_legal : ?shift:int -> Nest.t -> Nest.t -> bool
+val fusion_legal : shift:int -> Nest.t -> Nest.t -> bool
 
 (** Smallest non-negative shift (≤ [max_shift]) making fusion legal. *)
-val min_legal_shift : ?max_shift:int -> Nest.t -> Nest.t -> int option
+val min_legal_shift : max_shift:int -> Nest.t -> Nest.t -> int option
 
 (** [permutation_legal nest order] — legality of reordering the nest's
     loops into [order] (a permutation of the loop variables): every

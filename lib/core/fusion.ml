@@ -20,6 +20,7 @@ let align_names n1 n2 =
           Loop.var = rename l.Loop.var;
           lo = rename_expr l.Loop.lo;
           hi = rename_expr l.Loop.hi;
+          lo_max = Option.map rename_expr l.Loop.lo_max;
           hi_min = Option.map rename_expr l.Loop.hi_min;
         })
       n2.Nest.loops
@@ -80,19 +81,39 @@ let fuse ?(shift = 0) n1 n2 =
 (* Largest shift fusion tries by default. *)
 let max_shift = 4
 
-let fuse_program ?(max_shift = max_shift) program i =
+(* The step both drivers take on nests [i] and [i + 1]: align the second
+   to the first, fuse at the smallest legal shift up to [max_shift], and
+   splice the fused nests into the program. *)
+type step =
+  | Mismatch of string
+  | No_legal_shift
+  | Refused of string
+  | Fused of { shift : int; nests : Nest.t list; program : Program.t }
+
+let fuse_step ~max_shift program i =
   let nests = program.Program.nests in
-  if i < 0 || i + 1 >= List.length nests then
-    raise (Illegal "Fusion.fuse_program: nest index out of range");
   let n1 = List.nth nests i and n2 = List.nth nests (i + 1) in
-  let n2' = align_names n1 n2 in
-  match An.Dependence.min_legal_shift ~max_shift n1 n2' with
-  | None -> raise (Illegal "Fusion.fuse_program: no legal shift found")
-  | Some shift ->
-      let fused = fuse ~shift n1 n2 in
-      let before = List.filteri (fun j _ -> j < i) nests in
-      let after = List.filteri (fun j _ -> j > i + 1) nests in
-      { program with Program.nests = before @ fused @ after }
+  match align_names n1 n2 with
+  | exception Illegal m -> Mismatch m
+  | n2' -> (
+      match An.Dependence.min_legal_shift ~max_shift n1 n2' with
+      | None -> No_legal_shift
+      | Some shift -> (
+          match fuse ~shift n1 n2 with
+          | exception Illegal m -> Refused m
+          | fused ->
+              let before = List.filteri (fun j _ -> j < i) nests in
+              let after = List.filteri (fun j _ -> j > i + 1) nests in
+              let program = { program with Program.nests = before @ fused @ after } in
+              Fused { shift; nests = fused; program }))
+
+let fuse_program ?(max_shift = max_shift) program i =
+  if i < 0 || i + 1 >= List.length program.Program.nests then
+    raise (Illegal "Fusion.fuse_program: nest index out of range");
+  match fuse_step ~max_shift program i with
+  | Mismatch m | Refused m -> raise (Illegal m)
+  | No_legal_shift -> raise (Illegal "Fusion.fuse_program: no legal shift found")
+  | Fused { program; _ } -> program
 
 (* The fused "core" among the nests fuse produced: the one with the
    biggest body (peels restrict the same bodies to few iterations). *)
@@ -118,48 +139,37 @@ let optimize_program machine program =
   let rec pass program layout i =
     let nests = program.Program.nests in
     if i + 1 >= List.length nests then program
-    else begin
-      let n1 = List.nth nests i and n2 = List.nth nests (i + 1) in
-      match align_names n1 n2 with
-      | exception Illegal _ ->
+    else
+      match fuse_step ~max_shift program i with
+      | Mismatch _ ->
           say "nests %d,%d: shape mismatch, skipped" i (i + 1);
           pass program layout (i + 1)
-      | n2' -> (
-          match An.Dependence.min_legal_shift ~max_shift n1 n2' with
-          | None ->
-              say "nests %d,%d: no legal shift, skipped" i (i + 1);
-              pass program layout (i + 1)
-          | Some shift -> (
-              match fuse ~shift n1 n2 with
-              | exception Illegal m ->
-                  say "nests %d,%d: %s" i (i + 1) m;
-                  pass program layout (i + 1)
-              | fused_nests ->
-                  let core = core_of fused_nests in
-                  let before = List.filteri (fun j _ -> j < i) nests in
-                  let after = List.filteri (fun j _ -> j > i + 1) nests in
-                  let candidate =
-                    { program with Program.nests = before @ fused_nests @ after }
-                  in
-                  let co =
-                    An.Fusion_model.count (Lazy.force layout) ~l1_size [ n1; n2 ]
-                  in
-                  let candidate_layout = grouppad candidate in
-                  let cf =
-                    An.Fusion_model.count candidate_layout ~l1_size [ core ]
-                  in
-                  let cost = An.Fusion_model.miss_cost ~l2_cost ~memory_cost in
-                  if cost cf < cost co then begin
-                    say "nests %d,%d: fused (shift %d), model cost %.0f -> %.0f"
-                      i (i + 1) shift (cost co) (cost cf);
-                    pass candidate (Lazy.from_val candidate_layout) i
-                  end
-                  else begin
-                    say "nests %d,%d: legal but unprofitable (%.0f -> %.0f)" i
-                      (i + 1) (cost co) (cost cf);
-                    pass program layout (i + 1)
-                  end))
-    end
+      | No_legal_shift ->
+          say "nests %d,%d: no legal shift, skipped" i (i + 1);
+          pass program layout (i + 1)
+      | Refused m ->
+          say "nests %d,%d: %s" i (i + 1) m;
+          pass program layout (i + 1)
+      | Fused { shift; nests = fused_nests; program = candidate } ->
+          let co =
+            An.Fusion_model.count (Lazy.force layout) ~l1_size
+              [ List.nth nests i; List.nth nests (i + 1) ]
+          in
+          let candidate_layout = grouppad candidate in
+          let cf =
+            An.Fusion_model.count candidate_layout ~l1_size [ core_of fused_nests ]
+          in
+          let cost = An.Fusion_model.miss_cost ~l2_cost ~memory_cost in
+          if cost cf < cost co then begin
+            say "nests %d,%d: fused (shift %d), model cost %.0f -> %.0f" i (i + 1)
+              shift (cost co) (cost cf);
+            pass candidate (Lazy.from_val candidate_layout) i
+          end
+          else begin
+            say "nests %d,%d: legal but unprofitable (%.0f -> %.0f)" i (i + 1)
+              (cost co) (cost cf);
+            pass program layout (i + 1)
+          end
   in
   let result = pass program (lazy (grouppad program)) 0 in
   (result, List.rev !log)

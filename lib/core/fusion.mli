@@ -26,6 +26,11 @@ val fuse : ?shift:int -> Nest.t -> Nest.t -> Nest.t list
     @raise Illegal when no legal shift exists. *)
 val fuse_program : ?max_shift:int -> Program.t -> int -> Program.t
 
+(** The fused core among [fuse]'s nests (a non-empty list): the first
+    with the most references, since the peels run the same bodies over a
+    few iterations. *)
+val core_of : Nest.t list -> Nest.t
+
 (** Automatic fusion: repeatedly fuse adjacent nest pairs that are legal
     (smallest shift wins) and profitable under the Section 4 two-level
     model — the paper's "comparing the sum of reuse at each cache level,

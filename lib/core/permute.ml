@@ -3,10 +3,12 @@ module An = Mlc_analysis
 
 exception Illegal of string
 
-let apply_unchecked nest order =
+let apply nest order =
   let vars = Nest.vars nest in
   if List.sort compare order <> List.sort compare vars then
     raise (Illegal "Permute.apply: order is not a permutation of the nest's loops");
+  if not (An.Dependence.permutation_legal nest order) then
+    raise (Illegal "Permute.apply: dependences forbid this permutation");
   let loop_of v = List.find (fun l -> l.Loop.var = v) nest.Nest.loops in
   let loops = List.map loop_of order in
   (* A loop bound may only mention variables of loops that remain outside
@@ -31,11 +33,6 @@ let apply_unchecked nest order =
       match loop.Loop.hi_min with Some e -> check e | None -> ())
     loops;
   { nest with Nest.loops }
-
-let apply nest order =
-  if not (An.Dependence.permutation_legal nest order) then
-    raise (Illegal "Permute.apply: dependences forbid this permutation");
-  apply_unchecked nest order
 
 let optimize layout ~line nest =
   match An.Miss_predict.rank_permutations layout ~line nest with

@@ -199,15 +199,7 @@ let count_nests target (program : Program.t) =
   | Largest_body -> (
       match program.Program.nests with
       | [] -> spec_error "count target: program has no nests"
-      | first :: _ ->
-          [
-            List.fold_left
-              (fun best nest ->
-                if List.length (Nest.refs nest) > List.length (Nest.refs best)
-                then nest
-                else best)
-              first program.Program.nests;
-          ])
+      | nests -> [ L.Fusion.core_of nests ])
 
 let execute spec =
   let machine_t = build_machine spec.machine in

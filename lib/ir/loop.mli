@@ -2,7 +2,7 @@
     [for var = max(lo, lo_max) to min(hi, hi_min) step step].
 
     Bounds are affine in the variables of enclosing loops (triangular
-    loops in LINPACKD, tile loops after strip-mining).  [hi_min] gives the
+    loops in LINPACKD, the element loops of a tiled nest).  [hi_min] gives the
     [min(KK+W-1, N)] clamp tiling introduces; [lo_max] the [max(1, c-i)]
     clamp wavefront (skewed) loops need.  A negative [step] iterates
     downward from [lo] to [hi] (loop reversal; clamps are not supported

@@ -176,7 +176,7 @@ let test_fusion_legality () =
   check_bool "illegal at shift 0" false (An.Dependence.fusion_legal ~shift:0 n1' n2');
   check_bool "legal at shift 1" true (An.Dependence.fusion_legal ~shift:1 n1' n2');
   Alcotest.(check (option int)) "min shift" (Some 1)
-    (An.Dependence.min_legal_shift n1' n2')
+    (An.Dependence.min_legal_shift ~max_shift:8 n1' n2')
 
 let test_permutation_legality () =
   let open Build in

@@ -137,6 +137,64 @@ let test_gather_digests () =
         (Digest.to_hex (Digest.string (Marshal.to_string p [ Marshal.No_sharing ]))))
     gather_digests
 
+(* The Figure 8 builder's identity: the same MD5 as the gather kernels,
+   for every tile [Tile_size.policy_tiles] picks on the bench machine's
+   16K L1 and 512K L2 at five sizes, and three edge shapes.  Recorded
+   from the strip-mine-and-hoist builder that the literal nest replaced. *)
+let tiled_matmul_digests =
+  [
+    (100, 48, 41, "f22bc6e92b2e7b4e5faf0313a335af4a");
+    (100, 50, 81, "fec4cd19fca1f245c5927c2231b0ba61");
+    (100, 100, 81, "715611e5db5da80447794d99ed67b36c");
+    (100, 100, 655, "29d283230e5dde2910266fbc521f265c");
+    (172, 16, 119, "6ad139db3ccac305e6e64c07afa79b18");
+    (172, 86, 47, "cf7ec04f8ba96957ff86bbee1a493b0d");
+    (172, 86, 95, "b3df11c82e41acdf23fc00376068764b");
+    (172, 172, 381, "f1c427887dd1a4821111a90ec3b161ef");
+    (244, 44, 42, "7fe4c84e60a038161e0d7f385c9dfc02");
+    (244, 72, 56, "b2af93ab420f9af76e8500ae74563dd0");
+    (244, 100, 81, "8121f7e87d3bdd443078f290e05fd830");
+    (244, 244, 268, "33f37a0ad60fb83ece051314265a6205");
+    (316, 152, 13, "0585e4cae4a1c7f1a303eeb57f884c78");
+    (316, 62, 66, "37a3ddfb30deefbbe5b19450fda1cd45");
+    (316, 68, 120, "ed1b8c3e345d52550ce2db468aeda7f4");
+    (316, 316, 207, "b9b41702b016b1e6972e855e531c999a");
+    (388, 44, 37, "d60717e6599e1a1ac10c4ca7ada65a8b");
+    (388, 36, 113, "49e84609ca744a6d31b5e7cf957676ea");
+    (388, 176, 46, "88a9bf8ba61f94306230faf54bc09281");
+    (388, 388, 168, "0ccb6c479fd2da4a730b282c9846b6a7");
+    (* h > n *)
+    (16, 20, 3, "293aa246756a1d814bbbf6a31c98f6e9");
+    (* h = w = 1 *)
+    (8, 1, 1, "2b8b2260cc572943a3788fcba0902c39");
+    (* w does not divide n *)
+    (10, 4, 3, "9ea2ccdcc7c7619cda0369b9b7d32177");
+  ]
+
+let test_tiled_matmul_digests () =
+  let digest_of n h w =
+    let p = Locality.Tiling.tiled_matmul ~n ~h ~w in
+    Digest.to_hex (Digest.string (Marshal.to_string p [ Marshal.No_sharing ]))
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (_, (t : Locality.Tile_size.tile)) ->
+          if
+            not
+              (List.exists
+                 (fun (n', h, w, _) -> n' = n && h = t.height && w = t.width)
+                 tiled_matmul_digests)
+          then Alcotest.failf "n = %d: no digest for tile %dx%d" n t.height t.width)
+        (Locality.Tile_size.policy_tiles ~l1:(16 * 1024) ~l2:(512 * 1024) ~elem:8 n))
+    [ 100; 172; 244; 316; 388 ];
+  List.iter
+    (fun (n, h, w, digest) ->
+      Alcotest.(check string)
+        (Printf.sprintf "n = %d, %dx%d" n h w)
+        digest (digest_of n h w))
+    tiled_matmul_digests
+
 (* The tables as [Array.init] built them: the oracle for the loop fills. *)
 let oracle_table ~seed ~n ~bound =
   let t = K.Det_random.create ~seed in
@@ -206,4 +264,6 @@ let () =
           Alcotest.test_case "empty and negative sizes" `Quick test_table_edges;
           QCheck_alcotest.to_alcotest prop_tables_match_oracle;
         ] );
+      ( "tiled matmul",
+        [ Alcotest.test_case "tiled matmul digests" `Quick test_tiled_matmul_digests ] );
     ]

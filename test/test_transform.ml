@@ -1,5 +1,5 @@
 (* Tests for the loop transformations: permutation (and Section 2's
-   every-level claim), strip-mining, tiling (+ tile-size selection), and
+   every-level claim), tiling (+ tile-size selection), and
    fusion. *)
 
 open Mlc_ir
@@ -104,20 +104,26 @@ let test_section2_every_level () =
     [ ("ultrasparc", Mlc_cachesim.Machine.ultrasparc);
       ("alpha", Mlc_cachesim.Machine.alpha21164) ]
 
-(* --- Strip-mine / Tiling -------------------------------------------------- *)
+(* --- Tiling ------------------------------------------------------------- *)
 
-let test_strip_mine_exact_cover () =
-  let open Build in
-  let a = arr "A" [ 20 ] in
-  let i = v "i" in
-  let n1 = nest [ loop "i" 0 19 ] [ asn (w "A" [ i ]) [ r "A" [ i ] ] ] in
-  let p = program "sm" [ a ] [ n1 ] in
-  let layout = Layout.initial p in
-  (* width 7 does not divide 20: the clamp matters *)
-  let stripped = L.Strip_mine.apply n1 ~var:"i" ~width:7 ~strip_var:"ii" in
-  let p' = { p with Program.nests = [ stripped ] } in
-  Alcotest.(check (array int)) "identical access sequence"
-    (Interp.trace layout p) (Interp.trace layout p')
+(* Tiling hoists the strip loops across every loop of the nest, which is
+   legal because matmul's nest is fully permutable: the ranking, which
+   keeps only the orders [Dependence.permutation_legal] allows, keeps all
+   six. *)
+let test_matmul_fully_permutable () =
+  let p = L.Tiling.matmul 8 in
+  let legal =
+    An.Miss_predict.rank_permutations (Layout.initial p) ~line:32 (List.hd p.Program.nests)
+  in
+  check_int "legal loop orders" 6 (List.length legal)
+
+let test_tiled_matmul_rejects_empty_tiles () =
+  List.iter
+    (fun (h, w) ->
+      match L.Tiling.tiled_matmul ~n:8 ~h ~w with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "h = %d, w = %d: expected Invalid_argument" h w)
+    [ (0, 4); (4, 0) ]
 
 let prop_tiling_preserves_accesses =
   QCheck.Test.make ~name:"tiled matmul touches the same multiset of addresses"
@@ -353,6 +359,26 @@ let test_fuse_with_shift_peels () =
   (* and the write of W(i,j+1) now precedes its read in program order *)
   check_bool "fused program validates" true (Validate.check p' = [])
 
+(* The epilogue runs the second nest under its own loops, renamed to the
+   first nest's variables: a [lo_max] clamp must be renamed too. *)
+let test_fuse_renames_lo_max () =
+  let open Build in
+  let n = 10 in
+  let x = arr "X" [ n; n ] and y = arr "Y" [ n; n ] in
+  let n1 =
+    nest [ loop "j" 0 (n - 1); loop "i" 0 (n - 1) ]
+      [ asn (w "X" [ v "i"; v "j" ]) [ r "X" [ v "i"; v "j" ] ] ]
+  in
+  let n2 =
+    nest
+      [ loop "k" 0 (n - 1); Loop.make "l" ~lo:(c 0) ~hi:(c (n - 1)) ~lo_max:(v "k" -! 5) ]
+      [ asn (w "Y" [ v "l"; v "k" ]) [ r "Y" [ v "l"; v "k" ] ] ]
+  in
+  let p = program "clamped" [ x; y ] [ n1; n2 ] in
+  let fused = { p with Program.nests = L.Fusion.fuse ~shift:1 n1 n2 } in
+  Alcotest.(check (list string)) "fused program validates" []
+    (List.map (Format.asprintf "%a" Validate.pp_issue) (Validate.check fused))
+
 let test_fuse_program_auto_shift () =
   let open Build in
   let n = 12 in
@@ -436,8 +462,11 @@ let () =
         [ Alcotest.test_case "every level at once" `Quick test_section2_every_level ] );
       ( "tiling",
         [
-          Alcotest.test_case "strip-mine exact cover" `Quick test_strip_mine_exact_cover;
+          Alcotest.test_case "tiled_matmul rejects h = 0 and w = 0" `Quick
+            test_tiled_matmul_rejects_empty_tiles;
           Alcotest.test_case "figure 8 shape" `Quick test_tiled_matmul_shape;
+          Alcotest.test_case "matmul's nest is legal under all six loop orders" `Quick
+            test_matmul_fully_permutable;
           QCheck_alcotest.to_alcotest prop_tiling_preserves_accesses;
         ] );
       ( "tile_size",
@@ -456,6 +485,7 @@ let () =
         [
           Alcotest.test_case "figure 2 fuses to figure 6" `Quick test_fuse_figure2_matches_figure6;
           Alcotest.test_case "shift + peel" `Quick test_fuse_with_shift_peels;
+          Alcotest.test_case "shift renames lo_max clamps" `Quick test_fuse_renames_lo_max;
           Alcotest.test_case "auto shift" `Quick test_fuse_program_auto_shift;
           Alcotest.test_case "auto optimizer" `Quick test_fusion_auto_optimizer;
           Alcotest.test_case "rejects impossible" `Quick test_fusion_rejects_impossible;
