@@ -41,7 +41,8 @@ let () =
     "(the paper derives 5 memory + 2 L2 before, 3 memory + 3 L2 after)\n\n";
 
   (* 3. Profitability: weigh by the machine's miss costs. *)
-  let l2_cost = 6.0 and memory_cost = 50.0 in
+  let l2_cost = machine.Cs.Machine.cost.Cs.Cost_model.hit_cycles.(1)
+  and memory_cost = machine.Cs.Machine.cost.Cs.Cost_model.memory_cycles in
   let cost = An.Fusion_model.miss_cost ~l2_cost ~memory_cost in
   Printf.printf
     "weighted miss cost: %.0f before vs %.0f after (L2 hit %.0f cyc, memory %.0f cyc)\n"

@@ -17,7 +17,6 @@ type arc = {
 type conflict = {
   a : int;
   b : int;
-  distance : int;
 }
 
 (* Environment with every loop variable at its lower bound; bounds may
@@ -98,11 +97,10 @@ let severe_conflicts layout ~size ~line ?(include_same_array = false) nest =
               && d.ref_.Ref_.array = d'.ref_.Ref_.array
               && abs (d.address - d'.address) >= line
             in
-            if different_array || same_array_distinct then begin
-              let dist = circular_distance size d.position d'.position in
-              if dist < line then
-                conflicts := { a = d.ref_index; b = d'.ref_index; distance = dist } :: !conflicts
-            end)
+            if
+              (different_array || same_array_distinct)
+              && circular_distance size d.position d'.position < line
+            then conflicts := { a = d.ref_index; b = d'.ref_index } :: !conflicts)
           rest;
         pairs rest
   in

@@ -32,7 +32,6 @@ type arc = {
 type conflict = {
   a : int;  (** ref index *)
   b : int;
-  distance : int;  (** circular distance on the cache, in bytes *)
 }
 
 (** Dots of a nest for a cache of [size] bytes.  The first iteration is
@@ -48,7 +47,8 @@ val label : dot -> string
     them. *)
 val arcs : Layout.t -> ?min_span:int -> Nest.t -> arc list
 
-(** Severe conflicts between different arrays at line granularity [line].
+(** Severe conflicts: pairs of references to different arrays whose
+    circular distance on a [size]-byte cache is under [line] bytes.
     [include_same_array] additionally reports same-array conflicts between
     distinct references (the target of {e intra}-variable padding). *)
 val severe_conflicts :

@@ -14,28 +14,22 @@ type t = {
   clock_hz : float;       (** for MFLOPS conversion *)
 }
 
-(** UltraSparc-I-flavoured defaults: 1-cycle L1 hit, 6-cycle L2 hit,
-    50-cycle memory, 143 MHz clock. *)
-val ultrasparc : t
-
-(** Alpha-21164-flavoured three-level defaults. *)
-val alpha21164 : t
-
-(** [cycles_of_stats t stats] prices per-level counters (L1 first): each
-    access recorded at level [i] pays [hit_cycles.(i)], and the last
-    level's misses pay [memory_cycles].  Both simulator backends hand over
-    the same {!Stats.t} list, so they price identically. *)
-val cycles_of_stats : t -> Stats.t list -> float
-
-(** [breakdown_of_stats t stats] splits {!cycles_of_stats} into its
-    additive terms: one [("L<i>", cycles)] pair per level plus a final
-    [("memory", cycles)] term. *)
+(** [breakdown_of_stats t stats] prices per-level counters (L1 first) as
+    additive terms: one [("L<i>", cycles)] pair per level, where each
+    access recorded at level [i] pays [hit_cycles.(i)], plus a final
+    [("memory", cycles)] term, where the last level's misses pay
+    [memory_cycles].  Both simulator backends hand over the same
+    {!Stats.t} list, so they price identically.
+    @raise Invalid_argument on an empty list or a list longer than
+    [hit_cycles]. *)
 val breakdown_of_stats : t -> Stats.t list -> (string * float) list
 
-(** {!cycles_of_stats} over the clock. *)
-val seconds_of_stats : t -> Stats.t list -> float
+(** [cycles_of_stats t stats] is the sum of {!breakdown_of_stats}'s
+    terms, added in order from [0.0]. *)
+val cycles_of_stats : t -> Stats.t list -> float
 
-(** Simulated MFLOPS given a floating-point operation count. *)
+(** Simulated MFLOPS given a floating-point operation count: [flops]
+    over {!cycles_of_stats} at [clock_hz]. *)
 val mflops_of_stats : t -> flops:int -> Stats.t list -> float
 
 (** [improvement ~orig ~opt] is the paper's "execution time improvement":

@@ -70,28 +70,14 @@ type metrics = {
   seq_iterations : int;
 }
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
-let log2 n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
-
 let make_level i (geom : Level.geometry) =
   if geom.assoc <> 1 then
     invalid_arg
       (Printf.sprintf "Fast_sim.create: L%d is %d-way, only direct-mapped levels are simulated"
          (i + 1) geom.assoc);
-  if not (is_pow2 geom.size) then invalid_arg "Fast_sim.create: size not a power of two";
-  if not (is_pow2 geom.line) then invalid_arg "Fast_sim.create: line not a power of two";
+  let line_bits, sets = Level.shape geom in
   if geom.line < 4 then invalid_arg "Fast_sim.create: line smaller than 4 bytes";
-  if geom.line > geom.size then invalid_arg "Fast_sim.create: line larger than cache";
-  let n_lines = geom.size / geom.line in
-  {
-    line_bits = log2 geom.line;
-    set_mask = n_lines - 1;
-    tags = Array.make n_lines (-1);
-    stats = Stats.create ();
-  }
+  { line_bits; set_mask = sets - 1; tags = Array.make sets (-1); stats = Stats.create () }
 
 let create ?(write_allocate = true) geoms =
   if geoms = [] then invalid_arg "Fast_sim.create: no levels";

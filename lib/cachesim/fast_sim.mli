@@ -19,12 +19,13 @@
 type t
 
 (** [create ?write_allocate geoms] builds a simulator for the given levels,
-    L1 first, with the same geometry validation as {!Level.create}, and
-    lines of at least 4 bytes (each line's address and dirty bit share
-    one word).
-    @raise Invalid_argument on an empty list, invalid geometry, or a
-    level whose [assoc] is not 1 (the message names the level, [L1]
-    first). *)
+    L1 first.  Each level's geometry goes through {!Level.shape}, the
+    check {!Level.create} makes; on top of it a level must be
+    direct-mapped and have lines of at least 4 bytes (each line's address
+    and dirty bit share one word).
+    @raise Invalid_argument on an empty list, a geometry {!Level.shape}
+    rejects, lines under 4 bytes, or a level whose [assoc] is not 1 (the
+    message names the level, [L1] first). *)
 val create : ?write_allocate:bool -> Level.geometry list -> t
 
 (** [access t ?write addr] sends one reference down the cascade and

@@ -1,8 +1,9 @@
 (** A single level of cache: set-associative with LRU replacement.
 
     Geometry is given in bytes.  [assoc = 1] is a direct-mapped cache, the
-    configuration the paper's optimizations assume.  Sizes and line sizes
-    must be powers of two, and [assoc] must divide [size / line]. *)
+    configuration the paper's optimizations assume; it takes the same LRU
+    path as any other associativity, with one slot per set that is also
+    its victim.  {!shape} states the geometry rules. *)
 
 type geometry = {
   size : int;   (** capacity in bytes *)
@@ -12,6 +13,13 @@ type geometry = {
 
 type t
 
+(** [shape geom] is [(log2 line, sets)] for a valid geometry: size and
+    line powers of two, [line <= size], [assoc >= 1] dividing
+    [size / line], and a power-of-two set count.  {!create} and
+    [Fast_sim.create] both check their levels with it.
+    @raise Invalid_argument naming the first rule [geom] breaks. *)
+val shape : geometry -> int * int
+
 (** [create ?write_allocate ?prefetch_next_line geom] — [write_allocate]
     (default true) installs lines on write misses; with it off, write
     misses bypass the level (no-allocate / write-around).  Lines written
@@ -19,8 +27,7 @@ type t
     write-back.  [prefetch_next_line] (default false) models a simple
     sequential hardware prefetcher: every demand miss also installs the
     next line (untimed, no stats impact beyond the hits it creates).
-    @raise Invalid_argument on non-power-of-two size/line, [line > size],
-    or an associativity that does not divide the number of lines. *)
+    @raise Invalid_argument on a geometry {!shape} rejects. *)
 val create : ?write_allocate:bool -> ?prefetch_next_line:bool -> geometry -> t
 
 val stats : t -> Stats.t

@@ -12,7 +12,7 @@ let ultrasparc =
         { Level.size = 16 * 1024; line = 32; assoc = 1 };
         { Level.size = 512 * 1024; line = 64; assoc = 1 };
       ];
-    cost = Cost_model.ultrasparc;
+    cost = { Cost_model.hit_cycles = [| 1.0; 6.0 |]; memory_cycles = 50.0; clock_hz = 143.0e6 };
   }
 
 (* The 21164's on-chip L2 is a 96K 3-way cache; it is rounded to a
@@ -27,7 +27,7 @@ let alpha21164 =
         { Level.size = 128 * 1024; line = 64; assoc = 1 };
         { Level.size = 2 * 1024 * 1024; line = 64; assoc = 1 };
       ];
-    cost = Cost_model.alpha21164;
+    cost = { Cost_model.hit_cycles = [| 1.0; 5.0; 20.0 |]; memory_cycles = 80.0; clock_hz = 300.0e6 };
   }
 
 let with_associativity k t =

@@ -8,7 +8,7 @@ type t = {
 
 let create () = { accesses = 0; hits = 0; misses = 0; writes = 0; writebacks = 0 }
 
-let record ?(write = false) t ~hit =
+let record ~write t ~hit =
   t.accesses <- t.accesses + 1;
   if write then t.writes <- t.writes + 1;
   if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1

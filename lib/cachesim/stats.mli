@@ -33,9 +33,9 @@ val add : t -> t -> t
 
 val equal : t -> t -> bool
 
-(** [record ?write t ~hit] counts one access; [write] (default false)
-    additionally bumps the write counter. *)
-val record : ?write:bool -> t -> hit:bool -> unit
+(** [record ~write t ~hit] counts one access; [write] additionally bumps
+    the write counter. *)
+val record : write:bool -> t -> hit:bool -> unit
 
 (** Count one dirty-line eviction. *)
 val record_writeback : t -> unit

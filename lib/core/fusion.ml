@@ -128,7 +128,8 @@ let optimize_program machine program =
   let module Cs = Mlc_cachesim in
   let l1_size = Cs.Machine.s1 machine in
   let l1_line = Cs.Machine.level_line machine 0 in
-  let l2_cost = 6.0 and memory_cost = 50.0 in
+  let l2_cost = machine.Cs.Machine.cost.Cs.Cost_model.hit_cycles.(1)
+  and memory_cost = machine.Cs.Machine.cost.Cs.Cost_model.memory_cycles in
   let grouppad p = Grouppad.apply ~size:l1_size ~line:l1_line p (Layout.initial p) in
   let log = ref [] in
   let say fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in

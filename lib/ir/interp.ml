@@ -9,7 +9,6 @@ type result = {
   writebacks : int;
   flops : int;
   cycles : float;
-  seconds : float;
   mflops : float;
   levels : Cs.Stats.t list;
 }
@@ -297,7 +296,6 @@ let simulate ~backend ~stats ~extra sink machine layout program =
     writebacks = List.fold_left (fun acc s -> acc + s.Cs.Stats.writebacks) 0 stats;
     flops;
     cycles = Cs.Cost_model.cycles_of_stats cost stats;
-    seconds = Cs.Cost_model.seconds_of_stats cost stats;
     mflops = Cs.Cost_model.mflops_of_stats cost ~flops stats;
     levels = List.map (Cs.Stats.add (Cs.Stats.zero ())) stats;
   }

@@ -31,7 +31,6 @@ type result = {
   writebacks : int;        (** dirty-line evictions, summed over levels *)
   flops : int;
   cycles : float;
-  seconds : float;
   mflops : float;
   levels : Mlc_cachesim.Stats.t list;
       (** per-level counter snapshots, L1 first *)

@@ -121,24 +121,28 @@ let test_writes_vs_writebacks_distinct () =
   check_int "no-allocate write miss recorded" 1 s.Cs.Stats.writes;
   check_int "no-allocate write misses never write back" 0 s.Cs.Stats.writebacks
 
+(* The same 1K cache at every associativity: a sequential walk misses
+   once per line without prefetch and only on its first line with it. *)
 let test_next_line_prefetch () =
-  let base = Cs.Level.create (geom 1024 32 1) in
-  let pf = Cs.Level.create ~prefetch_next_line:true (geom 1024 32 1) in
-  (* sequential walk: without prefetch every line misses; with next-line
-     prefetch only the first line of the stream misses *)
-  let walk level =
-    let misses = ref 0 in
-    for i = 0 to 255 do
-      if not (Cs.Level.access level (i * 4)) then incr misses
-    done;
-    !misses
-  in
-  check_int "no prefetch: one miss per line" 32 (walk base);
-  check_int "prefetch: only the first miss" 1 (walk pf);
-  (* the prefetcher never fabricates hits on random far jumps *)
-  let pf2 = Cs.Level.create ~prefetch_next_line:true (geom 1024 32 1) in
-  check_bool "cold far miss" false (Cs.Level.access pf2 0);
-  check_bool "far jump still misses" false (Cs.Level.access pf2 8192)
+  List.iter
+    (fun assoc ->
+      let base = Cs.Level.create (geom 1024 32 assoc) in
+      let pf = Cs.Level.create ~prefetch_next_line:true (geom 1024 32 assoc) in
+      let walk level =
+        let misses = ref 0 in
+        for i = 0 to 255 do
+          if not (Cs.Level.access level (i * 4)) then incr misses
+        done;
+        !misses
+      in
+      let name what = Printf.sprintf "%d-way, %s" assoc what in
+      check_int (name "no prefetch: one miss per line") 32 (walk base);
+      check_int (name "prefetch: only the first miss") 1 (walk pf);
+      (* the prefetcher never fabricates hits on random far jumps *)
+      let pf2 = Cs.Level.create ~prefetch_next_line:true (geom 1024 32 assoc) in
+      check_bool (name "cold far miss") false (Cs.Level.access pf2 0);
+      check_bool (name "far jump still misses") false (Cs.Level.access pf2 8192))
+    [ 1; 2; 4 ]
 
 (* --- Hierarchy --------------------------------------------------------- *)
 

@@ -4,6 +4,7 @@
 
 open Mlc_ir
 module Cs = Mlc_cachesim
+module An = Mlc_analysis
 module K = Mlc_kernels
 module L = Locality
 
@@ -86,6 +87,29 @@ let test_report_renders () =
      let rec go i = i + m <= n && (String.sub out i m = needle || go (i + 1)) in
      go 0)
 
+(* Fusion weighs the model's counts by the machine's own latencies: on
+   the Alpha, an L1 miss that hits L2 costs 5 cycles and memory 80. *)
+let test_fusion_priced_by_machine () =
+  let machine = Cs.Machine.alpha21164 in
+  let p = (K.Registry.find "EXPL512").K.Registry.build () in
+  let l1_size = Cs.Machine.s1 machine and line = Cs.Machine.level_line machine 0 in
+  let grouppad p = L.Grouppad.apply ~size:l1_size ~line p (Layout.initial p) in
+  let n0, n1 =
+    match p.Program.nests with n0 :: n1 :: _ -> (n0, n1) | _ -> assert false
+  in
+  let candidate = L.Fusion.fuse_program p 0 in
+  let before = An.Fusion_model.count (grouppad p) ~l1_size [ n0; n1 ] in
+  let after =
+    An.Fusion_model.count (grouppad candidate) ~l1_size
+      [ L.Fusion.core_of (L.Fusion.fuse ~shift:1 n0 n1) ]
+  in
+  let cost = An.Fusion_model.miss_cost ~l2_cost:5.0 ~memory_cost:80.0 in
+  let _, log = L.Fusion.optimize_program machine p in
+  Alcotest.(check string) "EXPL512 on alpha"
+    (Printf.sprintf "nests 0,1: fused (shift 1), model cost %.0f -> %.0f" (cost before)
+       (cost after))
+    (List.hd log)
+
 let () =
   Alcotest.run "compiler"
     [
@@ -99,5 +123,7 @@ let () =
             test_accesses_preserved_without_scalar_replacement;
           Alcotest.test_case "options" `Quick test_options_disable_passes;
           Alcotest.test_case "report" `Quick test_report_renders;
+          Alcotest.test_case "fusion priced by the machine" `Quick
+            test_fusion_priced_by_machine;
         ] );
     ]

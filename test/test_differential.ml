@@ -13,12 +13,6 @@
 
 module Cs = Mlc_cachesim
 
-let qcheck_count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
 (* --- generators -------------------------------------------------------- *)
 
 let gen_geom =
@@ -71,7 +65,7 @@ let stats_match h f =
 let prop_trace_equivalence =
   QCheck.Test.make
     ~name:"random trace: Fast_sim.access = Hierarchy.access (stats + hit level)"
-    ~count:(qcheck_count 600)
+    ~count:(Qcheck_env.count 600)
     (QCheck.make
        ~print:(fun (h, trace) ->
          Printf.sprintf "%s trace=%s" (print_hierarchy h)
@@ -142,7 +136,7 @@ let print_stream (h, calls) =
 
 let prop_stream =
   QCheck.Test.make ~name:"random buffers: Fast_sim.stream = per-access reference cascade"
-    ~count:(qcheck_count 300)
+    ~count:(Qcheck_env.count 300)
     (QCheck.make ~print:print_stream gen_stream)
     (fun ((write_allocate, geoms), calls) ->
       let h = Cs.Hierarchy.create ~write_allocate geoms in
@@ -218,7 +212,7 @@ let block_matches (h, (bases, strides, writes, count)) =
 let prop_block_equivalence =
   QCheck.Test.make
     ~name:"random block: Fast_sim.block = per-access reference cascade"
-    ~count:(qcheck_count 400)
+    ~count:(Qcheck_env.count 400)
     (QCheck.make ~print:print_block QCheck.Gen.(pair gen_hierarchy gen_block))
     block_matches
 
@@ -257,7 +251,7 @@ let gen_ping_pong =
 let prop_ping_pong =
   QCheck.Test.make
     ~name:"ping-pong block: Fast_sim.block = per-access reference cascade"
-    ~count:(qcheck_count 400)
+    ~count:(Qcheck_env.count 400)
     (QCheck.make ~print:print_block gen_ping_pong)
     block_matches
 
@@ -305,7 +299,7 @@ let print_rows (h, (bases, strides, writes, count, outer_strides, outer_count)) 
 let prop_rows =
   QCheck.Test.make
     ~name:"random two-loop block: Fast_sim.block = per-access reference cascade"
-    ~count:(qcheck_count 400)
+    ~count:(Qcheck_env.count 400)
     (QCheck.make ~print:print_rows gen_rows)
     (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
       rows_match h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
@@ -492,7 +486,7 @@ let gen_crossing =
 let prop_crossing =
   QCheck.Test.make
     ~name:"crossing streams: Fast_sim.block = per-access reference cascade"
-    ~count:(qcheck_count 400)
+    ~count:(Qcheck_env.count 400)
     (QCheck.make ~print:print_rows gen_crossing)
     (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
       rows_match h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
@@ -547,7 +541,7 @@ let gen_clashing =
 let prop_clashing =
   QCheck.Test.make
     ~name:"clashing crossings: Fast_sim.block = per-access reference cascade"
-    ~count:(qcheck_count 400)
+    ~count:(Qcheck_env.count 400)
     (QCheck.make ~print:print_rows gen_clashing)
     (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
       rows_match h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
@@ -641,7 +635,7 @@ let gen_calendar =
 let prop_calendar =
   QCheck.Test.make
     ~name:"crossing calendars: Fast_sim.block = per-access reference cascade"
-    ~count:(qcheck_count 600)
+    ~count:(Qcheck_env.count 600)
     (QCheck.make ~print:print_rows gen_calendar)
     (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
       rows_match ~evict:true h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)

@@ -14,12 +14,6 @@ module K = Mlc_kernels
 module L = Locality
 module Obs = Mlc_obs.Obs
 
-let qcheck_count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
 (* The pre-incremental [Grouppad.apply]: for every variable in layout
    order, rebuild the layout at every candidate pad and score it from
    scratch.  The key is (conflicts, -preserved, pad); the smallest wins
@@ -158,7 +152,7 @@ let agrees ~size ~line program layout =
 (* Arbitrary starting pads (not line multiples, so alignment rounding
    differs between arrays) and intra-variable pads. *)
 let prop_random_layouts =
-  QCheck.Test.make ~name:"random pads" ~count:(qcheck_count 40)
+  QCheck.Test.make ~name:"random pads" ~count:(Qcheck_env.count 40)
     QCheck.(triple (int_range 0 3) (int_range 40 160) gen_pads)
     (fun (kernel, n, pads) ->
       let name = List.nth [ "EXPL512"; "SHAL512"; "JACOBI512"; "TOMCATV" ] kernel in
@@ -172,7 +166,7 @@ let prop_random_layouts =
    nests have many more dots and arcs, get 4-byte elements on the arrays
    [narrow] picks. *)
 let prop_mixed_elem_sizes =
-  QCheck.Test.make ~name:"mixed element sizes" ~count:(qcheck_count 40)
+  QCheck.Test.make ~name:"mixed element sizes" ~count:(Qcheck_env.count 40)
     QCheck.(
       quad (int_range 0 6) (int_range 40 600) (list_of_size (Gen.return 16) bool) gen_pads)
     (fun (kernel, n, narrow, pads) ->
@@ -199,7 +193,7 @@ let prop_mixed_elem_sizes =
    around the cache, and lines over half of it, where every pair of
    arrays conflicts whatever the pad. *)
 let prop_small_caches =
-  QCheck.Test.make ~name:"small caches and long lines" ~count:(qcheck_count 40)
+  QCheck.Test.make ~name:"small caches and long lines" ~count:(Qcheck_env.count 40)
     QCheck.(quad (int_range 0 3) (int_range 6 12) (int_range 3 12) gen_pads)
     (fun (kernel, size_bits, line_bits, pads) ->
       let name = List.nth [ "EXPL512"; "SHAL512"; "JACOBI512"; "TOMCATV" ] kernel in

@@ -4,11 +4,6 @@
 open Mlc_ir
 module Cs = Mlc_cachesim
 
-let qcheck_count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
 let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
@@ -486,7 +481,7 @@ let random_program =
 
 let prop_fast_interp_matches_trace =
   QCheck.Test.make ~name:"fast interp = naive trace (miss counts)"
-    ~count:(qcheck_count 100)
+    ~count:(Qcheck_env.count 100)
     (QCheck.make random_program)
     (fun p ->
       let layout = Layout.initial p in

@@ -100,12 +100,6 @@ let test_paper_examples_match_paper_refs () =
 
 (* --- gather builders ----------------------------------------------------- *)
 
-let qcheck_count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
 (* The gather kernels' identity, as perfbench's oracle takes it: the MD5 of
    the marshalled IR with no sharing.  Recorded from the [Array.init]
    builders; a builder that fills its tables another way must marshal to
@@ -213,7 +207,7 @@ let oracle_permutation ~seed ~n =
 
 let prop_tables_match_oracle =
   QCheck.Test.make ~name:"table and permutation = the Array.init forms"
-    ~count:(qcheck_count 200)
+    ~count:(Qcheck_env.count 200)
     QCheck.(triple int (int_range 0 5000) (int_range 1 (1 lsl 20)))
     (fun (seed, n, bound) ->
       K.Det_random.table ~seed ~n ~bound = oracle_table ~seed ~n ~bound

@@ -28,8 +28,8 @@ let test_machine_accessors () =
 let test_stats_conventions () =
   let s = Cs.Stats.create () in
   Alcotest.(check (float 0.0)) "empty rate" 0.0 (Cs.Stats.local_miss_rate s);
-  Cs.Stats.record s ~hit:false;
-  Cs.Stats.record s ~hit:true;
+  Cs.Stats.record s ~write:false ~hit:false;
+  Cs.Stats.record s ~write:false ~hit:true;
   Alcotest.(check (float 1e-9)) "local" 0.5 (Cs.Stats.local_miss_rate s);
   (* the paper's convention: misses over total program references *)
   Alcotest.(check (float 1e-9)) "vs total refs" 0.25

@@ -125,12 +125,6 @@ let oracle_intra_pad ~size ~line program layout =
       go layout 0)
     layout (Layout.array_names layout)
 
-let qcheck_count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
 (* Registry kernels at the trace oracle's small sizes and, for the 2-D
    and 3-D grids, at the powers of two up to where their columns and
    planes collide on both machines' caches. *)
@@ -167,7 +161,7 @@ let prop_intra_pad_oracle =
       (String.concat " " (List.map (fun (p, i) -> Printf.sprintf "(%d,%d)" p i) pads))
   in
   QCheck.Test.make ~name:"per-array self-conflict test = whole-nest oracle"
-    ~count:(qcheck_count 100) (QCheck.make ~print gen) (fun (k, alpha, pads) ->
+    ~count:(Qcheck_env.count 100) (QCheck.make ~print gen) (fun (k, alpha, pads) ->
       let program = snd intra_programs.(k) in
       let machine = if alpha then Cs.Machine.alpha21164 else Cs.Machine.ultrasparc in
       let layout =

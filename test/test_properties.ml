@@ -117,7 +117,8 @@ let prop_address_in_bounds =
 (* With the same set count, every hit in a k-way LRU cache is also a hit
    in a 2k-way LRU cache (inclusion property per set). *)
 let prop_lru_stack =
-  QCheck.Test.make ~name:"LRU stack property: k-way hits are 2k-way hits" ~count:150
+  QCheck.Test.make ~name:"LRU stack property: k-way hits are 2k-way hits"
+    ~count:(Qcheck_env.count 150)
     QCheck.(list_of_size Gen.(int_range 1 200) (int_range 0 8191))
     (fun addrs ->
       let sets = 4 and line = 32 in
@@ -132,53 +133,68 @@ let prop_lru_stack =
           (not h1) || h2)
         addrs)
 
-(* An executable-specification oracle: a set-associative LRU cache as a
-   list of per-set MRU-ordered line lists.  The production Level must
-   agree with it on every access for random geometries and traces. *)
+(* An executable-specification oracle: a set-associative write-back LRU
+   cache as a list of per-set MRU-ordered (line, dirty) lists, with its
+   own counters.  A write marks its line dirty, evicting a dirty line
+   counts a writeback, and without write-allocate a write miss installs
+   nothing.  The production Level must agree with it on every access and
+   on every counter, for random geometries and traces. *)
 module Oracle = struct
   type t = {
     line : int;
     sets : int;
     assoc : int;
-    contents : int list array;  (* MRU first *)
+    write_allocate : bool;
+    contents : (int * bool) list array;  (* MRU first *)
+    stats : Cs.Stats.t;
   }
 
-  let create ~line ~sets ~assoc = { line; sets; assoc; contents = Array.make sets [] }
+  let create ~line ~sets ~assoc ~write_allocate =
+    { line; sets; assoc; write_allocate; contents = Array.make sets [];
+      stats = Cs.Stats.create () }
 
-  let access t addr =
+  let access t (addr, write) =
     let l = addr / t.line in
     let s = l mod t.sets in
     let set = t.contents.(s) in
-    let hit = List.mem l set in
-    let without = List.filter (( <> ) l) set in
-    let updated = l :: without in
-    let updated =
-      if List.length updated > t.assoc then
-        List.filteri (fun i _ -> i < t.assoc) updated
-      else updated
-    in
-    t.contents.(s) <- updated;
+    let hit = List.mem_assoc l set in
+    let st = t.stats in
+    st.accesses <- st.accesses + 1;
+    if write then st.writes <- st.writes + 1;
+    if hit then st.hits <- st.hits + 1 else st.misses <- st.misses + 1;
+    if hit || (not write) || t.write_allocate then begin
+      let dirty = write || (hit && List.assoc l set) in
+      let updated = (l, dirty) :: List.remove_assoc l set in
+      t.contents.(s) <-
+        (if List.length updated > t.assoc then begin
+           if snd (List.nth updated t.assoc) then st.writebacks <- st.writebacks + 1;
+           List.filteri (fun i _ -> i < t.assoc) updated
+         end
+         else updated)
+    end;
     hit
 end
 
 let prop_level_matches_oracle =
   QCheck.Test.make ~name:"Level agrees with the executable LRU specification"
-    ~count:200
+    ~count:(Qcheck_env.count 200)
     QCheck.(
-      triple
+      quad
         (pair (int_range 0 2) (int_range 0 2)) (* log sets, log assoc *)
         (int_range 0 1)                        (* log line scale *)
-        (list_of_size Gen.(int_range 1 300) (int_range 0 4096)))
-    (fun ((log_sets, log_assoc), log_line, addrs) ->
+        bool                                   (* write-allocate *)
+        (list_of_size Gen.(int_range 1 300) (pair (int_range 0 4096) bool)))
+    (fun ((log_sets, log_assoc), log_line, write_allocate, accesses) ->
       let sets = 1 lsl log_sets and assoc = 1 lsl log_assoc in
       let line = 16 lsl log_line in
       let level =
-        Cs.Level.create { Cs.Level.size = sets * assoc * line; line; assoc }
+        Cs.Level.create ~write_allocate { Cs.Level.size = sets * assoc * line; line; assoc }
       in
-      let oracle = Oracle.create ~line ~sets ~assoc in
+      let oracle = Oracle.create ~line ~sets ~assoc ~write_allocate in
       List.for_all
-        (fun a -> Cs.Level.access level a = Oracle.access oracle a)
-        addrs)
+        (fun (a, write) -> Cs.Level.access level ~write a = Oracle.access oracle (a, write))
+        accesses
+      && Cs.Stats.equal (Cs.Level.stats level) oracle.Oracle.stats)
 
 (* --- Fusion model bookkeeping ------------------------------------------------ *)
 

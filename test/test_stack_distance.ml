@@ -3,12 +3,6 @@
 
 module Cs = Mlc_cachesim
 
-(* Case counts scale with QCHECK_COUNT (nightly CI raises it). *)
-let qcheck_count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
 let check_int = Alcotest.(check int)
 
 let test_simple_trace () =
@@ -31,7 +25,7 @@ let fully_assoc_misses ~line ~lines trace =
 let prop_matches_lru_simulation =
   QCheck.Test.make
     ~name:"misses_at = fully-associative LRU simulation (all capacities)"
-    ~count:(qcheck_count 100)
+    ~count:(Qcheck_env.count 100)
     QCheck.(
       pair
         (list_of_size Gen.(int_range 1 300) (int_range 0 4000))
@@ -44,7 +38,7 @@ let prop_matches_lru_simulation =
       = fully_assoc_misses ~line:32 ~lines trace)
 
 let prop_curve_monotone =
-  QCheck.Test.make ~name:"miss curve is non-increasing in capacity" ~count:(qcheck_count 100)
+  QCheck.Test.make ~name:"miss curve is non-increasing in capacity" ~count:(Qcheck_env.count 100)
     QCheck.(list_of_size Gen.(int_range 1 200) (int_range 0 10_000))
     (fun addrs ->
       let sd = Cs.Stack_distance.analyze (Array.of_list addrs) in
@@ -58,7 +52,7 @@ let prop_curve_monotone =
       mono curve)
 
 let prop_cold_equals_distinct_lines =
-  QCheck.Test.make ~name:"cold misses = distinct lines" ~count:(qcheck_count 100)
+  QCheck.Test.make ~name:"cold misses = distinct lines" ~count:(Qcheck_env.count 100)
     QCheck.(list_of_size Gen.(int_range 1 200) (int_range 0 10_000))
     (fun addrs ->
       let sd = Cs.Stack_distance.analyze ~line:32 (Array.of_list addrs) in
@@ -71,7 +65,7 @@ let prop_inclusion_monotone =
      hits one of 2S lines fed the same stream. *)
   QCheck.Test.make
     ~name:"per-access inclusion: hits at S lines are hits at 2S lines"
-    ~count:(qcheck_count 100)
+    ~count:(Qcheck_env.count 100)
     QCheck.(
       pair
         (list_of_size Gen.(int_range 1 300) (int_range 0 8000))
@@ -98,7 +92,7 @@ let prop_histogram_accounts_every_access =
      0-line cache misses on every bucket, so misses_at 0 is that sum. *)
   QCheck.Test.make
     ~name:"cold + histogram total = trace length"
-    ~count:(qcheck_count 100)
+    ~count:(Qcheck_env.count 100)
     QCheck.(list_of_size Gen.(int_range 0 300) (int_range 0 10_000))
     (fun addrs ->
       let trace = Array.of_list addrs in

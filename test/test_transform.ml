@@ -11,11 +11,6 @@ let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
-let qcheck_count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
 (* --- Permute ------------------------------------------------------------ *)
 
 let test_permute_figure1 () =
@@ -182,7 +177,7 @@ let test_gap_scan_rules () =
        ~max_width:3)
 
 let prop_gap_scan_matches_oracle =
-  QCheck.Test.make ~name:"gap scan = sorted-gap oracle" ~count:(qcheck_count 300)
+  QCheck.Test.make ~name:"gap scan = sorted-gap oracle" ~count:(Qcheck_env.count 300)
     QCheck.(
       make
         ~print:(fun (c, col, h, w) ->
