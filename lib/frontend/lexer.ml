@@ -78,7 +78,11 @@ let tokenize src =
       while !pos < n && is_digit src.[!pos] do
         advance ()
       done;
-      emit (INT (int_of_string (String.sub src start (!pos - start)))) start_col
+      let literal = String.sub src start (!pos - start) in
+      match int_of_string_opt literal with
+      | Some i -> emit (INT i) start_col
+      | None ->
+          raise (Error ("integer " ^ literal ^ " is out of range", !line, start_col))
     end
     else if is_ident_start c then begin
       let start = !pos in

@@ -34,7 +34,8 @@ exception Error of string * int * int  (** message, line, col *)
 
 (** Tokenize a whole source string.  Comments run from [#] or [//] to end
     of line.
-    @raise Error on an unexpected character. *)
+    @raise Error on an unexpected character or an integer literal beyond
+    the [int] range. *)
 val tokenize : string -> located list
 
 val token_to_string : token -> string

@@ -242,10 +242,14 @@ let parse_program st =
     match (peek st).Lexer.token with
     | Lexer.KW_ARRAY ->
         advance st;
+        let name_token = peek st in
         let arr_name = expect_ident st in
         expect st Lexer.LPAREN;
         let rec dims acc =
+          let t = peek st in
           let d = expect_int st in
+          if d <= 0 then
+            fail_at t (Printf.sprintf "extent %d of array %s is not positive" d arr_name);
           match (peek st).Lexer.token with
           | Lexer.COMMA ->
               advance st;
@@ -265,14 +269,25 @@ let parse_program st =
               8
           | _ -> 8
         in
-        decls (Array_decl.make ~elem_size arr_name dims :: acc)
+        (* the array, and every base after it, must have an address *)
+        let acc =
+          try
+            let decl = Array_decl.make ~elem_size arr_name dims in
+            ignore (Layout.of_arrays (List.rev (decl :: acc)));
+            decl :: acc
+          with Invalid_argument _ ->
+            fail_at name_token (Printf.sprintf "array %s does not fit in memory" arr_name)
+        in
+        decls acc
     | _ -> List.rev acc
   in
   let arrays = decls [] in
   let array_names = List.map (fun a -> a.Array_decl.name) arrays in
+  (* each nest with its [for] token, where its Validate issues point *)
   let rec nests acc =
-    match (peek st).Lexer.token with
-    | Lexer.KW_FOR -> nests (parse_for st ~arrays:array_names :: acc)
+    let t = peek st in
+    match t.Lexer.token with
+    | Lexer.KW_FOR -> nests ((t, parse_for st ~arrays:array_names) :: acc)
     | Lexer.EOF -> List.rev acc
     | other ->
         fail_at (peek st)
@@ -280,22 +295,20 @@ let parse_program st =
   in
   let nests = nests [] in
   if nests = [] then fail_at (peek st) "program has no loop nests";
-  Program.make ~time_steps name arrays nests
+  (Program.make ~time_steps name arrays (List.map snd nests), List.map fst nests)
 
 let parse src =
   let tokens = try Lexer.tokenize src with Lexer.Error (m, l, c) -> raise (Error (m, l, c)) in
   let st = { tokens } in
-  let program = parse_program st in
+  let program, fors = parse_program st in
   (match Validate.check program with
   | [] -> ()
-  | issues ->
-      raise
-        (Error
-           ( "invalid program: "
-             ^ String.concat "; "
-                 (List.map (Format.asprintf "%a" Validate.pp_issue) issues),
-             0,
-             0 )));
+  | first :: _ as issues ->
+      (* at the first offending nest (a global issue: the first nest) *)
+      fail_at
+        (List.nth fors (max 0 first.Validate.nest))
+        ("invalid program: "
+        ^ String.concat "; " (List.map (Format.asprintf "%a" Validate.pp_issue) issues)));
   program
 
 let parse_file path =

@@ -7,6 +7,8 @@ type t = {
   elem_size : int;      (** bytes per element (8 = double, 4 = int) *)
 }
 
+(** @raise Invalid_argument on no dimensions, a non-positive extent or
+    element size, or a byte size beyond [max_int]. *)
 val make : ?elem_size:int -> string -> int list -> t
 
 (** Total size in bytes. *)

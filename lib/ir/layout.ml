@@ -6,8 +6,40 @@ type entry = {
 
 type t = { entries : entry list }
 
+(* Address arithmetic that refuses to wrap: a base past [max_int] would
+   land on another array. *)
+let checked_add a b =
+  if b > 0 && a > max_int - b then invalid_arg "Layout: addresses overflow" else a + b
+
+let align_up addr alignment = (checked_add addr (alignment - 1)) / alignment * alignment
+
+let padded_decl_of_entry e =
+  match e.decl.Array_decl.dims with
+  | d :: rest -> { e.decl with Array_decl.dims = (d + e.intra_pad) :: rest }
+  | [] -> assert false
+
+(* Bases accumulate: each array starts after the previous one plus its
+   pad, rounded up to its element size so accesses stay aligned.  Returns
+   the end of the last array and every base, last first. *)
+let fold_bases t =
+  List.fold_left
+    (fun (cursor, acc) e ->
+      let padded = padded_decl_of_entry e in
+      let base = align_up (checked_add cursor e.pad_before) e.decl.Array_decl.elem_size in
+      let next = checked_add base (Array_decl.size_bytes padded) in
+      (next, (e.decl.Array_decl.name, base) :: acc))
+    (0, []) t.entries
+
+let bases t = List.rev (snd (fold_bases t))
+
+let total_bytes t = fst (fold_bases t)
+
 let of_arrays arrays =
-  { entries = List.map (fun decl -> { decl; pad_before = 0; intra_pad = 0 }) arrays }
+  let t =
+    { entries = List.map (fun decl -> { decl; pad_before = 0; intra_pad = 0 }) arrays }
+  in
+  ignore (total_bytes t);
+  t
 
 let initial program = of_arrays program.Program.arrays
 
@@ -45,26 +77,6 @@ let set_intra_pad t name elems =
 
 let intra_pad t name = (find t name).intra_pad
 
-let padded_decl_of_entry e =
-  match e.decl.Array_decl.dims with
-  | d :: rest -> { e.decl with Array_decl.dims = (d + e.intra_pad) :: rest }
-  | [] -> assert false
-
-let align_up addr alignment = (addr + alignment - 1) / alignment * alignment
-
-(* Bases accumulate: each array starts after the previous one plus its
-   pad, rounded up to its element size so accesses stay aligned. *)
-let bases t =
-  let _, acc =
-    List.fold_left
-      (fun (cursor, acc) e ->
-        let padded = padded_decl_of_entry e in
-        let base = align_up (cursor + e.pad_before) e.decl.Array_decl.elem_size in
-        (base + Array_decl.size_bytes padded, (e.decl.Array_decl.name, base) :: acc))
-      (0, []) t.entries
-  in
-  List.rev acc
-
 let base t name =
   try List.assoc name (bases t)
   with Not_found -> invalid_arg ("Layout.base: unknown array " ^ name)
@@ -72,14 +84,6 @@ let base t name =
 let padded_decl t name = padded_decl_of_entry (find t name)
 
 let array_names t = List.map (fun e -> e.decl.Array_decl.name) t.entries
-
-let total_bytes t =
-  List.fold_left
-    (fun cursor e ->
-      let padded = padded_decl_of_entry e in
-      let b = align_up (cursor + e.pad_before) e.decl.Array_decl.elem_size in
-      b + Array_decl.size_bytes padded)
-    0 t.entries
 
 let address_parts t r =
   let e = find t r.Ref_.array in

@@ -11,9 +11,12 @@
 
 type t
 
-(** Packed layout: arrays in declaration order, no pads. *)
+(** Packed layout: arrays in declaration order, no pads.
+    @raise Invalid_argument when an address would pass [max_int]; every
+    base is computed with that check, so no base wraps. *)
 val initial : Program.t -> t
 
+(** [initial] of an array list. *)
 val of_arrays : Array_decl.t list -> t
 
 (** [set_pad_before t name bytes] replaces the pad in front of [name]

@@ -145,6 +145,35 @@ let test_parse_errors () =
   expect_error "program p\narray A(10)\nfor i = 0 to 9 { A(i*i) = 1 }"
     "expected an integer coefficient"
 
+(* [src] fails with a [Parser.Error] at [line]:[col]. *)
+let expect_error_at src ~line ~col =
+  match F.Parser.parse src with
+  | exception F.Parser.Error (_, l, c) ->
+      check_int "line" line l;
+      check_int "column" col c
+  | _ -> Alcotest.failf "expected a parse error at %d:%d" line col
+
+let test_literal_out_of_range () =
+  expect_error_at "program p\narray A(99999999999999999999)\nfor i = 0 to 9 { A(i) = 1 }"
+    ~line:2 ~col:9
+
+(* A non-positive extent is refused at the extent; an array whose byte
+   size, or whose base after the arrays before it, passes [max_int] at
+   its name. *)
+let test_extents_and_sizes () =
+  expect_error_at "program p\narray C(0,5)\nfor i = 0 to 4 { C(1,i) = 1 }" ~line:2 ~col:9;
+  expect_error_at "program p\narray A(2305843009213693952)\nfor i = 0 to 9 { A(i) = 1 }"
+    ~line:2 ~col:7;
+  expect_error_at
+    "program p\narray A(576460752303423487)\narray B(2)\nfor i = 0 to 1 { B(i) = A(i) }"
+    ~line:3 ~col:7
+
+(* A Validate issue points at the offending nest's [for]. *)
+let test_validate_issue_located () =
+  expect_error_at
+    "program p\narray A(10)\nfor i = 0 to 9 { A(i) = 1 }\n  for i = 0 to 10 { A(i) = 2 }"
+    ~line:4 ~col:3
+
 let test_parsed_program_optimizable () =
   (* end-to-end: parse, pad, simulate *)
   let machine = Mlc_cachesim.Machine.ultrasparc in
@@ -177,6 +206,11 @@ let () =
           Alcotest.test_case "downto and affine bounds" `Quick
             test_parse_downto_and_affine_bounds;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "integer literal out of range" `Quick
+            test_literal_out_of_range;
+          Alcotest.test_case "extents and sizes" `Quick test_extents_and_sizes;
+          Alcotest.test_case "validate issue at its nest" `Quick
+            test_validate_issue_located;
           Alcotest.test_case "optimizable end-to-end" `Quick
             test_parsed_program_optimizable;
         ] );

@@ -844,6 +844,43 @@ let test_bench_fastsim_record () =
       | Some (Json.Int refs) -> Alcotest.(check bool) "total refs" true (refs > 0)
       | _ -> Alcotest.fail "no total_refs")
 
+(* A section named twice prints its block twice, and the second time reads
+   the first's results: Figure 10's 15 cells run once. *)
+let test_bench_section_twice () =
+  let lines =
+    match bench_expected with
+    | Some path ->
+        String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+    | None -> Alcotest.fail "bench_fast.expected not found (missing test dependency)"
+  in
+  let title l = String.length l > 2 && String.sub l 0 2 = "= " in
+  (* Figure 10's block: from the blank line before its banner to the last
+     line before the blank line that opens the next section's banner *)
+  let rec from_figure10 = function
+    | "" :: bar :: t :: rest when String.starts_with ~prefix:"= Figure 10:" t ->
+        "" :: bar :: t :: upto_next rest
+    | _ :: rest -> from_figure10 rest
+    | [] -> Alcotest.fail "no Figure 10 block in bench_fast.expected"
+  and upto_next = function
+    | "" :: _ :: t :: _ when title t -> []
+    | l :: rest -> l :: upto_next rest
+    | [] -> []
+  in
+  let header = List.hd lines in
+  let block = String.concat "\n" (from_figure10 lines) ^ "\n" in
+  in_bench_dir "fast figure10 figure10 --no-cache" (fun dir out ->
+      Alcotest.(check string) "Figure 10 twice" (header ^ "\n" ^ block ^ block) out;
+      let record =
+        Json.parse
+          (In_channel.with_open_bin (Filename.concat dir "BENCH_engine.json")
+             In_channel.input_all)
+      in
+      match record with
+      | Json.Obj kvs ->
+          Alcotest.(check bool) "jobs done" true
+            (List.assoc_opt "jobs_done" kvs = Some (Json.Int 15))
+      | _ -> Alcotest.fail "BENCH_engine.json is not an object")
+
 (* --- mlc emit: the three printers on downward loops, pads, gathers ---------- *)
 
 let emit_expected =
@@ -971,6 +1008,7 @@ let () =
           Alcotest.test_case "bench record and trace parse" `Slow
             test_bench_record_and_trace;
           Alcotest.test_case "bench fastsim record" `Slow test_bench_fastsim_record;
+          Alcotest.test_case "bench section named twice" `Slow test_bench_section_twice;
           Alcotest.test_case "bench span counts across --jobs" `Slow test_bench_span_counts;
           Alcotest.test_case "mlc emit" `Quick test_golden_emit;
           Alcotest.test_case "bad input fails cleanly" `Quick test_bad_input;
