@@ -4,26 +4,21 @@ type t = {
   clock_hz : float;
 }
 
-let breakdown_of_stats t stats_list =
-  let stats = Array.of_list stats_list in
-  let n = Array.length stats in
+let breakdown_of_stats t stats =
+  let n = List.length stats in
   if n = 0 then invalid_arg "Cost_model.breakdown_of_stats: no levels";
   if Array.length t.hit_cycles < n then
     invalid_arg "Cost_model.breakdown_of_stats: model has fewer levels than hierarchy";
-  let per_level =
-    List.init n (fun i ->
-        ( Printf.sprintf "L%d" (i + 1),
-          float_of_int stats.(i).Stats.accesses *. t.hit_cycles.(i) ))
-  in
-  per_level
-  @ [ ("memory", float_of_int stats.(n - 1).Stats.misses *. t.memory_cycles) ]
+  List.mapi
+    (fun i s ->
+      (Printf.sprintf "L%d" (i + 1), float_of_int s.Stats.accesses *. t.hit_cycles.(i)))
+    stats
+  @ [ ("memory", float_of_int (List.nth stats (n - 1)).Stats.misses *. t.memory_cycles) ]
 
-let cycles_of_stats t stats_list =
-  List.fold_left (fun total (_, cycles) -> total +. cycles) 0.0
-    (breakdown_of_stats t stats_list)
+let cycles breakdown = List.fold_left (fun total (_, c) -> total +. c) 0.0 breakdown
 
-let mflops_of_stats t ~flops stats_list =
-  let s = cycles_of_stats t stats_list /. t.clock_hz in
+let mflops t ~flops cycles =
+  let s = cycles /. t.clock_hz in
   if s <= 0.0 then 0.0 else float_of_int flops /. s /. 1.0e6
 
 let improvement ~orig ~opt =

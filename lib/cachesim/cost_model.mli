@@ -24,13 +24,15 @@ type t = {
     [hit_cycles]. *)
 val breakdown_of_stats : t -> Stats.t list -> (string * float) list
 
-(** [cycles_of_stats t stats] is the sum of {!breakdown_of_stats}'s
-    terms, added in order from [0.0]. *)
-val cycles_of_stats : t -> Stats.t list -> float
+(** [cycles breakdown] is the sum of {!breakdown_of_stats}'s terms,
+    added in order from [0.0]: the execution time of a run, priced
+    once. *)
+val cycles : (string * float) list -> float
 
-(** Simulated MFLOPS given a floating-point operation count: [flops]
-    over {!cycles_of_stats} at [clock_hz]. *)
-val mflops_of_stats : t -> flops:int -> Stats.t list -> float
+(** [mflops t ~flops cycles] is simulated MFLOPS: [flops] floating-point
+    operations over [cycles] at [clock_hz] (0 when [cycles] is not
+    positive). *)
+val mflops : t -> flops:int -> float -> float
 
 (** [improvement ~orig ~opt] is the paper's "execution time improvement":
     (orig − opt) / orig, in percent. *)

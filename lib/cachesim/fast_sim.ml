@@ -169,7 +169,7 @@ let cascade t ~from ~w addr =
   done;
   !i
 
-let access t ?(write = false) addr = cascade t ~from:0 ~w:(Bool.to_int write) addr
+let access t ~write addr = cascade t ~from:0 ~w:(Bool.to_int write) addr
 
 (* A kernel's L1 miss at [a], on the tag word [e] already read: installs
    the line (or not, for a write without write-allocate), counts it, and

@@ -28,13 +28,13 @@ type t
     message names the level, [L1] first). *)
 val create : ?write_allocate:bool -> Level.geometry list -> t
 
-(** [access t ?write addr] sends one reference down the cascade and
-    returns the index of the level that hit (0 = L1), or the number of
-    levels for a main-memory access — the same contract as
+(** [access t ~write addr] sends one reference, a write iff [write], down
+    the cascade and returns the index of the level that hit (0 = L1), or
+    the number of levels for a main-memory access — the same contract as
     [Hierarchy.access].  The walker sends nothing this way ({!block} and
     {!stream} take its streams); it is the per-access form that the
     differential tests hold against [Hierarchy.access]. *)
-val access : t -> ?write:bool -> int -> int
+val access : t -> write:bool -> int -> int
 
 (** [block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count]
     issues [outer_count] rows of [count] iterations of a loop body: row

@@ -13,12 +13,11 @@ let create ?write_allocate ?(prefetch_levels = []) geoms =
 let levels t = t.levels
 
 (* The walk down the levels, counting from [i]: a top-level function whose
-   tail call compiles to a jump, so an access allocates nothing.  [?write]
-   passes on the caller's option as it is. *)
-let rec walk levels i ?write addr =
+   tail call compiles to a jump, so an access allocates nothing. *)
+let rec walk levels i ~write addr =
   match levels with
   | [] -> i
   | level :: rest ->
-      if Level.access level ?write addr then i else walk rest (i + 1) ?write addr
+      if Level.access level ~write addr then i else walk rest (i + 1) ~write addr
 
-let access t ?write addr = walk t.levels 0 ?write addr
+let access t ~write addr = walk t.levels 0 ~write addr

@@ -18,7 +18,7 @@ val create :
 
 val levels : t -> Level.t list
 
-(** [access t ?write addr] sends one reference down the hierarchy.
-    Returns the index of the level that hit (0 = L1), or the number of
-    levels when the access went to main memory. *)
-val access : t -> ?write:bool -> int -> int
+(** [access t ~write addr] sends one reference, a write iff [write], down
+    the hierarchy.  Returns the index of the level that hit (0 = L1), or
+    the number of levels when the access went to main memory. *)
+val access : t -> write:bool -> int -> int

@@ -86,7 +86,7 @@ let install_line t line_addr =
   if find t base line_addr < 0 then
     install ~prefetch:true t (victim t base) line_addr ~write:false
 
-let access t ?(write = false) addr =
+let access t ~write addr =
   let line_addr = addr lsr t.line_bits in
   let base = (line_addr land t.set_mask) * t.assoc in
   t.clock <- t.clock + 1;

@@ -32,10 +32,11 @@ val create : ?write_allocate:bool -> ?prefetch_next_line:bool -> geometry -> t
 
 val stats : t -> Stats.t
 
-(** [access t ?write addr] touches the line containing byte [addr],
-    updates LRU state and counters, and reports whether it hit.  A miss
-    installs the line unless it is a write under no-allocate. *)
-val access : t -> ?write:bool -> int -> bool
+(** [access t ~write addr] touches the line containing byte [addr], as a
+    write iff [write], updates LRU state and counters, and reports
+    whether it hit.  A miss installs the line unless it is a write under
+    no-allocate. *)
+val access : t -> write:bool -> int -> bool
 
 (** Lines currently resident, as line-granule addresses (byte address of
     each line start), in no particular order.  Intended for tests. *)

@@ -235,7 +235,10 @@ let parse_program st =
     match (peek st).Lexer.token with
     | Lexer.KW_STEPS ->
         advance st;
-        expect_int st
+        let t = peek st in
+        let steps = expect_int st in
+        if steps < 1 then fail_at t (Printf.sprintf "steps %d is not positive" steps);
+        steps
     | _ -> 1
   in
   let rec decls acc =
@@ -244,6 +247,8 @@ let parse_program st =
         advance st;
         let name_token = peek st in
         let arr_name = expect_ident st in
+        if List.exists (fun a -> a.Array_decl.name = arr_name) acc then
+          fail_at name_token (Printf.sprintf "array %s is declared twice" arr_name);
         expect st Lexer.LPAREN;
         let rec dims acc =
           let t = peek st in

@@ -7,7 +7,6 @@ type result = {
   miss_rates : float list;
   memory_accesses : int;
   writebacks : int;
-  flops : int;
   cycles : float;
   mflops : float;
   levels : Cs.Stats.t list;
@@ -245,10 +244,11 @@ let fast_sink sim = { stream = Cs.Fast_sim.stream sim; block = Cs.Fast_sim.block
 (* --- pricing and observability ----------------------------------------- *)
 
 (* The deterministic counters a run adds to the active [Obs] buffer:
-   per-level [sim.L<i>.*], [sim.refs], then the backend's own.  Recorded as deltas against a pre-run snapshot, so a
-   simulator that already holds counts never double-counts; skipped
-   entirely when no buffer is installed, and per-run rather than
-   per-access, so the cost is independent of trace length. *)
+   per-level [sim.L<i>.*], [sim.refs], then the backend's own.  A run
+   always starts on a fresh simulator, so its totals are the run's
+   counts: each nonzero one is added once, after the walk; nothing is
+   read when no buffer is installed, and the cost is per run rather
+   than per access. *)
 let counters stats extra =
   List.concat
     (List.mapi
@@ -265,38 +265,33 @@ let counters stats extra =
   @ (match stats with s :: _ -> [ ("sim.refs", s.Cs.Stats.accesses) ] | [] -> [])
   @ extra ()
 
-(* The one run-and-price path: [stats ()] reads the simulator's live
+(* The one run-and-price path: [stats] are the fresh simulator's live
    per-level counters, L1 first; [extra ()] its own work counters. *)
 let simulate ~backend ~stats ~extra sink machine layout program =
   let walk () = walk sink layout program in
   let flops =
     if not (Obs.enabled ()) then walk ()
     else begin
-      let before = counters (stats ()) extra in
       let flops =
         Obs.with_span ~cat:"sim"
           ~args:[ ("backend", `Str backend); ("program", `Str program.Program.name) ]
           "sim:run" walk
       in
-      List.iter2
-        (fun (name, b) (_, a) -> if a <> b then Obs.count ~n:(a - b) name)
-        before
-        (counters (stats ()) extra);
+      List.iter (fun (name, n) -> if n <> 0 then Obs.count ~n name) (counters stats extra);
       flops
     end
   in
-  let stats = stats () in
   let total_refs = (List.hd stats).Cs.Stats.accesses in
   let cost = machine.Cs.Machine.cost in
+  let cycles = Cs.Cost_model.cycles (Cs.Cost_model.breakdown_of_stats cost stats) in
   {
     total_refs;
     misses = List.map (fun s -> s.Cs.Stats.misses) stats;
     miss_rates = List.map (Cs.Stats.miss_rate_vs ~total_refs) stats;
     memory_accesses = (List.nth stats (List.length stats - 1)).Cs.Stats.misses;
     writebacks = List.fold_left (fun acc s -> acc + s.Cs.Stats.writebacks) 0 stats;
-    flops;
-    cycles = Cs.Cost_model.cycles_of_stats cost stats;
-    mflops = Cs.Cost_model.mflops_of_stats cost ~flops stats;
+    cycles;
+    mflops = Cs.Cost_model.mflops cost ~flops cycles;
     levels = List.map (Cs.Stats.add (Cs.Stats.zero ())) stats;
   }
 
@@ -309,9 +304,8 @@ let run_sim sim machine layout program =
       ("sim.fast.seq_iterations", m.Cs.Fast_sim.seq_iterations);
     ]
   in
-  simulate ~backend:"fast"
-    ~stats:(fun () -> Cs.Fast_sim.level_stats sim)
-    ~extra (fast_sink sim) machine layout program
+  simulate ~backend:"fast" ~stats:(Cs.Fast_sim.level_stats sim) ~extra (fast_sink sim)
+    machine layout program
 
 type backend = [ `Reference | `Fast ]
 
@@ -333,7 +327,7 @@ let run ?(backend = `Fast) ?write_allocate ?(prefetch_levels = []) machine
     if backend = `Fast then Obs.count "sim.fast.fallbacks";
     let hierarchy = Cs.Hierarchy.create ?write_allocate ~prefetch_levels geoms in
     simulate ~backend:"reference"
-      ~stats:(fun () -> List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy))
+      ~stats:(List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy))
       ~extra:(fun () -> [])
       (hierarchy_sink hierarchy) machine layout program
   end

@@ -29,9 +29,10 @@ type result = {
   miss_rates : float list; (** per level, vs total refs (paper convention) *)
   memory_accesses : int;
   writebacks : int;        (** dirty-line evictions, summed over levels *)
-  flops : int;
   cycles : float;
-  mflops : float;
+      (** the run priced once: the sum of
+          {!Mlc_cachesim.Cost_model.breakdown_of_stats}'s terms *)
+  mflops : float;          (** the program's flops over [cycles] *)
   levels : Mlc_cachesim.Stats.t list;
       (** per-level counter snapshots, L1 first *)
 }
@@ -67,7 +68,8 @@ val run :
 
 (** [run_sim sim machine layout program] runs against a caller-created
     {!Mlc_cachesim.Fast_sim}, which must be fresh: its counters become the
-    result. *)
+    result, and the counts added to an installed [Obs] buffer, as they
+    stand after the run. *)
 val run_sim :
   Mlc_cachesim.Fast_sim.t ->
   Mlc_cachesim.Machine.t ->

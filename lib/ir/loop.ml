@@ -37,18 +37,6 @@ let trip_count env t =
 
 let iter env t f =
   let lo = effective_lo env t in
-  let hi = effective_hi env t in
-  if t.step > 0 then begin
-    let iv = ref lo in
-    while !iv <= hi do
-      f !iv;
-      iv := !iv + t.step
-    done
-  end
-  else begin
-    let iv = ref lo in
-    while !iv >= hi do
-      f !iv;
-      iv := !iv + t.step
-    done
-  end
+  for k = 0 to trip_count env t - 1 do
+    f (lo + (k * t.step))
+  done

@@ -31,5 +31,6 @@ val effective_lo : (string -> int) -> t -> int
 (** Number of iterations executed under [env] (0 when empty). *)
 val trip_count : (string -> int) -> t -> int
 
-(** Iterate: [iter env t f] calls [f iv] for each iteration value. *)
+(** [iter env t f] calls [f] on [effective_lo env t + k * step] for [k]
+    from 0 to [trip_count env t - 1], in order. *)
 val iter : (string -> int) -> t -> (int -> unit) -> unit

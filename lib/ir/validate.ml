@@ -69,8 +69,15 @@ let check program =
           let lo_range = clamped (eval_range l.Loop.lo) l.Loop.lo_max max in
           let hi_range = clamped (eval_range l.Loop.hi) l.Loop.hi_min min in
           match (lo_range, hi_range) with
-          | Some (lo, _), Some (_, hi) ->
-              let lo, hi = if l.Loop.step > 0 then (lo, hi) else (hi, lo) in
+          | Some (lo, lo'), Some (hi, hi') ->
+              (* the widest run, from the first start to the last end, must
+                 have a trip count ([Loop.trip_count]) that fits in an int *)
+              let first, last = if l.Loop.step > 0 then (lo, hi') else (hi, lo') in
+              let extent = last - first in
+              if last > first && (extent < 0 || extent / abs l.Loop.step = max_int) then
+                add ni
+                  (Printf.sprintf "extent of loop %s does not fit in an int" l.Loop.var);
+              let lo, hi = if l.Loop.step > 0 then (lo, hi') else (hi', lo) in
               bounds := (l.Loop.var, (min lo hi, max lo hi)) :: !bounds
           | _ -> add ni (Printf.sprintf "bounds of %s not analyzable" l.Loop.var))
         nest.Nest.loops;

@@ -93,8 +93,8 @@ let evict_l1 h f geoms =
   let l1 = List.hd geoms in
   for k = 0 to (l1.Cs.Level.size / l1.Cs.Level.line) - 1 do
     let a = (1 lsl 30) + (k * l1.Cs.Level.line) in
-    ignore (Cs.Hierarchy.access h a);
-    ignore (Cs.Fast_sim.access f a)
+    ignore (Cs.Hierarchy.access h ~write:false a);
+    ignore (Cs.Fast_sim.access f ~write:false a)
   done
 
 (* [Fast_sim.stream] over random buffers, in one to three calls, against

@@ -174,6 +174,102 @@ let test_validate_issue_located () =
     "program p\narray A(10)\nfor i = 0 to 9 { A(i) = 1 }\n  for i = 0 to 10 { A(i) = 2 }"
     ~line:4 ~col:3
 
+(* A second declaration of a name, and a non-positive step count, are
+   refused at the second name and at the count. *)
+let test_declarations_and_steps () =
+  expect_error_at "program p\narray A(10)\narray A(10)\nfor i = 0 to 9 { A(i) = 1 }"
+    ~line:3 ~col:7;
+  expect_error_at "program p steps 0\narray A(10)\nfor i = 0 to 9 { A(i) = 1 }" ~line:1
+    ~col:17
+
+(* A loop whose trip count does not fit in an int is a Validate issue at
+   its nest's [for]; one that ends within a step of [max_int] runs. *)
+let test_extent_overflow () =
+  expect_error_at
+    "program p\narray A(10)\nfor i = 0 to 9 { A(i) = 1 }\n\
+     for k = -4611686018427387903 to 4611686018427387903 {\n\
+    \  for i = 0 to 1 { A(i) = A(0) } }"
+    ~line:4 ~col:1;
+  let p =
+    F.Parser.parse
+      "program p\narray A(10)\n\
+       for k = 4611686018427387902 to 4611686018427387903 step 2 {\n\
+      \  for j = 0 to 1 { for i = 0 to 1 { A(i) = A(j) } } }"
+  in
+  let r = Interp.run Mlc_cachesim.Machine.ultrasparc (Layout.initial p) p in
+  check_int "refs" 8 r.Interp.total_refs
+
+(* --- mutation fuzz --------------------------------------------------------- *)
+
+(* Every registry program the kernel language can spell, at n = 16. *)
+let printed_kernels =
+  List.filter_map
+    (fun e ->
+      match Pretty.program (Option.get e.K.Registry.build_sized 16) with
+      | src -> Some (e.K.Registry.name, src)
+      | exception Invalid_argument _ -> None)
+    K.Registry.all
+
+(* An edit at positions taken modulo the text's length: delete up to
+   eight characters, insert a fragment, or copy up to 40 characters
+   elsewhere. *)
+type edit = Delete of int * int | Insert of int * string | Copy of int * int * int
+
+let fragments =
+  List.init 10 string_of_int
+  @ List.map (String.make 1)
+      [ ' '; '\n'; '('; ')'; ','; '='; '+'; '-'; '*'; '/'; '{'; '}'; '#'; 'A'; 'i'; 'j';
+        'Z' ]
+  @ [
+      "for "; " to "; " downto "; " step "; "array "; "program "; " steps "; " int";
+      " real"; "-1"; "4611686018427387903"; "4611686018427387904";
+      "99999999999999999999"; "A("; "A(i)"; "i*2"; "for i = 0 to 9 { A(i) = 1 }";
+    ]
+
+let apply_edit src edit =
+  let n = String.length src in
+  let at p = p mod (n + 1) in
+  match edit with
+  | Delete (p, len) ->
+      let p = at p in
+      let len = min len (n - p) in
+      String.sub src 0 p ^ String.sub src (p + len) (n - p - len)
+  | Insert (p, s) ->
+      let p = at p in
+      String.sub src 0 p ^ s ^ String.sub src p (n - p)
+  | Copy (p, len, q) ->
+      let p = at p in
+      let span = String.sub src p (min len (n - p)) in
+      let q = at q in
+      String.sub src 0 q ^ span ^ String.sub src q (n - q)
+
+let mutation =
+  let open QCheck.Gen in
+  let pos = int_bound 1_000_000 in
+  let edit =
+    frequency
+      [
+        (2, map2 (fun p len -> Delete (p, len)) pos (int_range 1 8));
+        (3, map2 (fun p s -> Insert (p, s)) pos (oneofl fragments));
+        (1, map3 (fun p len q -> Copy (p, len, q)) pos (int_range 1 40) pos);
+      ]
+  in
+  pair (oneofl printed_kernels) (list_size (int_range 1 3) edit)
+
+let mutated ((_, src), edits) = List.fold_left apply_edit src edits
+
+(* 1-3 random edits to a printed kernel: the parser returns a program or
+   raises [Parser.Error]; any other exception escapes the property,
+   which prints the mutated text. *)
+let prop_mutations_fail_located =
+  QCheck.Test.make ~name:"mutated kernels parse or fail located"
+    ~count:(Qcheck_env.count 1000)
+    (QCheck.make ~print:(fun m -> fst (fst m) ^ ", mutated:\n" ^ mutated m) mutation)
+    (fun m ->
+      match F.Parser.parse (mutated m) with
+      | _ -> true
+      | exception F.Parser.Error _ -> true)
+
 let test_parsed_program_optimizable () =
   (* end-to-end: parse, pad, simulate *)
   let machine = Mlc_cachesim.Machine.ultrasparc in
@@ -211,7 +307,11 @@ let () =
           Alcotest.test_case "extents and sizes" `Quick test_extents_and_sizes;
           Alcotest.test_case "validate issue at its nest" `Quick
             test_validate_issue_located;
+          Alcotest.test_case "declared twice and zero steps" `Quick
+            test_declarations_and_steps;
+          Alcotest.test_case "loop extent beyond int" `Quick test_extent_overflow;
           Alcotest.test_case "optimizable end-to-end" `Quick
             test_parsed_program_optimizable;
         ] );
+      ("fuzz", [ QCheck_alcotest.to_alcotest prop_mutations_fail_located ]);
     ]

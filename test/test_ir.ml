@@ -121,6 +121,28 @@ let test_loop_clamp () =
   in
   Alcotest.(check (list int)) "clamped" [ 4; 5; 6 ] (collect l env_empty)
 
+(* A loop that ends within one step of [max_int] (or, downward, of
+   [min_int]) runs its [trip_count] iterations and stops; the body
+   raises [Exit] once it is called more often than that. *)
+let test_loop_ends_near_int_limits () =
+  List.iter
+    (fun (name, step, lo, hi, expected) ->
+      let l = Loop.make ~step "k" ~lo:(Expr.const lo) ~hi:(Expr.const hi) in
+      let trip = Loop.trip_count env_empty l in
+      check_int (name ^ " trip") (List.length expected) trip;
+      let seen = ref [] in
+      (try
+         Loop.iter env_empty l (fun k ->
+             seen := k :: !seen;
+             if List.length !seen > trip then raise Exit)
+       with Exit -> ());
+      Alcotest.(check (list int)) name expected (List.rev !seen))
+    [
+      ("step 2", 2, max_int - 1, max_int, [ max_int - 1 ]);
+      ("step 1", 1, max_int - 2, max_int, [ max_int - 2; max_int - 1; max_int ]);
+      ("downward", -1, min_int + 1, min_int, [ min_int + 1; min_int ]);
+    ]
+
 (* --- Nest / Program ---------------------------------------------------- *)
 
 let test_nest_iterations_triangular () =
@@ -222,10 +244,29 @@ let test_interp_counts () =
   let layout = Layout.initial p in
   let result = Interp.run small_machine layout p in
   check_int "refs" 64 result.Interp.total_refs;
-  check_int "flops" 64 result.Interp.flops;
   (* 64 doubles = 512 bytes = 16 lines; cache 256B, so every line is a
      cold miss: 16 misses *)
-  Alcotest.(check (list int)) "misses" [ 16 ] result.Interp.misses
+  Alcotest.(check (list int)) "misses" [ 16 ] result.Interp.misses;
+  (* 64 accesses at 1 cycle plus 16 memory accesses at 10, at 1 MHz:
+     64 flops in 224 us *)
+  Alcotest.(check (float 1e-9)) "cycles" 224.0 result.Interp.cycles;
+  Alcotest.(check (float 1e-9)) "mflops" (64.0 /. 224.0) result.Interp.mflops
+
+(* A run allocates per nest and per run, not per reference, on either
+   backend: JACOBI at n = 128 issues 127 008 references. *)
+let test_interp_allocation () =
+  let entry = Mlc_kernels.Registry.find "JACOBI512" in
+  let p = Option.get entry.Mlc_kernels.Registry.build_sized 128 in
+  let layout = Layout.initial p in
+  List.iter
+    (fun backend ->
+      let before = Gc.minor_words () in
+      let r = Interp.run ~backend Cs.Machine.ultrasparc layout p in
+      let per_ref = (Gc.minor_words () -. before) /. float_of_int r.Interp.total_refs in
+      if per_ref >= 0.25 then
+        Alcotest.failf "%s backend: %.3f minor words per reference"
+          (Interp.backend_name backend) per_ref)
+    [ `Reference; `Fast ]
 
 let test_interp_trace_order () =
   let a = Array_decl.make "A" [ 4; 4 ] in
@@ -542,6 +583,8 @@ let () =
           Alcotest.test_case "step" `Quick test_loop_step;
           Alcotest.test_case "negative step" `Quick test_loop_negative_step;
           Alcotest.test_case "clamp" `Quick test_loop_clamp;
+          Alcotest.test_case "ends near the int limits" `Quick
+            test_loop_ends_near_int_limits;
         ] );
       ( "nest",
         [
@@ -554,6 +597,7 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_interp_counts;
           Alcotest.test_case "trace order" `Quick test_interp_trace_order;
+          Alcotest.test_case "minor words per reference" `Quick test_interp_allocation;
           Alcotest.test_case "gather" `Quick test_interp_gather;
           Alcotest.test_case "gather index outside its table" `Quick
             test_interp_gather_out_of_table;

@@ -128,8 +128,8 @@ let prop_lru_stack =
       let small = mk 2 and big = mk 4 in
       List.for_all
         (fun a ->
-          let h1 = Cs.Level.access small a in
-          let h2 = Cs.Level.access big a in
+          let h1 = Cs.Level.access small ~write:false a in
+          let h2 = Cs.Level.access big ~write:false a in
           (not h1) || h2)
         addrs)
 

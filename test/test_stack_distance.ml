@@ -19,7 +19,7 @@ let test_simple_trace () =
 
 let fully_assoc_misses ~line ~lines trace =
   let level = Cs.Level.create { Cs.Level.size = line * lines; line; assoc = lines } in
-  Array.iter (fun a -> ignore (Cs.Level.access level a)) trace;
+  Array.iter (fun a -> ignore (Cs.Level.access level ~write:false a)) trace;
   (Cs.Level.stats level).Cs.Stats.misses
 
 let prop_matches_lru_simulation =
@@ -81,8 +81,8 @@ let prop_inclusion_monotone =
       in
       List.for_all
         (fun addr ->
-          let hit_small = Cs.Level.access small addr in
-          let hit_big = Cs.Level.access big addr in
+          let hit_small = Cs.Level.access small ~write:false addr in
+          let hit_big = Cs.Level.access big ~write:false addr in
           (not hit_small) || hit_big)
         addrs)
 

@@ -39,7 +39,9 @@ let naive_trace layout program =
 (* Push every address of a trace through a hierarchy, one access at a
    time: the simulator side of the naive oracle. *)
 let replay hierarchy trace =
-  Array.iter (fun addr -> ignore (Mlc_cachesim.Hierarchy.access hierarchy addr)) trace
+  Array.iter
+    (fun addr -> ignore (Mlc_cachesim.Hierarchy.access hierarchy ~write:false addr))
+    trace
 
 (* The program's accesses as a sorted multiset, for checking that a
    transformation reorders accesses without adding or dropping any. *)
