@@ -71,7 +71,11 @@ let simulate_cmd =
   let run prog size strategy machine obs =
     Cli.with_obs ~span:("mlc:simulate " ^ prog) obs @@ fun _obs ->
     let p = build_program prog size in
-    Validate.check_exn p;
+    (match Validate.check p with
+    | [] -> ()
+    | issues ->
+        let msgs = List.map (Format.asprintf "%a" Validate.pp_issue) issues in
+        raise (E.Job.Spec_error (p.Program.name ^ ": " ^ String.concat "; " msgs)));
     compare_to_original machine strategy p
   in
   let term =

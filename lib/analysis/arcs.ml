@@ -19,8 +19,9 @@ type conflict = {
   b : int;
 }
 
-(* Environment with every loop variable at its lower bound; bounds may
-   reference outer variables, so bind outermost first. *)
+(* Environment with every loop variable at its first value
+   ({!Loop.effective_lo}); bounds may reference outer variables, so bind
+   outermost first. *)
 let first_iteration_env nest =
   let bindings = Hashtbl.create 8 in
   let env v =
@@ -29,7 +30,7 @@ let first_iteration_env nest =
     | None -> invalid_arg ("Arcs: unbound loop variable " ^ v)
   in
   List.iter
-    (fun loop -> Hashtbl.replace bindings loop.Loop.var (Expr.eval env loop.Loop.lo))
+    (fun l -> Hashtbl.replace bindings l.Loop.var (Loop.effective_lo env l))
     nest.Nest.loops;
   env
 

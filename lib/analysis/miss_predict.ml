@@ -1,31 +1,21 @@
 open Mlc_ir
 module Cs = Mlc_cachesim
 
-(* Maximum trip count of each loop, evaluating bounds at enclosing-loop
-   extremes (good enough for cost ranking; triangular bounds use their
-   maximum extents). *)
+(* Widest trip count of each loop, from {!Loop.values} over the enclosing
+   loops' values (good enough for cost ranking; triangular bounds use
+   their widest extents); a loop without values counts one trip. *)
 let trip_counts nest =
-  let bounds = Hashtbl.create 8 in
-  List.iter
-    (fun loop ->
-      let eval_or corner e default =
-        try
-          Expr.eval
-            (fun v ->
-              match Hashtbl.find_opt bounds v with
-              | Some (lo, hi) -> if corner then hi else lo
-              | None -> raise Not_found)
-            e
-        with Not_found -> default
-      in
-      let lo = eval_or false loop.Loop.lo 0 in
-      let hi = eval_or true loop.Loop.hi lo in
-      Hashtbl.replace bounds loop.Loop.var (min lo hi, max lo hi))
-    nest.Nest.loops;
+  let ranges = Hashtbl.create 8 in
   List.map
     (fun loop ->
-      let lo, hi = Hashtbl.find bounds loop.Loop.var in
-      (loop.Loop.var, max 1 (((hi - lo) / abs loop.Loop.step) + 1)))
+      let trip =
+        match Loop.values (Hashtbl.find ranges) loop with
+        | Loop.Between (lo, hi) ->
+            Hashtbl.replace ranges loop.Loop.var (lo, hi);
+            ((hi - lo) / abs loop.Loop.step) + 1
+        | Loop.Never | Loop.Too_wide | (exception Not_found) -> 1
+      in
+      (loop.Loop.var, trip))
     nest.Nest.loops
 
 let stride_bytes layout r var = Expr.coeff (Layout.address_expr layout r) var

@@ -28,83 +28,56 @@ let max_conflict_free_width ~cache_elems ~col_elems ~height ~max_width =
 
 let footprint_bytes ~elem t = t.height * t.width * elem
 
-(* [select], [lrw] and [tss] all time under this one span name. *)
-let selection f = Obs.with_span ~cat:"tile" "tile_size:select" f
-
-let select ?capacity_bytes ~cache_bytes ~elem ~col_elems ~rows () =
-  selection @@ fun () ->
-  let capacity = match capacity_bytes with Some c -> c | None -> cache_bytes in
+(* The one search behind [select], [lrw] and [tss], under one span name:
+   for each candidate height [h] in order, the widest conflict-free width
+   up to [cap h], shaped into a tile by [shape]; the first strict minimum
+   of [objective] wins, starting from the 1x1 tile. *)
+let search ~cache_bytes ~elem ~col_elems ~heights ~cap ~shape ~objective =
+  Obs.with_span ~cat:"tile" "tile_size:select" @@ fun () ->
   let cache_elems = cache_bytes / elem in
-  let capacity_elems = capacity / elem in
-  let candidates =
-    euclid_chain ~cache_elems ~col_elems
-    |> List.map (fun h -> min h rows)
-    |> List.filter (fun h -> h > 0)
-    |> List.sort_uniq compare
+  let pick ((_, best_score) as best) h =
+    let max_width = cap cache_elems h in
+    let w = max_conflict_free_width ~cache_elems ~col_elems ~height:h ~max_width in
+    let t = shape h w in
+    let score = objective t in
+    if w >= 1 && score < best_score then (t, score) else best
   in
-  (* Score candidates by tiled-matmul misses ~ 1/(2H) + 1/(2W); lower is
-     better.  Halve heights as extra candidates — the chain's raw values
-     can be too tall to admit any width. *)
-  let candidates =
-    List.sort_uniq compare
-      (candidates @ List.map (fun h -> max 1 (h / 2)) candidates)
-  in
-  let best = ref { height = 1; width = 1 } in
-  let best_score = ref infinity in
-  List.iter
-    (fun h ->
-      let max_w = max 1 (capacity_elems / h) in
-      let w =
-        max_conflict_free_width ~cache_elems ~col_elems ~height:h
-          ~max_width:max_w
-      in
-      if w >= 1 then begin
-        let score = (1.0 /. (2.0 *. float_of_int h)) +. (1.0 /. (2.0 *. float_of_int w)) in
-        if score < !best_score then begin
-          best_score := score;
-          best := { height = h; width = w }
-        end
-      end)
-    candidates;
-  !best
+  let unit = { height = 1; width = 1 } in
+  fst (List.fold_left pick (unit, objective unit) (heights cache_elems))
 
-let candidates_for ~cache_elems ~col_elems ~rows =
+let tile height width = { height; width }
+
+let negative_area t = -.float_of_int (t.height * t.width)
+
+(* scored by tiled-matmul misses ~ 1/(2H) + 1/(2W); the chain's heights
+   are halved as extra candidates, as its raw values can be too tall to
+   admit any width *)
+let select ?capacity_bytes ~cache_bytes ~elem ~col_elems ~rows () =
+  let capacity = match capacity_bytes with Some c -> c | None -> cache_bytes in
+  let heights cache_elems =
+    let chain = List.map (fun h -> min h rows) (euclid_chain ~cache_elems ~col_elems) in
+    let chain = List.filter (fun h -> h > 0) chain in
+    List.sort_uniq compare (chain @ List.map (fun h -> max 1 (h / 2)) chain)
+  in
+  search ~cache_bytes ~elem ~col_elems ~heights ~shape:tile
+    ~cap:(fun _ h -> max 1 (capacity / elem / h))
+    ~objective:(fun t -> (0.5 /. float_of_int t.height) +. (0.5 /. float_of_int t.width))
+
+let candidates_for ~col_elems ~rows cache_elems =
   euclid_chain ~cache_elems ~col_elems
   |> List.concat_map (fun h -> [ h; max 1 (h / 2) ])
   |> List.map (fun h -> min h rows)
   |> List.filter (fun h -> h > 0)
   |> List.sort_uniq compare
 
+(* w columns are conflict-free at height h >= w, so the w x w square is too *)
 let lrw ~cache_bytes ~elem ~col_elems ~rows =
-  selection @@ fun () ->
-  let cache_elems = cache_bytes / elem in
-  let best = ref { height = 1; width = 1 } in
-  List.iter
-    (fun h ->
-      (* square tile: w columns are conflict-free at height h >= w, so
-         the w x w square is too *)
-      let side =
-        max_conflict_free_width ~cache_elems ~col_elems ~height:h ~max_width:h
-      in
-      if side >= 1 && side * side > !best.height * !best.width then
-        best := { height = side; width = side })
-    (candidates_for ~cache_elems ~col_elems ~rows);
-  !best
+  search ~cache_bytes ~elem ~col_elems ~heights:(candidates_for ~col_elems ~rows)
+    ~cap:(fun _ h -> h) ~shape:(fun _ side -> tile side side) ~objective:negative_area
 
 let tss ~cache_bytes ~elem ~col_elems ~rows =
-  selection @@ fun () ->
-  let cache_elems = cache_bytes / elem in
-  let best = ref { height = 1; width = 1 } in
-  List.iter
-    (fun h ->
-      let max_w = max 1 (cache_elems / h) in
-      let w =
-        max_conflict_free_width ~cache_elems ~col_elems ~height:h ~max_width:max_w
-      in
-      if w >= 1 && h * w > !best.height * !best.width then
-        best := { height = h; width = w })
-    (candidates_for ~cache_elems ~col_elems ~rows);
-  !best
+  search ~cache_bytes ~elem ~col_elems ~heights:(candidates_for ~col_elems ~rows)
+    ~cap:(fun cache_elems h -> max 1 (cache_elems / h)) ~shape:tile ~objective:negative_area
 
 let policy_tiles ~l1 ~l2 ~elem n =
   List.map

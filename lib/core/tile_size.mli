@@ -13,8 +13,11 @@
     larger level either (modular arithmetic: positions mod [k·S1] differ
     at least as much as positions mod [S1]).
 
-    {!select}, {!lrw} and {!tss} each run inside an [Obs] span named
-    [tile_size:select]. *)
+    {!select}, {!lrw} and {!tss} are one search, inside an [Obs] span
+    named [tile_size:select]: for each of the selector's candidate heights
+    in order, the widest conflict-free width up to a per-height cap gives
+    its tile shape, and the first strict minimum of its objective wins
+    (from the 1x1 tile). *)
 
 type tile = { height : int; width : int }
 

@@ -165,7 +165,9 @@ let rec build_program spec =
       | Some e -> (
           match (n, e.K.Registry.build_sized) with
           | None, _ -> kernel e.K.Registry.build
-          | Some n, Some f -> kernel (fun () -> f n)
+          | Some n, Some f -> (
+              try kernel (fun () -> f n)
+              with Invalid_argument msg -> spec_error "%s at n = %d: %s" e.K.Registry.name n msg)
           | Some _, None -> spec_error "%s takes no size parameter" e.K.Registry.name))
   | Paper { name; n } -> (
       match name with

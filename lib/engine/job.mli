@@ -116,7 +116,8 @@ val strategy_tag : L.Pipeline.strategy -> string
 val build_machine : machine_spec -> Cs.Machine.t
 
 (** The program a spec denotes.
-    @raise Spec_error on an unknown name or a size the program does not take
+    @raise Spec_error on an unknown name, or a size the program does not
+    take or its builder rejects
     @raise Locality.Fusion.Illegal when a [Fused] spec has no legal shift *)
 val build_program : program_spec -> Program.t
 

@@ -57,3 +57,22 @@ let shift v d e = subst v (add (var v) (const d)) e
 
 let eval env e =
   List.fold_left (fun acc (v, c) -> acc + (c * env v)) e.const e.coeffs
+
+exception Overflow
+
+(* [a + b] and [a * b], raising [Overflow] where they wrap *)
+let ( +? ) a b =
+  let s = a + b in
+  if (a lxor s) land (b lxor s) < 0 then raise Overflow else s
+
+let ( *? ) a b =
+  let p = a * b in
+  if a <> 0 && (p / a <> b || (a = -1 && b = min_int)) then raise Overflow else p
+
+let range env e =
+  let ends (lo, hi) (v, c) =
+    let least, greatest = env v in
+    let a = c *? least and b = c *? greatest in
+    if c > 0 then (lo +? a, hi +? b) else (lo +? b, hi +? a)
+  in
+  try Some (List.fold_left ends (e.const, e.const) e.coeffs) with Overflow -> None

@@ -44,3 +44,10 @@ val shift : string -> int -> t -> t
 (** [eval env e] with [env] giving each variable's value.
     @raise Not_found if a variable is unbound. *)
 val eval : (string -> int) -> t -> int
+
+(** [range env e] is the least and greatest value of [e] when each
+    variable [v] ranges over the interval [env v] (least first): each
+    term's ends are picked by the sign of its coefficient.  [None] when a
+    product or sum on the way does not fit in an int.
+    @raise Not_found if a variable is unbound. *)
+val range : (string -> int * int) -> t -> (int * int) option

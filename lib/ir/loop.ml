@@ -15,25 +15,40 @@ let make ?lo_max ?hi_min ?(step = 1) var ~lo ~hi =
 
 let range var lo hi = make var ~lo:(Expr.const lo) ~hi:(Expr.const hi)
 
-let effective_lo env t =
-  let lo = Expr.eval env t.lo in
-  match t.lo_max with
-  | None -> lo
-  | Some clamp -> max lo (Expr.eval env clamp)
+(* [e], narrowed by its [clamp] under [pick] *)
+let clamped pick env e clamp =
+  let x = Expr.eval env e in
+  match clamp with None -> x | Some c -> pick x (Expr.eval env c)
 
-let effective_hi env t =
-  let hi = Expr.eval env t.hi in
-  match t.hi_min with
-  | None -> hi
-  | Some clamp -> min hi (Expr.eval env clamp)
+let effective_lo env t = clamped max env t.lo t.lo_max
+
+let effective_hi env t = clamped min env t.hi t.hi_min
+
+type values = Between of int * int | Never | Too_wide
+
+let values env t =
+  (* a bound's range, narrowed by its clamp *)
+  let bound e clamp pick =
+    match (Expr.range env e, Option.map (Expr.range env) clamp) with
+    | Some r, None -> Some r
+    | Some (a, b), Some (Some (c, d)) -> Some (pick a c, pick b d)
+    | _ -> None
+  in
+  match (bound t.lo t.lo_max max, bound t.hi t.hi_min min) with
+  | Some (lo, lo'), Some (hi, hi') ->
+      (* an upward loop starts at [lo] and ends by [hi], a downward one
+         the other way round *)
+      let least, greatest = if t.step > 0 then (lo, hi') else (hi, lo') in
+      let extent = greatest - least in
+      if greatest < least then Never
+      else if extent < 0 || extent / abs t.step = max_int then Too_wide
+      else Between (least, greatest)
+  | _ -> Too_wide
 
 let trip_count env t =
-  let lo = effective_lo env t in
-  let hi = effective_hi env t in
-  if t.step > 0 then
-    if hi < lo then 0 else ((hi - lo) / t.step) + 1
-  else if lo < hi then 0
-  else ((lo - hi) / -t.step) + 1
+  let lo = effective_lo env t and hi = effective_hi env t in
+  let first, last = if t.step > 0 then (lo, hi) else (hi, lo) in
+  if last < first then 0 else ((last - first) / abs t.step) + 1
 
 let iter env t f =
   let lo = effective_lo env t in

@@ -28,6 +28,21 @@ val range : string -> int -> int -> t
 (** Effective lower bound under [env] (applies the [lo_max] clamp). *)
 val effective_lo : (string -> int) -> t -> int
 
+(** What {!values} finds a loop variable takes when each enclosing
+    variable ranges over an interval: every value lies in
+    [Between (least, greatest)], and the widest run, from the earliest
+    start to the latest end, has a trip count that fits in an int; or the
+    loop runs no iteration for any outer value ([Never]); or a bound or
+    the widest run's trip count does not fit in an int ([Too_wide]). *)
+type values = Between of int * int | Never | Too_wide
+
+(** [values env t], each enclosing variable [v] ranging over [env v]:
+    {!Expr.range} of the bounds, clamps applied, for either step
+    direction.  Exact for constant bounds; otherwise the least and
+    greatest value over the box of outer values.
+    @raise Not_found if a bound names a variable [env] does not bind. *)
+val values : (string -> int * int) -> t -> values
+
 (** Number of iterations executed under [env] (0 when empty). *)
 val trip_count : (string -> int) -> t -> int
 

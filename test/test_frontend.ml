@@ -199,6 +199,22 @@ let test_extent_overflow () =
   let r = Interp.run Mlc_cachesim.Machine.ultrasparc (Layout.initial p) p in
   check_int "refs" 8 r.Interp.total_refs
 
+(* The interval rule bounds every loop and subscript with
+   overflow-checked arithmetic, by coefficient sign: a subscript that
+   wraps at a corner, and an inner loop whose bound mixes signs, are
+   rejected at their nest's [for]; a loop that never runs raises no range
+   issue. *)
+let test_interval_rule () =
+  expect_error_at "program p\narray A(10)\nfor i = 0 to 2 { A(4611686018427387903*i) = 1 }"
+    ~line:3 ~col:1;
+  expect_error_at
+    "program r\narray A(3)\narray B(8)\n\
+     for i = 0 to 4 { for k = 0 to 4 { for j = 0 to i - k { A(j) = B(j) } } }"
+    ~line:4 ~col:1;
+  let p = F.Parser.parse "program e\narray A(4)\nfor i = 5 to 2 { A(i) = 1 }" in
+  let r = Interp.run Mlc_cachesim.Machine.ultrasparc (Layout.initial p) p in
+  check_int "refs" 0 r.Interp.total_refs
+
 (* --- mutation fuzz --------------------------------------------------------- *)
 
 (* Every registry program the kernel language can spell, at n = 16. *)
@@ -310,6 +326,7 @@ let () =
           Alcotest.test_case "declared twice and zero steps" `Quick
             test_declarations_and_steps;
           Alcotest.test_case "loop extent beyond int" `Quick test_extent_overflow;
+          Alcotest.test_case "interval rule" `Quick test_interval_rule;
           Alcotest.test_case "optimizable end-to-end" `Quick
             test_parsed_program_optimizable;
         ] );

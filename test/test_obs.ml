@@ -953,6 +953,23 @@ let test_bad_input () =
         needles)
     bad_inputs
 
+(* Every registry kernel at a tiny size, one run at a time: it simulates,
+   or refuses on one line with exit 123 (a kernel with no size, or a size
+   its builder rejects), never an uncaught exception. *)
+let test_simulate_tiny_sizes () =
+  List.iter
+    (fun (e : K.Registry.entry) ->
+      List.iter
+        (fun n ->
+          let args = Printf.sprintf "simulate %s -n %d" e.K.Registry.name n in
+          match capture ~stream:`Stderr (mlc args) with
+          | Unix.WEXITED 0, _ -> ()
+          | Unix.WEXITED 123, err when List.length (String.split_on_char '\n' err) = 2 -> ()
+          | Unix.WEXITED code, err -> Alcotest.failf "mlc %s: exit %d: %s" args code err
+          | _ -> Alcotest.failf "mlc %s: killed" args)
+        [ 1; 2; 4 ])
+    K.Registry.all
+
 let () =
   Alcotest.run "obs"
     [
@@ -1012,5 +1029,6 @@ let () =
           Alcotest.test_case "bench span counts across --jobs" `Slow test_bench_span_counts;
           Alcotest.test_case "mlc emit" `Quick test_golden_emit;
           Alcotest.test_case "bad input fails cleanly" `Quick test_bad_input;
+          Alcotest.test_case "simulate at tiny sizes" `Quick test_simulate_tiny_sizes;
         ] );
     ]

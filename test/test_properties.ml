@@ -274,6 +274,97 @@ let prop_interp_refs_match_static_count =
       let r = Interp.run Cs.Machine.ultrasparc (Layout.initial p) p in
       r.Interp.total_refs = Program.ref_count p)
 
+(* --- Validate soundness ------------------------------------------------------ *)
+
+(* A random nest of depth 1-3 over one array: each loop's bounds (and, on
+   upward loops, optional clamps) are affine in the enclosing variables
+   with coefficients in -2..2; steps are 1, 2, -1 or -2, so empty and
+   downward loops occur; every subscript is affine in the nest's
+   variables. *)
+let gen_validate_case =
+  let open QCheck.Gen in
+  let affine ~consts ~coeffs vars =
+    let* const = consts in
+    let* coeffs = flatten_l (List.map (fun _ -> oneofl coeffs) vars) in
+    return
+      (List.fold_left2 (fun e v c -> Expr.add e (Expr.term c v)) (Expr.const const) vars coeffs)
+  in
+  let bound ~consts outer = affine ~consts ~coeffs:[ -2; -1; 0; 0; 0; 1; 2 ] outer in
+  let rec loops outer = function
+    | [] -> return []
+    | v :: rest ->
+        let* lo = bound ~consts:(int_range (-2) 3) outer in
+        let* hi = bound ~consts:(int_range 1 8) outer in
+        let* step = oneofl [ 1; 1; 1; 2; -1; -2 ] in
+        let lo, hi = if step > 0 then (lo, hi) else (hi, lo) in
+        let clamp consts = if step > 0 then opt ~ratio:0.25 (bound ~consts outer) else return None in
+        let* lo_max = clamp (int_range (-2) 3) in
+        let* hi_min = clamp (int_range 1 8) in
+        let* rest = loops (outer @ [ v ]) rest in
+        return (Loop.make ?lo_max ?hi_min ~step v ~lo ~hi :: rest)
+  in
+  let* depth = int_range 1 3 in
+  let vars = List.init depth (Printf.sprintf "i%d") in
+  let* loops = loops [] vars in
+  let* dims = list_size (int_range 1 2) (int_range 1 32) in
+  let sub =
+    flatten_l
+      (List.map (fun _ -> affine ~consts:(int_range 0 8) ~coeffs:[ -1; 0; 0; 1 ] vars) dims)
+  in
+  let* lhs = sub in
+  let* rhs = list_size (int_range 0 2) sub in
+  let open Build in
+  return
+    (program "v" [ arr "A" dims ]
+       [ nest loops [ asn (w "A" lhs) (List.map (r "A") rhs) ] ])
+
+let print_validate_case (p : Program.t) =
+  let expr e =
+    String.concat " + "
+      (string_of_int (Expr.const_part e)
+      :: List.map (fun v -> Printf.sprintf "%d*%s" (Expr.coeff e v) v) (Expr.vars e))
+  in
+  let nest = List.hd p.Program.nests in
+  let clamp name = Option.fold ~none:"" ~some:(fun e -> Printf.sprintf " %s %s" name (expr e)) in
+  String.concat "\n"
+    (Printf.sprintf "A(%s)"
+       (String.concat "," (List.map string_of_int (List.hd p.Program.arrays).Array_decl.dims))
+    :: List.map
+         (fun l ->
+           Printf.sprintf "for %s = %s to %s step %d%s%s" l.Loop.var (expr l.Loop.lo)
+             (expr l.Loop.hi) l.Loop.step (clamp "lo_max" l.Loop.lo_max)
+             (clamp "hi_min" l.Loop.hi_min))
+         nest.Nest.loops
+    @ List.map Pretty.ref_to_string (Nest.refs nest))
+
+(* Whenever [Validate.check] finds no issue, every iteration the walker's
+   loops ({!Loop.iter}) run keeps every subscript inside its dimension. *)
+let prop_validate_sound =
+  QCheck.Test.make ~name:"Validate is sound" ~count:(Qcheck_env.count 500)
+    (QCheck.make ~print:print_validate_case gen_validate_case)
+    (fun p ->
+      let nest = List.hd p.Program.nests in
+      let dims = (List.hd p.Program.arrays).Array_decl.dims in
+      let in_bounds env =
+        List.for_all
+          (fun r ->
+            List.for_all2
+              (fun s dim ->
+                let x = Subscript.eval env s in
+                0 <= x && x < dim)
+              r.Ref_.subs dims)
+          (Nest.refs nest)
+      in
+      let rec walk env = function
+        | [] -> if not (in_bounds env) then raise Exit
+        | l :: rest ->
+            Loop.iter env l (fun x -> walk (fun v -> if v = l.Loop.var then x else env v) rest)
+      in
+      Validate.check p <> []
+      || match walk (fun _ -> raise Not_found) nest.Nest.loops with
+         | () -> true
+         | exception Exit -> false)
+
 let () =
   Alcotest.run "properties"
     [
@@ -302,4 +393,5 @@ let () =
             prop_pad_never_creates_conflicts;
             prop_interp_refs_match_static_count;
           ] );
+      ("validate", [ QCheck_alcotest.to_alcotest prop_validate_sound ]);
     ]
