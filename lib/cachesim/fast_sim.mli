@@ -1,39 +1,40 @@
-(** Fast simulation backend for direct-mapped hierarchies.
+(** Fast simulation backend for the paper's machine shape.
 
     A drop-in replacement for the reference {!Hierarchy}/{!Level} cascade
     that produces {e identical} per-level {!Stats.t} (including writes and
-    writebacks) for any hierarchy of direct-mapped levels without
-    hardware prefetch: same filtered semantics (a level only sees the
-    misses of the level above), same write-allocate behaviour.  The speed
-    comes from {!block}, which takes a two-loop segment per call and
-    accounts whole runs of guaranteed L1 hits in bulk instead of walking
-    the cascade per access; from {!stream}, which takes a buffer of
-    addresses per call; and from a leaner per-access path (no LRU or
-    prefetch bookkeeping) whose loops call nothing.  Each L1 miss walks
-    L2 and the levels below where it happens.
+    writebacks) for exactly two direct-mapped levels under write-allocate
+    and without hardware prefetch, the shape of the paper's UltraSparc I
+    (16K/32B L1 over 512K/64B L2): same filtered semantics (L2 only sees
+    L1's misses), same dirty-line accounting.  The speed comes from
+    {!block}, which takes a two-loop segment per call and accounts whole
+    runs of guaranteed L1 hits in bulk instead of walking the cascade per
+    access; from {!stream}, which takes a buffer of addresses per call;
+    and from a lean per-access path (no LRU or prefetch bookkeeping)
+    whose loops call nothing: each L1 miss steps L2 where it happens,
+    with both levels' state in the loop's locals.
 
-    Not modelled: associative levels and next-line prefetching.  Callers
-    must fall back to the reference path for either (as [Interp.run]
-    does). *)
+    Not modelled: one level, three or more, associative levels,
+    no-write-allocate and next-line prefetching.  Callers must fall back
+    to the reference path for any of them (as [Interp.run] does). *)
 
 type t
 
-(** [create ?write_allocate geoms] builds a simulator for the given levels,
-    L1 first.  Each level's geometry goes through {!Level.shape}, the
-    check {!Level.create} makes; on top of it a level must be
-    direct-mapped and have lines of at least 4 bytes (each line's address
-    and dirty bit share one word).
-    @raise Invalid_argument on an empty list, a geometry {!Level.shape}
-    rejects, lines under 4 bytes, or a level whose [assoc] is not 1 (the
-    message names the level, [L1] first). *)
-val create : ?write_allocate:bool -> Level.geometry list -> t
+(** [create geoms] builds a simulator for the given levels, L1 then L2.
+    Each level's geometry goes through {!Level.shape}, the check
+    {!Level.create} makes; on top of it a level must be direct-mapped and
+    have lines of at least 4 bytes (each line's address and dirty bit
+    share one word).
+    @raise Invalid_argument on a list that is not two levels long, a
+    geometry {!Level.shape} rejects, lines under 4 bytes, or a level
+    whose [assoc] is not 1 (the message names the level, [L1] first). *)
+val create : Level.geometry list -> t
 
-(** [access t ~write addr] sends one reference, a write iff [write], down
-    the cascade and returns the index of the level that hit (0 = L1), or
-    the number of levels for a main-memory access — the same contract as
-    [Hierarchy.access].  The walker sends nothing this way ({!block} and
-    {!stream} take its streams); it is the per-access form that the
-    differential tests hold against [Hierarchy.access]. *)
+(** [access t ~write addr] sends one reference, a write iff [write],
+    through L1 and, on a miss, L2, and returns the index of the level
+    that hit (0 = L1, 1 = L2), or 2 for a main-memory access — the same
+    contract as [Hierarchy.access].  The walker sends nothing this way
+    ({!block} and {!stream} take its streams); it is the per-access form
+    that the differential tests hold against [Hierarchy.access]. *)
 val access : t -> write:bool -> int -> int
 
 (** [block t ~bases ~strides ~writes ~count ~outer_strides ~outer_count]
@@ -45,8 +46,8 @@ val access : t -> write:bool -> int -> int
 
     Access by access, iterations run through one small kernel whose loop
     calls nothing: it keeps every reference's address, stride and write
-    bit in one array for the whole call, and sends each L1 miss down the
-    levels below as it happens.  A call where the bulk path cannot pay
+    bit in one array for the whole call, and steps L2 on each L1 miss as
+    it happens.  A call where the bulk path cannot pay
     (below) runs every row through that kernel and nothing else.
 
     Otherwise a row starts access by access.  After an iteration that
@@ -62,10 +63,9 @@ val access : t -> write:bool -> int -> int
     offset within its line; a row with no crossing left is one bulk
     segment.  At a crossing, the references that cross first leave
     their lines; then one that crosses onto a line that is not resident
-    is installed right there (its miss counted and sent down) when no
-    other reference's current line sits in that L1 set.  A clash, or a
-    write miss without write-allocate, sends the row back to
-    access-by-access simulation, from that reference.  The whole call
+    is installed right there (its miss counted and sent to L2) when no
+    other reference's current line sits in that L1 set.  A clash sends
+    the row back to access-by-access simulation, from that reference.  The whole call
     runs access by access when half or more of its accesses cross a
     line, or when its calendar would serve fewer than four periods of
     iterations.
@@ -83,7 +83,7 @@ val block :
 (** [stream t buf n] issues the [n] accesses stored in [buf]: access [k]
     is to byte address [buf.(2 * k)], a write iff [buf.(2 * k + 1)] is 1
     (it must be 0 or 1).  Exactly equivalent to [n] calls to {!access} in
-    order.  They go through L1 and below by the same step as {!block}'s
+    order.  They go through L1 and L2 by the same step as {!block}'s
     kernel.  It counts nothing in {!metrics}.  The
     walker ([Interp]) sends gather nests this way, one buffer at a time.
     @raise Invalid_argument when [n] is negative or [buf] holds fewer
@@ -110,8 +110,7 @@ type metrics = {
           and including the first that hits throughout, unless the probe
           lets the bulk path start at once; after a clash (a crossing
           onto a set that another reference's line still holds once the
-          crossing references have left theirs, or a write miss without
-          write-allocate) the same, the clash's own
+          crossing references have left theirs) the same, the clash's own
           iteration counting here; and every iteration of a call that
           the bulk path cannot pay for (see {!block}).  Accesses sent
           through {!access} or {!stream} are not iterations and count

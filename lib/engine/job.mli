@@ -66,10 +66,11 @@ type spec = {
   backend : Interp.backend;
       (** which simulator to ask {!Interp.run} for.  Part of the cache
           key, so warm results never cross backends.  [Interp.run] serves
-          [`Fast] specs with [prefetch_levels] or an associative level on
-          the reference cascade (Fast_sim simulates only direct-mapped
-          levels without prefetch) and counts one [sim.fast.fallbacks]
-          each. *)
+          [`Fast] specs with [prefetch_levels], an associative level, a
+          machine that is not two levels deep or [write_allocate = Some
+          false] on the reference cascade (Fast_sim simulates only two
+          direct-mapped write-allocate levels without prefetch) and
+          counts one [sim.fast.fallbacks] each. *)
 }
 
 (** Spec constructor with the common defaults (ultrasparc, fast backend,

@@ -40,10 +40,11 @@ type result = {
 (** Which simulator to ask for.  [`Reference] walks the
     {!Mlc_cachesim.Hierarchy} cascade access by access; [`Fast] uses
     {!Mlc_cachesim.Fast_sim}, which bulk-accounts steady runs of L1 hits.
-    The two produce identical results for any direct-mapped machine
-    without hardware prefetching (the differential test suite enforces
-    this).  [`Fast] models neither associative levels nor prefetch, so
-    {!run} serves such a request on the reference cascade. *)
+    The two produce identical results on the machine shape [`Fast]
+    simulates, the paper's: two direct-mapped levels under
+    write-allocate, without hardware prefetching (the differential test
+    suite enforces this).  {!run} serves a [`Fast] request for any other
+    machine on the reference cascade. *)
 type backend = [ `Reference | `Fast ]
 
 val backend_name : backend -> string
@@ -51,12 +52,14 @@ val backend_name : backend -> string
 (** [run ?backend ?write_allocate ?prefetch_levels machine layout program]
     simulates one full execution on a fresh simulator.  It is the one
     function that chooses and builds a simulator.  [backend] defaults to
-    [`Fast], which runs {!Mlc_cachesim.Fast_sim} when every level of
-    [machine] is direct-mapped and [prefetch_levels] is empty; otherwise
-    the run goes to the reference cascade and, when [`Fast] was asked for,
-    counts one [sim.fast.fallbacks].  [write_allocate] (default true) and
-    [prefetch_levels] (0-based levels with a next-line prefetcher, default
-    none) are {!Mlc_cachesim.Hierarchy.create}'s. *)
+    [`Fast], which runs {!Mlc_cachesim.Fast_sim} when [machine] has
+    exactly two levels, both direct-mapped, [write_allocate] holds and
+    [prefetch_levels] is empty; otherwise (one level, three or more, an
+    associative level, no write-allocate, prefetch) the run goes to the
+    reference cascade and, when [`Fast] was asked for, counts one
+    [sim.fast.fallbacks].  [write_allocate] (default true) and
+    [prefetch_levels] (0-based levels with a next-line prefetcher,
+    default none) are {!Mlc_cachesim.Hierarchy.create}'s. *)
 val run :
   ?backend:backend ->
   ?write_allocate:bool ->

@@ -1,9 +1,11 @@
 (* Differential oracle: the fast backend against the reference cascade.
 
    Fast_sim claims bit-identical per-level stats (hits, misses, writes,
-   writebacks) for any direct-mapped hierarchy without prefetch.  These
-   tests hold it to that over random traces, random block-shaped access
-   patterns, and random power-of-two direct-mapped geometries.  The
+   writebacks) for two direct-mapped write-allocate levels without
+   prefetch, the paper's machine shape.  These tests hold it to that
+   over random traces, random block-shaped access patterns, random
+   interleavings of the three entry points, and random power-of-two
+   direct-mapped geometries.  The
    reference cascade's k-way LRU has its own oracle in
    test_properties.ml.
 
@@ -24,9 +26,8 @@ let gen_geom =
 
 let gen_hierarchy =
   QCheck.Gen.(
-    let* geoms = list_size (int_range 1 3) gen_geom in
-    let* write_allocate = bool in
-    return (write_allocate, geoms))
+    let* l1 = gen_geom and* l2 = gen_geom in
+    return [ l1; l2 ])
 
 (* Addresses near 0, below 0 and at or above 2^40, with the same low
    bits in each region so that lines of different regions share sets:
@@ -51,9 +52,7 @@ let print_geom (g : Cs.Level.geometry) =
   Printf.sprintf "{size=%d;line=%d;assoc=%d}" g.Cs.Level.size g.Cs.Level.line
     g.Cs.Level.assoc
 
-let print_hierarchy (wa, geoms) =
-  Printf.sprintf "write_allocate=%b [%s]" wa
-    (String.concat "; " (List.map print_geom geoms))
+let print_hierarchy geoms = Printf.sprintf "[%s]" (String.concat "; " (List.map print_geom geoms))
 
 (* --- trace-level equivalence ------------------------------------------- *)
 
@@ -74,9 +73,9 @@ let prop_trace_equivalence =
                  (fun (a, w) -> Printf.sprintf "%d%s" a (if w then "w" else ""))
                  trace)))
        QCheck.Gen.(pair gen_hierarchy gen_trace))
-    (fun ((write_allocate, geoms), trace) ->
-      let h = Cs.Hierarchy.create ~write_allocate geoms in
-      let f = Cs.Fast_sim.create ~write_allocate geoms in
+    (fun (geoms, trace) ->
+      let h = Cs.Hierarchy.create geoms in
+      let f = Cs.Fast_sim.create geoms in
       let levels_agree = ref true in
       List.iter
         (fun (addr, write) ->
@@ -138,9 +137,9 @@ let prop_stream =
   QCheck.Test.make ~name:"random buffers: Fast_sim.stream = per-access reference cascade"
     ~count:(Qcheck_env.count 300)
     (QCheck.make ~print:print_stream gen_stream)
-    (fun ((write_allocate, geoms), calls) ->
-      let h = Cs.Hierarchy.create ~write_allocate geoms in
-      let f = Cs.Fast_sim.create ~write_allocate geoms in
+    (fun (geoms, calls) ->
+      let h = Cs.Hierarchy.create geoms in
+      let f = Cs.Fast_sim.create geoms in
       List.iter
         (fun (accesses, slack) ->
           let n = List.length accesses in
@@ -175,21 +174,22 @@ let gen_block =
     let* count = int_range 1 300 in
     return (Array.of_list bases, Array.of_list strides, Array.of_list writes, count))
 
-let print_block (h, (bases, strides, writes, count)) =
-  Printf.sprintf "%s bases=[%s] strides=[%s] writes=[%s] count=%d"
-    (print_hierarchy h)
+let print_refs (bases, strides, writes, count) =
+  Printf.sprintf "bases=[%s] strides=[%s] writes=[%s] count=%d"
     (String.concat ";" (Array.to_list (Array.map string_of_int bases)))
     (String.concat ";" (Array.to_list (Array.map string_of_int strides)))
     (String.concat ";" (Array.to_list (Array.map string_of_bool writes)))
     count
 
+let print_block (h, refs) = print_hierarchy h ^ " " ^ print_refs refs
+
 (* A two-loop [block] against the per-access reference cascade, rows
    then iterations then references, then [evict_l1] if [evict]:
    per-level stats. *)
-let rows_match ?(evict = false) (write_allocate, geoms) ~bases ~strides ~writes ~count
-    ~outer_strides ~outer_count =
-  let h = Cs.Hierarchy.create ~write_allocate geoms in
-  let f = Cs.Fast_sim.create ~write_allocate geoms in
+let rows_match ?(evict = false) geoms ~bases ~strides ~writes ~count ~outer_strides
+    ~outer_count =
+  let h = Cs.Hierarchy.create geoms in
+  let f = Cs.Fast_sim.create geoms in
   for o = 0 to outer_count - 1 do
     for j = 0 to count - 1 do
       for r = 0 to Array.length bases - 1 do
@@ -219,21 +219,19 @@ let prop_block_equivalence =
 (* Miss-heavy blocks: references whose bases differ by multiples of the
    L1 size ping-pong in one L1 set, and strides of at least a line move
    every reference onto a new line each iteration, so almost every
-   access misses L1 and walks the lower levels.  Below the L1 sit one or
-   two levels, each with its own line and set count. *)
+   access misses L1 and walks L2, which has its own line and set
+   count. *)
 let gen_ping_pong =
   QCheck.Gen.(
     let* line_bits = int_range 4 5 in
     let* sets_bits = int_range 1 4 in
     let line = 1 lsl line_bits in
     let l1_size = line lsl sets_bits in
-    let lower =
+    let* l2 =
       let* lbits = int_range line_bits 6 in
       let* sbits = int_range sets_bits 6 in
       return { Cs.Level.size = 1 lsl (lbits + sbits); line = 1 lsl lbits; assoc = 1 }
     in
-    let* lowers = list_size (int_range 1 2) lower in
-    let* write_allocate = bool in
     let* nrefs = int_range 2 4 in
     let* start = int_range 0 (l1_size - 1) in
     let* bases = list_repeat nrefs (map (fun k -> start + (k * l1_size)) (int_range 0 4)) in
@@ -245,7 +243,7 @@ let gen_ping_pong =
     let* writes = list_repeat nrefs bool in
     let* count = int_range 1 200 in
     return
-      ( (write_allocate, { Cs.Level.size = l1_size; line; assoc = 1 } :: lowers),
+      ( [ { Cs.Level.size = l1_size; line; assoc = 1 }; l2 ],
         (Array.of_list bases, Array.of_list strides, Array.of_list writes, count) ))
 
 let prop_ping_pong =
@@ -257,14 +255,12 @@ let prop_ping_pong =
 
 (* Two-loop segments: 1-6 rows whose outer strides are negative, zero,
    or smaller than a row's span, so that rows revisit each other's
-   lines.  The L1 sits over 0-2 lower levels; the miss-heavy shape
+   lines.  The L1 sits over an L2; the miss-heavy shape
    (line-sized strides, rows up to 300 iterations) sends over a
    thousand L1 misses down in one call. *)
 let gen_rows =
   QCheck.Gen.(
-    let* nlevels = oneofl [ 1; 2; 2; 3; 3 ] in
-    let* geoms = list_repeat nlevels gen_geom in
-    let* write_allocate = bool in
+    let* geoms = gen_hierarchy in
     let* nrefs = int_range 1 4 in
     let* bases = list_repeat nrefs (int_range 0 4096) in
     let* miss_heavy = bool in
@@ -282,7 +278,7 @@ let gen_rows =
     let* outer_strides = flatten_l (List.map outer strides) in
     let* writes = list_repeat nrefs bool in
     return
-      ( (write_allocate, geoms),
+      ( geoms,
         ( Array.of_list bases,
           Array.of_list strides,
           Array.of_list writes,
@@ -290,11 +286,13 @@ let gen_rows =
           Array.of_list outer_strides,
           outer_count ) ))
 
-let print_rows (h, (bases, strides, writes, count, outer_strides, outer_count)) =
+let print_segment (bases, strides, writes, count, outer_strides, outer_count) =
   Printf.sprintf "%s outer_strides=[%s] outer_count=%d"
-    (print_block (h, (bases, strides, writes, count)))
+    (print_refs (bases, strides, writes, count))
     (String.concat ";" (Array.to_list (Array.map string_of_int outer_strides)))
     outer_count
+
+let print_rows (h, segment) = print_hierarchy h ^ " " ^ print_segment segment
 
 let prop_rows =
   QCheck.Test.make
@@ -305,8 +303,7 @@ let prop_rows =
       rows_match h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
 
 (* One call with thousands of L1 misses (every access misses a 256-byte
-   direct-mapped L1), each walking the levels below as it happens, on
-   2- and 3-level hierarchies, under both write policies. *)
+   direct-mapped L1), each stepping L2 as it happens, over three L2s. *)
 let test_rows_overflow_batch () =
   let g size line assoc = { Cs.Level.size; line; assoc } in
   let nrefs = 4 and count = 300 and outer_count = 6 in
@@ -314,25 +311,22 @@ let test_rows_overflow_batch () =
   let strides = Array.make nrefs 32 and outer_strides = Array.make nrefs (-4096) in
   let writes = Array.init nrefs (fun r -> r mod 2 = 1) in
   List.iter
-    (fun lowers ->
-      List.iter
-        (fun write_allocate ->
-          let geoms = g 256 32 1 :: lowers in
-          let f = Cs.Fast_sim.create ~write_allocate geoms in
-          Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count;
-          let l1 = List.hd (Cs.Fast_sim.level_stats f) in
-          Alcotest.(check bool) "L1 misses exceed 4096" true (l1.Cs.Stats.misses > 4096);
-          Alcotest.(check bool)
-            (Printf.sprintf "%d levels, write_allocate=%b" (List.length geoms)
-               write_allocate)
-            true
-            (rows_match (write_allocate, geoms) ~bases ~strides ~writes ~count
-               ~outer_strides ~outer_count))
-        [ true; false ])
-    [ [ g 4096 64 1 ]; [ g 1024 32 1; g 16384 64 1 ]; [ g 4096 64 1; g 8192 64 1 ] ]
+    (fun l2 ->
+      let geoms = [ g 256 32 1; l2 ] in
+      let f = Cs.Fast_sim.create geoms in
+      Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count;
+      let l1 = List.hd (Cs.Fast_sim.level_stats f) in
+      Alcotest.(check bool) "L1 misses exceed 4096" true (l1.Cs.Stats.misses > 4096);
+      Alcotest.(check bool)
+        (Printf.sprintf "L2 %s" (print_geom l2))
+        true
+        (rows_match geoms ~bases ~strides ~writes ~count ~outer_strides ~outer_count))
+    [ g 4096 64 1; g 1024 32 1; g 16384 64 1 ]
+
+let small_dm = [ { Cs.Level.size = 1024; line = 32; assoc = 1 }; { Cs.Level.size = 8192; line = 64; assoc = 1 } ]
 
 let test_rows_length_mismatch () =
-  let f = Cs.Fast_sim.create [ { Cs.Level.size = 1024; line = 32; assoc = 1 } ] in
+  let f = Cs.Fast_sim.create small_dm in
   Alcotest.check_raises "outer_strides shorter than bases"
     (Invalid_argument "Fast_sim.block: bases/strides/writes/outer_strides length mismatch")
     (fun () ->
@@ -342,8 +336,8 @@ let test_rows_length_mismatch () =
 (* One call with 1100 references, more than a kilo-entry scratch
    buffer would hold per iteration, over 24 KB, with sub-line, zero,
    line and multi-line strides (up and down) and random writes, in 3
-   rows of 40 iterations, on 2- and 3-level hierarchies under both write
-   policies; every L1 line is evicted at the end. *)
+   rows of 40 iterations, on two hierarchies; every L1 line is evicted
+   at the end. *)
 let test_wide_block () =
   let g size line assoc = { Cs.Level.size; line; assoc } in
   let nrefs = 1100 in
@@ -357,18 +351,10 @@ let test_wide_block () =
   let outer_strides = Array.map (fun s -> (40 * s) + 4096) strides in
   List.iter
     (fun geoms ->
-      List.iter
-        (fun write_allocate ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%d levels, write_allocate=%b" (List.length geoms) write_allocate)
-            true
-            (rows_match ~evict:true (write_allocate, geoms) ~bases ~strides ~writes ~count:40
-               ~outer_strides ~outer_count:3))
-        [ true; false ])
-    [
-      Cs.Machine.ultrasparc.Cs.Machine.geometries;
-      [ g 4096 32 1; g 16384 64 1; g 65536 64 1 ];
-    ]
+      Alcotest.(check bool) (print_hierarchy geoms) true
+        (rows_match ~evict:true geoms ~bases ~strides ~writes ~count:40 ~outer_strides
+           ~outer_count:3))
+    [ Cs.Machine.ultrasparc.Cs.Machine.geometries; [ g 4096 32 1; g 16384 64 1 ] ]
 
 (* A sequential iteration with 1024 L1 misses, then in-place installs.
    256 reads four lines apart on a 2048-set L1, at stride 8: row 0 misses
@@ -384,7 +370,7 @@ let test_full_batch_then_install () =
   let strides = Array.make nrefs 8 and outer_strides = Array.make nrefs 65536 in
   let writes = Array.make nrefs false in
   Alcotest.(check bool) "stats = reference cascade" true
-    (rows_match ~evict:true (true, geoms) ~bases ~strides ~writes ~count:12 ~outer_strides
+    (rows_match ~evict:true geoms ~bases ~strides ~writes ~count:12 ~outer_strides
        ~outer_count:2);
   let f = Cs.Fast_sim.create geoms in
   Cs.Fast_sim.block f ~bases ~strides ~writes ~count:12 ~outer_strides ~outer_count:2;
@@ -394,14 +380,14 @@ let test_full_batch_then_install () =
     (List.hd (Cs.Fast_sim.level_stats f)).Cs.Stats.misses
 
 let test_stream_length () =
-  let f = Cs.Fast_sim.create [ { Cs.Level.size = 1024; line = 32; assoc = 1 } ] in
+  let f = Cs.Fast_sim.create small_dm in
   Alcotest.check_raises "more accesses than the buffer holds"
     (Invalid_argument "Fast_sim.stream: n outside the buffer")
     (fun () -> Cs.Fast_sim.stream f [| 0; 1; 64 |] 2)
 
 (* Crossing streams: 3-8 references with sub-line strides (12 and 24
    among them, a downward one and one of stride 0) that cross L1 lines
-   at different iterations, over an L1 and 1-2 lower levels.
+   at different iterations, over an L1 and an L2.
    Every base is placed so that its reference lands in one common L1 set
    at a chosen iteration in the middle of the first row, a multiple of
    the L1 size away from the others (give or take a few bytes), so that
@@ -418,13 +404,11 @@ let gen_crossing =
     let* sets_bits = int_range 2 5 in
     let line = 1 lsl line_bits in
     let l1_size = line * (1 lsl sets_bits) in
-    let lower =
+    let* l2 =
       let* lbits = int_range line_bits 6 in
       let* sbits = int_range sets_bits 7 in
       return { Cs.Level.size = 1 lsl (lbits + sbits); line = 1 lsl lbits; assoc = 1 }
     in
-    let* lowers = list_size (int_range 1 2) lower in
-    let* write_allocate = bool in
     let* nrefs = int_range 3 8 in
     let* count = int_range 50 400 in
     let* meet = int_range (count / 4) (3 * count / 4) in
@@ -475,7 +459,7 @@ let gen_crossing =
     in
     let* writes = list_repeat nrefs bool in
     return
-      ( (write_allocate, { Cs.Level.size = l1_size; line; assoc = 1 } :: lowers),
+      ( [ { Cs.Level.size = l1_size; line; assoc = 1 }; l2 ],
         ( Array.of_list bases,
           Array.of_list strides,
           Array.of_list writes,
@@ -497,21 +481,18 @@ let prop_crossing =
    elements, so the references step into one another's sets at
    different iterations.  Strides are +-elem, 0, or at least a line;
    writes are random.  A crossing miss may be installed in the steady
-   phase only in a set that no other reference's current line is in,
-   and a write miss without write-allocate installs nothing. *)
+   phase only in a set that no other reference's current line is in. *)
 let gen_clashing =
   QCheck.Gen.(
     let* line_bits = int_range 3 5 in
     let* sets_bits = int_range 0 3 in
     let line = 1 lsl line_bits in
     let l1_size = line lsl sets_bits in
-    let lower =
+    let* l2 =
       let* lbits = int_range line_bits 6 in
       let* sbits = int_range 0 4 in
       return { Cs.Level.size = 1 lsl (lbits + sbits); line = 1 lsl lbits; assoc = 1 }
     in
-    let* lowers = list_size (int_range 0 2) lower in
-    let* write_allocate = bool in
     let* elem = oneofl [ 4; 8 ] in
     let* nrefs = int_range 2 6 in
     let* anchor = int_range 0 (4 * l1_size) in
@@ -530,7 +511,7 @@ let gen_clashing =
         (List.map (fun (_, s) -> oneofl [ 0; count * s; line; l1_size; -l1_size ]) refs)
     in
     return
-      ( (write_allocate, { Cs.Level.size = l1_size; line; assoc = 1 } :: lowers),
+      ( [ { Cs.Level.size = l1_size; line; assoc = 1 }; l2 ],
         ( Array.of_list (List.map fst refs),
           Array.of_list (List.map snd refs),
           Array.of_list writes,
@@ -555,8 +536,7 @@ let prop_clashing =
    calendar); 1-4 rows whose outer strides
    either keep every moving reference's offset within its line (one
    calendar serves every row) or shift it (each row needs its own), while
-   the stride-0 references' bases move from row to row; both write
-   policies.  Bases sit a few lines apart or a multiple of the L1 size
+   the stride-0 references' bases move from row to row.  Bases sit a few lines apart or a multiple of the L1 size
    away from one anchor, so crossings hit, install in place and clash,
    and some references repeat an earlier one.  Every line is evicted at
    the end, so a dirty bit the fast side lost shows as a writeback. *)
@@ -566,13 +546,11 @@ let gen_calendar =
     let* sets_bits = int_range 1 4 in
     let line = 1 lsl line_bits in
     let l1_size = line lsl sets_bits in
-    let lower =
+    let* l2 =
       let* lbits = int_range line_bits 6 in
       let* sbits = int_range sets_bits 6 in
       return { Cs.Level.size = 1 lsl (lbits + sbits); line = 1 lsl lbits; assoc = 1 }
     in
-    let* lowers = list_size (int_range 0 2) lower in
-    let* write_allocate = bool in
     let* nrefs = int_range 1 6 in
     let* anchor = int_range 0 (4 * l1_size) in
     let reference =
@@ -624,7 +602,7 @@ let gen_calendar =
     in
     let* writes = list_repeat nrefs bool in
     return
-      ( (write_allocate, { Cs.Level.size = l1_size; line; assoc = 1 } :: lowers),
+      ( [ { Cs.Level.size = l1_size; line; assoc = 1 }; l2 ],
         ( Array.of_list (List.map fst refs),
           Array.of_list strides,
           Array.of_list writes,
@@ -640,16 +618,122 @@ let prop_calendar =
     (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
       rows_match ~evict:true h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
 
+(* Random interleavings of [block], [stream] and [access] calls on one
+   simulator, against the per-access reference cascade, stats compared
+   after every call and after an [evict_l1] sweep at the end.  Each
+   kernel keeps its call's counts to itself until it returns, so a
+   count that one exit of one kernel (a clash, an all-hit stop, the end
+   of a row or of a buffer) fails to hand back shows in the next
+   comparison.  Addresses stay within four L1 sizes of 0, so the calls
+   meet each other's lines, dirty or clean. *)
+type call =
+  | Access of (int * bool) list
+  | Stream of (int * bool) list
+  | Block of (int array * int array * bool array * int * int array * int)
+
+let gen_interleaved =
+  QCheck.Gen.(
+    let* geoms = gen_hierarchy in
+    let l1 = List.hd geoms in
+    let l1_size = l1.Cs.Level.size and line = l1.Cs.Level.line in
+    let addr = map (fun k -> 4 * k) (int_range 0 (l1_size - 1)) in
+    let accesses = list_size (int_range 1 40) (pair addr bool) in
+    let block =
+      let* nrefs = int_range 1 5 in
+      let* bases = list_repeat nrefs addr in
+      let* strides =
+        list_repeat nrefs
+          (oneofl [ 0; 4; 8; 8; -8; 12; 16; -16; 24; line; -line; 2 * line; l1_size ])
+      in
+      let* writes = list_repeat nrefs bool in
+      let* count = oneof [ int_range 1 8; int_range 20 120 ] in
+      let* outer_count = int_range 1 4 in
+      let* outer_strides =
+        flatten_l
+          (List.map (fun s -> oneofl [ 0; count * s; line; l1_size; -l1_size; 8 ]) strides)
+      in
+      return
+        (Block
+           ( Array.of_list bases,
+             Array.of_list strides,
+             Array.of_list writes,
+             count,
+             Array.of_list outer_strides,
+             outer_count ))
+    in
+    let* calls =
+      list_size (int_range 1 8)
+        (frequency
+           [
+             (1, map (fun l -> Access l) accesses);
+             (1, map (fun l -> Stream l) accesses);
+             (3, block);
+           ])
+    in
+    return (geoms, calls))
+
+let print_interleaved (geoms, calls) =
+  let accesses l =
+    String.concat ","
+      (List.map (fun (a, w) -> Printf.sprintf "%d%s" a (if w then "w" else "")) l)
+  in
+  Printf.sprintf "%s calls=[%s]" (print_hierarchy geoms)
+    (String.concat "; "
+       (List.map
+          (function
+            | Access l -> "access " ^ accesses l
+            | Stream l -> "stream " ^ accesses l
+            | Block segment -> "block " ^ print_segment segment)
+          calls))
+
+let prop_interleaved =
+  QCheck.Test.make
+    ~name:"interleaved block/stream/access calls = per-access reference cascade"
+    ~count:(Qcheck_env.count 400)
+    (QCheck.make ~print:print_interleaved gen_interleaved)
+    (fun (geoms, calls) ->
+      let h = Cs.Hierarchy.create geoms and f = Cs.Fast_sim.create geoms in
+      let reference l = List.iter (fun (a, write) -> ignore (Cs.Hierarchy.access h ~write a)) l in
+      List.for_all
+        (fun call ->
+          (match call with
+          | Access l ->
+              reference l;
+              List.iter (fun (a, write) -> ignore (Cs.Fast_sim.access f ~write a)) l
+          | Stream l ->
+              reference l;
+              let buf = Array.make (2 * List.length l) 0 in
+              List.iteri
+                (fun k (a, w) ->
+                  buf.(2 * k) <- a;
+                  buf.((2 * k) + 1) <- Bool.to_int w)
+                l;
+              Cs.Fast_sim.stream f buf (List.length l)
+          | Block (bases, strides, writes, count, outer_strides, outer_count) ->
+              for o = 0 to outer_count - 1 do
+                for j = 0 to count - 1 do
+                  Array.iteri
+                    (fun r base ->
+                      ignore
+                        (Cs.Hierarchy.access h ~write:writes.(r)
+                           (base + (o * outer_strides.(r)) + (j * strides.(r)))))
+                    bases
+                done
+              done;
+              Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count);
+          stats_match h f)
+        calls
+      && (evict_l1 h f geoms;
+          stats_match h f))
+
 (* [rows_match ~evict:true] for a one-row block, and the work counters
    of the same block on a fresh fast simulator. *)
-let block_then_evict ((write_allocate, geoms) as h) ~bases ~strides ~writes ~count =
+let block_then_evict geoms ~bases ~strides ~writes ~count =
   let outer_strides = Array.make (Array.length bases) 0 in
-  let ok = rows_match ~evict:true h ~bases ~strides ~writes ~count ~outer_strides ~outer_count:1 in
-  let f = Cs.Fast_sim.create ~write_allocate geoms in
+  let ok = rows_match ~evict:true geoms ~bases ~strides ~writes ~count ~outer_strides ~outer_count:1 in
+  let f = Cs.Fast_sim.create geoms in
   Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count:1;
   (ok, Cs.Fast_sim.metrics f)
-
-let small_dm = [ { Cs.Level.size = 1024; line = 32; assoc = 1 }; { Cs.Level.size = 8192; line = 64; assoc = 1 } ]
 
 (* The probe: three streams a quarter of the L1 apart, the second one
    written.  Iteration 0 misses on every line, and leaves each resident
@@ -657,7 +741,7 @@ let small_dm = [ { Cs.Level.size = 1024; line = 32; assoc = 1 }; { Cs.Level.size
    installs every later crossing in place. *)
 let test_probe_enters () =
   let ok, m =
-    block_then_evict (true, small_dm) ~bases:[| 0; 264; 528 |] ~strides:[| 8; 8; 8 |]
+    block_then_evict small_dm ~bases:[| 0; 264; 528 |] ~strides:[| 8; 8; 8 |]
       ~writes:[| false; true; false |] ~count:64
   in
   Alcotest.(check bool) "stats = reference cascade" true ok;
@@ -667,36 +751,36 @@ let test_probe_enters () =
 (* The probe must refuse when an iteration leaves a reference's line
    missing or a writer's line clean: here a later reference evicts an
    earlier one's line in the same iteration at every iteration (two
-   streams one L1 size apart), and, under no-write-allocate, a read of
-   the line a write just missed on fills it clean.  In the second case
-   the next iteration's write hits and dirties the line, so each line
-   costs two sequential iterations: the one that misses, and the one
-   that hits throughout. *)
+   streams one L1 size apart), and a written line is evicted dirty by a
+   read one L1 size away and refilled clean by a read of its own.  (Under
+   write-allocate a writer's line left clean always comes with another
+   reference's line left missing.) *)
 let test_probe_refuses () =
   let ok, m =
-    block_then_evict (true, small_dm) ~bases:[| 0; 1024 |] ~strides:[| 8; 8 |]
+    block_then_evict small_dm ~bases:[| 0; 1024 |] ~strides:[| 8; 8 |]
       ~writes:[| false; false |] ~count:64
   in
   Alcotest.(check bool) "evicted: stats = reference cascade" true ok;
   Alcotest.(check int) "evicted: every iteration sequential" 64 m.Cs.Fast_sim.seq_iterations;
   let ok, m =
-    block_then_evict (false, small_dm) ~bases:[| 0; 0 |] ~strides:[| 8; 8 |]
-      ~writes:[| true; false |] ~count:64
+    block_then_evict small_dm ~bases:[| 0; 1024; 0 |] ~strides:[| 8; 8; 8 |]
+      ~writes:[| true; false; false |] ~count:64
   in
   Alcotest.(check bool) "filled clean: stats = reference cascade" true ok;
-  Alcotest.(check int) "filled clean: two sequential iterations per line" 32
+  Alcotest.(check int) "filled clean: every iteration sequential" 64
     m.Cs.Fast_sim.seq_iterations
 
-(* Found by the crossing-streams property.  After an iteration run in
-   place, a writing reference can stay on a line that is resident but
-   clean: here, under no-write-allocate, its write misses and a later
-   read in the same iteration fills the line clean.  The bulk phase must
-   not resume then, or that line's next eviction loses its writeback. *)
+(* Found by the crossing-streams property, under a write policy the
+   fast backend no longer simulates.  After an iteration run in place, a
+   writing reference can stay on a line that is resident but clean (a
+   line evicted and refilled by later reads): the bulk phase must not
+   resume then, or that line's next eviction loses its writeback.  The
+   case's references, on the two-level write-allocate machine. *)
 let test_refilled_clean () =
   let g size line assoc = { Cs.Level.size; line; assoc } in
   Alcotest.(check bool) "stats = reference cascade" true
     (rows_match
-       (false, [ g 256 32 1; g 2048 64 1; g 1024 64 1 ])
+       [ g 256 32 1; g 2048 64 1 ]
        ~bases:[| 2262; 4538; 754; 742; 754; 3018 |]
        ~strides:[| 4; -8; 12; 12; 12; 0 |]
        ~writes:[| true; false; true; false; false; false |]
@@ -756,7 +840,7 @@ let test_matmul_rows () =
    every iteration leaves both lines resident. *)
 let test_dense_crossings () =
   let ok, m =
-    block_then_evict (true, small_dm) ~bases:[| 0; 264 |] ~strides:[| 64; 64 |]
+    block_then_evict small_dm ~bases:[| 0; 264 |] ~strides:[| 64; 64 |]
       ~writes:[| true; false |] ~count:64
   in
   Alcotest.(check bool) "stats = reference cascade" true ok;
@@ -784,48 +868,53 @@ let test_shal_bulk () =
     true
     (5 * m.Cs.Fast_sim.seq_iterations < total)
 
+(* The Alpha 21164 model's first two levels (8K/32B over 128K/64B), a
+   second two-level machine for the tests below: the three-level model
+   itself runs on the reference cascade. *)
+let alpha_l1_l2 =
+  let a = Cs.Machine.alpha21164 in
+  {
+    Cs.Machine.name = "Alpha 21164 L1 and L2";
+    geometries = [ List.nth a.Cs.Machine.geometries 0; List.nth a.Cs.Machine.geometries 1 ];
+    cost = { a.Cs.Machine.cost with Cs.Cost_model.hit_cycles = [| 1.0; 5.0 |] };
+  }
+
 (* The packed tag word at the ends of the address range, against the
-   reference on every level: -1, min_int and max_int (and their
+   reference on both levels: -1, min_int and max_int (and their
    neighbours, which share lines with them), read and written, on the
-   UltraSPARC and Alpha geometries and a smaller two-level one, then as
-   blocks around the same addresses. *)
+   UltraSPARC geometry, the Alpha's first two levels and a smaller
+   two-level one, then as blocks around the same addresses. *)
 let test_extreme_addresses () =
   let addrs = [ -1; min_int; max_int; 0; -1; max_int - 8; min_int + 8; -4096; 1 lsl 40 ] in
   let trace = List.concat_map (fun a -> [ (a, false); (a, true); (a, false) ]) addrs in
   List.iter
     (fun geoms ->
+      let h = Cs.Hierarchy.create geoms in
+      let f = Cs.Fast_sim.create geoms in
       List.iter
-        (fun write_allocate ->
-          let h = Cs.Hierarchy.create ~write_allocate geoms in
-          let f = Cs.Fast_sim.create ~write_allocate geoms in
-          List.iter
-            (fun (addr, write) ->
-              Alcotest.(check int)
-                (Printf.sprintf "hit level of %d" addr)
-                (Cs.Hierarchy.access h ~write addr)
-                (Cs.Fast_sim.access f ~write addr))
-            trace;
-          Alcotest.(check bool) "stats after the trace" true (stats_match h f);
-          Alcotest.(check bool) "blocks at the range ends" true
-            (rows_match (write_allocate, geoms)
-               ~bases:[| -1; min_int; max_int; -64 |]
-               ~strides:[| 8; 8; -8; 0 |]
-               ~writes:[| true; false; true; false |]
-               ~count:40 ~outer_strides:[| -8192; 16384; 0; 8 |] ~outer_count:3))
-        [ true; false ])
+        (fun (addr, write) ->
+          Alcotest.(check int)
+            (Printf.sprintf "hit level of %d" addr)
+            (Cs.Hierarchy.access h ~write addr)
+            (Cs.Fast_sim.access f ~write addr))
+        trace;
+      Alcotest.(check bool) "stats after the trace" true (stats_match h f);
+      Alcotest.(check bool) "blocks at the range ends" true
+        (rows_match geoms
+           ~bases:[| -1; min_int; max_int; -64 |]
+           ~strides:[| 8; 8; -8; 0 |]
+           ~writes:[| true; false; true; false |]
+           ~count:40 ~outer_strides:[| -8192; 16384; 0; 8 |] ~outer_count:3))
     [
       Cs.Machine.ultrasparc.Cs.Machine.geometries;
-      Cs.Machine.alpha21164.Cs.Machine.geometries;
+      alpha_l1_l2.Cs.Machine.geometries;
       [ { Cs.Level.size = 2048; line = 32; assoc = 1 }; { Cs.Level.size = 65536; line = 64; assoc = 1 } ];
     ]
 
-(* 1-, 2- and 3-level hierarchies under a 1 KB, 32-byte-line L1, each
-   under both write policies. *)
-let depths =
+(* Two L2s under a 1 KB, 32-byte-line L1. *)
+let two_levels =
   let g size line assoc = { Cs.Level.size; line; assoc } in
-  List.concat_map
-    (fun lowers -> [ (true, g 1024 32 1 :: lowers); (false, g 1024 32 1 :: lowers) ])
-    [ []; [ g 8192 64 1 ]; [ g 4096 64 1; g 32768 64 1 ] ]
+  [ [ g 1024 32 1; g 8192 64 1 ]; [ g 1024 32 1; g 4096 32 1 ] ]
 
 (* A crossing into a set that a later crossing reference leaves: two
    stride-8 streams, the second one line ahead of the first plus the L1
@@ -833,31 +922,28 @@ let depths =
    set of the second one's old line.  The second reference leaves that
    line in the same pass, so the install is no clash: each row runs its
    first iteration access by access and the rest in bulk.  Read, and
-   written under write-allocate, where the evicted line is dirty. *)
+   written, where the evicted line is dirty. *)
 let test_crossing_leaves () =
   List.iter
-    (fun ((wa, geoms) as h) ->
+    (fun geoms ->
       List.iter
         (fun writes ->
-          if wa || not (Array.exists Fun.id writes) then begin
-            let bases = [| 0; 32 + 1024 |] and strides = [| 8; 8 |] in
-            let outer_strides = [| 4096; 4096 |] and outer_count = 3 and count = 64 in
-            let name = Printf.sprintf "%d levels, write_allocate=%b, writes=%b"
-                (List.length geoms) wa writes.(0) in
-            Alcotest.(check bool) (name ^ ": stats = reference cascade") true
-              (rows_match ~evict:true h ~bases ~strides ~writes ~count ~outer_strides
-                 ~outer_count);
-            let f = Cs.Fast_sim.create ~write_allocate:wa geoms in
-            Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count;
-            let m = Cs.Fast_sim.metrics f in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: %d sequential iterations, at most 2 per row" name
-                 m.Cs.Fast_sim.seq_iterations)
-              true
-              (m.Cs.Fast_sim.seq_iterations <= 2 * outer_count)
-          end)
+          let bases = [| 0; 32 + 1024 |] and strides = [| 8; 8 |] in
+          let outer_strides = [| 4096; 4096 |] and outer_count = 3 and count = 64 in
+          let name = Printf.sprintf "%s, writes=%b" (print_hierarchy geoms) writes.(0) in
+          Alcotest.(check bool) (name ^ ": stats = reference cascade") true
+            (rows_match ~evict:true geoms ~bases ~strides ~writes ~count ~outer_strides
+               ~outer_count);
+          let f = Cs.Fast_sim.create geoms in
+          Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count;
+          let m = Cs.Fast_sim.metrics f in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d sequential iterations, at most 2 per row" name
+               m.Cs.Fast_sim.seq_iterations)
+            true
+            (m.Cs.Fast_sim.seq_iterations <= 2 * outer_count))
         [ [| false; false |]; [| true; true |] ])
-    depths
+    two_levels
 
 (* Rows whose remaining iterations have no crossing: 4-iteration rows of
    two stride-8 streams that start each row on a line boundary, as in
@@ -866,25 +952,24 @@ let test_crossing_leaves () =
    one bulk segment. *)
 let test_no_crossing_left () =
   List.iter
-    (fun ((wa, geoms) as h) ->
+    (fun geoms ->
       let bases = [| 0; 2048 + 512 |] and strides = [| 8; 8 |] in
       let writes = [| false; true |] and outer_strides = [| 800; 800 |] in
       let count = 4 and outer_count = 12 in
-      let name = Printf.sprintf "%d levels, write_allocate=%b" (List.length geoms) wa in
+      let name = print_hierarchy geoms in
       Alcotest.(check bool) (name ^ ": stats = reference cascade") true
-        (rows_match ~evict:true h ~bases ~strides ~writes ~count ~outer_strides ~outer_count);
-      let f = Cs.Fast_sim.create ~write_allocate:wa geoms in
+        (rows_match ~evict:true geoms ~bases ~strides ~writes ~count ~outer_strides
+           ~outer_count);
+      let f = Cs.Fast_sim.create geoms in
       Cs.Fast_sim.block f ~bases ~strides ~writes ~count ~outer_strides ~outer_count;
       let m = Cs.Fast_sim.metrics f in
-      if wa then begin
-        Alcotest.(check int) (name ^ ": sequential iterations") outer_count
-          m.Cs.Fast_sim.seq_iterations;
-        Alcotest.(check int) (name ^ ": bulk segments") outer_count m.Cs.Fast_sim.bulk_segments
-      end)
-    depths
+      Alcotest.(check int) (name ^ ": sequential iterations") outer_count
+        m.Cs.Fast_sim.seq_iterations;
+      Alcotest.(check int) (name ^ ": bulk segments") outer_count m.Cs.Fast_sim.bulk_segments)
+    two_levels
 
-(* Associative levels are the reference cascade's alone: [create]
-   rejects them, naming the level. *)
+(* Associative levels, and level lists that are not two long, are the
+   reference cascade's alone: [create] rejects them. *)
 let test_create_rejects_assoc () =
   Alcotest.check_raises "2-way L2"
     (Invalid_argument
@@ -895,18 +980,29 @@ let test_create_rejects_assoc () =
            [ { Cs.Level.size = 1024; line = 32; assoc = 1 };
              { Cs.Level.size = 8192; line = 64; assoc = 2 } ]))
 
+let test_create_rejects_depth () =
+  List.iter
+    (fun geoms ->
+      let n = List.length geoms in
+      Alcotest.check_raises
+        (Printf.sprintf "%d levels" n)
+        (Invalid_argument
+           (Printf.sprintf "Fast_sim.create: %d levels, only two (L1 and L2) are simulated" n))
+        (fun () -> ignore (Cs.Fast_sim.create geoms)))
+    [ [ List.hd small_dm ]; Cs.Machine.alpha21164.Cs.Machine.geometries ]
+
 (* --- whole-kernel equivalence ------------------------------------------- *)
 
 (* End-to-end: Interp with backend:`Fast must reproduce the reference
    result record exactly — counters and derived floats — on real kernels,
-   on both machine presets, including gather kernels (IRR, BUK, CGM) that
+   on the UltraSPARC model and on the Alpha model's first two levels,
+   including gather kernels (IRR, BUK, CGM) that
    take the walker's per-access path.  BUK and CGM also run under a
    layout that starts every array on a multiple of the L1 size, so that
    their streams ping-pong in L1, and CGM under MULTILVLPAD's (which
    pads COLIDX at this size; it leaves BUK packed).  APPBT, APPLU and
    APPSP (downward loops, 5-component leading dimensions) run packed,
-   under MULTILVLPAD (which intra-pads APPSP's U on the Alpha model at
-   this size) and, for APPBT, with every array intra-padded; they and a
+   under MULTILVLPAD and, for APPBT, with every array intra-padded; they and a
    4-row matmul tile go through the walker's two-loop segments at a high
    L1 miss ratio. *)
 let l1_aligned machine layout =
@@ -947,7 +1043,7 @@ let test_kernel_equivalence () =
       (Layout.initial program)
       (Layout.array_names (Layout.initial program))
   in
-  let machines = [ Cs.Machine.ultrasparc; Cs.Machine.alpha21164 ] in
+  let machines = [ Cs.Machine.ultrasparc; alpha_l1_l2 ] in
   let check name machine program layout =
     let reference = Interp.run ~backend:`Reference machine layout program in
     let fast = Interp.run ~backend:`Fast machine layout program in
@@ -1012,6 +1108,7 @@ let () =
             prop_crossing;
             prop_clashing;
             prop_calendar;
+            prop_interleaved;
           ] );
       ( "rows",
         [
@@ -1043,7 +1140,11 @@ let () =
           Alcotest.test_case "rows with no crossing left" `Quick test_no_crossing_left;
         ] );
       ( "create",
-        [ Alcotest.test_case "a 2-way level is rejected" `Quick test_create_rejects_assoc ] );
+        [
+          Alcotest.test_case "a 2-way level is rejected" `Quick test_create_rejects_assoc;
+          Alcotest.test_case "one level and three levels are rejected" `Quick
+            test_create_rejects_depth;
+        ] );
       ( "kernels",
         [ Alcotest.test_case "Interp fast = reference" `Quick test_kernel_equivalence ] );
     ]

@@ -358,15 +358,16 @@ let test_counters_backend_invariant () =
   Alcotest.(check bool) "fast backend reports bulk segments" true
     (List.mem_assoc "sim.fast.bulk_segments" fast)
 
-(* A [Fast] spec with prefetch or an associative level runs on the
-   reference cascade (Fast_sim simulates neither) and says so: one
+(* A [Fast] spec with prefetch, an associative level, three levels or
+   no write-allocate runs on the reference cascade (Fast_sim simulates
+   two direct-mapped write-allocate levels only) and says so: one
    [sim.fast.fallbacks] per such job, none for the jobs that run where
    they ask.  A fallen-back job's results are the reference job's.  The
    same holds one level down, for [Interp.run] called without a backend. *)
 let test_prefetch_fallback_counted () =
-  let spec ?assoc backend prefetch_levels =
+  let spec ?(base = "ultrasparc") ?assoc ?write_allocate backend prefetch_levels =
     E.Job.simulate ~backend
-      ~machine:{ (E.Job.machine "ultrasparc") with E.Job.prefetch_levels; assoc }
+      ~machine:{ (E.Job.machine base) with E.Job.prefetch_levels; assoc; write_allocate }
       ~layout:E.Job.Initial
       (E.Job.Registry { name = "DOT256"; n = Some 4096 })
   in
@@ -387,6 +388,20 @@ let test_prefetch_fallback_counted () =
     (fast.E.Job.interp = reference.E.Job.interp);
   Alcotest.(check bool) "2-way: level_stats = reference" true
     (List.for_all2 Cs.Stats.equal fast.E.Job.level_stats reference.E.Job.level_stats);
+  List.iter
+    (fun (what, fast_spec, reference_spec) ->
+      let fast, n = run fast_spec and reference, _ = run reference_spec in
+      Alcotest.(check int) ("fast spec, " ^ what) 1 n;
+      Alcotest.(check bool) (what ^ ": interp = reference") true
+        (fast.E.Job.interp = reference.E.Job.interp))
+    [
+      ("alpha", spec ~base:"alpha" `Fast [], spec ~base:"alpha" `Reference []);
+      ( "no write-allocate",
+        spec ~write_allocate:false `Fast [],
+        spec ~write_allocate:false `Reference [] );
+    ];
+  Alcotest.(check int) "fast spec, write-allocate asked for" 0
+    (fallbacks (spec ~write_allocate:true `Fast []));
   (* [Interp.run] makes the choice, and asks for [`Fast] by default *)
   let program =
     E.Job.build_program (E.Job.Registry { name = "DOT256"; n = Some 4096 })
@@ -410,6 +425,7 @@ let test_prefetch_fallback_counted () =
     [
       ("2-way", Cs.Machine.with_associativity 2 Cs.Machine.ultrasparc, None);
       ("L2 prefetch", Cs.Machine.ultrasparc, Some [ 1 ]);
+      ("alpha", Cs.Machine.alpha21164, None);
     ];
   Alcotest.(check int) "Interp.run default, ultrasparc" 0
     (snd (interp Cs.Machine.ultrasparc))
