@@ -695,13 +695,15 @@ let bechamel ctx =
 (* ----------------------------------------------------------------- *)
 
 (* Times the same cold job set on both backends (no cache, one domain,
-   both hierarchy levels in play), one program at a time, reference
-   first, checks the results agree exactly, and records each program's
+   both hierarchy levels in play), one program at a time, each time the
+   median of [fastsim_runs] runs per backend (reference, then fast, per
+   round), checks the results agree exactly, and records each program's
    wall-clock times and the totals' ratio in BENCH_fastsim.json: the
    per-program times show which cells the bulk path serves and which
    run access by access.  Wall-clock output is nondeterministic, so like
    bechamel this section only runs when asked for by name. *)
 let fastsim_json_path = "BENCH_fastsim.json"
+let fastsim_runs = 5
 
 let fastsim ctx =
   let n = if ctx.fast then 256 else 512 in
@@ -721,17 +723,28 @@ let fastsim ctx =
     (Unix.gettimeofday () -. t0, results.(0))
   in
   let ratio a b = if b > 0.0 then a /. b else 0.0 in
+  let median l =
+    let a = Array.of_list l in
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
   let rows =
     List.map
       (fun ((name, strat) as case) ->
-        let t_ref, a = time `Reference case in
-        let t_fast, b = time `Fast case in
-        if
-          not
-            (a.E.Job.interp = b.E.Job.interp
-            && List.for_all2 Cs.Stats.equal a.E.Job.level_stats b.E.Job.level_stats)
-        then failwith ("fastsim: backend results differ on " ^ a.E.Job.key);
-        let refs = b.E.Job.interp.Interp.total_refs in
+        let rounds =
+          List.init fastsim_runs (fun _ ->
+              let t_ref, a = time `Reference case in
+              let t_fast, b = time `Fast case in
+              if
+                not
+                  (a.E.Job.interp = b.E.Job.interp
+                  && List.for_all2 Cs.Stats.equal a.E.Job.level_stats b.E.Job.level_stats)
+              then failwith ("fastsim: backend results differ on " ^ a.E.Job.key);
+              (t_ref, t_fast, b.E.Job.interp.Interp.total_refs))
+        in
+        let t_ref = median (List.map (fun (t, _, _) -> t) rounds)
+        and t_fast = median (List.map (fun (_, t, _) -> t) rounds)
+        and _, _, refs = List.hd rounds in
         (name ^ "/" ^ E.Job.strategy_tag strat, t_ref, t_fast, refs))
       cases
   in

@@ -130,7 +130,7 @@ let permutation_legal nest order =
     (fun i1 r1 ->
       List.iteri
         (fun i2 r2 ->
-          if i1 < i2 && (Ref_.is_write r1 || Ref_.is_write r2) then
+          if i1 <= i2 && (Ref_.is_write r1 || Ref_.is_write r2) then
             match between r1 r2 with
             | Independent -> ()
             | d -> deps := d :: !deps)

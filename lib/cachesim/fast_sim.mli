@@ -19,14 +19,22 @@
 
 type t
 
-(** [create geoms] builds a simulator for the given levels, L1 then L2.
-    Each level's geometry goes through {!Level.shape}, the check
-    {!Level.create} makes; on top of it a level must be direct-mapped and
-    have lines of at least 4 bytes (each line's address and dirty bit
-    share one word).
-    @raise Invalid_argument on a list that is not two levels long, a
-    geometry {!Level.shape} rejects, lines under 4 bytes, or a level
-    whose [assoc] is not 1 (the message names the level, [L1] first). *)
+(** [supports ~write_allocate ~prefetch geoms] holds when this backend
+    simulates the levels [geoms] (L1 first) under that write policy and
+    prefetch: exactly two levels, each direct-mapped, with a geometry
+    {!Level.shape} accepts and lines of at least 4 bytes (each line's
+    address and dirty bit share one word), under write-allocate and
+    without prefetch.  It is the one test of what this backend takes:
+    {!create} rejects every other level list, and [Interp.run] sends
+    such machines to the reference cascade. *)
+val supports : write_allocate:bool -> prefetch:bool -> Level.geometry list -> bool
+
+(** [create geoms] builds a simulator for the given levels, L1 then L2,
+    which {!supports} must take under write-allocate without prefetch.
+    @raise Invalid_argument on any other list, the message naming why:
+    a list that is not two levels long, a level whose [assoc] is not 1
+    (the message names the level, [L1] first), a geometry {!Level.shape}
+    rejects, or lines under 4 bytes. *)
 val create : Level.geometry list -> t
 
 (** [access t ~write addr] sends one reference, a write iff [write],
@@ -61,14 +69,36 @@ val access : t -> write:bool -> int -> int
     the references that change line there.  It is built once per row,
     or once per call when every row starts each reference at the same
     offset within its line; a row with no crossing left is one bulk
-    segment.  At a crossing, the references that cross first leave
-    their lines; then one that crosses onto a line that is not resident
-    is installed right there (its miss counted and sent to L2) when no
-    other reference's current line sits in that L1 set.  A clash sends
-    the row back to access-by-access simulation, from that reference.  The whole call
-    runs access by access when half or more of its accesses cross a
-    line, or when its calendar would serve fewer than four periods of
-    iterations.
+    segment.
+
+    At a crossing, each listed reference's new line hits or is
+    installed right there, its miss counted and sent to L2: one tag
+    check per reference.  This is exact only where no two references
+    hold different lines in one L1 set, and a clash proof decides where
+    that is before the row's crossing passes run.  Two references
+    [d] bytes apart are ⌊d/line⌋ or ⌈d/line⌉ lines apart, and their
+    distance is linear in the iteration, so over iterations where it
+    lies in [\[d_lo, d_hi\]] their line distance lies in
+    [\[⌊d_lo/line⌋, ⌈d_hi/line⌉\]]; they cannot clash when that holds no
+    nonzero multiple of the L1 set count.  A pair whose distance is the
+    same in every row is proved once per call.  The proof needs no
+    slack around an iteration: the lines it compares are the ones the
+    references hold at that iteration, and a line a crossing reference
+    is leaving, which an install may evict, is read by no later access.
+    A row the proof does not clear runs its bulk iterations only up to
+    the first iteration where a pair may clash, access by access from
+    there to the first iteration past the clash, and then starts over.
+    A reference with the same base, stride and outer stride as an
+    earlier one (the same address at every iteration) leaves the
+    calendar: its write becomes the earlier one's dirty bit, and L2
+    sees the earlier one's write bit, as the per-access cascade has it
+    hit right after the earlier one.
+
+    The whole call runs access by access when half or more of its
+    accesses cross a line, when its calendar would serve fewer than four
+    periods of iterations, or when one of its addresses may lie beyond
+    2^60 either way (a base, stride times count or outer stride times
+    rows beyond 2^58), where the proof's distances could wrap.
     @raise Invalid_argument when the four arrays differ in length. *)
 val block :
   t ->
@@ -108,11 +138,11 @@ type metrics = {
       (** {!block}'s iterations run access by access, through its
           kernel: the first of each row; after it, every iteration up to
           and including the first that hits throughout, unless the probe
-          lets the bulk path start at once; after a clash (a crossing
-          onto a set that another reference's line still holds once the
-          crossing references have left theirs) the same, the clash's own
-          iteration counting here; and every iteration of a call that
-          the bulk path cannot pay for (see {!block}).  Accesses sent
+          lets the bulk path start at once; from an iteration where the
+          clash proof finds that two references may hold different lines
+          in one L1 set, up to the first iteration past that clash, and
+          then the same again; and every iteration of a call that the
+          bulk path cannot pay for (see {!block}).  Accesses sent
           through {!access} or {!stream} are not iterations and count
           nowhere here. *)
 }

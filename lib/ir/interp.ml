@@ -312,26 +312,26 @@ type backend = [ `Reference | `Fast ]
 let backend_name = function `Reference -> "reference" | `Fast -> "fast"
 
 (* The one place a simulator is chosen and built.  Fast_sim simulates
-   the paper's machine shape only: two direct-mapped levels under
-   write-allocate, without next-line prefetch; anything else runs on the
-   reference cascade (the two agree on that shape, so this costs time,
-   never accuracy), counted as [sim.fast.fallbacks] when [`Fast] was
-   asked for. *)
+   the paper's machine shape only ([Fast_sim.supports]: two
+   direct-mapped levels under write-allocate, without next-line
+   prefetch); anything else runs on the reference cascade (the two agree
+   on that shape, so this costs time, never accuracy), counted as
+   [sim.fast.fallbacks] when [`Fast] was asked for. *)
 let run ?(backend = `Fast) ?(write_allocate = true) ?(prefetch_levels = []) machine
     layout program =
   let geoms = machine.Cs.Machine.geometries in
-  match geoms with
-  | [ g1; g2 ]
-    when backend = `Fast && write_allocate && prefetch_levels = []
-         && g1.Cs.Level.assoc = 1 && g2.Cs.Level.assoc = 1 ->
-      run_sim (Cs.Fast_sim.create geoms) machine layout program
-  | _ ->
-      if backend = `Fast then Obs.count "sim.fast.fallbacks";
-      let hierarchy = Cs.Hierarchy.create ~write_allocate ~prefetch_levels geoms in
-      simulate ~backend:"reference"
-        ~stats:(List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy))
-        ~extra:(fun () -> [])
-        (hierarchy_sink hierarchy) machine layout program
+  if
+    backend = `Fast
+    && Cs.Fast_sim.supports ~write_allocate ~prefetch:(prefetch_levels <> []) geoms
+  then run_sim (Cs.Fast_sim.create geoms) machine layout program
+  else begin
+    if backend = `Fast then Obs.count "sim.fast.fallbacks";
+    let hierarchy = Cs.Hierarchy.create ~write_allocate ~prefetch_levels geoms in
+    simulate ~backend:"reference"
+      ~stats:(List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy))
+      ~extra:(fun () -> [])
+      (hierarchy_sink hierarchy) machine layout program
+  end
 
 (* --- trace sink -------------------------------------------------------- *)
 

@@ -52,11 +52,12 @@ val backend_name : backend -> string
 (** [run ?backend ?write_allocate ?prefetch_levels machine layout program]
     simulates one full execution on a fresh simulator.  It is the one
     function that chooses and builds a simulator.  [backend] defaults to
-    [`Fast], which runs {!Mlc_cachesim.Fast_sim} when [machine] has
-    exactly two levels, both direct-mapped, [write_allocate] holds and
-    [prefetch_levels] is empty; otherwise (one level, three or more, an
-    associative level, no write-allocate, prefetch) the run goes to the
-    reference cascade and, when [`Fast] was asked for, counts one
+    [`Fast], which runs {!Mlc_cachesim.Fast_sim} when
+    {!Mlc_cachesim.Fast_sim.supports} takes [machine]'s levels,
+    [write_allocate] and [prefetch_levels] (exactly two direct-mapped
+    levels, write-allocate, no prefetch); otherwise (one level, three or
+    more, an associative level, no write-allocate, prefetch) the run goes
+    to the reference cascade and, when [`Fast] was asked for, counts one
     [sim.fast.fallbacks].  [write_allocate] (default true) and
     [prefetch_levels] (0-based levels with a next-line prefetcher,
     default none) are {!Mlc_cachesim.Hierarchy.create}'s. *)

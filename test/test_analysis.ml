@@ -227,6 +227,19 @@ let test_permutation_star_blocks_unsound () =
   check_bool "two-star dep blocks interchange" false
     (An.Dependence.permutation_legal nest_scalar [ "j"; "i" ])
 
+let test_permutation_self_output () =
+  (* B(i+j) = A(i,j): the write depends on itself at distance (1,-1), so
+     (j,i) would leave B(3) holding A(0,3) instead of A(3,0) *)
+  let open Build in
+  let b = arr "B" [ 7 ] and a = arr "A" [ 4; 4 ] in
+  ignore (a, b);
+  let i = v "i" and j = v "j" in
+  let nest_sum =
+    nest [ loop "i" 0 3; loop "j" 0 3 ] [ asn (w "B" [ Expr.add i j ]) [ r "A" [ i; j ] ] ]
+  in
+  check_bool "self output dependence blocks interchange" false
+    (An.Dependence.permutation_legal nest_sum [ "j"; "i" ])
+
 (* --- Fusion model: the paper's Section 4 numbers ------------------------ *)
 
 (* Under GROUPPAD, Figure 4's layout preserves B's arcs on L1 but not A's
@@ -333,6 +346,7 @@ let () =
           Alcotest.test_case "permutation legality" `Quick test_permutation_legality;
           Alcotest.test_case "reduction star" `Quick test_permutation_star_reduction;
           Alcotest.test_case "double star blocked" `Quick test_permutation_star_blocks_unsound;
+          Alcotest.test_case "self output dependence" `Quick test_permutation_self_output;
         ] );
       ( "fusion_model",
         [

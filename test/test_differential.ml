@@ -618,6 +618,81 @@ let prop_calendar =
     (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
       rows_match ~evict:true h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
 
+(* The clash proof: before a row's steady phase, [block] decides from
+   the row's bases, strides and count over which iterations no two
+   references may hold different lines in one L1 set, and runs its
+   crossing passes without any other check there.  Each row mixes
+   stride-0 references, references at a common stride and references at
+   other strides, placed so that every pair's line distance passes
+   within a line of a multiple of the L1 set count: equal-stride pairs
+   sit a multiple of the L1 size apart, give or take a line; a pair with
+   different strides starts so that it reaches such a distance around
+   the middle of the row.  Some references duplicate an earlier one
+   (same base, stride and outer stride), its write bit drawn anew, so
+   the row holds read/read, read-then-write and write-then-read
+   duplicates.  Rows are long enough for the steady phase; every line
+   is evicted at the end, so a lost dirty bit shows as a writeback. *)
+let gen_proof =
+  QCheck.Gen.(
+    let* line_bits = int_range 5 6 in
+    let* sets_bits = int_range 1 4 in
+    let line = 1 lsl line_bits in
+    let l1_size = line lsl sets_bits in
+    let* l2 =
+      let* lbits = int_range line_bits 6 in
+      let* sbits = int_range sets_bits 6 in
+      return { Cs.Level.size = 1 lsl (lbits + sbits); line = 1 lsl lbits; assoc = 1 }
+    in
+    let* elem = oneofl [ 4; 8 ] in
+    let* common = oneofl [ elem; -elem ] in
+    let period = line / elem in
+    let* count = int_range (4 * period) (16 * period) in
+    let* anchor = int_range (8 * l1_size) (12 * l1_size) in
+    let* nrefs = int_range 2 6 in
+    let reference =
+      let* stride =
+        frequency
+          [ (2, return 0); (3, return common); (2, oneofl [ -common; 2 * common; 3 * elem ]) ]
+      in
+      let* k = int_range (-2) 2 and* near = int_range (-line - elem) (line + elem) in
+      (* where the distance to a common-stride reference is [k] L1 sizes
+         and [near] bytes, at the middle of the row *)
+      let mid = count / 2 * (common - stride) in
+      return (anchor + (k * l1_size) + (near / elem * elem) + mid, stride)
+    in
+    let rec more n acc =
+      if n = 0 then return (List.rev acc)
+      else
+        let* repeat = oneofl [ false; false; true ] in
+        let* next =
+          if repeat && acc <> [] then oneofl acc
+          else
+            let* base, stride = reference in
+            let* outer = oneofl [ 0; line; l1_size; -l1_size; elem ] in
+            return (base, stride, outer)
+        in
+        more (n - 1) (next :: acc)
+    in
+    let* refs = more nrefs [] in
+    let* writes = list_repeat nrefs bool in
+    let* outer_count = int_range 1 3 in
+    return
+      ( [ { Cs.Level.size = l1_size; line; assoc = 1 }; l2 ],
+        ( Array.of_list (List.map (fun (b, _, _) -> b) refs),
+          Array.of_list (List.map (fun (_, s, _) -> s) refs),
+          Array.of_list writes,
+          count,
+          Array.of_list (List.map (fun (_, _, o) -> o) refs),
+          outer_count ) ))
+
+let prop_proof =
+  QCheck.Test.make
+    ~name:"clash proof: Fast_sim.block = per-access reference cascade"
+    ~count:(Qcheck_env.count 600)
+    (QCheck.make ~print:print_rows gen_proof)
+    (fun (h, (bases, strides, writes, count, outer_strides, outer_count)) ->
+      rows_match ~evict:true h ~bases ~strides ~writes ~count ~outer_strides ~outer_count)
+
 (* Random interleavings of [block], [stream] and [access] calls on one
    simulator, against the per-access reference cascade, stats compared
    after every call and after an [evict_l1] sweep at the end.  Each
@@ -1108,6 +1183,7 @@ let () =
             prop_crossing;
             prop_clashing;
             prop_calendar;
+            prop_proof;
             prop_interleaved;
           ] );
       ( "rows",
